@@ -631,8 +631,8 @@ type scaling_point = {
   stream_seconds : float;
   stream_shards : int;
   stream_sharded_seconds : float option;
-      (* wall time of the same trace through Stream.Sharded; [None] on
-         single-shard rungs *)
+      (* wall time of the same trace through a [shards]-shard stream;
+         [None] on single-shard rungs *)
   peak_frontier_events : int;
   gc_minor_collections : int;
   gc_major_words : float;
@@ -784,11 +784,11 @@ let scaling_rung ?(shards = 1) name params =
   done;
   let ssum = Refill.Stream.finish stream in
   let dt_stream = Unix.gettimeofday () -. t4 in
-  (* Sharded rung: identical trace through Stream.Sharded.  Output is
-     byte-identical by construction (qcheck-pinned in the test suite), so
-     only the wall time and flow count are recorded.  Speedup needs one
-     core per shard; on fewer cores the queue hand-offs make this an
-     honest slowdown, which the JSON reports as-is. *)
+  (* Sharded rung: identical trace through a [shards]-shard stream.
+     Output is byte-identical by construction (qcheck-pinned in the test
+     suite), so only the wall time and flow count are recorded.  Speedup
+     needs one core per shard; on fewer cores the queue hand-offs make
+     this an honest slowdown, which the JSON reports as-is. *)
   let dt_sharded =
     if shards <= 1 then None
     else begin
@@ -796,17 +796,17 @@ let scaling_rung ?(shards = 1) name params =
       let t5 = Unix.gettimeofday () in
       let sharded_flows = ref 0 in
       let st =
-        Refill.Stream.Sharded.create ~config ~sink:scenario.sink
+        Refill.Stream.create ~config ~sink:scenario.sink
           ~emit:(fun _ -> incr sharded_flows)
           ()
       in
       let i = ref 0 in
       while !i < n do
         let len = min config.chunk_events (n - !i) in
-        Refill.Stream.Sharded.feed st (Array.sub ordered !i len);
+        Refill.Stream.feed st (Array.sub ordered !i len);
         i := !i + len
       done;
-      let shsum = Refill.Stream.Sharded.finish st in
+      let shsum = Refill.Stream.finish st in
       let dt = Unix.gettimeofday () -. t5 in
       if shsum.flows <> ssum.flows then
         Printf.printf

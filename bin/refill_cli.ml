@@ -481,7 +481,7 @@ let print_stream_summary (s : Refill.Stream.summary) =
     s.events s.segments s.flows s.complete s.incomplete s.evictions
     s.late_fragments s.forgotten_keys s.peak_frontier_events
 
-(* Open an mmap reader with the same error surface as the channel path. *)
+(* Open a dump for chunked reading, with the CLI's error surface. *)
 let open_mseg input =
   match Logsys.Log_io.Mseg.open_file input with
   | r -> Ok r
@@ -493,34 +493,6 @@ let open_mseg input =
       Error (Refill.Error.Malformed { source = input; message })
 
 let reconstruct_batch (config : Refill.Config.t) ~global_flow ~quality input =
-  match
-    Refill.Error.guard ~source:input (fun () -> Logsys.Log_io.load_file input)
-  with
-  | Error e -> err_exit e
-  | Ok dump ->
-      let summary = ref Refill.Reconstruct.empty_summary in
-      let flows_rev = ref [] in
-      (* Quality accumulates per flow as it is emitted, so the provenance
-         path never forces flow retention (only --global-flow does). *)
-      let qacc = Option.map (fun _ -> Analysis.Quality.create ()) quality in
-      Refill.Reconstruct.run ~config dump.collected ~sink:dump.sink
-        ~emit:(fun f ->
-          summary := Refill.Reconstruct.summary_add !summary f;
-          Option.iter (fun acc -> Analysis.Quality.add acc f) qacc;
-          if global_flow then flows_rev := f :: !flows_rev);
-      print_packet_summary !summary;
-      (match (quality, qacc) with
-      | Some dest, Some acc -> write_quality dest (Analysis.Quality.finish acc)
-      | _ -> ());
-      if global_flow then
-        print_global_flow_stats
-          (Refill.Global_flow.merge ?jobs:config.jobs dump.collected
-             ~flows:(Array.of_list (List.rev !flows_rev))
-             ~emit:ignore);
-      0
-
-let reconstruct_batch_mmap (config : Refill.Config.t) ~global_flow ~quality
-    input =
   let loaded =
     match open_mseg input with
     | Error e -> Error e
@@ -545,6 +517,8 @@ let reconstruct_batch_mmap (config : Refill.Config.t) ~global_flow ~quality
   | Ok (packets, sink) ->
       let summary = ref Refill.Reconstruct.empty_summary in
       let flows_rev = ref [] in
+      (* Quality accumulates per flow as it is emitted, so the provenance
+         path never forces flow retention (only --global-flow does). *)
       let qacc = Option.map (fun _ -> Analysis.Quality.create ()) quality in
       Refill.Reconstruct.run_arena ~config packets ~sink ~emit:(fun f ->
           summary := Refill.Reconstruct.summary_add !summary f;
@@ -562,17 +536,15 @@ let reconstruct_batch_mmap (config : Refill.Config.t) ~global_flow ~quality
              ~emit:ignore);
       0
 
-(* The streaming body shared by the channel (Seg) and mmap (Mseg) readers:
-   [skip] fast-forwards the input on checkpoint resume, [feed_all]
-   drives the segment loop. *)
-let reconstruct_stream_core (config : Refill.Config.t) ~global_flow ~quality
-    ~checkpoint ~finish ~emit_file ~source ~sink ~n_nodes ~skip
-    ~(feed_all :
-       Refill_serve.Driver.t -> Refill.Global_flow.Incremental.t option -> unit)
-    =
+let reconstruct_stream (config : Refill.Config.t) ~global_flow ~quality
+    ~checkpoint ~finish ~emit_file ~source reader =
+  let sink = Logsys.Log_io.Mseg.sink reader in
   let inc =
     if global_flow then
-      Some (Refill.Global_flow.Incremental.create ~n_nodes ())
+      Some
+        (Refill.Global_flow.Incremental.create
+           ~n_nodes:(Logsys.Log_io.Mseg.n_nodes reader)
+           ())
     else None
   in
   let summary = ref Refill.Reconstruct.empty_summary in
@@ -595,11 +567,11 @@ let reconstruct_stream_core (config : Refill.Config.t) ~global_flow ~quality
   let stream_r =
     match checkpoint with
     | Some path when Sys.file_exists path -> (
-        match Refill_serve.Driver.resume_file ~config path ~sink ~emit with
+        match Refill.Stream.resume_file ~config path ~sink ~emit with
         | Error e -> Error e
-        | Ok d ->
-            let want = d.Refill_serve.Driver.processed () in
-            let skipped = skip want in
+        | Ok t ->
+            let want = Refill.Stream.processed t in
+            let skipped = Logsys.Log_io.Mseg.skip reader want in
             if skipped < want then
               Error
                 (Refill.Error.Bad_checkpoint
@@ -613,134 +585,80 @@ let reconstruct_stream_core (config : Refill.Config.t) ~global_flow ~quality
                    })
             else begin
               Obs.Log.info "resumed from %s at record %d" path want;
-              Ok d
+              Ok t
             end)
-    | _ -> Ok (Refill_serve.Driver.create ~config ~sink ~emit ())
+    | _ -> Ok (Refill.Stream.create ~config ~sink ~emit ())
+  in
+  (* One arena reused per chunk: clear keeps the column storage, so a
+     steady-state chunk allocates nothing on the ingest side. *)
+  let arena = Logsys.Arena.create ~capacity:config.chunk_events () in
+  let rec feed_all t =
+    Logsys.Arena.clear arena;
+    if
+      Logsys.Log_io.Mseg.next_into reader arena
+        ~max_records:config.chunk_events
+      > 0
+    then begin
+      let s = Logsys.Arena.slice_all arena in
+      Option.iter (fun g -> Refill.Global_flow.Incremental.add_arena g s) inc;
+      Refill.Stream.feed_arena t s;
+      feed_all t
+    end
   in
   let code =
     match stream_r with
     | Error e -> err_exit e
     | Ok t -> (
-        match Refill.Error.guard ~source (fun () -> feed_all t inc) with
+        match Refill.Error.guard ~source (fun () -> feed_all t) with
         | Error e -> err_exit e
         | Ok () -> (
-                  (* Checkpoint the live (pre-flush) state so a later run can
-                     resume exactly here; --finish then decides whether to
-                     flush the frontier now. *)
-                  match
-                    match checkpoint with
-                    | Some path -> t.checkpoint_file path
-                    | None -> Ok ()
-                  with
-                  | Error e -> err_exit e
-                  | Ok () ->
-                      (match checkpoint with
-                      | Some path ->
-                          Obs.Log.info "checkpoint written to %s" path
-                      | None -> ());
-                      let flush_now = finish || checkpoint = None in
-                      if flush_now then begin
-                        let s = t.finish () in
-                        print_packet_summary !summary;
-                        print_stream_summary s;
-                        (match (quality, qacc) with
-                        | Some dest, Some acc ->
-                            write_quality dest (Analysis.Quality.finish acc)
-                        | _ -> ());
-                        Option.iter
-                          (fun g ->
-                            print_global_flow_stats
-                              (Refill.Global_flow.Incremental.finish
-                                 ?jobs:config.jobs g ~emit:ignore))
-                          inc
-                      end
-                      else begin
-                        let s = t.summary () in
-                        print_stream_summary s;
-                        Obs.Log.info
-                          "frontier left open (%d buffered events); rerun \
-                           with --finish to flush"
-                          s.frontier_events
-                      end;
-                      0))
+            (* Checkpoint the live (pre-flush) state so a later run can
+               resume exactly here; --finish then decides whether to flush
+               the frontier now. *)
+            match
+              match checkpoint with
+              | Some path -> Refill.Stream.checkpoint_file t path
+              | None -> Ok ()
+            with
+            | Error e -> err_exit e
+            | Ok () ->
+                (match checkpoint with
+                | Some path -> Obs.Log.info "checkpoint written to %s" path
+                | None -> ());
+                let flush_now = finish || checkpoint = None in
+                if flush_now then begin
+                  let s = Refill.Stream.finish t in
+                  print_packet_summary !summary;
+                  print_stream_summary s;
+                  (match (quality, qacc) with
+                  | Some dest, Some acc ->
+                      write_quality dest (Analysis.Quality.finish acc)
+                  | _ -> ());
+                  Option.iter
+                    (fun g ->
+                      print_global_flow_stats
+                        (Refill.Global_flow.Incremental.finish
+                           ?jobs:config.jobs g ~emit:ignore))
+                    inc
+                end
+                else begin
+                  let s = Refill.Stream.summary t in
+                  print_stream_summary s;
+                  Obs.Log.info
+                    "frontier left open (%d buffered events); rerun with \
+                     --finish to flush"
+                    s.frontier_events
+                end;
+                0))
   in
   esink.Refill_serve.Emit.close ();
   (match emit_file with
-  | Some path when code = 0 ->
-      Obs.Log.info "flow outcomes written to %s" path
+  | Some path when code = 0 -> Obs.Log.info "flow outcomes written to %s" path
   | _ -> ());
   code
 
-let reconstruct_stream (config : Refill.Config.t) ~global_flow ~quality
-    ~checkpoint ~finish ~emit_file input =
-  match open_in input with
-  | exception Sys_error message ->
-      err_exit (Refill.Error.Io { path = input; message })
-  | ic -> (
-      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-      match
-        Refill.Error.guard ~source:input (fun () ->
-            Logsys.Log_io.Seg.of_channel ic)
-      with
-      | Error e -> err_exit e
-      | Ok reader ->
-          let feed_all (t : Refill_serve.Driver.t) inc =
-            let rec loop () =
-              match
-                Logsys.Log_io.Seg.next reader ~max_records:config.chunk_events
-              with
-              | None -> ()
-              | Some seg ->
-                  Option.iter
-                    (fun g -> Refill.Global_flow.Incremental.add_records g seg)
-                    inc;
-                  t.feed seg;
-                  loop ()
-            in
-            loop ()
-          in
-          reconstruct_stream_core config ~global_flow ~quality ~checkpoint
-            ~finish ~emit_file ~source:input
-            ~sink:(Logsys.Log_io.Seg.sink reader)
-            ~n_nodes:(Logsys.Log_io.Seg.n_nodes reader)
-            ~skip:(Logsys.Log_io.Seg.skip reader)
-            ~feed_all)
-
-let reconstruct_stream_mmap (config : Refill.Config.t) ~global_flow ~quality
-    ~checkpoint ~finish ~emit_file input =
-  match open_mseg input with
-  | Error e -> err_exit e
-  | Ok reader ->
-      (* One arena reused per chunk: clear keeps the column storage, so a
-         steady-state chunk allocates nothing on the ingest side. *)
-      let arena = Logsys.Arena.create ~capacity:config.chunk_events () in
-      let feed_all (t : Refill_serve.Driver.t) inc =
-        let rec loop () =
-          Logsys.Arena.clear arena;
-          let n =
-            Logsys.Log_io.Mseg.next_into reader arena
-              ~max_records:config.chunk_events
-          in
-          if n > 0 then begin
-            let s = Logsys.Arena.slice_all arena in
-            Option.iter
-              (fun g -> Refill.Global_flow.Incremental.add_arena g s)
-              inc;
-            t.feed_arena s;
-            loop ()
-          end
-        in
-        loop ()
-      in
-      reconstruct_stream_core config ~global_flow ~quality ~checkpoint ~finish
-        ~emit_file ~source:input
-        ~sink:(Logsys.Log_io.Mseg.sink reader)
-        ~n_nodes:(Logsys.Log_io.Mseg.n_nodes reader)
-        ~skip:(Logsys.Log_io.Mseg.skip reader)
-        ~feed_all
-
-let reconstruct obs mk_config stream mmap checkpoint finish emit_file
-    global_flow quality input =
+let reconstruct obs mk_config stream checkpoint finish emit_file global_flow
+    quality input =
   with_observability obs @@ fun () ->
   match mk_config ~provenance:(quality <> None) with
   | Error e -> err_exit e
@@ -762,9 +680,11 @@ let reconstruct obs mk_config stream mmap checkpoint finish emit_file
               incremental merge needs the records from before the resume \
               point")
       else if stream then
-        (if mmap then reconstruct_stream_mmap else reconstruct_stream)
-          config ~global_flow ~quality ~checkpoint ~finish ~emit_file input
-      else if mmap then reconstruct_batch_mmap config ~global_flow ~quality input
+        match open_mseg input with
+        | Error e -> err_exit e
+        | Ok reader ->
+            reconstruct_stream config ~global_flow ~quality ~checkpoint
+              ~finish ~emit_file ~source:input reader
       else reconstruct_batch config ~global_flow ~quality input
 
 let reconstruct_cmd =
@@ -782,16 +702,6 @@ let reconstruct_cmd =
             "Consume the dump incrementally with bounded memory, emitting \
              each packet's flow when it goes quiet, instead of loading the \
              whole file.")
-  in
-  let mmap =
-    Arg.(
-      value & flag
-      & info [ "mmap" ]
-          ~doc:
-            "Memory-map the dump and decode record lines in place into \
-             flat arena columns (zero-copy ingest) instead of reading \
-             through a channel.  Works in batch and streaming mode; \
-             output is byte-identical to the default reader.")
   in
   let checkpoint =
     Arg.(
@@ -851,9 +761,8 @@ let reconstruct_cmd =
   Cmd.v
     (Cmd.info "reconstruct" ~doc ~man)
     Term.(
-      const reconstruct $ obs_opts_term $ config_term $ stream $ mmap
-      $ checkpoint $ finish $ emit_file $ global_flow $ provenance_arg
-      $ input)
+      const reconstruct $ obs_opts_term $ config_term $ stream $ checkpoint
+      $ finish $ emit_file $ global_flow $ provenance_arg $ input)
 
 (* -- trace -------------------------------------------------------------------- *)
 

@@ -9,9 +9,7 @@
    reconstructs a [Record.equal]-identical [Record.t] on demand.
 
    Column invariants:
-   - [tags] holds the Codec kind tag (0–7); tag order equals
-     [Protocol.label_rank], so downstream consumers map tag -> label /
-     dense FSM id with one array read.
+   - [tags] holds the Codec kind tag (0–7).
    - [peers] is meaningful only for tags 1–6 (the link kinds); peer may
      legitimately be -1 (the unknown-node sentinel).  No-peer rows store
      [no_peer] as poison.

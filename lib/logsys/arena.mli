@@ -12,9 +12,7 @@
     API rule of thumb: hot loops index columns ({!node}, {!tag}, …, or
     {!equal_record}); anything that stores or prints an event
     materializes it once via {!get}.  Kind tags are the stable
-    {!Codec.tag_of_kind} values, whose order equals
-    [Refill.Protocol.label_rank] — consumers map tag → label / dense FSM
-    id with one array read. *)
+    {!Codec.tag_of_kind} values. *)
 
 type t
 
@@ -85,7 +83,7 @@ val slice_all : t -> slice
 
 val slice_records : slice -> Record.t array
 (** Materialize every row of a slice (convenience for record-based
-    consumers like the incremental merge accumulator). *)
+    consumers, like a wire client encoding a chunk it read). *)
 
 (** {2 Bulk decoding}
 

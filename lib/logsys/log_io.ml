@@ -175,95 +175,14 @@ let load_file path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> load ic)
 
-module Seg = struct
-  type reader = {
-    ic : in_channel;
-    seg_n_nodes : int;
-    seg_sink : int;
-    mutable eof : bool;
-    mutable seg_read : int;
-  }
+(* -- Memory-mapped segment reader ----------------------------------------- *)
 
-  let of_channel ic =
-    let first = input_line ic in
-    if first <> "# refill-log v1" then
-      failwith (Printf.sprintf "Log_io: bad header %S" first);
-    let seg_n_nodes =
-      match header_value (input_line ic) "nodes" with
-      | Some n when n > 0 -> n
-      | _ -> failwith "Log_io: missing nodes header"
-    in
-    let seg_sink =
-      match header_value (input_line ic) "sink" with
-      | Some s -> s
-      | None -> failwith "Log_io: missing sink header"
-    in
-    { ic; seg_n_nodes; seg_sink; eof = false; seg_read = 0 }
-
-  let n_nodes r = r.seg_n_nodes
-
-  let sink r = r.seg_sink
-
-  let read r = r.seg_read
-
-  (* Next record line, skipping comments, blanks and truth lines — a
-     streaming consumer has no use for ground-truth fates. *)
-  let rec next_record r =
-    if r.eof then None
-    else
-      match input_line r.ic with
-      | exception End_of_file ->
-          r.eof <- true;
-          None
-      | line ->
-          if String.length line = 0 then next_record r
-          else if line.[0] = 'r' then begin
-            let rec_ = record_of_line line in
-            if rec_.node < 0 || rec_.node >= r.seg_n_nodes then
-              failwith "Log_io: record node out of range";
-            r.seg_read <- r.seg_read + 1;
-            Some rec_
-          end
-          else if line.[0] = 't' || line.[0] = '#' then next_record r
-          else failwith (Printf.sprintf "Log_io: malformed line %S" line)
-
-  let next r ~max_records =
-    if max_records <= 0 then invalid_arg "Log_io.Seg.next: max_records <= 0";
-    match next_record r with
-    | None -> None
-    | Some first ->
-        let out = Array.make max_records first in
-        let count = ref 1 in
-        while
-          !count < max_records
-          &&
-          match next_record r with
-          | Some rec_ ->
-              out.(!count) <- rec_;
-              incr count;
-              true
-          | None -> false
-        do
-          ()
-        done;
-        Some (if !count = max_records then out else Array.sub out 0 !count)
-
-  let skip r n =
-    let skipped = ref 0 in
-    while !skipped < n && next_record r <> None do
-      incr skipped
-    done;
-    !skipped
-end
-
-(* -- Mmap-backed segment reader ------------------------------------------ *)
-
-(* Same on-disk format and chunked consumption contract as {!Seg}, but the
-   file is memory-mapped ([Unix.map_file]) and record lines are parsed
-   in place, decoding straight into arena columns: no input-channel
-   buffering, no per-line strings, no per-record allocation except the
-   time token (handed to [float_of_string] so the parse is bit-identical
-   to {!record_of_line}'s). *)
+(* The dump format of {!load}, consumed chunk by chunk: the file is
+   memory-mapped ([Unix.map_file]) and record lines are parsed in place,
+   decoding straight into arena columns — no input-channel buffering, no
+   per-line strings, no per-record allocation except the time token
+   (handed to [float_of_string] so the parse is bit-identical to
+   {!record_of_line}'s). *)
 module Mseg = struct
   type map = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 

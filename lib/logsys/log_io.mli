@@ -31,7 +31,7 @@ val save :
   unit
 (** Write a dump.  Records go node-major by default; [~time_order:true]
     emits them in true-time arrival order ({!Collected.merged_by_time})
-    instead — the shape streaming readers ({!Seg}) want, since node-major
+    instead — the shape streaming readers ({!Mseg}) want, since node-major
     order would make nearly every packet look still-in-flight. *)
 
 val save_file :
@@ -61,41 +61,13 @@ val record_to_line_exact : Record.t -> string
     human-readable [%.6f] form. *)
 
 (** Segmented (incremental) reading of a dump: the same on-disk format as
-    {!load}, consumed chunk-by-chunk so a streaming pipeline never holds
-    the whole trace.  Truth ([t ...]) and comment lines are skipped. *)
-module Seg : sig
-  type reader
-
-  val of_channel : in_channel -> reader
-  (** Parse the three header lines and position the reader at the first
-      record.  The channel stays owned by the caller.
-      @raise Failure on a malformed header. *)
-
-  val n_nodes : reader -> int
-
-  val sink : reader -> Net.Packet.node_id
-
-  val read : reader -> int
-  (** Records returned (or skipped) so far — the stream position of the
-      reader, matching what a streaming consumer counts as processed. *)
-
-  val next : reader -> max_records:int -> Record.t array option
-  (** Up to [max_records] further records, in file order; [None] at end of
-      input.  @raise Failure on a malformed line, [Invalid_argument] if
-      [max_records <= 0]. *)
-
-  val skip : reader -> int -> int
-  (** [skip r n] discards up to [n] records and returns how many were
-      actually skipped (fewer only at end of input) — how a resumed
-      streaming run fast-forwards past already-processed records. *)
-end
-
-(** Mmap-backed segmented reading: the same dump format and chunked
-    contract as {!Seg}, but the file is memory-mapped and record lines
-    decode in place straight into {!Arena} columns — no channel
-    buffering, no per-line strings, no per-record allocation (except the
-    time token, parsed by [float_of_string] so times load bit-identically
-    to {!record_of_line}).  This is the [--mmap] ingest path. *)
+    {!load}, consumed chunk by chunk so a streaming pipeline never holds
+    the whole trace.  The file is memory-mapped and record lines decode
+    in place straight into {!Arena} columns — no channel buffering, no
+    per-line strings, no per-record allocation (except the time token,
+    parsed by [float_of_string] so times load bit-identically to
+    {!record_of_line}).  Truth ([t ...]) and comment lines are skipped.
+    This is how every command that reads a dump in chunks ingests it. *)
 module Mseg : sig
   type reader
 
@@ -111,7 +83,8 @@ module Mseg : sig
   val sink : reader -> Net.Packet.node_id
 
   val read : reader -> int
-  (** Records decoded (or skipped) so far, like {!Seg.read}. *)
+  (** Records decoded (or skipped) so far — the stream position of the
+      reader, matching what a streaming consumer counts as processed. *)
 
   val next_into : reader -> Arena.t -> max_records:int -> int
   (** Decode up to [max_records] further records into the arena (appended
@@ -123,6 +96,7 @@ module Mseg : sig
   val skip : reader -> int -> int
   (** [skip r n] fast-forwards past up to [n] record lines without
       decoding them (they are not validated beyond line classification)
-      and returns how many were skipped — how a resumed [--mmap] run
-      fast-forwards, mirroring {!Seg.skip}. *)
+      and returns how many were skipped (fewer only at end of input) —
+      how a resumed streaming run fast-forwards past already-processed
+      records. *)
 end

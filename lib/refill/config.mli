@@ -17,15 +17,16 @@ type t = {
       (** Streaming only: a frontier packet is evicted once this many
           records have been processed since its last record arrived. *)
   chunk_events : int;
-      (** Streaming only: segment size (records per {!Stream.feed} call)
+      (** Streaming only: segment size (records per {!Stream.feed_arena} call)
           used by readers that chunk an input stream. *)
   provenance : bool;
       (** Collect per-event {!Provenance.t} side-car arrays
           ({!Flow.t.prov}).  Off by default: the pipeline then allocates
           nothing for provenance. *)
   shards : int;
-      (** Streaming only: worker domains for {!Stream.Sharded}; [1] keeps
-          the single-domain {!Stream} path. *)
+      (** Streaming only: how many shards {!Stream} splits the frontier
+          into.  [1] runs the one shard inline in the caller's domain;
+          above that, each shard gets a worker domain. *)
   late_retention : int option;
       (** Streaming only: how many records past a packet's eviction
           trigger a returning fragment is still recognized as a late

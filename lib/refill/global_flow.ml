@@ -114,15 +114,12 @@ let ibuf_push2 b x y =
   b.data.(b.len + 1) <- y;
   b.len <- b.len + 2
 
-(* Where the merge reads per-node logs from: a record snapshot, or an
-   arena-indexed packet index (columns; the alignment never materializes
-   a record). *)
-type log_source =
-  | Snapshot of Logsys.Collected.t
-  | Arena_index of Logsys.Arena.Packets.t
+(* Where the merge reads per-node logs from: an arena-indexed packet
+   index (columns; the alignment never materializes a record). *)
+type log_source = Arena_index of Logsys.Arena.Packets.t
 
-let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
-    ~emit:emit_item =
+let merge_untimed ?jobs ?emit_prov (Arena_index packets)
+    ~(flows : Flow.t array) ~emit:emit_item =
   (* ---- Pass 1: count items and intern every flow's packet. ---- *)
   let n_flows = Array.length flows in
   let interner = interner_create n_flows in
@@ -202,11 +199,7 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
        flow order.  CSR over dense slots, two counted passes; the node
        component of the slot key partitions slots across nodes, which is
        what lets the alignment below run per-node in parallel. ---- *)
-    let n_nodes =
-      match source with
-      | Snapshot c -> Logsys.Collected.n_nodes c
-      | Arena_index p -> Logsys.Arena.Packets.n_nodes p
-    in
+    let n_nodes = Logsys.Arena.Packets.n_nodes packets in
     let slot_tbl : (int, int) Hashtbl.t = Hashtbl.create (max 64 n_flows) in
     let n_slots = ref 0 in
     let q_count = Array.make n 0 in
@@ -274,42 +267,8 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
        so nodes fan out across domains; interner reads are lookups into
        tables no longer being written. ---- *)
     let q_cursor = Array.make (max 1 n_slots) 0 in
-    (* One alignment body per source shape (both monomorphic hot loops):
-       identical slot/cursor/anchor logic, differing only in how a log
-       entry's key is read and how it is compared against a payload —
-       record fields vs column reads ([Arena.equal_record] never
-       materializes). *)
-    let align_snapshot collected node =
-      let log = Logsys.Collected.node_log collected node in
-      let len = float_of_int (max 1 (Array.length log)) in
-      let edges = ibuf_create () in
-      let last = ref (-1) in
-      Array.iteri
-        (fun log_idx (r : Logsys.Record.t) ->
-          match pid_find interner ~origin:r.origin ~seq:r.pkt_seq with
-          | None -> ()
-          | Some qpid -> (
-              match Hashtbl.find_opt slot_tbl ((qpid * n_nodes) + node) with
-              | None -> ()
-              | Some slot ->
-                  let cur = q_cursor.(slot) in
-                  if cur < q_off.(slot + 1) - q_off.(slot) then begin
-                    let id = q_ids.(q_off.(slot) + cur) in
-                    match items.(id).Engine.payload with
-                    | Some r' when Logsys.Record.equal r r' ->
-                        q_cursor.(slot) <- cur + 1;
-                        anchors.(id) <- float_of_int log_idx /. len;
-                        (* Distinct ids per node: safe to write from the
-                           per-node workers, like [anchors] above. *)
-                        if want_prov then aligned.(id) <- true;
-                        if !last >= 0 then ibuf_push2 edges !last id;
-                        last := id
-                    | Some _ | None -> ()
-                  end))
-        log;
-      Array.sub edges.data 0 edges.len
-    in
-    let align_arena packets arena node =
+    let arena = Logsys.Arena.Packets.arena packets in
+    let align node =
       let rows = Logsys.Arena.Packets.node_rows packets node in
       let len = float_of_int (max 1 (Array.length rows)) in
       let edges = ibuf_create () in
@@ -331,6 +290,8 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
                     | Some r' when Logsys.Arena.equal_record arena row r' ->
                         q_cursor.(slot) <- cur + 1;
                         anchors.(id) <- float_of_int log_idx /. len;
+                        (* Distinct ids per node: safe to write from the
+                           per-node workers, like [anchors] above. *)
                         if want_prov then aligned.(id) <- true;
                         if !last >= 0 then ibuf_push2 edges !last id;
                         last := id
@@ -338,11 +299,6 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
                   end))
         rows;
       Array.sub edges.data 0 edges.len
-    in
-    let align =
-      match source with
-      | Snapshot c -> align_snapshot c
-      | Arena_index p -> align_arena p (Logsys.Arena.Packets.arena p)
     in
     let jobs =
       match jobs with Some j -> max 1 j | None -> Par.default_jobs ()
@@ -528,45 +484,43 @@ let merge_from ?jobs ?emit_prov source ~flows ~emit =
       run
   else run ()
 
+(* A snapshot's per-node logs, node-major, as an arena index: each
+   node's rows keep its log order, which is all the alignment reads. *)
+let index_of_collected collected =
+  let n_nodes = Logsys.Collected.n_nodes collected in
+  let arena =
+    Logsys.Arena.create ~capacity:(Logsys.Collected.total collected) ()
+  in
+  for node = 0 to n_nodes - 1 do
+    Array.iter (Logsys.Arena.push arena)
+      (Logsys.Collected.node_log collected node)
+  done;
+  Logsys.Arena.Packets.build arena ~n_nodes
+
 let merge ?jobs ?emit_prov collected ~flows ~emit =
-  merge_from ?jobs ?emit_prov (Snapshot collected) ~flows ~emit
+  merge_from ?jobs ?emit_prov
+    (Arena_index (index_of_collected collected))
+    ~flows ~emit
 
 (* -- Incremental merge mode ------------------------------------------------ *)
 
 (* The streaming pipeline never holds a [Collected] snapshot: records
    arrive in segments and flows are emitted at eviction time, in eviction
-   order.  The accumulator rebuilds both batch inputs — per-node logs in
-   arrival order (= each node's write order, since any valid stream merge
-   preserves it) and the flow array re-sorted to packet-key order (the
-   order {!Reconstruct.run} emits) — so [finish] reproduces the batch
-   merge exactly: same interner ids, same anchors, same heap tie-breaks. *)
+   order.  The accumulator rebuilds both batch inputs — an arena of every
+   record in arrival order (each node's rows therefore in its write
+   order, since any valid stream merge preserves it) and the flow array
+   re-sorted to packet-key order (the order {!Reconstruct.run} emits) — so
+   [finish] reproduces the batch merge exactly: same interner ids, same
+   anchors, same heap tie-breaks. *)
 module Incremental = struct
   type t = {
-    mutable logs_rev : Logsys.Record.t list array;  (* per node, newest first *)
+    arena : Logsys.Arena.t;
+    mutable n_nodes : int;
     mutable flows_rev : Flow.t list;
-    mutable n_flows : int;
   }
 
-  let create ?(n_nodes = 0) () =
-    { logs_rev = Array.make (max 1 n_nodes) []; flows_rev = []; n_flows = 0 }
-
-  let ensure_node t node =
-    if node >= Array.length t.logs_rev then begin
-      let grown =
-        Array.make (max (node + 1) (2 * Array.length t.logs_rev)) []
-      in
-      Array.blit t.logs_rev 0 grown 0 (Array.length t.logs_rev);
-      t.logs_rev <- grown
-    end
-
-  let add_records t records =
-    Array.iter
-      (fun (r : Logsys.Record.t) ->
-        if r.node >= 0 then begin
-          ensure_node t r.node;
-          t.logs_rev.(r.node) <- r :: t.logs_rev.(r.node)
-        end)
-      records
+  let create ?(n_nodes = 1) () =
+    { arena = Logsys.Arena.create (); n_nodes = max 1 n_nodes; flows_rev = [] }
 
   let add_arena t (s : Logsys.Arena.slice) =
     let a = s.Logsys.Arena.sl_base in
@@ -574,20 +528,21 @@ module Incremental = struct
     do
       let node = Logsys.Arena.node a i in
       if node >= 0 then begin
-        ensure_node t node;
-        t.logs_rev.(node) <- Logsys.Arena.get a i :: t.logs_rev.(node)
+        if node >= t.n_nodes then t.n_nodes <- node + 1;
+        Logsys.Arena.push_row t.arena ~node ~tag:(Logsys.Arena.tag a i)
+          ~peer:(Logsys.Arena.peer a i) ~origin:(Logsys.Arena.origin a i)
+          ~pkt_seq:(Logsys.Arena.pkt_seq a i)
+          ~true_time:(Logsys.Arena.true_time a i) ~gseq:(Logsys.Arena.gseq a i)
       end
     done
 
-  let add_flow t flow =
-    t.flows_rev <- flow :: t.flows_rev;
-    t.n_flows <- t.n_flows + 1
+  let add_records t records =
+    add_arena t (Logsys.Arena.slice_all (Logsys.Arena.of_records records))
+
+  let add_flow t flow = t.flows_rev <- flow :: t.flows_rev
 
   let finish ?jobs ?emit_prov t ~emit =
-    let node_logs =
-      Array.map (fun l -> Array.of_list (List.rev l)) t.logs_rev
-    in
-    let collected = Logsys.Collected.of_node_logs node_logs in
+    let packets = Logsys.Arena.Packets.build t.arena ~n_nodes:t.n_nodes in
     (* Stable sort restores the batch emission order (key-ascending);
        duplicate keys — an evicted packet's late fragments — keep their
        eviction order, which is also their arrival order. *)
@@ -598,6 +553,5 @@ module Incremental = struct
              compare (a.origin, a.seq) (b.origin, b.seq))
            (List.rev t.flows_rev))
     in
-    merge ?jobs ?emit_prov collected ~flows ~emit
+    merge_from ?jobs ?emit_prov (Arena_index packets) ~flows ~emit
 end
-

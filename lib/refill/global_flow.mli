@@ -26,13 +26,10 @@ type stats = {
           per-packet linearization (concurrency, not error). *)
 }
 
-(** Where the merge reads per-node logs from: a record snapshot, or an
-    arena-indexed packet index, whose alignment pass reads columns and
-    never materializes a record.  Over the same records (and the same
-    node count) both sources yield identical emission sequences. *)
-type log_source =
-  | Snapshot of Logsys.Collected.t
-  | Arena_index of Logsys.Arena.Packets.t
+(** Where the merge reads per-node logs from: an arena-indexed packet
+    index ({!Logsys.Arena.Packets.node_rows}), whose alignment pass reads
+    columns and never materializes a record. *)
+type log_source = Arena_index of Logsys.Arena.Packets.t
 
 val merge :
   ?jobs:int ->
@@ -45,8 +42,8 @@ val merge :
     item to [emit], in global-flow order.  [collected] must be the same
     snapshot the flows were reconstructed from (its per-node logs provide
     the cross-packet constraints).  Every flow's items appear in their
-    original relative order.  This is the single entry point; the old
-    [build]/[build_array] signatures below are thin collecting aliases.
+    original relative order.  The snapshot is copied node-major into an
+    arena index and merged by {!merge_from}.
 
     [jobs] caps the domain fan-out of the per-node log alignment (default
     {!Par.default_jobs}; small inputs stay serial).  The emission sequence
@@ -67,32 +64,32 @@ val merge_from :
   flows:Flow.t array ->
   emit:(Flow.item -> unit) ->
   stats
-(** {!merge} generalized over the log source; [merge c] =
-    [merge_from (Snapshot c)].  With [Arena_index], the source must index
-    the same records the flows were reconstructed from
-    ({!Reconstruct.run_arena} over the same index). *)
+(** {!merge} over an arena index, which must hold the same records the
+    flows were reconstructed from ({!Reconstruct.run_arena} over the same
+    index). *)
 
 (** Incremental merge mode for the streaming pipeline: accumulate record
     segments and evicted flows as they arrive, then run the batch merge
     machinery once at the end of the stream.  On the same inputs the
     emission sequence is identical to {!merge} over the batch
-    reconstruction — the accumulator rebuilds per-node logs in arrival
-    order (each node's write order) and re-sorts flows to packet-key
-    order, so interner ids, anchors and heap tie-breaks all coincide. *)
+    reconstruction — the accumulator keeps every record in an arena in
+    arrival order (so each node's rows stay in its write order) and
+    re-sorts flows to packet-key order, so interner ids, anchors and heap
+    tie-breaks all coincide. *)
 module Incremental : sig
   type t
 
   val create : ?n_nodes:int -> unit -> t
-  (** [n_nodes] presizes the per-node accumulators (they grow on demand). *)
-
-  val add_records : t -> Logsys.Record.t array -> unit
-  (** Append a stream segment.  Segments must preserve each node's local
-      record order across calls; records with a negative node id are
-      ignored. *)
+  (** [n_nodes] is the node count known up front (it grows to cover every
+      node seen). *)
 
   val add_arena : t -> Logsys.Arena.slice -> unit
-  (** {!add_records} over an arena slice; rows materialize only as they
-      are appended to their node's accumulator. *)
+  (** Append a stream segment, copying its rows' columns.  Segments must
+      preserve each node's local record order across calls; rows with a
+      negative node id are ignored. *)
+
+  val add_records : t -> Logsys.Record.t array -> unit
+  (** {!add_arena} over records. *)
 
   val add_flow : t -> Flow.t -> unit
   (** Register one evicted flow (in eviction order). *)

@@ -138,14 +138,6 @@ module Peer_index = struct
     List.iter (scan t) records;
     t
 
-  let build_of_events events =
-    let t = create () in
-    Array.iter
-      (fun (_, _, payload) ->
-        match payload with Some r -> scan t r | None -> ())
-      events;
-    t
-
   (* Who transmitted toward [node]? Any sender-side record pointing at it. *)
   let sender_toward t node = Hashtbl.find_opt t.sender_toward node
 
@@ -208,141 +200,10 @@ let make_config ~records ~origin ~seq ~sink =
      lookup instead of a rescan of [records]. *)
   config_with_index ~index:(lazy (Peer_index.build records)) ~origin ~seq ~sink
 
-let make_config_of_events ~events ~origin ~seq ~sink =
-  config_with_index
-    ~index:(lazy (Peer_index.build_of_events events))
-    ~origin ~seq ~sink
-
 let events_of_records records =
   List.map
     (fun (r : Logsys.Record.t) -> (r.node, label_of_kind r.kind, Some r))
     records
-
-let event_array_of_records records =
-  match records with
-  | [] -> [||]
-  | (first : Logsys.Record.t) :: _ ->
-      let n = List.length records in
-      let arr = Array.make n (first.node, label_of_kind first.kind, Some first) in
-      let i = ref 0 in
-      List.iter
-        (fun (r : Logsys.Record.t) ->
-          arr.(!i) <- (r.node, label_of_kind r.kind, Some r);
-          incr i)
-        records;
-      arr
-
-(* First node this group's records show it transmitting toward, or -1. *)
-let rec group_next_hop (rs : Logsys.Record.t list) =
-  match rs with
-  | [] -> -1
-  | { kind = Trans { to_ } | Ack_recvd { to_ } | Retx_timeout { to_ }; _ } :: _
-    ->
-      to_
-  | _ :: rest -> group_next_hop rest
-
-(* Split a group's records into the three real-time segments of one hop:
-   [head] — reception-side processing before the node's first [Trans]
-   (recv/dup/overflow, the sink's deliver); [mid] — first through last
-   [Trans], the transmission exchanges including interleaved timeouts;
-   [post] — the trailing ACK/timeout outcome of the final exchange, which
-   in real time lands after the *next* hop has received and processed the
-   packet. *)
-let split_hop_segments (rs : Logsys.Record.t list) =
-  let rec before_first_trans = function
-    | ({ kind = Trans _; _ } : Logsys.Record.t) :: _ as tl -> ([], tl)
-    | x :: tl ->
-        let h, t = before_first_trans tl in
-        (x :: h, t)
-    | [] -> ([], [])
-  in
-  let head, tail = before_first_trans rs in
-  let rec last_trans i best = function
-    | [] -> best
-    | ({ kind = Trans _; _ } : Logsys.Record.t) :: tl -> last_trans (i + 1) i tl
-    | _ :: tl -> last_trans (i + 1) best tl
-  in
-  match last_trans 0 (-1) tail with
-  | -1 -> (head, [], tail)
-  | k ->
-      let rec split i = function
-        | x :: tl when i <= k ->
-            let mid, post = split (i + 1) tl in
-            (x :: mid, post)
-        | tl -> ([], tl)
-      in
-      let mid, post = split 0 tail in
-      (head, mid, post)
-
-let event_array_of_groups groups ~origin =
-  let n = List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 groups in
-  if n = 0 then [||]
-  else begin
-    let rec first_record = function
-      | (_, (r : Logsys.Record.t) :: _) :: _ -> r
-      | (_, []) :: rest -> first_record rest
-      | [] -> assert false  (* n > 0 *)
-    in
-    let f = first_record groups in
-    let arr = Array.make n (f.node, label_of_kind f.kind, Some f) in
-    let i = ref 0 in
-    let put (r : Logsys.Record.t) =
-      arr.(!i) <- (r.node, label_of_kind r.kind, Some r);
-      incr i
-    in
-    (* Merge the groups along the forwarding chains the records themselves
-       reveal: start at the origin, follow each group's next hop, and
-       restart from any group loss disconnected from its upstream.  Each
-       node's local record order is preserved, so the reconstruction is
-       unchanged, but a causal merge means prerequisites are almost always
-       already satisfied and the drive machinery rarely cascades. *)
-    let garr = Array.of_list groups in
-    let used = Array.make (Array.length garr) false in
-    let find node =
-      let rec f gi =
-        if gi >= Array.length garr then -1
-        else if (not used.(gi)) && fst garr.(gi) = node then gi
-        else f (gi + 1)
-      in
-      f 0
-    in
-    let rec walk node hops acc =
-      (* hop bound: a forwarding loop revisits a used group and stops, but
-         guard against pathological chains anyway *)
-      if hops >= 256 then List.rev acc
-      else
-        match find node with
-        | -1 -> List.rev acc
-        | gi ->
-            used.(gi) <- true;
-            let rs = snd garr.(gi) in
-            let next = group_next_hop rs in
-            if next >= 0 && next <> node then walk next (hops + 1) (rs :: acc)
-            else List.rev (rs :: acc)
-    in
-    (* Within a chain, interleave the way the radio exchange actually
-       happens: a hop's records through its last [Trans], then the next
-       hop's reception-side processing, then the previous hop's trailing
-       ACK/timeout, then the next hop's own transmissions — matching the
-       true chronological order gen, trans, recv, [deliver,] ack, ... *)
-    let emit_chain chain =
-      let rec go prev_post = function
-        | [] -> List.iter put prev_post
-        | rs :: rest ->
-            let head, mid, post = split_hop_segments rs in
-            List.iter put head;
-            List.iter put prev_post;
-            List.iter put mid;
-            go post rest
-      in
-      go [] chain
-    in
-    emit_chain (walk origin 0 []);
-    Array.iteri
-      (fun gi (node, _) -> if not used.(gi) then emit_chain (walk node 0 []))
-      garr;
-    arr
-  end
 
 (* -- Packed events: the zero-copy hot path. ------------------------------ *)
 
@@ -366,24 +227,20 @@ let all_labels =
    read.  Built once per role; the FSMs are static. *)
 let role_id_table fsm = Array.map (fun l -> Fsm.label_id fsm l) all_labels
 
-let origin_ids = lazy (role_id_table origin_fsm)
-let forwarder_ids = lazy (role_id_table forwarder_fsm)
-let sink_ids = lazy (role_id_table sink_fsm)
-
-let ids_for_role = function
-  | Origin -> Lazy.force origin_ids
-  | Forwarder -> Lazy.force forwarder_ids
-  | Sink -> Lazy.force sink_ids
-
 let precompute_fsms () =
   Fsm.precompute origin_fsm;
   Fsm.precompute forwarder_fsm;
-  Fsm.precompute sink_fsm;
-  (* Also force the per-role id tables so worker domains only ever read
-     them. *)
-  ignore (ids_for_role Origin : int array);
-  ignore (ids_for_role Forwarder : int array);
-  ignore (ids_for_role Sink : int array)
+  Fsm.precompute sink_fsm
+
+(* Everything a packet reconstruction reads is built here, at module
+   initialization, before any domain can exist: the per-role id tables
+   and the three FSMs' complete memo caches.  Worker domains (the
+   parallel batch run, stream shards) therefore only ever read shared
+   state — no lazy value or cache slot is first forced concurrently. *)
+let origin_ids = role_id_table origin_fsm
+let forwarder_ids = role_id_table forwarder_fsm
+let sink_ids = role_id_table sink_fsm
+let () = precompute_fsms ()
 
 type packed = {
   p_nodes : int array;
@@ -399,11 +256,13 @@ type packed = {
 
 (* [pack_events records ~origin ~sink] builds the engine's packed input
    straight from one packet's flat record array (node-scan order, as
-   {!Logsys.Collected.packet_records} returns it): the same causal
-   chain-merge as {!event_array_of_groups}, but emitting into parallel
+   {!Logsys.Collected.packet_records} returns it), emitting into parallel
    arrays with labels, dense FSM ids, and inter-node prerequisites all
    resolved per event in this single pass — no tuples, no hashing, no
-   per-event closure calls downstream. *)
+   per-event closure calls downstream.  Per-node record runs are merged
+   along the forwarding chains the records reveal: start at the origin,
+   follow each run's next hop, and restart from any run loss disconnected
+   from its upstream. *)
 let pack_events (records : Logsys.Record.t array) ~origin ~sink =
   let n = Array.length records in
   let p =
@@ -462,9 +321,6 @@ let pack_events (records : Logsys.Record.t array) ~origin ~sink =
       f 0
     in
     let next_hop s = seg_next.(s) in
-    let origin_tbl = ids_for_role Origin
-    and forwarder_tbl = ids_for_role Forwarder
-    and sink_tbl = ids_for_role Sink in
     let out = ref 0 in
     let put src =
       let r = records.(src) in
@@ -472,9 +328,9 @@ let pack_events (records : Logsys.Record.t array) ~origin ~sink =
       let node = r.node in
       let lab = label_of_kind r.kind in
       let tbl =
-        if node = sink then sink_tbl
-        else if node = origin then origin_tbl
-        else forwarder_tbl
+        if node = sink then sink_ids
+        else if node = origin then origin_ids
+        else forwarder_ids
       in
       p.p_nodes.(i) <- node;
       p.p_labels.(i) <- lab;
@@ -496,9 +352,11 @@ let pack_events (records : Logsys.Record.t array) ~origin ~sink =
       out := i + 1
     in
     let put_range lo hi = for i = lo to hi - 1 do put i done in
-    (* Same causal interleave as [event_array_of_groups]: emit a hop
-       through its last [Trans], then the next hop's reception-side
-       processing, then the previous hop's trailing ACK/timeout.  The
+    (* Within a chain, interleave the way the radio exchange actually
+       happens: a hop's records through its last [Trans], then the next
+       hop's reception-side processing (recv/dup/overflow, the sink's
+       deliver), then the previous hop's trailing ACK/timeout — which in
+       real time lands after the next hop has received the packet.  The
        three-way split is [lo, ft) head, [ft, lt] mid, (lt, hi) post,
        with ft/lt the segment's first/last [Trans] from discovery. *)
     let rec emit_chain prev_post_lo prev_post_hi = function
@@ -542,183 +400,5 @@ let make_config_of_records ~records ~origin ~seq ~sink =
       (lazy
         (let t = Peer_index.create () in
          Array.iter (Peer_index.scan t) records;
-         t))
-    ~origin ~seq ~sink
-
-(* -- Arena-packed events: columns straight into the engine. -------------- *)
-
-(* Codec kind tags (0–7) coincide with [label_rank]: tag -> label is
-   [all_labels.(tag)] and tag -> dense FSM id is a per-role table read.
-   Pinned at module init so a renumbering on either side cannot silently
-   desynchronize arena packing. *)
-let () =
-  List.iter
-    (fun (k : Logsys.Record.kind) ->
-      assert (all_labels.(Logsys.Codec.tag_of_kind k) == label_of_kind k))
-    [
-      Gen;
-      Recv { from = 0 };
-      Dup { from = 0 };
-      Overflow { from = 0 };
-      Trans { to_ = 0 };
-      Ack_recvd { to_ = 0 };
-      Retx_timeout { to_ = 0 };
-      Deliver;
-    ]
-
-(* [pack_events], reading arena columns through a row-index array instead
-   of chasing record pointers.  [rows] is the packet's node-scan-order
-   row list ({!Logsys.Arena.Packets.packet_rows}); payloads materialize
-   once per emitted slot (the engine's emissions carry records), but the
-   chain walk, the three-way hop split and prerequisite resolution are
-   pure column reads. *)
-let pack_arena (a : Logsys.Arena.t) (rows : int array) ~origin ~sink =
-  let n = Array.length rows in
-  let p =
-    {
-      p_nodes = Array.make n 0;
-      p_labels = Array.make n L_gen;
-      p_ids = Array.make n (-1);
-      p_payloads = Array.make n None;
-      p_pre_nodes = Array.make n (-1);
-      p_pre_states = Array.make n (-1);
-      p_srcs = Array.make n (-1);
-    }
-  in
-  if n = 0 then p
-  else begin
-    let seg_start = Array.make (n + 1) n in
-    let seg_node = Array.make n (-1) in
-    let seg_next = Array.make n (-1) in
-    let seg_ft = Array.make n (-1) in
-    let seg_lt = Array.make n (-1) in
-    let n_segs = ref 0 in
-    let last = ref (-1) in
-    for i = 0 to n - 1 do
-      let row = rows.(i) in
-      let node = Logsys.Arena.node a row in
-      if node <> !last then begin
-        seg_start.(!n_segs) <- i;
-        seg_node.(!n_segs) <- node;
-        incr n_segs;
-        last := node
-      end;
-      let s = !n_segs - 1 in
-      let tag = Logsys.Arena.tag a row in
-      if tag = 4 then begin
-        (* Trans *)
-        if seg_ft.(s) < 0 then seg_ft.(s) <- i;
-        seg_lt.(s) <- i;
-        if seg_next.(s) < 0 then seg_next.(s) <- Logsys.Arena.peer a row
-      end
-      else if tag = 5 || tag = 6 then begin
-        (* Ack_recvd / Retx_timeout *)
-        if seg_next.(s) < 0 then seg_next.(s) <- Logsys.Arena.peer a row
-      end
-    done;
-    seg_start.(!n_segs) <- n;
-    let used = Array.make !n_segs false in
-    let find node =
-      let rec f s =
-        if s >= !n_segs then -1
-        else if (not used.(s)) && seg_node.(s) = node then s
-        else f (s + 1)
-      in
-      f 0
-    in
-    let origin_tbl = ids_for_role Origin
-    and forwarder_tbl = ids_for_role Forwarder
-    and sink_tbl = ids_for_role Sink in
-    let out = ref 0 in
-    let put src =
-      let row = rows.(src) in
-      let i = !out in
-      let node = Logsys.Arena.node a row in
-      let tag = Logsys.Arena.tag a row in
-      let tbl =
-        if node = sink then sink_tbl
-        else if node = origin then origin_tbl
-        else forwarder_tbl
-      in
-      p.p_nodes.(i) <- node;
-      p.p_labels.(i) <- all_labels.(tag);
-      p.p_ids.(i) <- tbl.(tag);
-      p.p_payloads.(i) <- Some (Logsys.Arena.get a row);
-      (if tag >= 1 && tag <= 3 then begin
-         (* Recv/Dup/Overflow: the sender must have visited [sent]. *)
-         let from = Logsys.Arena.peer a row in
-         if from <> node && from <> unknown_node then begin
-           p.p_pre_nodes.(i) <- from;
-           p.p_pre_states.(i) <- sent
-         end
-       end
-       else if tag = 5 then begin
-         (* Ack_recvd: the next hop must have visited [holding]. *)
-         let to_ = Logsys.Arena.peer a row in
-         if to_ <> node && to_ <> unknown_node then begin
-           p.p_pre_nodes.(i) <- to_;
-           p.p_pre_states.(i) <- holding
-         end
-       end);
-      p.p_srcs.(i) <- src;
-      out := i + 1
-    in
-    let put_range lo hi = for i = lo to hi - 1 do put i done in
-    let rec emit_chain prev_post_lo prev_post_hi = function
-      | [] -> put_range prev_post_lo prev_post_hi
-      | s :: rest ->
-          let lo = seg_start.(s) and hi = seg_start.(s + 1) in
-          let ft = seg_ft.(s) and lt = seg_lt.(s) in
-          if ft < 0 then begin
-            put_range lo hi;
-            put_range prev_post_lo prev_post_hi;
-            emit_chain 0 0 rest
-          end
-          else begin
-            put_range lo ft;
-            put_range prev_post_lo prev_post_hi;
-            put_range ft (lt + 1);
-            emit_chain (lt + 1) hi rest
-          end
-    in
-    let rec walk node hops acc =
-      if hops >= 256 then List.rev acc
-      else
-        match find node with
-        | -1 -> List.rev acc
-        | s ->
-            used.(s) <- true;
-            let next = seg_next.(s) in
-            if next >= 0 && next <> node then walk next (hops + 1) (s :: acc)
-            else List.rev (s :: acc)
-    in
-    emit_chain 0 0 (walk origin 0 []);
-    for s = 0 to !n_segs - 1 do
-      if not used.(s) then emit_chain 0 0 (walk seg_node.(s) 0 [])
-    done;
-    p
-  end
-
-let make_config_of_arena ~arena ~rows ~origin ~seq ~sink =
-  config_with_index
-    ~index:
-      (lazy
-        (let t = Peer_index.create () in
-         (* Same first-write-wins scan as [Peer_index.scan], over columns:
-            rows arrive in node-scan order, like the record array. *)
-         Array.iter
-           (fun row ->
-             let tag = Logsys.Arena.tag arena row in
-             if tag >= 4 && tag <= 6 then begin
-               let node = Logsys.Arena.node arena row in
-               let to_ = Logsys.Arena.peer arena row in
-               Peer_index.put t.Peer_index.sender_toward to_ node;
-               Peer_index.put t.Peer_index.own_target node to_
-             end
-             else if tag >= 1 && tag <= 3 then
-               Peer_index.put t.Peer_index.named_receiver
-                 (Logsys.Arena.peer arena row)
-                 (Logsys.Arena.node arena row))
-           rows;
          t))
     ~origin ~seq ~sink

@@ -68,8 +68,11 @@ val fsm_of_role : role -> label Fsm.t
 
 val precompute_fsms : unit -> unit
 (** {!Fsm.precompute} all three role FSMs, making their caches complete
-    and therefore safe to share read-only across worker domains.  Called
-    by [Reconstruct.run] before going parallel; idempotent. *)
+    and therefore safe to share read-only across worker domains.  This
+    module already does it (and builds its per-role label-id tables)
+    when it initializes, before any domain can exist, so callers never
+    need to; the call is kept as an idempotent no-op for code that warms
+    up explicitly. *)
 
 val unknown_node : int
 (** [-1]: placeholder peer when synthesis cannot recover the other
@@ -104,24 +107,9 @@ val make_config :
 (** Engine configuration for reconstructing one packet.  [records] are the
     packet's surviving records network-wide (the synthesis search pool). *)
 
-val make_config_of_events :
-  events:(int * label * Logsys.Record.t option) array ->
-  origin:int ->
-  seq:int ->
-  sink:int ->
-  (label, Logsys.Record.t) Engine.config
-(** {!make_config} drawing the synthesis search pool from an already-built
-    event array (every [Some] payload), sparing the hot path its record
-    list.  Same first-match peer-recovery semantics. *)
-
 val events_of_records :
   Logsys.Record.t list -> (int * label * Logsys.Record.t option) list
 (** Map records to engine input events (node, label, payload). *)
-
-val event_array_of_records :
-  Logsys.Record.t list -> (int * label * Logsys.Record.t option) array
-(** [events_of_records] built directly as the array {!Engine.process}'s
-    [Events] input consumes — one pass, no intermediate list. *)
 
 val make_config_of_records :
   records:Logsys.Record.t array ->
@@ -152,41 +140,13 @@ type packed = {
 
 val pack_events : Logsys.Record.t array -> origin:int -> sink:int -> packed
 (** Build the packed engine input from one packet's flat record array (in
-    node-scan order, as {!Logsys.Collected.packet_records} returns it).
-    Applies the same causal chain-merge as {!event_array_of_groups} and
-    resolves each event's label, dense id ({!Fsm.label_id} via a per-role
-    table) and prerequisite ({!Engine.config.prerequisites} semantics)
-    inline. *)
-
-val pack_arena :
-  Logsys.Arena.t -> int array -> origin:int -> sink:int -> packed
-(** {!pack_events} reading arena columns through a row-index array
-    ([Logsys.Arena.Packets.packet_rows], node-scan order) instead of
-    record pointers.  Payloads materialize once per emitted slot via
-    [Arena.get]; the chain walk, hop split and prerequisite resolution
-    are pure column reads.  Produces slot-for-slot the same packed input
-    (payloads [Record.equal]) as {!pack_events} over the materialized
-    rows. *)
-
-val make_config_of_arena :
-  arena:Logsys.Arena.t ->
-  rows:int array ->
-  origin:int ->
-  seq:int ->
-  sink:int ->
-  (label, Logsys.Record.t) Engine.config
-(** {!make_config_of_records} over arena rows: the lazy peer-recovery
-    index scans columns with the same first-match semantics. *)
-
-val event_array_of_groups :
-  (int * Logsys.Record.t list) list ->
-  origin:int ->
-  (int * label * Logsys.Record.t option) array
-(** The engine input for one packet straight from its per-node record
-    groups (as {!Logsys.Collected.events_of_packet} returns them).  Groups
-    are merged along the forwarding chain the records reveal — origin
-    first, then each next hop — with stragglers after in node order.
-    Each node's local record order is preserved, so the reconstruction is
+    node-scan order, as {!Logsys.Collected.packet_records} returns it) —
+    the one packer every reconstruction goes through.  Per-node record
+    runs are merged along the forwarding chain the records reveal — origin
+    first, then each next hop — with stragglers after in node order.  Each
+    node's local record order is preserved, so the reconstruction is
     unchanged (the engine is insensitive to the cross-node interleaving);
     the causal order just means prerequisites are almost always already
-    satisfied, so drives rarely cascade. *)
+    satisfied, so drives rarely cascade.  Each event's label, dense id
+    ({!Fsm.label_id} via a per-role table) and prerequisite
+    ({!Engine.config.prerequisites} semantics) are resolved inline. *)

@@ -75,151 +75,61 @@ let of_records ?(use_intra = true) ?(use_inter = true) ?(provenance = false)
         ((Obs.Span.now_us () -. t0) /. 1e6));
   { Flow.origin; seq; items = buf_to_list items; stats; prov }
 
-let of_arena ?(use_intra = true) ?(use_inter = true) ?(provenance = false)
-    arena ~rows ~origin ~seq ~sink =
-  let t0 = Obs.Span.now_us () in
-  let p = Protocol.pack_arena arena rows ~origin ~sink in
-  let config = Protocol.make_config_of_arena ~arena ~rows ~origin ~seq ~sink in
-  let config =
-    if use_inter then config
-    else { config with prerequisites = (fun ~node:_ ~label:_ ~payload:_ -> []) }
-  in
-  let pre_nodes, pre_states =
-    if use_inter then (p.Protocol.p_pre_nodes, p.Protocol.p_pre_states)
-    else ([||], [||])
-  in
-  let n = Array.length p.Protocol.p_nodes in
-  let items = buf_create (n + (n / 8) + 8) in
-  let prov = ref [||] in
-  let prov_out =
-    if provenance then Some (fun buf len -> prov := Array.sub buf 0 len)
-    else None
-  in
-  let stats =
-    Engine.process ~use_intra ?prov_out config
-      (Engine.Packed
-         {
-           nodes = p.Protocol.p_nodes;
-           labels = p.Protocol.p_labels;
-           ids = p.Protocol.p_ids;
-           payloads = p.Protocol.p_payloads;
-           pre_nodes;
-           pre_states;
-           srcs = p.Protocol.p_srcs;
-         })
-      ~emit:(buf_push items)
-  in
-  let prov = !prov in
-  Par.with_obs_lock (fun () ->
-      Obs.Metrics.Counter.inc c_packets;
-      Obs.Metrics.Histogram.observe h_latency
-        ((Obs.Span.now_us () -. t0) /. 1e6));
-  { Flow.origin; seq; items = buf_to_list items; stats; prov }
-
-let packet_untraced ?use_intra ?use_inter ?provenance collected ~origin ~seq
-    ~sink =
-  let records = Logsys.Collected.packet_records collected ~origin ~seq in
-  of_records ?use_intra ?use_inter ?provenance records ~origin ~seq ~sink
-
-let packet ?use_intra ?use_inter ?provenance collected ~origin ~seq ~sink =
+(* One span per packet when tracing is on; free otherwise. *)
+let traced ~origin ~seq f =
   if Obs.Span.enabled () then
     Obs.Span.with_ ~name:"refill.packet"
       ~attrs:[ ("origin", string_of_int origin); ("seq", string_of_int seq) ]
-      (fun () ->
-        packet_untraced ?use_intra ?use_inter ?provenance collected ~origin
-          ~seq ~sink)
-  else
-    packet_untraced ?use_intra ?use_inter ?provenance collected ~origin ~seq
-      ~sink
+      f
+  else f ()
 
-let run ?(config = Config.default) collected ~sink ~emit =
-  Obs.Span.with_ ~name:"refill.reconstruct_all" (fun () ->
-      (* packet_keys also builds the per-packet record index, so by the
-         time workers run, the collected snapshot is read-only. *)
-      let keys = Array.of_list (Logsys.Collected.packet_keys collected) in
-      let use_intra = config.Config.use_intra in
-      let use_inter = config.Config.use_inter in
-      let provenance = config.Config.provenance in
-      let jobs =
-        match config.Config.jobs with
-        | Some j -> max 1 j
-        | None -> Par.default_jobs ()
-      in
-      let jobs =
-        (* Tracing writes span events through a shared sink; keep those
-           runs serial.  Small workloads aren't worth a domain spawn. *)
-        if Obs.Span.enabled () || Array.length keys < Par.min_parallel_items
-        then 1
-        else jobs
-      in
-      if jobs <= 1 then
-        Array.iter
-          (fun (origin, seq) ->
-            emit
-              (packet ~use_intra ~use_inter ~provenance collected ~origin ~seq
-                 ~sink))
-          keys
-      else begin
-        Protocol.precompute_fsms ();
-        let flows =
-          Par.map_array ~jobs
-            (fun (origin, seq) ->
-              packet_untraced ~use_intra ~use_inter ~provenance collected
-                ~origin ~seq ~sink)
-            keys
-        in
-        Array.iter emit flows
-      end)
+let packet ?use_intra ?use_inter ?provenance collected ~origin ~seq ~sink =
+  traced ~origin ~seq (fun () ->
+      of_records ?use_intra ?use_inter ?provenance
+        (Logsys.Collected.packet_records collected ~origin ~seq)
+        ~origin ~seq ~sink)
 
-(* [run] over an arena-indexed packet index: same key order, same
-   parallelization policy, same spans and metrics — flows are
-   structurally identical to the record path's (payloads materialized
-   through [Arena.get] are [Record.equal] to the originals). *)
-let run_arena ?(config = Config.default) packets ~sink ~emit =
+(* The batch skeleton behind [run] and [run_arena]: [keys ()] lists the
+   packets in emission order and [records] returns one packet's records
+   in node-scan order; both must be safe to call from worker domains once
+   [keys] has returned (each source builds its index there). *)
+let run_keys (config : Config.t) ~keys ~records ~sink ~emit =
   Obs.Span.with_ ~name:"refill.reconstruct_all" (fun () ->
-      let arena = Logsys.Arena.Packets.arena packets in
-      let keys = Array.of_list (Logsys.Arena.Packets.keys packets) in
-      let use_intra = config.Config.use_intra in
-      let use_inter = config.Config.use_inter in
-      let provenance = config.Config.provenance in
-      let jobs =
-        match config.Config.jobs with
-        | Some j -> max 1 j
-        | None -> Par.default_jobs ()
-      in
-      let jobs =
-        if Obs.Span.enabled () || Array.length keys < Par.min_parallel_items
-        then 1
-        else jobs
-      in
-      let packet_of ~origin ~seq =
-        let rows = Logsys.Arena.Packets.packet_rows packets ~origin ~seq in
-        of_arena ~use_intra ~use_inter ~provenance arena ~rows ~origin ~seq
+      let keys = Array.of_list (keys ()) in
+      let packet_of (origin, seq) =
+        of_records ~use_intra:config.use_intra ~use_inter:config.use_inter
+          ~provenance:config.provenance (records ~origin ~seq) ~origin ~seq
           ~sink
       in
-      if jobs <= 1 then
+      let jobs =
+        match config.jobs with Some j -> max 1 j | None -> Par.default_jobs ()
+      in
+      (* Tracing writes span events through a shared sink; keep those runs
+         serial.  Small workloads aren't worth a domain spawn. *)
+      if
+        jobs <= 1 || Obs.Span.enabled ()
+        || Array.length keys < Par.min_parallel_items
+      then
         Array.iter
-          (fun (origin, seq) ->
-            emit
-              (if Obs.Span.enabled () then
-                 Obs.Span.with_ ~name:"refill.packet"
-                   ~attrs:
-                     [
-                       ("origin", string_of_int origin);
-                       ("seq", string_of_int seq);
-                     ]
-                   (fun () -> packet_of ~origin ~seq)
-               else packet_of ~origin ~seq))
+          (fun ((origin, seq) as key) ->
+            emit (traced ~origin ~seq (fun () -> packet_of key)))
           keys
-      else begin
-        Protocol.precompute_fsms ();
-        let flows =
-          Par.map_array ~jobs
-            (fun (origin, seq) -> packet_of ~origin ~seq)
-            keys
-        in
-        Array.iter emit flows
-      end)
+      else Array.iter emit (Par.map_array ~jobs packet_of keys))
+
+let run ?(config = Config.default) collected ~sink ~emit =
+  run_keys config ~sink ~emit
+    ~keys:(fun () -> Logsys.Collected.packet_keys collected)
+    ~records:(Logsys.Collected.packet_records collected)
+
+(* Rows materialize once per packet: the packer stores every record as an
+   event payload anyway. *)
+let run_arena ?(config = Config.default) packets ~sink ~emit =
+  let arena = Logsys.Arena.Packets.arena packets in
+  run_keys config ~sink ~emit
+    ~keys:(fun () -> Logsys.Arena.Packets.keys packets)
+    ~records:(fun ~origin ~seq ->
+      Array.map (Logsys.Arena.get arena)
+        (Logsys.Arena.Packets.packet_rows packets ~origin ~seq))
 
 type summary = {
   packets : int;

@@ -40,23 +40,6 @@ val of_records :
     {!Logsys.Collected.packet_records} returns them; the engine takes
     ownership of the array. *)
 
-val of_arena :
-  ?use_intra:bool ->
-  ?use_inter:bool ->
-  ?provenance:bool ->
-  Logsys.Arena.t ->
-  rows:int array ->
-  origin:int ->
-  seq:int ->
-  sink:int ->
-  Flow.t
-(** {!of_records} over arena rows — the zero-copy ingest path.  [rows]
-    must be the packet's node-scan-order row indices
-    ({!Logsys.Arena.Packets.packet_rows}).  The flow is structurally
-    identical to {!of_records} over the materialized rows: event packing
-    and peer recovery read columns, payloads materialize once per emitted
-    slot. *)
-
 val run :
   ?config:Config.t ->
   Logsys.Collected.t ->
@@ -64,9 +47,8 @@ val run :
   emit:(Flow.t -> unit) ->
   unit
 (** Reconstruct every packet found in the logs and hand each flow to
-    [emit], in packet-key order.  This is the single batch entry point; the
-    old [all]/[all_array] signatures below are thin collecting aliases over
-    it.
+    [emit], in packet-key order.  This is the batch entry point over a
+    record snapshot; {!run_arena} is the same run over an arena index.
 
     Packets are independent, so large workloads are sharded over
     [config.jobs] worker domains (default
@@ -85,9 +67,11 @@ val run_arena :
   emit:(Flow.t -> unit) ->
   unit
 (** {!run} over an arena-indexed packet index: same key order,
-    parallelization policy, spans and metrics; flows are structurally
-    identical to the record path's.  The index (and its arena) must be
-    fully built — it is shared read-only across worker domains. *)
+    parallelization policy, spans and metrics.  Each packet's rows
+    materialize once ({!Logsys.Arena.get}) and go through {!of_records},
+    so flows are identical to the record path's.  The index (and its
+    arena) must be fully built — it is shared read-only across worker
+    domains. *)
 
 type summary = {
   packets : int;

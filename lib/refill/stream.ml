@@ -49,6 +49,8 @@ type summary = {
   peak_frontier_events : int;
 }
 
+(* -- One shard's frontier -------------------------------------------------- *)
+
 (* One open packet.  [records_rev] is arrival order, reversed; [last_seen]
    is the global stream position of the newest record — the only deadline
    queue entry for this buffer that is still meaningful. *)
@@ -69,14 +71,16 @@ let compare_key (ao, as_) (bo, bs) =
 let compare_evicted (ka, ta) (kb, tb) =
   match Int.compare ta tb with 0 -> compare_key ka kb | c -> c
 
-type t = {
+(* The frontier of the packet keys that hash to one shard.  It ingests
+   only its own keys but hears every global stream position, so it
+   evicts exactly where a frontier holding every key would. *)
+type shard = {
   sink : int;
   use_intra : bool;
   use_inter : bool;
   provenance : bool;
   watermark : int;
   retention : int;
-  publish_gauges : bool;
   emit : final:bool -> last_seen:int -> key:int * int -> emitted -> unit;
   frontier : (int * int, buffer) Hashtbl.t;
   (* key -> eviction trigger (the global position [last_seen + watermark]
@@ -90,12 +94,8 @@ type t = {
      (key re-evicted with a newer trigger, or already forgotten lazily)
      are skipped when popped. *)
   prune : (int * (int * int)) Queue.t;
-  (* Global stream position this stream has observed.  Equal to
-     [processed] on the single-domain path; ahead of it on a shard worker,
-     which only ingests its own keys but hears every position tick. *)
-  mutable clock : int;
-  mutable processed : int;
-  mutable segments : int;
+  mutable clock : int;  (* global stream position this shard has heard *)
+  mutable processed : int;  (* records this shard ingested *)
   mutable flows : int;
   mutable complete : int;
   mutable incomplete : int;
@@ -104,27 +104,10 @@ type t = {
   mutable forgotten : int;
   mutable frontier_events : int;
   mutable peak_frontier_events : int;
-  mutable finished : bool;
 }
 
-let summary t =
-  {
-    events = t.processed;
-    segments = t.segments;
-    flows = t.flows;
-    complete = t.complete;
-    incomplete = t.incomplete;
-    evictions = t.evictions;
-    late_fragments = t.late_fragments;
-    forgotten_keys = t.forgotten;
-    frontier_events = t.frontier_events;
-    peak_frontier_events = t.peak_frontier_events;
-  }
-
-let processed t = t.processed
-
-let make ~use_intra ~use_inter ~provenance ~watermark ~retention
-    ~publish_gauges ~sink ~emit () =
+let make_shard ~flags:(use_intra, use_inter, provenance) ~watermark ~retention
+    ~sink ~emit =
   {
     sink;
     use_intra;
@@ -132,7 +115,6 @@ let make ~use_intra ~use_inter ~provenance ~watermark ~retention
     provenance;
     watermark;
     retention;
-    publish_gauges;
     emit;
     frontier = Hashtbl.create 256;
     evicted = Hashtbl.create 1024;
@@ -140,7 +122,6 @@ let make ~use_intra ~use_inter ~provenance ~watermark ~retention
     prune = Queue.create ();
     clock = 0;
     processed = 0;
-    segments = 0;
     flows = 0;
     complete = 0;
     incomplete = 0;
@@ -149,52 +130,49 @@ let make ~use_intra ~use_inter ~provenance ~watermark ~retention
     forgotten = 0;
     frontier_events = 0;
     peak_frontier_events = 0;
-    finished = false;
   }
 
-let wrap_emit emit ~final:_ ~last_seen:_ ~key:_ e = emit e
+let counters sh =
+  {
+    events = sh.processed;
+    segments = 0;
+    flows = sh.flows;
+    complete = sh.complete;
+    incomplete = sh.incomplete;
+    evictions = sh.evictions;
+    late_fragments = sh.late_fragments;
+    forgotten_keys = sh.forgotten;
+    frontier_events = sh.frontier_events;
+    peak_frontier_events = sh.peak_frontier_events;
+  }
 
-let create ?(config = Config.default) ~sink ~emit () =
-  make ~use_intra:config.Config.use_intra ~use_inter:config.Config.use_inter
-    ~provenance:config.Config.provenance ~watermark:config.Config.watermark
-    ~retention:(Config.resolved_retention config) ~publish_gauges:true ~sink
-    ~emit:(wrap_emit emit) ()
-
-(* Batched per feed/finish call, like the engine does per run: counter
-   deltas sum correctly across shard workers, but the frontier gauges are
-   only published by single-domain streams — [Sharded] publishes the
-   aggregate itself. *)
-let flush_metrics t (before : summary) =
-  let after = summary t in
+(* Batched per feed/finish call, like the engine does per run; counter
+   deltas sum correctly across shards. *)
+let flush_metrics sh (before : summary) =
+  let after = counters sh in
   Par.with_obs_lock (fun () ->
       let d get = get after - get before in
       let inc c by = if by > 0 then Obs.Metrics.Counter.inc ~by c in
       inc c_events (d (fun s -> s.events));
-      inc c_segments (d (fun s -> s.segments));
       inc c_flows (d (fun s -> s.flows));
       inc c_evictions (d (fun s -> s.evictions));
       inc c_incomplete (d (fun s -> s.incomplete));
-      inc c_forgotten (d (fun s -> s.forgotten_keys));
-      if t.publish_gauges then begin
-        Obs.Metrics.Gauge.set g_frontier (float_of_int after.frontier_events);
-        Obs.Metrics.Gauge.set g_peak
-          (float_of_int after.peak_frontier_events)
-      end)
+      inc c_forgotten (d (fun s -> s.forgotten_keys)))
 
-let evict t ~final buf =
+let evict sh ~final buf =
   buf.live <- false;
-  Hashtbl.remove t.frontier (buf.b_origin, buf.b_seq);
+  Hashtbl.remove sh.frontier (buf.b_origin, buf.b_seq);
   if not final then begin
     (* The trigger is the canonical eviction position — a function of the
-       buffer alone, not of how far this stream's clock had jumped when
+       buffer alone, not of how far this shard's clock had jumped when
        drain caught it, so forgetting behaves identically at any shard
        count.  [last_seen + watermark <= clock] here, so no overflow. *)
-    let trigger = buf.last_seen + t.watermark in
-    Hashtbl.replace t.evicted (buf.b_origin, buf.b_seq) trigger;
-    Queue.push (trigger, (buf.b_origin, buf.b_seq)) t.prune;
-    t.evictions <- t.evictions + 1
+    let trigger = buf.last_seen + sh.watermark in
+    Hashtbl.replace sh.evicted (buf.b_origin, buf.b_seq) trigger;
+    Queue.push (trigger, (buf.b_origin, buf.b_seq)) sh.prune;
+    sh.evictions <- sh.evictions + 1
   end;
-  t.frontier_events <- t.frontier_events - buf.count;
+  sh.frontier_events <- sh.frontier_events - buf.count;
   (* Restore the batch index's node-scan order: stable sort by node over
      arrival order keeps each node's local write order. *)
   let records =
@@ -205,9 +183,9 @@ let evict t ~final buf =
          (List.rev buf.records_rev))
   in
   let flow =
-    Reconstruct.of_records ~use_intra:t.use_intra ~use_inter:t.use_inter
-      ~provenance:t.provenance records ~origin:buf.b_origin ~seq:buf.b_seq
-      ~sink:t.sink
+    Reconstruct.of_records ~use_intra:sh.use_intra ~use_inter:sh.use_inter
+      ~provenance:sh.provenance records ~origin:buf.b_origin ~seq:buf.b_seq
+      ~sink:sh.sink
   in
   let outcome =
     if buf.b_late then Incomplete
@@ -216,70 +194,70 @@ let evict t ~final buf =
       Complete
     else Incomplete
   in
-  t.flows <- t.flows + 1;
+  sh.flows <- sh.flows + 1;
   (match outcome with
-  | Complete -> t.complete <- t.complete + 1
-  | Incomplete -> t.incomplete <- t.incomplete + 1);
-  t.emit ~final ~last_seen:buf.last_seen
+  | Complete -> sh.complete <- sh.complete + 1
+  | Incomplete -> sh.incomplete <- sh.incomplete + 1);
+  sh.emit ~final ~last_seen:buf.last_seen
     ~key:(buf.b_origin, buf.b_seq)
     { flow; outcome }
 
-let drain t =
-  let limit = t.clock - t.watermark in
+let drain sh =
+  let limit = sh.clock - sh.watermark in
   let continue = ref true in
   while !continue do
-    match Queue.peek_opt t.deadlines with
+    match Queue.peek_opt sh.deadlines with
     | Some (pos, buf) when pos <= limit ->
-        ignore (Queue.pop t.deadlines);
-        if buf.live && buf.last_seen = pos then evict t ~final:false buf
+        ignore (Queue.pop sh.deadlines);
+        if buf.live && buf.last_seen = pos then evict sh ~final:false buf
     | _ -> continue := false
   done;
   (* Forget evicted keys whose retention window has passed; stale queue
      entries (superseded trigger, or removed lazily on re-arrival) are
      skipped. *)
-  let flimit = t.clock - t.retention in
+  let flimit = sh.clock - sh.retention in
   let continue = ref true in
   while !continue do
-    match Queue.peek_opt t.prune with
+    match Queue.peek_opt sh.prune with
     | Some (trigger, key) when trigger <= flimit ->
-        ignore (Queue.pop t.prune);
-        (match Hashtbl.find_opt t.evicted key with
+        ignore (Queue.pop sh.prune);
+        (match Hashtbl.find_opt sh.evicted key with
         | Some tr when tr = trigger ->
-            Hashtbl.remove t.evicted key;
-            t.forgotten <- t.forgotten + 1
+            Hashtbl.remove sh.evicted key;
+            sh.forgotten <- sh.forgotten + 1
         | _ -> ())
     | _ -> continue := false
   done
 
 (* Ingest one record at global stream position [pos].  The frontier must
-   first be drained to [pos - 1] — the state a single-domain stream would
-   be in when this record arrives — so that a shard worker whose clock
-   jumps over positions owned by other shards still makes the same
-   join-or-late decision for the key. *)
-let push t ~pos (r : Logsys.Record.t) =
-  if pos - 1 > t.clock then begin
-    t.clock <- pos - 1;
-    drain t
+   first be drained to [pos - 1] — the state a one-shard stream would be
+   in when this record arrives — so that a shard whose clock jumps over
+   positions owned by other shards still makes the same join-or-late
+   decision for the key. *)
+let push sh ~pos (r : Logsys.Record.t) =
+  if pos - 1 > sh.clock then begin
+    sh.clock <- pos - 1;
+    drain sh
   end;
-  t.processed <- t.processed + 1;
-  if pos > t.clock then t.clock <- pos;
+  sh.processed <- sh.processed + 1;
+  if pos > sh.clock then sh.clock <- pos;
   let key = (r.origin, r.pkt_seq) in
   let buf =
-    match Hashtbl.find_opt t.frontier key with
+    match Hashtbl.find_opt sh.frontier key with
     | Some b -> b
     | None ->
         let late =
-          match Hashtbl.find_opt t.evicted key with
+          match Hashtbl.find_opt sh.evicted key with
           | None -> false
           | Some trigger ->
-              if trigger <= t.clock - t.retention then begin
-                Hashtbl.remove t.evicted key;
-                t.forgotten <- t.forgotten + 1;
+              if trigger <= sh.clock - sh.retention then begin
+                Hashtbl.remove sh.evicted key;
+                sh.forgotten <- sh.forgotten + 1;
                 false
               end
               else true
         in
-        if late then t.late_fragments <- t.late_fragments + 1;
+        if late then sh.late_fragments <- sh.late_fragments + 1;
         let b =
           {
             b_origin = r.origin;
@@ -291,108 +269,486 @@ let push t ~pos (r : Logsys.Record.t) =
             live = true;
           }
         in
-        Hashtbl.replace t.frontier key b;
+        Hashtbl.replace sh.frontier key b;
         b
   in
   buf.records_rev <- r :: buf.records_rev;
   buf.count <- buf.count + 1;
   buf.last_seen <- pos;
-  Queue.push (pos, buf) t.deadlines;
-  t.frontier_events <- t.frontier_events + 1;
-  if t.frontier_events > t.peak_frontier_events then
-    t.peak_frontier_events <- t.frontier_events;
-  drain t
+  Queue.push (pos, buf) sh.deadlines;
+  sh.frontier_events <- sh.frontier_events + 1;
+  if sh.frontier_events > sh.peak_frontier_events then
+    sh.peak_frontier_events <- sh.frontier_events;
+  drain sh
 
-(* Advance the clock without ingesting — how a shard worker hears about
+(* Advance the clock without ingesting — how a shard hears about
    positions routed to its siblings. *)
-let advance t c =
-  if c > t.clock then begin
-    t.clock <- c;
-    drain t
+let advance sh c =
+  if c > sh.clock then begin
+    sh.clock <- c;
+    drain sh
   end
 
-let feed t segment =
-  if t.finished then invalid_arg "Stream.feed: stream already finished";
-  let before = summary t in
-  t.segments <- t.segments + 1;
-  Array.iter
-    (fun (r : Logsys.Record.t) ->
-      if r.node >= 0 then push t ~pos:(t.clock + 1) r)
-    segment;
-  flush_metrics t before
+(* End of input: flush every open packet, ascending key order. *)
+let finish_shard sh =
+  let before = counters sh in
+  let bufs = Hashtbl.fold (fun _ b acc -> b :: acc) sh.frontier [] in
+  let bufs =
+    List.sort
+      (fun a b -> compare_key (a.b_origin, a.b_seq) (b.b_origin, b.b_seq))
+      bufs
+  in
+  List.iter (fun b -> if b.live then evict sh ~final:true b) bufs;
+  Queue.clear sh.deadlines;
+  flush_metrics sh before
 
-(* [feed] over an arena slice: the node filter reads the column, and only
-   surviving records materialize (the frontier stores [Record.t]s, so
-   eviction, checkpointing and emission are unchanged — output is
-   byte-identical to feeding the materialized slice). *)
+(* -- The stream: shards, workers and the combiner -------------------------- *)
+
+(* Bounded SPSC channel: the feeder blocks when a worker falls behind
+   (backpressure, bounded memory), the worker blocks when idle.  On a
+   machine with fewer cores than shards this degrades to cooperative
+   scheduling, not spinning. *)
+module Chan = struct
+  type 'a chan = {
+    q : 'a Queue.t;
+    cap : int;
+    mu : Mutex.t;
+    not_empty : Condition.t;
+    not_full : Condition.t;
+  }
+
+  let create cap =
+    {
+      q = Queue.create ();
+      cap;
+      mu = Mutex.create ();
+      not_empty = Condition.create ();
+      not_full = Condition.create ();
+    }
+
+  let push c x =
+    Mutex.lock c.mu;
+    while Queue.length c.q >= c.cap do
+      Condition.wait c.not_full c.mu
+    done;
+    Queue.push x c.q;
+    Condition.signal c.not_empty;
+    Mutex.unlock c.mu
+
+  let pop c =
+    Mutex.lock c.mu;
+    while Queue.is_empty c.q do
+      Condition.wait c.not_empty c.mu
+    done;
+    let x = Queue.pop c.q in
+    Condition.signal c.not_full;
+    Mutex.unlock c.mu;
+    x
+end
+
+type msg =
+  | Records of (int * Logsys.Record.t) array
+      (** (global position, record), positions ascending. *)
+  | Tick of int  (** advance the worker clock to this position *)
+  | Stop of int  (** final clock; the worker exits its loop *)
+
+type pending = {
+  p_last_seen : int;
+  p_final : bool;
+  p_key : int * int;
+  p_emitted : emitted;
+}
+
+(* A shard running on its own domain. *)
+type worker = {
+  w_shard : shard;
+  w_chan : msg Chan.chan;
+  w_mu : Mutex.t;
+  w_cond : Condition.t;
+  w_outbox : pending list ref;  (* newest first; under [w_mu] *)
+  mutable w_clock : int;  (* published position; under [w_mu] *)
+  mutable w_error : exn option;  (* under [w_mu] *)
+  mutable w_domain : unit Domain.t option;
+}
+
+type state = Live | Done of summary | Failed of exn
+
+type t = {
+  st_watermark : int;
+  st_emit : emitted -> unit;
+  shards : shard array;
+  (* One per shard when there are several; empty when the single shard
+     runs inline in the caller's domain, emitting straight to
+     [st_emit]. *)
+  workers : worker array;
+  mutable st_clock : int;  (* global records routed so far *)
+  mutable segments : int;
+  mutable pending : pending list;
+  mutable state : state;
+}
+
+let shard_of ~origin ~seq n =
+  ((origin * 0x9E3779B1) lxor (seq * 0x85EBCA6B)) land max_int mod n
+
+let worker_loop w =
+  let running = ref true in
+  while !running do
+    let msg = Chan.pop w.w_chan in
+    let target =
+      match msg with
+      | Records items ->
+          if Array.length items = 0 then w.w_shard.clock
+          else fst items.(Array.length items - 1)
+      | Tick c | Stop c -> c
+    in
+    (match msg with Stop _ -> running := false | _ -> ());
+    Mutex.lock w.w_mu;
+    let errored = w.w_error <> None in
+    Mutex.unlock w.w_mu;
+    (* After an error the worker keeps draining (and discarding) so the
+       feeder never blocks on a full queue; the clock still advances so
+       quiesce terminates. *)
+    if not errored then begin
+      try
+        let sh = w.w_shard in
+        let before = counters sh in
+        (match msg with
+        | Records items -> Array.iter (fun (pos, r) -> push sh ~pos r) items
+        | Tick c | Stop c -> advance sh c);
+        flush_metrics sh before
+      with e ->
+        Mutex.lock w.w_mu;
+        w.w_error <- Some e;
+        Mutex.unlock w.w_mu
+    end;
+    Mutex.lock w.w_mu;
+    if target > w.w_clock then w.w_clock <- target;
+    Condition.broadcast w.w_cond;
+    Mutex.unlock w.w_mu
+  done
+
+(* Build [n] shards, let [init] populate each (resume restores shard
+   state) before any domain starts, and start one worker domain per
+   shard — or none when [n = 1]. *)
+let launch ~n ~flags ~watermark ~retention ~sink ~emit ~clock ~segments ~init
+    =
+  let make emit = make_shard ~flags ~watermark ~retention ~sink ~emit in
+  let shards, workers =
+    if n = 1 then begin
+      let sh = make (fun ~final:_ ~last_seen:_ ~key:_ e -> emit e) in
+      init 0 sh;
+      ([| sh |], [||])
+    end
+    else begin
+      let workers =
+        Array.init n (fun i ->
+            let mu = Mutex.create () and outbox = ref [] in
+            let sh =
+              make (fun ~final ~last_seen ~key e ->
+                  Mutex.protect mu (fun () ->
+                      outbox :=
+                        {
+                          p_last_seen = last_seen;
+                          p_final = final;
+                          p_key = key;
+                          p_emitted = e;
+                        }
+                        :: !outbox))
+            in
+            init i sh;
+            {
+              w_shard = sh;
+              w_chan = Chan.create 8;
+              w_mu = mu;
+              w_cond = Condition.create ();
+              w_outbox = outbox;
+              w_clock = sh.clock;
+              w_error = None;
+              w_domain = None;
+            })
+      in
+      Array.iter
+        (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_loop w)))
+        workers;
+      (Array.map (fun w -> w.w_shard) workers, workers)
+    end
+  in
+  {
+    st_watermark = watermark;
+    st_emit = emit;
+    shards;
+    workers;
+    st_clock = clock;
+    segments;
+    pending = [];
+    state = Live;
+  }
+
+let create ?(config = Config.default) ~sink ~emit () =
+  let (c : Config.t) = config in
+  launch ~n:(max 1 c.shards)
+    ~flags:(c.use_intra, c.use_inter, c.provenance)
+    ~watermark:c.watermark ~retention:(Config.resolved_retention c) ~sink
+    ~emit ~clock:0 ~segments:0 ~init:(fun _ _ -> ())
+
+let shards t = Array.length t.shards
+let processed t = t.st_clock
+
+let read_clock w = Mutex.protect w.w_mu (fun () -> w.w_clock)
+
+(* Stop and join every worker still running; idempotent. *)
+let shutdown t =
+  Array.iter
+    (fun w ->
+      if Option.is_some w.w_domain then Chan.push w.w_chan (Stop t.st_clock))
+    t.workers;
+  Array.iter
+    (fun w ->
+      Option.iter Domain.join w.w_domain;
+      w.w_domain <- None)
+    t.workers
+
+let first_error t =
+  Array.fold_left
+    (fun acc w ->
+      match acc with
+      | Some _ -> acc
+      | None -> Mutex.protect w.w_mu (fun () -> w.w_error))
+    None t.workers
+
+(* Any failure poisons the stream: all domains are joined and every later
+   call re-raises it. *)
+let fail t e =
+  t.state <- Failed e;
+  shutdown t;
+  raise e
+
+let guarded t f = try f () with e -> fail t e
+
+let check_workers t = Option.iter (fail t) (first_error t)
+
+let check_live t =
+  match t.state with
+  | Live -> ()
+  | Done _ -> invalid_arg "Stream.feed: stream already finished"
+  | Failed e -> raise e
+
+(* Release every pending mid-stream eviction that can no longer be
+   preceded by anything: clocks are read BEFORE outboxes, so a worker's
+   future emissions all have last_seen > safe - watermark — anything at
+   or below that line is already in an outbox we are about to take.
+   Released ascending by last_seen, which is exactly the one-shard
+   emission order (positions are unique, and eviction triggers are
+   monotone in last_seen). *)
+let combine t =
+  let safe =
+    Array.fold_left (fun acc w -> min acc (read_clock w)) max_int t.workers
+  in
+  Array.iter
+    (fun w ->
+      let out =
+        Mutex.protect w.w_mu (fun () ->
+            let out = !(w.w_outbox) in
+            w.w_outbox := [];
+            out)
+      in
+      t.pending <- List.rev_append out t.pending)
+    t.workers;
+  let limit = safe - t.st_watermark in
+  let ready, rest =
+    List.partition
+      (fun p -> (not p.p_final) && p.p_last_seen <= limit)
+      t.pending
+  in
+  t.pending <- rest;
+  let ready =
+    List.sort (fun a b -> Int.compare a.p_last_seen b.p_last_seen) ready
+  in
+  List.iter (fun p -> t.st_emit p.p_emitted) ready
+
+(* Wait until every worker has processed up to the feeder's clock; after
+   this the feeder may read shard state directly (the workers are parked
+   in [Chan.pop], and the [w_mu] handshake ordered their writes before
+   our reads). *)
+let quiesce t =
+  Array.iter
+    (fun w ->
+      Mutex.lock w.w_mu;
+      while w.w_clock < t.st_clock && w.w_error = None do
+        Condition.wait w.w_cond w.w_mu
+      done;
+      Mutex.unlock w.w_mu)
+    t.workers;
+  check_workers t
+
+let aggregate t =
+  Array.fold_left
+    (fun acc sh ->
+      let s = counters sh in
+      {
+        acc with
+        events = acc.events + s.events;
+        flows = acc.flows + s.flows;
+        complete = acc.complete + s.complete;
+        incomplete = acc.incomplete + s.incomplete;
+        evictions = acc.evictions + s.evictions;
+        late_fragments = acc.late_fragments + s.late_fragments;
+        forgotten_keys = acc.forgotten_keys + s.forgotten_keys;
+        frontier_events = acc.frontier_events + s.frontier_events;
+        peak_frontier_events =
+          acc.peak_frontier_events + s.peak_frontier_events;
+      })
+    {
+      events = 0;
+      segments = t.segments;
+      flows = 0;
+      complete = 0;
+      incomplete = 0;
+      evictions = 0;
+      late_fragments = 0;
+      forgotten_keys = 0;
+      frontier_events = 0;
+      peak_frontier_events = 0;
+    }
+    t.shards
+
+let publish_gauges (s : summary) =
+  Par.with_obs_lock (fun () ->
+      Obs.Metrics.Gauge.set g_frontier (float_of_int s.frontier_events);
+      Obs.Metrics.Gauge.set g_peak (float_of_int s.peak_frontier_events))
+
+(* Every kept row materializes once: pushed straight into the inline
+   shard, or bucketed by key with its global position and handed to the
+   owning worker, followed by a clock tick for every worker. *)
 let feed_arena t (s : Logsys.Arena.slice) =
-  if t.finished then invalid_arg "Stream.feed: stream already finished";
-  let before = summary t in
+  check_live t;
+  guarded t @@ fun () ->
+  check_workers t;
   t.segments <- t.segments + 1;
+  Par.with_obs_lock (fun () -> Obs.Metrics.Counter.inc c_segments);
   let a = s.Logsys.Arena.sl_base in
-  for i = s.Logsys.Arena.sl_off to s.Logsys.Arena.sl_off + s.Logsys.Arena.sl_len - 1 do
-    if Logsys.Arena.node a i >= 0 then
-      push t ~pos:(t.clock + 1) (Logsys.Arena.get a i)
-  done;
-  flush_metrics t before
+  let lo = s.Logsys.Arena.sl_off in
+  let hi = lo + s.Logsys.Arena.sl_len - 1 in
+  match t.workers with
+  | [||] ->
+      let sh = t.shards.(0) in
+      let before = counters sh in
+      for i = lo to hi do
+        if Logsys.Arena.node a i >= 0 then begin
+          t.st_clock <- t.st_clock + 1;
+          push sh ~pos:t.st_clock (Logsys.Arena.get a i)
+        end
+      done;
+      flush_metrics sh before;
+      publish_gauges (counters sh)
+  | workers ->
+      let n = Array.length workers in
+      let parts = Array.make n [] in
+      for i = lo to hi do
+        if Logsys.Arena.node a i >= 0 then begin
+          t.st_clock <- t.st_clock + 1;
+          let k =
+            shard_of ~origin:(Logsys.Arena.origin a i)
+              ~seq:(Logsys.Arena.pkt_seq a i) n
+          in
+          parts.(k) <- (t.st_clock, Logsys.Arena.get a i) :: parts.(k)
+        end
+      done;
+      Array.iteri
+        (fun k items ->
+          match items with
+          | [] -> ()
+          | _ ->
+              Chan.push workers.(k).w_chan
+                (Records (Array.of_list (List.rev items))))
+        parts;
+      Array.iter (fun w -> Chan.push w.w_chan (Tick t.st_clock)) workers;
+      combine t
+
+let feed t records =
+  feed_arena t (Logsys.Arena.slice_all (Logsys.Arena.of_records records))
+
+let summary t =
+  match t.state with
+  | Done s -> s
+  | Failed e -> raise e
+  | Live ->
+      guarded t @@ fun () ->
+      quiesce t;
+      combine t;
+      let s = aggregate t in
+      publish_gauges s;
+      s
 
 let finish t =
-  if not t.finished then begin
-    t.finished <- true;
-    let before = summary t in
-    let bufs = Hashtbl.fold (fun _ b acc -> b :: acc) t.frontier [] in
-    let bufs =
-      List.sort
-        (fun a b -> compare_key (a.b_origin, a.b_seq) (b.b_origin, b.b_seq))
-        bufs
-    in
-    List.iter (fun b -> if b.live then evict t ~final:true b) bufs;
-    Queue.clear t.deadlines;
-    flush_metrics t before
-  end;
-  summary t
+  match t.state with
+  | Done s -> s
+  | Failed e -> raise e
+  | Live ->
+      guarded t @@ fun () ->
+      shutdown t;
+      check_workers t;
+      (* All mid-stream evictions first (safe = final clock releases
+         everything), then flush the frontiers and emit the finals in
+         ascending key order — the one-shard finish order. *)
+      combine t;
+      Array.iter finish_shard t.shards;
+      let finals =
+        Array.fold_left
+          (fun acc w -> List.rev_append !(w.w_outbox) acc)
+          [] t.workers
+      in
+      List.iter
+        (fun p -> t.st_emit p.p_emitted)
+        (List.sort (fun a b -> compare_key a.p_key b.p_key) finals);
+      let s = aggregate t in
+      publish_gauges s;
+      t.state <- Done s;
+      s
 
 (* -- Checkpointing --------------------------------------------------------- *)
 
-let ckpt_magic_v1 = "# refill-stream-ckpt v1"
-let ckpt_magic_v2 = "# refill-stream-ckpt v2"
+let ckpt_magic = "# refill-stream-ckpt v2"
 
-let write_checkpoint oc ~use_intra ~use_inter ~provenance ~watermark
-    ~retention ~segments ~clock streams =
-  Printf.fprintf oc "%s\n" ckpt_magic_v2;
-  Printf.fprintf oc "# shards %d\n" (Array.length streams);
+let checkpoint t oc =
+  (match t.state with
+  | Live -> ()
+  | Done _ -> invalid_arg "Stream.checkpoint: stream finished"
+  | Failed e -> raise e);
+  guarded t (fun () ->
+      quiesce t;
+      combine t);
+  let s0 = t.shards.(0) in
+  Printf.fprintf oc "%s\n" ckpt_magic;
+  Printf.fprintf oc "# shards %d\n" (Array.length t.shards);
   let b v = if v then 1 else 0 in
-  Printf.fprintf oc "# use-intra %d\n" (b use_intra);
-  Printf.fprintf oc "# use-inter %d\n" (b use_inter);
-  Printf.fprintf oc "# provenance %d\n" (b provenance);
-  Printf.fprintf oc "# watermark %d\n" watermark;
-  Printf.fprintf oc "# retention %d\n" retention;
-  Printf.fprintf oc "# segments %d\n" segments;
-  Printf.fprintf oc "# clock %d\n" clock;
+  Printf.fprintf oc "# use-intra %d\n" (b s0.use_intra);
+  Printf.fprintf oc "# use-inter %d\n" (b s0.use_inter);
+  Printf.fprintf oc "# provenance %d\n" (b s0.provenance);
+  Printf.fprintf oc "# watermark %d\n" t.st_watermark;
+  Printf.fprintf oc "# retention %d\n" s0.retention;
+  Printf.fprintf oc "# segments %d\n" t.segments;
+  Printf.fprintf oc "# clock %d\n" t.st_clock;
   Array.iteri
-    (fun i st ->
+    (fun i sh ->
       Printf.fprintf oc "# shard %d\n" i;
-      Printf.fprintf oc "# processed %d\n" st.processed;
-      Printf.fprintf oc "# flows %d\n" st.flows;
-      Printf.fprintf oc "# complete %d\n" st.complete;
-      Printf.fprintf oc "# incomplete %d\n" st.incomplete;
-      Printf.fprintf oc "# evictions %d\n" st.evictions;
-      Printf.fprintf oc "# late-fragments %d\n" st.late_fragments;
-      Printf.fprintf oc "# forgotten %d\n" st.forgotten;
-      Printf.fprintf oc "# peak-frontier %d\n" st.peak_frontier_events;
-      let ev = Hashtbl.fold (fun k tr acc -> (k, tr) :: acc) st.evicted [] in
-      let ev = List.sort compare_evicted ev in
+      Printf.fprintf oc "# processed %d\n" sh.processed;
+      Printf.fprintf oc "# flows %d\n" sh.flows;
+      Printf.fprintf oc "# complete %d\n" sh.complete;
+      Printf.fprintf oc "# incomplete %d\n" sh.incomplete;
+      Printf.fprintf oc "# evictions %d\n" sh.evictions;
+      Printf.fprintf oc "# late-fragments %d\n" sh.late_fragments;
+      Printf.fprintf oc "# forgotten %d\n" sh.forgotten;
+      Printf.fprintf oc "# peak-frontier %d\n" sh.peak_frontier_events;
+      let ev = Hashtbl.fold (fun k tr acc -> (k, tr) :: acc) sh.evicted [] in
       List.iter
         (fun ((origin, seq), trigger) ->
           Printf.fprintf oc "e %d %d %d\n" origin seq trigger)
-        ev;
+        (List.sort compare_evicted ev);
       (* Buffers ascending by last_seen: resume pushes one deadline entry
          per buffer in this order, which reproduces the live queue's
          effective contents (all superseded entries are no-ops anyway). *)
-      let bufs = Hashtbl.fold (fun _ b acc -> b :: acc) st.frontier [] in
-      let bufs =
-        List.sort (fun a b -> Int.compare a.last_seen b.last_seen) bufs
-      in
+      let bufs = Hashtbl.fold (fun _ b acc -> b :: acc) sh.frontier [] in
       List.iter
         (fun b ->
           Printf.fprintf oc "b %d %d %d %d %d\n" b.b_origin b.b_seq
@@ -403,22 +759,31 @@ let write_checkpoint oc ~use_intra ~use_inter ~provenance ~watermark
             (fun r ->
               output_string oc (Logsys.Log_io.record_to_line_exact r ^ "\n"))
             (List.rev b.records_rev))
-        bufs)
-    streams
+        (List.sort (fun a b -> Int.compare a.last_seen b.last_seen) bufs))
+    t.shards
 
-let checkpoint t oc =
-  write_checkpoint oc ~use_intra:t.use_intra ~use_inter:t.use_inter
-    ~provenance:t.provenance ~watermark:t.watermark ~retention:t.retention
-    ~segments:t.segments ~clock:t.clock [| t |]
-
+(* Write [path.tmp], close it, then rename it over [path]: a crash or a
+   failed write mid-checkpoint leaves the previous checkpoint intact. *)
 let checkpoint_file t path =
-  match open_out path with
-  | exception Sys_error message -> Error (Error.Io { path; message })
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> checkpoint t oc);
-      Ok ()
+  let tmp = path ^ ".tmp" in
+  let io path message = Error (Error.Io { path; message }) in
+  match open_out tmp with
+  | exception Sys_error message -> io tmp message
+  | oc -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            checkpoint t oc;
+            close_out oc)
+      with
+      | exception e ->
+          (try Sys.remove tmp with Sys_error _ -> ());
+          (match e with Sys_error message -> io tmp message | e -> raise e)
+      | () -> (
+          match Sys.rename tmp path with
+          | () -> Ok ()
+          | exception Sys_error message -> io path message))
 
 (* -- Checkpoint parsing ---------------------------------------------------- *)
 
@@ -436,9 +801,9 @@ type rshard = {
 }
 
 type restored = {
-  r_flags : (bool * bool * bool) option;  (* None for v1 checkpoints *)
+  r_flags : bool * bool * bool;  (* use-intra, use-inter, provenance *)
   r_watermark : int;
-  r_retention : int option;  (* None for v1 checkpoints *)
+  r_retention : int;
   r_segments : int;
   r_clock : int;
   r_shards : rshard array;
@@ -473,9 +838,8 @@ let flag_field line key =
   | n -> failwith (Printf.sprintf "Stream: bad %s flag %d" key n)
 
 (* Evicted/buffer lines of one shard section, until EOF or the next
-   [# shard] header.  [v1_trigger = Some p] selects the v1 two-field
-   evicted-line shape, restoring every key with trigger [p]. *)
-let parse_shard_body rs ~v1_trigger next_line peek_line =
+   [# shard] header. *)
+let parse_shard_body rs next_line peek_line =
   let is_shard_header line =
     String.length line >= 7 && String.sub line 0 7 = "# shard"
   in
@@ -490,15 +854,11 @@ let parse_shard_body rs ~v1_trigger next_line peek_line =
         else
           match line.[0] with
           | 'e' -> (
-              match (String.split_on_char ' ' line, v1_trigger) with
-              | [ "e"; origin; seq; trigger ], None ->
+              match String.split_on_char ' ' line with
+              | [ "e"; origin; seq; trigger ] ->
                   rs.rs_evicted <-
                     ( (int_of_string origin, int_of_string seq),
                       int_of_string trigger )
-                    :: rs.rs_evicted
-              | [ "e"; origin; seq ], Some trigger ->
-                  rs.rs_evicted <-
-                    ((int_of_string origin, int_of_string seq), trigger)
                     :: rs.rs_evicted
               | _ ->
                   failwith
@@ -562,80 +922,55 @@ let parse_checkpoint ic =
             Some l)
   in
   let magic = next_line () in
-  if magic = ckpt_magic_v1 then begin
-    let rs = fresh_rshard () in
+  if magic <> ckpt_magic then
+    failwith (Printf.sprintf "Stream: bad checkpoint header %S" magic);
+  let shards = int_field (next_line ()) "shards" in
+  if shards < 1 || shards > 65536 then
+    failwith (Printf.sprintf "Stream: implausible shard count %d" shards);
+  let use_intra = flag_field (next_line ()) "use-intra" in
+  let use_inter = flag_field (next_line ()) "use-inter" in
+  let provenance = flag_field (next_line ()) "provenance" in
+  let watermark = int_field (next_line ()) "watermark" in
+  let retention = int_field (next_line ()) "retention" in
+  let segments = int_field (next_line ()) "segments" in
+  let clock = int_field (next_line ()) "clock" in
+  let r_shards = Array.init shards (fun _ -> fresh_rshard ()) in
+  for i = 0 to shards - 1 do
+    let hdr = next_line () in
+    (match String.split_on_char ' ' hdr with
+    | [ "#"; "shard"; k ] when int_of_string_opt k = Some i -> ()
+    | _ ->
+        failwith
+          (Printf.sprintf "Stream: expected '# shard %d', got %S" i hdr));
+    let rs = r_shards.(i) in
     rs.rs_processed <- int_field (next_line ()) "processed";
-    let watermark = int_field (next_line ()) "watermark" in
-    let segments = int_field (next_line ()) "segments" in
     rs.rs_flows <- int_field (next_line ()) "flows";
     rs.rs_complete <- int_field (next_line ()) "complete";
     rs.rs_incomplete <- int_field (next_line ()) "incomplete";
     rs.rs_evictions <- int_field (next_line ()) "evictions";
     rs.rs_late <- int_field (next_line ()) "late-fragments";
+    rs.rs_forgotten <- int_field (next_line ()) "forgotten";
     rs.rs_peak <- int_field (next_line ()) "peak-frontier";
-    parse_shard_body rs ~v1_trigger:(Some rs.rs_processed) next_line
-      peek_line;
-    {
-      r_flags = None;
-      r_watermark = watermark;
-      r_retention = None;
-      r_segments = segments;
-      r_clock = rs.rs_processed;
-      r_shards = [| rs |];
-    }
-  end
-  else if magic = ckpt_magic_v2 then begin
-    let shards = int_field (next_line ()) "shards" in
-    if shards < 1 || shards > 65536 then
-      failwith (Printf.sprintf "Stream: implausible shard count %d" shards);
-    let use_intra = flag_field (next_line ()) "use-intra" in
-    let use_inter = flag_field (next_line ()) "use-inter" in
-    let provenance = flag_field (next_line ()) "provenance" in
-    let watermark = int_field (next_line ()) "watermark" in
-    let retention = int_field (next_line ()) "retention" in
-    let segments = int_field (next_line ()) "segments" in
-    let clock = int_field (next_line ()) "clock" in
-    let r_shards = Array.init shards (fun _ -> fresh_rshard ()) in
-    for i = 0 to shards - 1 do
-      let hdr = next_line () in
-      (match String.split_on_char ' ' hdr with
-      | [ "#"; "shard"; k ] when int_of_string_opt k = Some i -> ()
-      | _ ->
-          failwith
-            (Printf.sprintf "Stream: expected '# shard %d', got %S" i hdr));
-      let rs = r_shards.(i) in
-      rs.rs_processed <- int_field (next_line ()) "processed";
-      rs.rs_flows <- int_field (next_line ()) "flows";
-      rs.rs_complete <- int_field (next_line ()) "complete";
-      rs.rs_incomplete <- int_field (next_line ()) "incomplete";
-      rs.rs_evictions <- int_field (next_line ()) "evictions";
-      rs.rs_late <- int_field (next_line ()) "late-fragments";
-      rs.rs_forgotten <- int_field (next_line ()) "forgotten";
-      rs.rs_peak <- int_field (next_line ()) "peak-frontier";
-      parse_shard_body rs ~v1_trigger:None next_line peek_line
-    done;
-    (match peek_line () with
-    | None -> ()
-    | Some l -> failwith (Printf.sprintf "Stream: trailing line %S" l));
-    {
-      r_flags = Some (use_intra, use_inter, provenance);
-      r_watermark = watermark;
-      r_retention = Some retention;
-      r_segments = segments;
-      r_clock = clock;
-      r_shards;
-    }
-  end
-  else failwith (Printf.sprintf "Stream: bad checkpoint header %S" magic)
+    parse_shard_body rs next_line peek_line
+  done;
+  (match peek_line () with
+  | None -> ()
+  | Some l -> failwith (Printf.sprintf "Stream: trailing line %S" l));
+  {
+    r_flags = (use_intra, use_inter, provenance);
+    r_watermark = watermark;
+    r_retention = retention;
+    r_segments = segments;
+    r_clock = clock;
+    r_shards;
+  }
 
 (* Reject nonsensical headers before building anything: a stream restored
    from garbage would run with a garbage drain limit. *)
 let validate_restored r =
   let fail msg = failwith ("Stream: bad checkpoint: " ^ msg) in
   if r.r_watermark <= 0 then fail "non-positive watermark";
-  (match r.r_retention with
-  | Some ret when ret < 0 -> fail "negative retention"
-  | _ -> ());
+  if r.r_retention < 0 then fail "negative retention";
   if r.r_segments < 0 then fail "negative segments";
   if r.r_clock < 0 then fail "negative clock";
   let total = ref 0 in
@@ -666,63 +1001,22 @@ let validate_restored r =
     r.r_shards;
   if !total <> r.r_clock then fail "shard record totals disagree with clock"
 
-(* The semantic flags a resumed stream runs under: the checkpoint's when
-   it has them (v2) and no config was passed; the config's for a v1
-   checkpoint; an explicit config conflicting with a v2 checkpoint is an
-   error — resuming under different semantics silently changes what the
-   reconstruction means. *)
-let resolve_flags ~ckpt ~config =
-  match (ckpt, config) with
-  | Some f, None -> f
-  | Some ((ui, ue, pv) as f), Some (c : Config.t) ->
-      if
-        c.Config.use_intra <> ui
-        || c.Config.use_inter <> ue
-        || c.Config.provenance <> pv
-      then
-        failwith
-          (Printf.sprintf
-             "Stream: config conflicts with checkpoint semantics \
-              (checkpoint: use-intra=%b use-inter=%b provenance=%b)"
-             ui ue pv)
-      else f
-  | None, Some (c : Config.t) ->
-      (c.Config.use_intra, c.Config.use_inter, c.Config.provenance)
-  | None, None ->
-      Config.
-        (default.use_intra, default.use_inter, default.provenance)
-
-let restored_retention r ~config =
-  match r.r_retention with
-  | Some ret -> ret
-  | None ->
-      let cfg = Option.value config ~default:Config.default in
-      Config.resolved_retention { cfg with Config.watermark = r.r_watermark }
-
-(* Install evicted keys and buffers into a freshly [make]d stream.  Both
-   lists must be given in canonical order: evicted ascending by (trigger,
-   key), buffers ascending by last_seen. *)
-let install t ~ev ~bufs =
-  List.iter
-    (fun (key, trigger) ->
-      Hashtbl.replace t.evicted key trigger;
-      Queue.push (trigger, key) t.prune)
-    ev;
-  List.iter
-    (fun b ->
-      Hashtbl.replace t.frontier (b.b_origin, b.b_seq) b;
-      Queue.push (b.last_seen, b) t.deadlines;
-      t.frontier_events <- t.frontier_events + b.count)
-    bufs
-
-let sorted_evicted rss =
-  List.sort compare_evicted
-    (List.concat_map (fun rs -> rs.rs_evicted) rss)
-
-let sorted_buffers rss =
-  List.sort
-    (fun a b -> Int.compare a.last_seen b.last_seen)
-    (List.concat_map (fun rs -> rs.rs_buffers) rss)
+(* The checkpoint's semantic flags win; an explicit config conflicting
+   with them is an error — resuming under different semantics silently
+   changes what the reconstruction means. *)
+let resolve_flags r ~config =
+  let ((ui, ue, pv) as flags) = r.r_flags in
+  match config with
+  | Some (c : Config.t)
+    when c.Config.use_intra <> ui
+         || c.Config.use_inter <> ue
+         || c.Config.provenance <> pv ->
+      failwith
+        (Printf.sprintf
+           "Stream: config conflicts with checkpoint semantics (checkpoint: \
+            use-intra=%b use-inter=%b provenance=%b)"
+           ui ue pv)
+  | _ -> flags
 
 let as_bad_checkpoint f =
   match f () with
@@ -736,38 +1030,68 @@ let as_bad_checkpoint f =
   | exception Sys_error message ->
       Error (Error.Io { path = "checkpoint"; message })
 
-(* Resume into a single-domain stream: all shards of the checkpoint merge
-   into one frontier (v2 multi-shard checkpoints are the sharded layer's;
-   any shard count resumes into any other, including one). *)
+(* Resume re-hashes the checkpoint's shards (any count) into
+   [config.shards] fresh ones.  Aggregate counters land on shard 0; every
+   shard starts at the restored clock. *)
 let resume ?config ic ~sink ~emit =
   as_bad_checkpoint (fun () ->
       let r = parse_checkpoint ic in
       validate_restored r;
-      let ui, ue, pv = resolve_flags ~ckpt:r.r_flags ~config in
-      let retention = restored_retention r ~config in
-      let t =
-        make ~use_intra:ui ~use_inter:ue ~provenance:pv
-          ~watermark:r.r_watermark ~retention ~publish_gauges:true ~sink
-          ~emit:(wrap_emit emit) ()
+      let flags = resolve_flags r ~config in
+      let n =
+        max 1 (Option.value config ~default:Config.default).Config.shards
       in
-      t.clock <- r.r_clock;
-      t.processed <- r.r_clock;
-      t.segments <- r.r_segments;
-      let peak = ref 0 in
-      Array.iter
-        (fun rs ->
-          t.flows <- t.flows + rs.rs_flows;
-          t.complete <- t.complete + rs.rs_complete;
-          t.incomplete <- t.incomplete + rs.rs_incomplete;
-          t.evictions <- t.evictions + rs.rs_evictions;
-          t.late_fragments <- t.late_fragments + rs.rs_late;
-          t.forgotten <- t.forgotten + rs.rs_forgotten;
-          peak := !peak + rs.rs_peak)
-        r.r_shards;
       let rss = Array.to_list r.r_shards in
-      install t ~ev:(sorted_evicted rss) ~bufs:(sorted_buffers rss);
-      t.peak_frontier_events <- max !peak t.frontier_events;
-      t)
+      let ev = Array.make n [] and bufs = Array.make n [] in
+      (* Canonical orders, built back to front: evicted ascending by
+         (trigger, key), buffers ascending by last_seen. *)
+      List.iter
+        (fun (((origin, seq), _) as e) ->
+          let i = shard_of ~origin ~seq n in
+          ev.(i) <- e :: ev.(i))
+        (List.rev
+           (List.sort compare_evicted
+              (List.concat_map (fun rs -> rs.rs_evicted) rss)));
+      List.iter
+        (fun b ->
+          let i = shard_of ~origin:b.b_origin ~seq:b.b_seq n in
+          bufs.(i) <- b :: bufs.(i))
+        (List.rev
+           (List.sort
+              (fun a b -> Int.compare a.last_seen b.last_seen)
+              (List.concat_map (fun rs -> rs.rs_buffers) rss)));
+      let init i sh =
+        sh.clock <- r.r_clock;
+        List.iter
+          (fun (key, trigger) ->
+            Hashtbl.replace sh.evicted key trigger;
+            Queue.push (trigger, key) sh.prune)
+          ev.(i);
+        List.iter
+          (fun b ->
+            Hashtbl.replace sh.frontier (b.b_origin, b.b_seq) b;
+            Queue.push (b.last_seen, b) sh.deadlines;
+            sh.frontier_events <- sh.frontier_events + b.count)
+          bufs.(i);
+        sh.peak_frontier_events <- sh.frontier_events;
+        if i = 0 then begin
+          sh.processed <- r.r_clock;
+          let peak = ref 0 in
+          Array.iter
+            (fun rs ->
+              sh.flows <- sh.flows + rs.rs_flows;
+              sh.complete <- sh.complete + rs.rs_complete;
+              sh.incomplete <- sh.incomplete + rs.rs_incomplete;
+              sh.evictions <- sh.evictions + rs.rs_evictions;
+              sh.late_fragments <- sh.late_fragments + rs.rs_late;
+              sh.forgotten <- sh.forgotten + rs.rs_forgotten;
+              peak := !peak + rs.rs_peak)
+            r.r_shards;
+          sh.peak_frontier_events <- max !peak sh.frontier_events
+        end
+      in
+      launch ~n ~flags ~watermark:r.r_watermark ~retention:r.r_retention
+        ~sink ~emit ~clock:r.r_clock ~segments:r.r_segments ~init)
 
 let resume_file ?config path ~sink ~emit =
   match open_in path with
@@ -776,465 +1100,3 @@ let resume_file ?config path ~sink ~emit =
       Fun.protect
         ~finally:(fun () -> close_in ic)
         (fun () -> resume ?config ic ~sink ~emit)
-
-(* -- Sharded streaming ----------------------------------------------------- *)
-
-module Sharded = struct
-  (* Bounded SPSC channel: the feeder blocks when a worker falls behind
-     (backpressure, bounded memory), the worker blocks when idle.  On a
-     machine with fewer cores than shards this degrades to cooperative
-     scheduling, not spinning. *)
-  module Chan = struct
-    type 'a chan = {
-      q : 'a Queue.t;
-      cap : int;
-      mu : Mutex.t;
-      not_empty : Condition.t;
-      not_full : Condition.t;
-    }
-
-    let create cap =
-      {
-        q = Queue.create ();
-        cap;
-        mu = Mutex.create ();
-        not_empty = Condition.create ();
-        not_full = Condition.create ();
-      }
-
-    let push c x =
-      Mutex.lock c.mu;
-      while Queue.length c.q >= c.cap do
-        Condition.wait c.not_full c.mu
-      done;
-      Queue.push x c.q;
-      Condition.signal c.not_empty;
-      Mutex.unlock c.mu
-
-    let pop c =
-      Mutex.lock c.mu;
-      while Queue.is_empty c.q do
-        Condition.wait c.not_empty c.mu
-      done;
-      let x = Queue.pop c.q in
-      Condition.signal c.not_full;
-      Mutex.unlock c.mu;
-      x
-  end
-
-  type msg =
-    | Records of (int * Logsys.Record.t) array
-        (** (global position, record), positions ascending. *)
-    | Tick of int  (** advance the worker clock to this position *)
-    | Stop of int  (** final clock; the worker exits its loop *)
-
-  type pending = {
-    p_last_seen : int;
-    p_final : bool;
-    p_key : int * int;
-    p_emitted : emitted;
-  }
-
-  type worker = {
-    w_stream : t;
-    w_chan : msg Chan.chan;
-    w_mu : Mutex.t;
-    w_cond : Condition.t;
-    w_outbox : pending list ref;  (* newest first; under [w_mu] *)
-    mutable w_clock : int;  (* published position; under [w_mu] *)
-    mutable w_error : exn option;  (* under [w_mu] *)
-    mutable w_domain : unit Domain.t option;
-  }
-
-  type state = Live | Done of summary | Failed of exn
-
-  type nonrec t = {
-    sh_watermark : int;
-    sh_emit : emitted -> unit;
-    sh_workers : worker array;
-    mutable sh_clock : int;  (* global records routed so far *)
-    mutable sh_segments : int;
-    mutable sh_pending : pending list;
-    mutable sh_state : state;
-  }
-
-  let shard_of (origin, seq) n =
-    if n = 1 then 0
-    else ((origin * 0x9E3779B1) lxor (seq * 0x85EBCA6B)) land max_int mod n
-
-  let worker_loop w =
-    let running = ref true in
-    while !running do
-      let msg = Chan.pop w.w_chan in
-      let target =
-        match msg with
-        | Records items ->
-            if Array.length items = 0 then w.w_stream.clock
-            else fst items.(Array.length items - 1)
-        | Tick c | Stop c -> c
-      in
-      (match msg with Stop _ -> running := false | _ -> ());
-      Mutex.lock w.w_mu;
-      let errored = w.w_error <> None in
-      Mutex.unlock w.w_mu;
-      (* After an error the worker keeps draining (and discarding) so the
-         feeder never blocks on a full queue; the clock still advances so
-         quiesce terminates. *)
-      if not errored then begin
-        try
-          let st = w.w_stream in
-          let before = summary st in
-          (match msg with
-          | Records items -> Array.iter (fun (pos, r) -> push st ~pos r) items
-          | Tick c | Stop c -> advance st c);
-          flush_metrics st before
-        with e ->
-          Mutex.lock w.w_mu;
-          w.w_error <- Some e;
-          Mutex.unlock w.w_mu
-      end;
-      Mutex.lock w.w_mu;
-      if target > w.w_clock then w.w_clock <- target;
-      Condition.broadcast w.w_cond;
-      Mutex.unlock w.w_mu
-    done
-
-  (* [init] populates the worker's stream (resume restores shard state)
-     before the domain starts — no synchronization needed. *)
-  let spawn_worker ~flags:(ui, ue, pv) ~watermark ~retention ~sink ~init =
-    let mu = Mutex.create () in
-    let outbox = ref [] in
-    let emit ~final ~last_seen ~key e =
-      Mutex.lock mu;
-      outbox :=
-        { p_last_seen = last_seen; p_final = final; p_key = key; p_emitted = e }
-        :: !outbox;
-      Mutex.unlock mu
-    in
-    let st =
-      make ~use_intra:ui ~use_inter:ue ~provenance:pv ~watermark ~retention
-        ~publish_gauges:false ~sink ~emit ()
-    in
-    init st;
-    let w =
-      {
-        w_stream = st;
-        w_chan = Chan.create 8;
-        w_mu = mu;
-        w_cond = Condition.create ();
-        w_outbox = outbox;
-        w_clock = st.clock;
-        w_error = None;
-        w_domain = None;
-      }
-    in
-    w.w_domain <- Some (Domain.spawn (fun () -> worker_loop w));
-    w
-
-  let read_clock w =
-    Mutex.lock w.w_mu;
-    let c = w.w_clock in
-    Mutex.unlock w.w_mu;
-    c
-
-  let shutdown sh =
-    Array.iter (fun w -> Chan.push w.w_chan (Stop sh.sh_clock)) sh.sh_workers;
-    Array.iter
-      (fun w ->
-        match w.w_domain with
-        | Some d ->
-            Domain.join d;
-            w.w_domain <- None
-        | None -> ())
-      sh.sh_workers
-
-  let first_error sh =
-    Array.fold_left
-      (fun acc w ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            Mutex.lock w.w_mu;
-            let e = w.w_error in
-            Mutex.unlock w.w_mu;
-            e)
-      None sh.sh_workers
-
-  let check_workers sh =
-    match first_error sh with
-    | None -> ()
-    | Some e ->
-        sh.sh_state <- Failed e;
-        shutdown sh;
-        raise e
-
-  (* Release every pending mid-stream eviction that can no longer be
-     preceded by anything: clocks are read BEFORE outboxes, so a worker's
-     future emissions all have last_seen > safe - watermark — anything at
-     or below that line is already in an outbox we are about to take.
-     Released ascending by last_seen, which is exactly the single-domain
-     emission order (positions are unique, and eviction triggers are
-     monotone in last_seen). *)
-  let combine sh =
-    let safe =
-      Array.fold_left
-        (fun acc w -> min acc (read_clock w))
-        max_int sh.sh_workers
-    in
-    Array.iter
-      (fun w ->
-        Mutex.lock w.w_mu;
-        let out = !(w.w_outbox) in
-        w.w_outbox := [];
-        Mutex.unlock w.w_mu;
-        sh.sh_pending <- List.rev_append out sh.sh_pending)
-      sh.sh_workers;
-    let limit = safe - sh.sh_watermark in
-    let ready, rest =
-      List.partition
-        (fun p -> (not p.p_final) && p.p_last_seen <= limit)
-        sh.sh_pending
-    in
-    sh.sh_pending <- rest;
-    let ready =
-      List.sort (fun a b -> Int.compare a.p_last_seen b.p_last_seen) ready
-    in
-    List.iter (fun p -> sh.sh_emit p.p_emitted) ready
-
-  (* Wait until every worker has processed up to the feeder's clock; after
-     this the feeder may read worker stream state directly (the workers
-     are parked in [Chan.pop], and the [w_mu] handshake ordered their
-     writes before our reads). *)
-  let quiesce sh =
-    Array.iter
-      (fun w ->
-        Mutex.lock w.w_mu;
-        while w.w_clock < sh.sh_clock && w.w_error = None do
-          Condition.wait w.w_cond w.w_mu
-        done;
-        Mutex.unlock w.w_mu)
-      sh.sh_workers;
-    check_workers sh
-
-  let aggregate sh =
-    Array.fold_left
-      (fun acc w ->
-        let s = summary w.w_stream in
-        {
-          events = acc.events + s.events;
-          segments = acc.segments;
-          flows = acc.flows + s.flows;
-          complete = acc.complete + s.complete;
-          incomplete = acc.incomplete + s.incomplete;
-          evictions = acc.evictions + s.evictions;
-          late_fragments = acc.late_fragments + s.late_fragments;
-          forgotten_keys = acc.forgotten_keys + s.forgotten_keys;
-          frontier_events = acc.frontier_events + s.frontier_events;
-          peak_frontier_events =
-            acc.peak_frontier_events + s.peak_frontier_events;
-        })
-      {
-        events = 0;
-        segments = sh.sh_segments;
-        flows = 0;
-        complete = 0;
-        incomplete = 0;
-        evictions = 0;
-        late_fragments = 0;
-        forgotten_keys = 0;
-        frontier_events = 0;
-        peak_frontier_events = 0;
-      }
-      sh.sh_workers
-
-  let publish_aggregate_gauges (s : summary) =
-    Par.with_obs_lock (fun () ->
-        Obs.Metrics.Gauge.set g_frontier (float_of_int s.frontier_events);
-        Obs.Metrics.Gauge.set g_peak (float_of_int s.peak_frontier_events))
-
-  let create ?(config = Config.default) ~sink ~emit () =
-    let n = max 1 config.Config.shards in
-    let flags =
-      (config.Config.use_intra, config.Config.use_inter,
-       config.Config.provenance)
-    in
-    let retention = Config.resolved_retention config in
-    let workers =
-      Array.init n (fun _ ->
-          spawn_worker ~flags ~watermark:config.Config.watermark ~retention
-            ~sink ~init:ignore)
-    in
-    {
-      sh_watermark = config.Config.watermark;
-      sh_emit = emit;
-      sh_workers = workers;
-      sh_clock = 0;
-      sh_segments = 0;
-      sh_pending = [];
-      sh_state = Live;
-    }
-
-  let shards sh = Array.length sh.sh_workers
-  let processed sh = sh.sh_clock
-
-  let feed sh segment =
-    (match sh.sh_state with
-    | Live -> ()
-    | Done _ -> invalid_arg "Stream.Sharded.feed: stream already finished"
-    | Failed e -> raise e);
-    check_workers sh;
-    sh.sh_segments <- sh.sh_segments + 1;
-    let n = Array.length sh.sh_workers in
-    let parts = Array.make n [] in
-    Array.iter
-      (fun (r : Logsys.Record.t) ->
-        if r.node >= 0 then begin
-          sh.sh_clock <- sh.sh_clock + 1;
-          let s = shard_of (r.origin, r.pkt_seq) n in
-          parts.(s) <- (sh.sh_clock, r) :: parts.(s)
-        end)
-      segment;
-    Array.iteri
-      (fun i items ->
-        match items with
-        | [] -> ()
-        | _ ->
-            Chan.push sh.sh_workers.(i).w_chan
-              (Records (Array.of_list (List.rev items))))
-      parts;
-    Array.iter (fun w -> Chan.push w.w_chan (Tick sh.sh_clock)) sh.sh_workers;
-    combine sh
-
-  let summary sh =
-    match sh.sh_state with
-    | Done s -> s
-    | Failed e -> raise e
-    | Live ->
-        quiesce sh;
-        combine sh;
-        let s = aggregate sh in
-        publish_aggregate_gauges s;
-        s
-
-  let finish sh =
-    match sh.sh_state with
-    | Done s -> s
-    | Failed e -> raise e
-    | Live ->
-        shutdown sh;
-        (match first_error sh with
-        | Some e ->
-            sh.sh_state <- Failed e;
-            raise e
-        | None -> ());
-        (* All mid-stream evictions first (safe = final clock releases
-           everything), then flush the per-shard frontiers and emit the
-           finals in ascending key order — the single-domain finish
-           order. *)
-        combine sh;
-        Array.iter (fun w -> ignore (finish w.w_stream)) sh.sh_workers;
-        let finals = ref [] in
-        Array.iter
-          (fun w ->
-            finals := List.rev_append !(w.w_outbox) !finals;
-            w.w_outbox := [])
-          sh.sh_workers;
-        let finals =
-          List.sort (fun a b -> compare_key a.p_key b.p_key) !finals
-        in
-        List.iter (fun p -> sh.sh_emit p.p_emitted) finals;
-        sh.sh_pending <- [];
-        let s = aggregate sh in
-        publish_aggregate_gauges s;
-        sh.sh_state <- Done s;
-        s
-
-  let checkpoint sh oc =
-    (match sh.sh_state with
-    | Live -> ()
-    | Done _ -> invalid_arg "Stream.Sharded.checkpoint: stream finished"
-    | Failed e -> raise e);
-    quiesce sh;
-    combine sh;
-    let w0 = sh.sh_workers.(0).w_stream in
-    write_checkpoint oc ~use_intra:w0.use_intra ~use_inter:w0.use_inter
-      ~provenance:w0.provenance ~watermark:sh.sh_watermark
-      ~retention:w0.retention ~segments:sh.sh_segments ~clock:sh.sh_clock
-      (Array.map (fun w -> w.w_stream) sh.sh_workers)
-
-  let checkpoint_file sh path =
-    match open_out path with
-    | exception Sys_error message -> Error (Error.Io { path; message })
-    | oc ->
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> checkpoint sh oc);
-        Ok ()
-
-  (* Resume re-hashes the checkpoint's shards (any count, v1 included)
-     into [config.shards] fresh workers.  Aggregate counters land on
-     shard 0; every worker starts at the restored clock. *)
-  let resume ?config ic ~sink ~emit =
-    as_bad_checkpoint (fun () ->
-        let r = parse_checkpoint ic in
-        validate_restored r;
-        let flags = resolve_flags ~ckpt:r.r_flags ~config in
-        let retention = restored_retention r ~config in
-        let cfg = Option.value config ~default:Config.default in
-        let n = max 1 cfg.Config.shards in
-        let rss = Array.to_list r.r_shards in
-        let ev = Array.make n [] and bufs = Array.make n [] in
-        List.iter
-          (fun ((key, _) as e) ->
-            let i = shard_of key n in
-            ev.(i) <- e :: ev.(i))
-          (List.rev (sorted_evicted rss));
-        List.iter
-          (fun b ->
-            let i = shard_of (b.b_origin, b.b_seq) n in
-            bufs.(i) <- b :: bufs.(i))
-          (List.rev (sorted_buffers rss));
-        let total_peak =
-          Array.fold_left (fun acc rs -> acc + rs.rs_peak) 0 r.r_shards
-        in
-        let init_shard i st =
-          st.clock <- r.r_clock;
-          install st ~ev:ev.(i) ~bufs:bufs.(i);
-          if i = 0 then begin
-            st.processed <- r.r_clock;
-            Array.iter
-              (fun rs ->
-                st.flows <- st.flows + rs.rs_flows;
-                st.complete <- st.complete + rs.rs_complete;
-                st.incomplete <- st.incomplete + rs.rs_incomplete;
-                st.evictions <- st.evictions + rs.rs_evictions;
-                st.late_fragments <- st.late_fragments + rs.rs_late;
-                st.forgotten <- st.forgotten + rs.rs_forgotten)
-              r.r_shards;
-            st.peak_frontier_events <- max total_peak st.frontier_events
-          end
-          else st.peak_frontier_events <- st.frontier_events
-        in
-        let workers =
-          Array.init n (fun i ->
-              spawn_worker ~flags ~watermark:r.r_watermark ~retention ~sink
-                ~init:(init_shard i))
-        in
-        {
-          sh_watermark = r.r_watermark;
-          sh_emit = emit;
-          sh_workers = workers;
-          sh_clock = r.r_clock;
-          sh_segments = r.r_segments;
-          sh_pending = [];
-          sh_state = Live;
-        })
-
-  let resume_file ?config path ~sink ~emit =
-    match open_in path with
-    | exception Sys_error message -> Error (Error.Io { path; message })
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> resume ?config ic ~sink ~emit)
-end

@@ -40,22 +40,27 @@
     [refill_stream_forgotten_keys_total]) so late-fragment accounting
     degrades visibly, not silently.
 
-    {2 Checkpoints}
-
-    The live state — counters, evicted-key table, and the frontier
-    buffers with their arrival order — serializes to a text checkpoint
-    ([# refill-stream-ckpt v2], one section per shard, with the semantic
-    flags in the header).  v1 checkpoints are still readable.  Resuming
-    and feeding the remaining records yields byte-identical flows to an
-    uninterrupted run; a checkpoint written at any shard count resumes at
-    any other (including the single-domain stream).
-
     {2 Sharding}
 
-    {!Sharded} runs N single-domain streams as worker domains, routing
-    each record by a hash of its packet key over bounded SPSC queues, and
-    re-serializes their emissions into exactly the single-domain emission
-    order — output is byte-identical at any shard count and chunking. *)
+    The frontier is split into [config.shards] shards by a hash of the
+    packet key.  Every record gets its global stream position, and every
+    shard hears every position, so each one evicts exactly where a single
+    frontier holding every key would.  With one shard (the default) the
+    frontier runs inline in the caller's domain and emits as it evicts.
+    With more, each shard runs on a worker domain fed over a bounded
+    queue, and a combiner re-serializes their emissions into exactly the
+    one-shard order: output is byte-identical at any shard count and any
+    chunking.
+
+    {2 Checkpoints}
+
+    The live state — counters, evicted-key tables, and the frontier
+    buffers with their arrival order — serializes to a text checkpoint
+    ([# refill-stream-ckpt v2], one section per shard, with the semantic
+    flags in the header).  Resuming and feeding the remaining records
+    yields byte-identical flows to an uninterrupted run; a checkpoint
+    written at any shard count resumes at any other.  Checkpoints from
+    before v2 are refused. *)
 
 type outcome =
   | Complete  (** The stream believes it saw this packet whole. *)
@@ -84,37 +89,52 @@ type t
 
 val create : ?config:Config.t -> sink:int -> emit:(emitted -> unit) -> unit -> t
 (** A fresh stream.  [config] supplies the ablation knobs,
-    [config.watermark] and [config.late_retention]; [emit] is called
-    synchronously from [feed] / [finish], in eviction order
-    (deterministic for a given feed). *)
+    [config.watermark], [config.late_retention] and [config.shards].
+    [emit] is called from the caller's domain, in eviction order
+    (deterministic for a given record sequence).  With one shard it fires
+    synchronously from {!feed_arena} / {!finish}; with several, from any
+    call into the stream, possibly several segments after the records
+    that produced a flow (the release lags the slowest worker by up to
+    one watermark). *)
 
-val feed : t -> Logsys.Record.t array -> unit
-(** Process one segment of records, in arrival order.  Records with a
-    negative node id are ignored.  Emission depends only on the
-    concatenation of segments, not on how they are chunked.
-    @raise Invalid_argument after {!finish}. *)
+val shards : t -> int
 
 val feed_arena : t -> Logsys.Arena.slice -> unit
-(** {!feed} over an arena slice (one slice = one segment): the node
-    filter reads the column and only surviving records materialize.
-    Output is byte-identical to feeding the materialized slice. *)
+(** Process one segment (one slice), in arrival order.  Rows with a
+    negative node id are ignored; every other row materializes once.
+    Emission depends only on the concatenation of segments, not on how
+    they are chunked.  A failure — raised by [emit], or by a worker — is
+    re-raised from this and every later call, after all worker domains
+    are joined.
+    @raise Invalid_argument after {!finish}. *)
+
+val feed : t -> Logsys.Record.t array -> unit
+(** {!feed_arena} over records. *)
 
 val finish : t -> summary
-(** Flush every still-open packet (ascending key order) and return the
-    final summary.  Idempotent; the stream accepts no further [feed]. *)
+(** Flush every still-open packet (ascending key order), join the
+    workers, and return the final summary.  Idempotent; the stream
+    accepts no further [feed]. *)
 
 val summary : t -> summary
-(** Counters so far, without finishing. *)
+(** Counters so far, without finishing; waits for the workers to catch
+    up and releases the emissions that are already in order.  Totals sum
+    over shards, so [peak_frontier_events] (a sum of per-shard peaks) is
+    an upper bound on the one-shard peak; [segments] counts feed calls. *)
 
 val processed : t -> int
-(** Records processed so far — what {!Logsys.Log_io.Seg.skip} needs to
+(** Records processed so far — what {!Logsys.Log_io.Mseg.skip} needs to
     fast-forward a reopened input to the checkpoint position. *)
 
 val checkpoint : t -> out_channel -> unit
-(** Serialize the live state (v2, single shard).  Only meaningful before
-    {!finish}. *)
+(** Serialize the live state of every shard as one v2 checkpoint.  Only
+    meaningful before {!finish}. *)
 
 val checkpoint_file : t -> string -> (unit, Error.t) result
+(** {!checkpoint} to [path ^ ".tmp"], then rename it over [path], so a
+    failed or interrupted write never damages the previous checkpoint.
+    [Error (Io _)] when the temporary file cannot be written or
+    renamed. *)
 
 val resume :
   ?config:Config.t ->
@@ -122,18 +142,17 @@ val resume :
   sink:int ->
   emit:(emitted -> unit) ->
   (t, Error.t) result
-(** Rebuild a single-domain stream from a checkpoint (v1 or v2; a
-    multi-shard v2 checkpoint is merged into one frontier).  The
-    checkpoint's watermark and retention always win.  The semantic flags
-    ([use_intra]/[use_inter]/[provenance]) come from the checkpoint when
-    it records them (v2); passing [?config] whose flags disagree with a
-    v2 checkpoint is an [Error.Bad_checkpoint] — resuming under different
-    semantics would silently change what the reconstruction means.  For
-    v1 checkpoints (no recorded flags) the caller's config is trusted.
-    All restored header fields are validated; nonsensical values
-    (negative counters, [peak-frontier] below the restored frontier,
-    shard totals that disagree with the clock) are rejected with
-    [Error.Bad_checkpoint]. *)
+(** Rebuild a stream from a v2 checkpoint into [config.shards] shards,
+    re-hashing the restored frontier and evicted keys (the shard count
+    need not match the checkpoint's).  The checkpoint's watermark,
+    retention and semantic flags ([use_intra]/[use_inter]/[provenance])
+    always win; passing [?config] whose flags disagree with them is an
+    [Error.Bad_checkpoint] — resuming under different semantics would
+    silently change what the reconstruction means.  All restored header
+    fields are validated; nonsensical values (negative counters,
+    [peak-frontier] below the restored frontier, shard totals that
+    disagree with the clock), any other header, and v1 checkpoints are
+    rejected with [Error.Bad_checkpoint]. *)
 
 val resume_file :
   ?config:Config.t ->
@@ -141,76 +160,3 @@ val resume_file :
   sink:int ->
   emit:(emitted -> unit) ->
   (t, Error.t) result
-
-(** Multi-domain sharded streaming with single-domain output semantics.
-
-    [create ~config] spawns [config.shards] worker domains, each running
-    an ordinary stream over the subset of packet keys that hash to it.
-    Records are annotated with their global stream position and routed
-    over bounded SPSC queues; every segment boundary broadcasts a clock
-    tick so each worker evicts exactly where the single-domain stream
-    would.  Emissions are buffered and released in global order —
-    mid-stream evictions ascending by the evicted packet's last-seen
-    position once every worker's clock has passed the point where an
-    earlier eviction could still appear, end-of-stream flushes ascending
-    by key — so the emitted flow sequence is byte-identical to
-    single-domain {!Stream} for any shard count and any chunking.
-
-    [emit] fires from {!Sharded.feed}, {!Sharded.finish} and the other
-    combining calls, possibly several segments after the records that
-    produced a flow (the release lags the slowest worker by up to one
-    watermark).  [summary] totals are sums over workers;
-    [peak_frontier_events] sums per-worker peaks, an upper bound on the
-    single-domain peak; [segments] counts {!Sharded.feed} calls.  A
-    worker failure is re-raised from the next call into the shard layer
-    after all domains are joined. *)
-module Sharded : sig
-  type nonrec t
-
-  val create :
-    ?config:Config.t -> sink:int -> emit:(emitted -> unit) -> unit -> t
-
-  val shards : t -> int
-
-  val feed : t -> Logsys.Record.t array -> unit
-  (** Route one segment to the workers and release every emission that is
-      already globally ordered.  @raise Invalid_argument after
-      {!finish}. *)
-
-  val finish : t -> summary
-  (** Stop and join all workers, flush every frontier, release all
-      remaining emissions, and return the aggregate summary.
-      Idempotent. *)
-
-  val summary : t -> summary
-  (** Quiesce the workers (blocking until they catch up with the feeder)
-      and return aggregate counters; also releases pending emissions. *)
-
-  val processed : t -> int
-  (** Global records routed so far — the {!Logsys.Log_io.Seg.skip} count
-      for resuming. *)
-
-  val checkpoint : t -> out_channel -> unit
-  (** Quiesce, then serialize all shards as one v2 checkpoint.  Only
-      meaningful before {!finish}. *)
-
-  val checkpoint_file : t -> string -> (unit, Error.t) result
-
-  val resume :
-    ?config:Config.t ->
-    in_channel ->
-    sink:int ->
-    emit:(emitted -> unit) ->
-    (t, Error.t) result
-  (** Resume from a v1 or v2 checkpoint into [config.shards] workers,
-      re-hashing the restored frontier and evicted keys; the shard count
-      need not match the checkpoint's.  Same validation and
-      flag-conflict rules as {!Stream.resume}. *)
-
-  val resume_file :
-    ?config:Config.t ->
-    string ->
-    sink:int ->
-    emit:(emitted -> unit) ->
-    (t, Error.t) result
-end

@@ -153,14 +153,19 @@ let stats t =
    dump's own sink/n_nodes header is the feeder's concern only as far as
    skipping it — topology parameters live server-side. *)
 let feed_file ?(chunk = 512) ?(lockstep = true) t path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let reader = Logsys.Log_io.Seg.of_channel ic in
+  let reader =
+    try Logsys.Log_io.Mseg.open_file path
+    with Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+  in
+  let arena = Logsys.Arena.create ~capacity:chunk () in
   let rec loop () =
-    match Logsys.Log_io.Seg.next reader ~max_records:chunk with
-    | None -> ()
-    | Some seg ->
-        if lockstep then ignore (send t seg) else send_nowait t seg;
-        loop ()
+    Logsys.Arena.clear arena;
+    if Logsys.Log_io.Mseg.next_into reader arena ~max_records:chunk > 0
+    then begin
+      let seg = Logsys.Arena.slice_records (Logsys.Arena.slice_all arena) in
+      if lockstep then ignore (send t seg) else send_nowait t seg;
+      loop ()
+    end
   in
   loop ()

@@ -54,5 +54,7 @@ val stats : t -> stats
 
 val feed_file : ?chunk:int -> ?lockstep:bool -> t -> string -> unit
 (** Send a simulator dump's records in file order, [chunk] (default 512)
-    records per batch; [lockstep] (default true) picks {!send} vs
-    {!send_nowait}. *)
+    records per batch, read with {!Logsys.Log_io.Mseg}; [lockstep]
+    (default true) picks {!send} vs {!send_nowait}.
+    @raise Sys_error when the dump cannot be opened; [Failure] when it is
+    malformed. *)

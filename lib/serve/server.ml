@@ -7,8 +7,8 @@ module Obs = Refill_obs
 
    - one accept thread per listener (wire + optional /metrics HTTP);
    - one thread per wire connection (handshake, frame decode, ack);
-   - ONE ingest thread that owns the {!Driver} and pops the shared
-     bounded queue: all feeding, emission, checkpointing, and the final
+   - ONE ingest thread that owns the {!Refill.Stream} and pops the
+     shared bounded queue: all feeding, emission, checkpointing, and the final
      finish happen here, so the stream itself never needs a lock and
      global record order is exactly queue order;
    - one timer thread that turns wall-clock into queue [Tick]s (periodic
@@ -175,27 +175,27 @@ let timer_loop t =
     end
   done
 
-let write_checkpoint (driver : Driver.t) path =
+let write_checkpoint stream path =
   let t0 = Unix.gettimeofday () in
-  (match driver.checkpoint_file path with
+  (match Refill.Stream.checkpoint_file stream path with
   | Ok () -> Obs.Log.info "serve: checkpoint written to %s" path
   | Error e ->
       Obs.Log.info "serve: checkpoint failed: %s" (Refill.Error.message e));
   Obs.Metrics.Histogram.observe Telemetry.checkpoint_seconds
     (Unix.gettimeofday () -. t0)
 
-let feed_segment t (driver : Driver.t) (sg : Ingest.segment) =
+let feed_segment t stream (sg : Ingest.segment) =
   Option.iter (fun f -> f ()) t.cfg.on_segment;
-  driver.feed_arena sg.sg_slice;
+  Refill.Stream.feed_arena stream sg.sg_slice;
   sg.sg_consumed ()
 
-let ingest_loop t (driver : Driver.t) =
+let ingest_loop t stream =
   let running = ref true in
   while !running do
     match Ingest.pop t.queue with
-    | Ingest.Segment sg -> feed_segment t driver sg
+    | Ingest.Segment sg -> feed_segment t stream sg
     | Ingest.Tick ->
-        Option.iter (fun p -> write_checkpoint driver p) t.cfg.checkpoint
+        Option.iter (fun p -> write_checkpoint stream p) t.cfg.checkpoint
     | Ingest.Stop -> running := false
   done;
   (* Drain: connections may still be completing their final push.  Every
@@ -213,21 +213,21 @@ let ingest_loop t (driver : Driver.t) =
   while not !drained do
     let live = Mutex.protect t.conns_mu (fun () -> t.live_conns) in
     match Ingest.pop_opt t.queue with
-    | Some (Ingest.Segment sg) -> feed_segment t driver sg
+    | Some (Ingest.Segment sg) -> feed_segment t stream sg
     | Some (Ingest.Tick | Ingest.Stop) -> ()
     | None ->
         if live = 0 then drained := true
         else begin
           match Ingest.pop t.queue with
-          | Ingest.Segment sg -> feed_segment t driver sg
+          | Ingest.Segment sg -> feed_segment t stream sg
           | Ingest.Tick | Ingest.Stop -> ()
         end
   done;
   match t.cfg.checkpoint with
   | Some path ->
-      write_checkpoint driver path;
-      t.final_summary <- Some (driver.summary ())
-  | None -> t.final_summary <- Some (driver.finish ())
+      write_checkpoint stream path;
+      t.final_summary <- Some (Refill.Stream.summary stream)
+  | None -> t.final_summary <- Some (Refill.Stream.finish stream)
 
 (* -- lifecycle ---------------------------------------------------------------- *)
 
@@ -255,20 +255,21 @@ let start cfg =
      as a SIGPIPE that kills the whole daemon. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let emit e = Emit.emit_to cfg.emit e in
-  let driver_r =
+  let stream_r =
     match cfg.checkpoint with
     | Some path when Sys.file_exists path ->
         Result.map
-          (fun d ->
+          (fun st ->
             Obs.Log.info "serve: resumed from %s at record %d" path
-              (d.Driver.processed ());
-            d)
-          (Driver.resume_file ~config:cfg.stream path ~sink:cfg.sink ~emit)
-    | _ -> Ok (Driver.create ~config:cfg.stream ~sink:cfg.sink ~emit ())
+              (Refill.Stream.processed st);
+            st)
+          (Refill.Stream.resume_file ~config:cfg.stream path ~sink:cfg.sink
+             ~emit)
+    | _ -> Ok (Refill.Stream.create ~config:cfg.stream ~sink:cfg.sink ~emit ())
   in
-  match driver_r with
+  match stream_r with
   | Error e -> Error e
-  | Ok driver -> (
+  | Ok stream -> (
       match listen_on cfg.port with
       | exception Unix.Unix_error (e, _, _) ->
           Error
@@ -323,7 +324,7 @@ let start cfg =
           t.ingest_thread <-
             Thread.create
               (fun () ->
-                try ingest_loop t driver
+                try ingest_loop t stream
                 with e ->
                   t.ingest_error <- Some e;
                   (* Let the timer tear down the listener and sockets so
@@ -332,9 +333,10 @@ let start cfg =
               ();
           t.timer_thread <- Thread.create (fun () -> timer_loop t) ();
           t.accept_thread <- Thread.create (fun () -> accept_loop t) ();
+          let shards = Refill.Stream.shards stream in
           Obs.Log.info "serve: listening on 127.0.0.1:%d (%d shard%s)" lport
-            driver.Driver.shards
-            (if driver.Driver.shards = 1 then "" else "s");
+            shards
+            (if shards = 1 then "" else "s");
           Ok t))
 
 let request_stop t = Atomic.set t.stop_flag true

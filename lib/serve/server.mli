@@ -1,6 +1,6 @@
 (** The `refill serve` daemon: a TCP listener accepting refill-wire
-    connections and feeding one reconstruction stream
-    (single or sharded per [stream.shards], via {!Driver}).
+    connections and feeding one {!Refill.Stream} (sharded per
+    [stream.shards]).
 
     One ingest thread owns the stream; connection threads hand decoded
     segments over a bounded queue (queue order = global record order),

@@ -1,9 +1,9 @@
 (* The flat-column arena (zero-copy ingest): the materializing view must be
    Record.equal-exact for every kind and boundary value, the bulk decoders
-   must agree with the record-path codec byte for byte, and every pipeline
-   entry grown an arena variant (Reconstruct.run_arena, Stream.feed_arena,
-   Global_flow.merge_from, Log_io.Mseg) must reproduce the record path's
-   output exactly, lossless and lossy. *)
+   must agree with the record-path codec byte for byte, the arena-indexed
+   batch run must reproduce the record snapshot's flows exactly, lossless
+   and lossy, and the chunked dump reader (Log_io.Mseg) must read what
+   Log_io.load reads. *)
 
 let scenario = lazy (Scenario.Citysee.run Scenario.Citysee.tiny)
 
@@ -19,14 +19,6 @@ let lossy_collected p seed =
 (* Nan-safe observable identity of a flow (see test_stream.ml). *)
 let flow_sig (f : Refill.Flow.t) =
   (f.origin, f.seq, Refill.Flow.to_string f, f.stats)
-
-(* Nan-safe observable identity of a global-flow item: the payload is
-   rendered with the bit-exact line writer, so NaN times compare equal. *)
-let item_sig (i : Refill.Flow.item) =
-  ( i.node,
-    Refill.Protocol.label_name i.label,
-    i.inferred,
-    Option.map Logsys.Log_io.record_to_line_exact i.payload )
 
 let batch_flows collected =
   let acc = ref [] in
@@ -357,72 +349,7 @@ let packets_build_rejects_bad_node () =
     | exception Failure _ -> true
     | _ -> false)
 
-let feed_arena_equals_feed =
-  QCheck.Test.make ~name:"Stream.feed_arena == Stream.feed" ~count:15
-    QCheck.(triple (int_range 0 60) (int_range 1 10_000) (int_range 1 999))
-    (fun (pct, seed, chunk) ->
-      let c = lossy_collected (float_of_int pct /. 100.) seed in
-      let ordered = Logsys.Collected.merged_by_time c in
-      let n = Array.length ordered in
-      let watermark = max 1 (n / 10) in
-      let config = { Refill.Config.default with watermark } in
-      let run feed_chunk =
-        let acc = ref [] in
-        let t =
-          Refill.Stream.create ~config ~sink:(sink ())
-            ~emit:(fun (e : Refill.Stream.emitted) ->
-              acc := (flow_sig e.flow, e.outcome) :: !acc)
-            ()
-        in
-        let i = ref 0 in
-        while !i < n do
-          let len = min chunk (n - !i) in
-          feed_chunk t !i len;
-          i := !i + len
-        done;
-        let s = Refill.Stream.finish t in
-        (List.rev !acc, s)
-      in
-      let via_records =
-        run (fun t i len -> Refill.Stream.feed t (Array.sub ordered i len))
-      in
-      let arena = Logsys.Arena.of_records ordered in
-      let via_arena =
-        run (fun t i len ->
-            Refill.Stream.feed_arena t
-              (Logsys.Arena.slice arena ~off:i ~len))
-      in
-      via_records = via_arena)
-
-let merge_from_arena_equals_merge () =
-  let check_on label c =
-    let flows = Array.of_list (batch_flows c) in
-    let run source =
-      let acc = ref [] in
-      let stats =
-        Refill.Global_flow.merge_from source ~flows ~emit:(fun it ->
-            acc := item_sig it :: !acc)
-      in
-      (List.rev !acc, stats)
-    in
-    let items_a, stats_a = run (Refill.Global_flow.Snapshot c) in
-    let items_b, stats_b =
-      run (Refill.Global_flow.Arena_index (packets_of_collected c))
-    in
-    Alcotest.(check int) (label ^ ": events") stats_a.events stats_b.events;
-    Alcotest.(check int) (label ^ ": logged") stats_a.logged stats_b.logged;
-    Alcotest.(check int)
-      (label ^ ": inferred")
-      stats_a.inferred stats_b.inferred;
-    Alcotest.(check int) (label ^ ": relaxed") stats_a.relaxed stats_b.relaxed;
-    Alcotest.(check bool)
-      (label ^ ": identical item sequence")
-      true (items_a = items_b)
-  in
-  check_on "lossless" (Lazy.force lossless);
-  check_on "lossy" (lossy_collected 0.3 4242)
-
-(* -- Mmap reader (Mseg) ------------------------------------------------------ *)
+(* -- Memory-mapped dump reader (Mseg) ------------------------------------- *)
 
 let with_dump ?(time_order = false) ?truth c f =
   let path = Filename.temp_file "refill_arena" ".log" in
@@ -432,101 +359,70 @@ let with_dump ?(time_order = false) ?truth c f =
       Logsys.Log_io.save_file path ~sink:(sink ()) ?truth ~time_order c;
       f path)
 
-let mseg_equals_seg () =
+(* Every row [Mseg] decodes from [path], one chunk of [chunk] rows at a
+   time, after skipping [skip] records. *)
+let mseg_rows ?(skip = 0) ~chunk path =
+  let r = Logsys.Log_io.Mseg.open_file path in
+  Alcotest.(check int) "mseg skipped" skip (Logsys.Log_io.Mseg.skip r skip);
+  let a = Logsys.Arena.create () in
+  while Logsys.Log_io.Mseg.next_into r a ~max_records:chunk > 0 do
+    ()
+  done;
+  Alcotest.(check int) "read position"
+    (skip + Logsys.Arena.length a)
+    (Logsys.Log_io.Mseg.read r);
+  (r, a)
+
+(* [Log_io.load] is the reference reader: an arrival-order dump with truth
+   lines must decode to the same records, node by node in log order, with
+   the same header. *)
+let mseg_equals_load () =
   let sc = Lazy.force scenario in
   let c = lossy_collected 0.2 77 in
   let truth = Node.Network.truth sc.network in
   with_dump ~time_order:true ~truth c (fun path ->
-      (* Channel path. *)
-      let ic = open_in path in
-      let seg_records =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            let r = Logsys.Log_io.Seg.of_channel ic in
-            Alcotest.(check int) "seg nodes"
-              (Logsys.Collected.n_nodes c)
-              (Logsys.Log_io.Seg.n_nodes r);
-            let acc = ref [] in
-            let rec loop () =
-              match Logsys.Log_io.Seg.next r ~max_records:777 with
-              | None -> ()
-              | Some seg ->
-                  acc := seg :: !acc;
-                  loop ()
-            in
-            loop ();
-            Array.concat (List.rev !acc))
-      in
-      (* Mmap path. *)
-      let r = Logsys.Log_io.Mseg.open_file path in
-      Alcotest.(check int) "mseg nodes"
-        (Logsys.Collected.n_nodes c)
-        (Logsys.Log_io.Mseg.n_nodes r);
-      Alcotest.(check int) "mseg sink" (sink ())
-        (Logsys.Log_io.Mseg.sink r);
-      let a = Logsys.Arena.create () in
-      let total = ref 0 in
-      let rec loop () =
-        let n = Logsys.Log_io.Mseg.next_into r a ~max_records:777 in
-        if n > 0 then begin
-          total := !total + n;
-          loop ()
-        end
-      in
-      loop ();
+      let dump = Logsys.Log_io.load_file path in
+      let r, a = mseg_rows ~chunk:777 path in
+      Alcotest.(check int) "nodes" dump.n_nodes (Logsys.Log_io.Mseg.n_nodes r);
+      Alcotest.(check int) "sink" dump.sink (Logsys.Log_io.Mseg.sink r);
       Alcotest.(check int) "same record count"
-        (Array.length seg_records)
-        !total;
-      Alcotest.(check int) "read position" !total (Logsys.Log_io.Mseg.read r);
+        (Logsys.Collected.total dump.collected)
+        (Logsys.Arena.length a);
+      let p = Logsys.Arena.Packets.build a ~n_nodes:dump.n_nodes in
+      for node = 0 to dump.n_nodes - 1 do
+        let rows = Logsys.Arena.Packets.node_rows p node in
+        let log = Logsys.Collected.node_log dump.collected node in
+        Alcotest.(check int)
+          (Printf.sprintf "node %d log length" node)
+          (Array.length log) (Array.length rows);
+        Array.iteri
+          (fun i row ->
+            if not (Logsys.Arena.equal_record a row log.(i)) then
+              Alcotest.failf "node %d record %d differs" node i)
+          rows
+      done)
+
+(* A node-major dump's file order is its node logs in turn, so skipping
+   [k] records must land on the [k]th record of that concatenation. *)
+let mseg_skip_parity () =
+  let c = lossy_collected 0.1 123 in
+  with_dump c (fun path ->
+      let dump = Logsys.Log_io.load_file path in
+      let all =
+        Array.concat
+          (List.init dump.n_nodes (Logsys.Collected.node_log dump.collected))
+      in
+      let total = Array.length all in
+      let k = total / 3 in
+      let _, a = mseg_rows ~skip:k ~chunk:500 path in
+      Alcotest.(check int) "rest count" (total - k) (Logsys.Arena.length a);
       Array.iteri
         (fun i rec_ ->
           if not (Logsys.Arena.equal_record a i rec_) then
-            Alcotest.failf "record %d: %s <> %s" i
+            Alcotest.failf "record %d: %s <> %s" (k + i)
               (Logsys.Log_io.record_to_line_exact (Logsys.Arena.get a i))
               (Logsys.Log_io.record_to_line_exact rec_))
-        seg_records)
-
-let mseg_skip_parity () =
-  let c = lossy_collected 0.1 123 in
-  with_dump ~time_order:true c (fun path ->
-      let total = Logsys.Collected.total c in
-      let k = total / 3 in
-      (* Channel path: skip k, then read the rest. *)
-      let ic = open_in path in
-      let seg_rest =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            let r = Logsys.Log_io.Seg.of_channel ic in
-            Alcotest.(check int) "seg skipped" k
-              (Logsys.Log_io.Seg.skip r k);
-            let acc = ref [] in
-            let rec loop () =
-              match Logsys.Log_io.Seg.next r ~max_records:500 with
-              | None -> ()
-              | Some seg ->
-                  acc := seg :: !acc;
-                  loop ()
-            in
-            loop ();
-            Array.concat (List.rev !acc))
-      in
-      let r = Logsys.Log_io.Mseg.open_file path in
-      Alcotest.(check int) "mseg skipped" k (Logsys.Log_io.Mseg.skip r k);
-      let a = Logsys.Arena.create () in
-      let rec loop () =
-        if Logsys.Log_io.Mseg.next_into r a ~max_records:500 > 0 then loop ()
-      in
-      loop ();
-      Alcotest.(check int) "rest count"
-        (Array.length seg_rest)
-        (Logsys.Arena.length a);
-      Array.iteri
-        (fun i rec_ ->
-          Alcotest.(check bool) "rest equal" true
-            (Logsys.Arena.equal_record a i rec_))
-        seg_rest;
+        (Array.sub all k (total - k));
       (* Over-skip reports what was actually available. *)
       let r2 = Logsys.Log_io.Mseg.open_file path in
       Alcotest.(check int) "over-skip clamps" total
@@ -598,13 +494,10 @@ let () =
             packets_index_matches_collected;
           Alcotest.test_case "index rejects bad node" `Quick
             packets_build_rejects_bad_node;
-          QCheck_alcotest.to_alcotest feed_arena_equals_feed;
-          Alcotest.test_case "merge_from Arena_index == merge" `Quick
-            merge_from_arena_equals_merge;
         ] );
       ( "mseg",
         [
-          Alcotest.test_case "mseg == seg" `Quick mseg_equals_seg;
+          Alcotest.test_case "mseg == load" `Quick mseg_equals_load;
           Alcotest.test_case "skip parity" `Quick mseg_skip_parity;
           Alcotest.test_case "rejects malformed" `Quick mseg_rejects_malformed;
         ] );

@@ -1,5 +1,6 @@
 (* End-to-end tests driving the built `refill` binary: the metrics dump on
-   error exits, and the `explain` worked example (text and JSON). *)
+   error exits, sharded streaming from a cold start, and the `explain`
+   worked example (text and JSON). *)
 
 module J = Refill_obs.Json
 
@@ -141,6 +142,52 @@ let serve_sigterm_flushes_metrics () =
   Alcotest.(check bool) "flow outcomes written" true
     (String.length (read_file emit) > 0)
 
+(* -- reconstruct --------------------------------------------------------------- *)
+
+(* Cold-start race regression: Protocol's per-role tables and FSM caches
+   used to be filled lazily on first use, so shard workers starting in a
+   fresh process could force them concurrently (and occasionally died with
+   [CamlinternalLazy.Undefined]).  They are now built when the module
+   initializes; every fresh 4-shard process must exit 0 and print the
+   one-shard summary. *)
+let sharded_cold_start_matches_one_shard () =
+  let log = tmp ".log" in
+  Fun.protect ~finally:(fun () -> Sys.remove log) @@ fun () ->
+  let code, _ =
+    run_cli
+      [
+        "simulate"; "--days"; "1"; "--nodes"; "25"; "--seed"; "11";
+        "--stream-order"; "-q"; "-o"; log;
+      ]
+  in
+  Alcotest.(check int) "simulate exits 0" 0 code;
+  (* A short watermark makes the workers evict (and reconstruct) while
+     records are still arriving.  The peak frontier is a per-shard sum, an
+     upper bound on the one-shard peak, so it is masked. *)
+  let summary shards =
+    let code, out =
+      run_cli
+        [
+          "reconstruct"; "--stream"; "--shards"; shards; "--watermark"; "500";
+          "--chunk-events"; "256"; log; "-q";
+        ]
+    in
+    Alcotest.(check int) (shards ^ " shard(s): exit 0") 0 code;
+    List.map
+      (fun line ->
+        if contains line "peak frontier" then
+          String.sub line 0 (String.rindex line ',')
+        else line)
+      (String.split_on_char '\n' out)
+  in
+  let reference = summary "1" in
+  Alcotest.(check bool) "one-shard summary printed" true
+    (List.exists (fun l -> contains l "reconstructed") reference);
+  for _ = 1 to 10 do
+    Alcotest.(check (list string)) "4 shards print the 1-shard summary"
+      reference (summary "4")
+  done
+
 (* -- check ------------------------------------------------------------------ *)
 
 let baseline_path =
@@ -227,6 +274,11 @@ let () =
         [
           Alcotest.test_case "SIGTERM exits 0 and flushes metrics" `Quick
             serve_sigterm_flushes_metrics;
+        ] );
+      ( "reconstruct",
+        [
+          Alcotest.test_case "4 shards cold-start like 1 shard" `Quick
+            sharded_cold_start_matches_one_shard;
         ] );
       ( "check",
         [

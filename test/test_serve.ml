@@ -49,20 +49,20 @@ let buffer_sink b =
     close = ignore;
   }
 
-(* The offline reference: the same Driver the CLI's `reconstruct
-   --stream` uses, fed the same chunk sequence, emitting through the
+(* The offline reference: the same stream the CLI's `reconstruct
+   --stream` runs, fed the same chunk sequence, emitting through the
    same line formatter. *)
 let offline_emit ?(config = test_config) ?(finish = true) chunk_list =
   let b = Buffer.create 4096 in
   let s = buffer_sink b in
-  let d =
-    Serve.Driver.create ~config ~sink:(sink ())
+  let st =
+    Refill.Stream.create ~config ~sink:(sink ())
       ~emit:(fun e -> Serve.Emit.emit_to s e)
       ()
   in
-  List.iter d.feed chunk_list;
-  if finish then ignore (d.finish ());
-  (Buffer.contents b, d)
+  List.iter (Refill.Stream.feed st) chunk_list;
+  if finish then ignore (Refill.Stream.finish st);
+  (Buffer.contents b, st)
 
 let start_server ?(config = test_config) ?checkpoint ?(queue_capacity = 64)
     ?(read_timeout = 5.0) ?(max_frame = Serve.Wire.default_max_frame)
@@ -147,7 +147,7 @@ let concurrent_feed_identical () =
   let summary = Serve.Server.stop srv in
   Alcotest.(check int)
     "records processed"
-    (refd.Serve.Driver.summary ()).Refill.Stream.events
+    (Refill.Stream.summary refd).Refill.Stream.events
     summary.Refill.Stream.events;
   Alcotest.(check string) "emit byte-identical" reference (Buffer.contents buf)
 
@@ -219,7 +219,7 @@ let fuzz_survives () =
   let summary = Serve.Server.stop srv in
   Alcotest.(check int)
     "only the good client's records landed"
-    (refd.Serve.Driver.summary ()).Refill.Stream.events
+    (Refill.Stream.summary refd).Refill.Stream.events
     summary.Refill.Stream.events;
   Alcotest.(check string) "emit unaffected" reference (Buffer.contents buf)
 
@@ -252,7 +252,7 @@ let checkpoint_resume_identical () =
   (* Reference: one offline driver over the whole sequence, frontier left
      open (serve-with-checkpoint never flushes) — what the two live runs
      must jointly equal. *)
-  let reference, ref_driver = offline_emit ~finish:false chunk_list in
+  let reference, ref_stream = offline_emit ~finish:false chunk_list in
   (* Live run 1: feed the first half, stop (checkpoint-and-exit). *)
   let buf = Buffer.create 4096 in
   let srv = start_server ~checkpoint:ckpt buf in
@@ -281,7 +281,7 @@ let checkpoint_resume_identical () =
   in
   Alcotest.(check (list int))
     "summary totals survive the restart"
-    (totals (ref_driver.Serve.Driver.summary ()))
+    (totals (Refill.Stream.summary ref_stream))
     (totals summary)
 
 (* -- backpressure ------------------------------------------------------------- *)
@@ -307,7 +307,7 @@ let backpressure_bounds_inflight () =
   Alcotest.(check bool) "stalled at least once" true (stalls > 0);
   Alcotest.(check int)
     "every record still landed"
-    (refd.Serve.Driver.summary ()).Refill.Stream.events
+    (Refill.Stream.summary refd).Refill.Stream.events
     summary.Refill.Stream.events
 
 (* -- /metrics endpoint -------------------------------------------------------- *)
@@ -423,7 +423,7 @@ let emit_subscriber_hangup_survives () =
   let summary = Serve.Server.stop srv in
   Alcotest.(check int)
     "every record still landed"
-    (refd.Serve.Driver.summary ()).Refill.Stream.events
+    (Refill.Stream.summary refd).Refill.Stream.events
     summary.Refill.Stream.events;
   Alcotest.(check string)
     "durable emit unaffected by the hangup" reference (Buffer.contents buf)

@@ -1,6 +1,7 @@
 (* Streaming reconstruction: frontier/watermark semantics, equivalence with
-   the batch pipeline, chunk-size invariance, checkpoint/resume, the
-   segmented reader, and the incremental global-flow merge. *)
+   the batch pipeline, chunk-size and shard-count invariance,
+   checkpoint/resume, the segmented reader, and the incremental
+   global-flow merge. *)
 
 let scenario = lazy (Scenario.Citysee.run Scenario.Citysee.tiny)
 
@@ -36,14 +37,15 @@ let test_config ?(watermark = max_int / 2) ?(shards = 1) () =
     late_retention = Some max_int;
   }
 
-(* Stream [collected]'s arrival-order trace in [chunk]-sized segments.
-   [chunk] is clamped to >= 1: qcheck shrinkers can step outside the
-   declared range, and a zero chunk would never advance the feed loop. *)
-let stream_all ?watermark ~chunk collected =
+(* Stream [collected]'s arrival-order trace in [chunk]-sized segments
+   through a [shards]-shard stream.  [chunk] and [shards] are clamped to
+   >= 1: qcheck shrinkers can step outside the declared range, and a zero
+   chunk would never advance the feed loop. *)
+let stream_all ?watermark ?(shards = 1) ~chunk collected =
   let chunk = max 1 chunk in
   let ordered = Logsys.Collected.merged_by_time collected in
   let acc = ref [] in
-  let config = test_config ?watermark () in
+  let config = test_config ?watermark ~shards:(max 1 shards) () in
   let t =
     Refill.Stream.create ~config ~sink:(sink ()) ~emit:(fun e ->
         acc := e :: !acc)
@@ -57,28 +59,6 @@ let stream_all ?watermark ~chunk collected =
     i := !i + len
   done;
   let s = Refill.Stream.finish t in
-  (List.rev !acc, s)
-
-(* Same, through the sharded layer. *)
-let sharded_stream_all ?watermark ~shards ~chunk collected =
-  let chunk = max 1 chunk in
-  let shards = max 1 shards in
-  let ordered = Logsys.Collected.merged_by_time collected in
-  let acc = ref [] in
-  let config = test_config ?watermark ~shards () in
-  let t =
-    Refill.Stream.Sharded.create ~config ~sink:(sink ()) ~emit:(fun e ->
-        acc := e :: !acc)
-      ()
-  in
-  let n = Array.length ordered in
-  let i = ref 0 in
-  while !i < n do
-    let len = min chunk (n - !i) in
-    Refill.Stream.Sharded.feed t (Array.sub ordered !i len);
-    i := !i + len
-  done;
-  let s = Refill.Stream.Sharded.finish t in
   (List.rev !acc, s)
 
 let emission_sigs es =
@@ -135,8 +115,8 @@ let chunk_invariance =
 
 (* -- Sharded equivalence --------------------------------------------------- *)
 
-(* The tentpole pin: at any shard count and chunking, the sharded layer's
-   emitted flow sequence is byte-identical to the single-domain stream —
+(* The sharding pin: at any shard count and chunking, the emitted flow
+   sequence is byte-identical to the one-shard stream —
    same flows, same outcomes, same order — and the summary matches up to
    peak_frontier_events (a sum of per-shard peaks, an upper bound) and
    segments (a feed-call count, which differs when the chunking does). *)
@@ -158,7 +138,7 @@ let sharded_identical_lossless =
       let collected = Lazy.force lossless in
       let watermark = max 1 (Logsys.Collected.total collected / 10) in
       let single, sd = stream_all ~watermark ~chunk:256 collected in
-      let sharded, ss = sharded_stream_all ~watermark ~shards ~chunk collected in
+      let sharded, ss = stream_all ~watermark ~shards ~chunk collected in
       emission_sigs sharded = emission_sigs single && summary_matches ss sd)
 
 let sharded_identical_lossy =
@@ -170,7 +150,7 @@ let sharded_identical_lossy =
       let collected = lossy_collected p seed in
       let single, sd = stream_all ~watermark:150 ~chunk:97 collected in
       let sharded, ss =
-        sharded_stream_all ~watermark:150 ~shards ~chunk:131 collected
+        stream_all ~watermark:150 ~shards ~chunk:131 collected
       in
       emission_sigs sharded = emission_sigs single && summary_matches ss sd)
 
@@ -274,19 +254,19 @@ let checkpoint_resume_identical () =
         ({ sr with segments = sd.segments } = sd))
     [ 1; n / 3; n / 2; n - 1 ]
 
-(* v2 checkpoints cut anywhere — including mid-segment — resume into any
-   shard count (sharded -> sharded, sharded -> single, single -> sharded)
-   with byte-identical emissions. *)
+(* Checkpoints cut anywhere — including mid-segment — resume into any
+   shard count (N -> N, N -> 1, 1 -> N, N -> M) with byte-identical
+   emissions. *)
 let sharded_checkpoint_resume_identical () =
   let collected = lossy_collected 0.25 42 in
   let ordered = Logsys.Collected.merged_by_time collected in
   let n = Array.length ordered in
   let direct, _ = stream_all ~watermark:150 ~chunk:97 collected in
-  let feed_chunked feed t lo hi =
+  let feed_chunked t lo hi =
     let i = ref lo in
     while !i < hi do
       let len = min 97 (hi - !i) in
-      feed t (Array.sub ordered !i len);
+      Refill.Stream.feed t (Array.sub ordered !i len);
       i := !i + len
     done
   in
@@ -295,57 +275,27 @@ let sharded_checkpoint_resume_identical () =
     let acc = ref [] in
     let emit e = acc := e :: !acc in
     let sink = sink () in
-    (if shards_before = 1 then begin
-       let t =
-         Refill.Stream.create ~config:(test_config ~watermark:150 ()) ~sink
-           ~emit ()
-       in
-       feed_chunked Refill.Stream.feed t 0 cut;
-       match Refill.Stream.checkpoint_file t path with
-       | Ok () -> ()
-       | Error e -> Alcotest.failf "checkpoint: %s" (Refill.Error.message e)
-     end
-     else begin
-       let t =
-         Refill.Stream.Sharded.create
-           ~config:(test_config ~watermark:150 ~shards:shards_before ())
-           ~sink ~emit ()
-       in
-       feed_chunked Refill.Stream.Sharded.feed t 0 cut;
-       match Refill.Stream.Sharded.checkpoint_file t path with
-       | Ok () -> ()
-       | Error e -> Alcotest.failf "checkpoint: %s" (Refill.Error.message e)
-     end);
+    let t =
+      Refill.Stream.create
+        ~config:(test_config ~watermark:150 ~shards:shards_before ())
+        ~sink ~emit ()
+    in
+    feed_chunked t 0 cut;
+    (match Refill.Stream.checkpoint_file t path with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "checkpoint: %s" (Refill.Error.message e));
     (* Only emissions from the resumed stream from here on: the abandoned
        first stream's frontier must not leak. *)
-    (if shards_after = 1 then begin
-       match
-         Refill.Stream.resume_file
-           ~config:(test_config ~watermark:150 ())
-           path ~sink ~emit
-       with
-       | Error e -> Alcotest.failf "resume: %s" (Refill.Error.message e)
-       | Ok t ->
-           Alcotest.(check int)
-             "resume position" cut
-             (Refill.Stream.processed t);
-           feed_chunked Refill.Stream.feed t cut n;
-           ignore (Refill.Stream.finish t)
-     end
-     else begin
-       match
-         Refill.Stream.Sharded.resume_file
-           ~config:(test_config ~watermark:150 ~shards:shards_after ())
-           path ~sink ~emit
-       with
-       | Error e -> Alcotest.failf "resume: %s" (Refill.Error.message e)
-       | Ok t ->
-           Alcotest.(check int)
-             "resume position" cut
-             (Refill.Stream.Sharded.processed t);
-           feed_chunked Refill.Stream.Sharded.feed t cut n;
-           ignore (Refill.Stream.Sharded.finish t)
-     end);
+    (match
+       Refill.Stream.resume_file
+         ~config:(test_config ~watermark:150 ~shards:shards_after ())
+         path ~sink ~emit
+     with
+    | Error e -> Alcotest.failf "resume: %s" (Refill.Error.message e)
+    | Ok t ->
+        Alcotest.(check int) "resume position" cut (Refill.Stream.processed t);
+        feed_chunked t cut n;
+        ignore (Refill.Stream.finish t));
     List.rev !acc
   in
   List.iter
@@ -395,9 +345,9 @@ let resume_config_conflict_rejected () =
   (match Refill.Stream.resume_file path ~sink:(sink ()) ~emit:ignore with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "absent config rejected: %s" (Refill.Error.message e));
-  (* Sharded resume enforces the same rule. *)
+  (* The rule holds at any target shard count. *)
   match
-    Refill.Stream.Sharded.resume_file
+    Refill.Stream.resume_file
       ~config:(test_config ~watermark:150 ~shards:3 ())
       path ~sink:(sink ()) ~emit:ignore
   with
@@ -415,58 +365,76 @@ let resume_rejects_nonsense_headers () =
     in
     Logsys.Log_io.record_to_line_exact ordered.(0)
   in
-  let v1 ~processed ~watermark ~peak ~body =
+  let v2 ?(watermark = 100) ?(complete = 0) ?(incomplete = 0) ?flows
+      ?(peak = 0) ?(body = "") ~clock ~processed () =
+    let flows = Option.value flows ~default:(complete + incomplete) in
     Printf.sprintf
-      "# refill-stream-ckpt v1\n\
-       # processed %d\n\
+      "# refill-stream-ckpt v2\n\
+       # shards 1\n\
+       # use-intra 1\n\
+       # use-inter 1\n\
+       # provenance 0\n\
        # watermark %d\n\
+       # retention 400\n\
        # segments 1\n\
-       # flows 0\n\
-       # complete 0\n\
-       # incomplete 0\n\
+       # clock %d\n\
+       # shard 0\n\
+       # processed %d\n\
+       # flows %d\n\
+       # complete %d\n\
+       # incomplete %d\n\
        # evictions 0\n\
        # late-fragments 0\n\
+       # forgotten 0\n\
        # peak-frontier %d\n\
        %s"
-      processed watermark peak body
+      watermark clock processed flows complete incomplete peak body
   in
-  let v2_header =
-    "# refill-stream-ckpt v2\n\
-     # shards 1\n\
-     # use-intra 1\n\
-     # use-inter 1\n\
-     # provenance 0\n\
+  (* Well-formed v1 (the format before per-shard sections): no longer
+     readable. *)
+  let v1 =
+    "# refill-stream-ckpt v1\n\
+     # processed 10\n\
      # watermark 100\n\
-     # retention 400\n\
-     # segments 1\n"
+     # segments 2\n\
+     # flows 1\n\
+     # complete 1\n\
+     # incomplete 0\n\
+     # evictions 1\n\
+     # late-fragments 0\n\
+     # peak-frontier 4\n\
+     e 3 7\n"
   in
   let cases =
     [
-      ("negative processed", v1 ~processed:(-5) ~watermark:100 ~peak:0 ~body:"");
-      ("negative watermark", v1 ~processed:10 ~watermark:(-1) ~peak:0 ~body:"");
-      ("zero watermark", v1 ~processed:10 ~watermark:0 ~peak:0 ~body:"");
+      ("v1 header", v1);
+      ("negative processed", v2 ~clock:10 ~processed:(-5) ());
+      ("negative watermark", v2 ~watermark:(-1) ~clock:10 ~processed:10 ());
+      ("zero watermark", v2 ~watermark:0 ~clock:10 ~processed:10 ());
       ( "peak below restored frontier",
-        v1 ~processed:10 ~watermark:100 ~peak:0
-          ~body:(Printf.sprintf "b 3 7 5 0 1\n%s\n" record_line) );
-      ( "negative clock",
-        v2_header ^ "# clock -3\n# shard 0\n# processed -3\n# flows 0\n\
-                     # complete 0\n# incomplete 0\n# evictions 0\n\
-                     # late-fragments 0\n# forgotten 0\n# peak-frontier 0\n" );
+        v2 ~clock:10 ~processed:10 ~peak:0
+          ~body:(Printf.sprintf "b 3 7 5 0 1\n%s\n" record_line)
+          () );
+      ("negative clock", v2 ~clock:(-3) ~processed:(-3) ());
       ( "flows disagree with outcomes",
-        v2_header ^ "# clock 10\n# shard 0\n# processed 10\n# flows 3\n\
-                     # complete 1\n# incomplete 1\n# evictions 0\n\
-                     # late-fragments 0\n# forgotten 0\n# peak-frontier 0\n" );
+        v2 ~clock:10 ~processed:10 ~flows:3 ~complete:1 ~incomplete:1 () );
       ( "evicted trigger out of range",
-        v2_header ^ "# clock 10\n# shard 0\n# processed 10\n# flows 0\n\
-                     # complete 0\n# incomplete 0\n# evictions 0\n\
-                     # late-fragments 0\n# forgotten 0\n# peak-frontier 0\n\
-                     e 3 7 99\n" );
-      ( "shard totals disagree with clock",
-        v2_header ^ "# clock 10\n# shard 0\n# processed 7\n# flows 0\n\
-                     # complete 0\n# incomplete 0\n# evictions 0\n\
-                     # late-fragments 0\n# forgotten 0\n# peak-frontier 0\n" );
+        v2 ~clock:10 ~processed:10 ~body:"e 3 7 99\n" () );
+      ("shard totals disagree with clock", v2 ~clock:10 ~processed:7 ());
     ]
   in
+  (* The well-formed baseline the cases perturb must itself load. *)
+  with_temp_file (fun path ->
+      let oc = open_out path in
+      output_string oc
+        (v2 ~clock:10 ~processed:10 ~peak:1
+           ~body:(Printf.sprintf "b 3 7 5 0 1\n%s\n" record_line)
+           ());
+      close_out oc;
+      match Refill.Stream.resume_file path ~sink:(sink ()) ~emit:ignore with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "baseline rejected: %s" (Refill.Error.message e));
   List.iter
     (fun (name, text) ->
       with_temp_file @@ fun path ->
@@ -482,39 +450,12 @@ let resume_rejects_nonsense_headers () =
           Alcotest.failf "%s: wrong error: %s" name (Refill.Error.message e))
     cases
 
-(* A well-formed v1 checkpoint still resumes (flags come from the caller's
-   config; evicted keys restore with trigger = processed). *)
-let v1_checkpoint_still_readable () =
-  with_temp_file @@ fun path ->
-  let oc = open_out path in
-  output_string oc
-    "# refill-stream-ckpt v1\n\
-     # processed 10\n\
-     # watermark 100\n\
-     # segments 2\n\
-     # flows 1\n\
-     # complete 1\n\
-     # incomplete 0\n\
-     # evictions 1\n\
-     # late-fragments 0\n\
-     # peak-frontier 4\n\
-     e 3 7\n";
-  close_out oc;
-  match Refill.Stream.resume_file path ~sink:(sink ()) ~emit:ignore with
-  | Error e -> Alcotest.failf "v1 rejected: %s" (Refill.Error.message e)
-  | Ok t ->
-      Alcotest.(check int) "position" 10 (Refill.Stream.processed t);
-      let s = Refill.Stream.summary t in
-      Alcotest.(check int) "flows" 1 s.flows;
-      Alcotest.(check int) "evictions" 1 s.evictions;
-      Alcotest.(check int) "forgotten" 0 s.forgotten_keys
-
 (* Regression (bounded evicted table): before the fix, every evicted key
    was remembered for the life of the stream.  Now a key is forgotten once
    the clock passes its eviction trigger by [late_retention] records —
    counted in [forgotten_keys] — after which a straggler is NOT flagged as
    a late fragment.  The forgetting rule is a function of global positions
-   only, so the sharded layer counts identically. *)
+   only, so every shard count counts identically. *)
 let evicted_table_is_bounded () =
   let base = (Logsys.Collected.merged_by_time (Lazy.force lossless)).(0) in
   let rec_ ~origin ~seq =
@@ -528,14 +469,15 @@ let evicted_table_is_bounded () =
      fragment.  Pre-fix, the table never forgot and late_fragments would
      read 2. *)
   let filler = Array.init 200 (fun i -> rec_ ~origin:2 ~seq:(1000 + i)) in
-  let run feed finish t =
-    feed t [| rec_ ~origin:1 ~seq:1 |];
-    feed t (Array.sub filler 0 28);
-    feed t [| rec_ ~origin:1 ~seq:1 |];
-    feed t (Array.sub filler 28 120);
-    feed t [| rec_ ~origin:1 ~seq:1 |];
-    feed t (Array.sub filler 148 52);
-    finish t
+  let run t =
+    let feed = Refill.Stream.feed t in
+    feed [| rec_ ~origin:1 ~seq:1 |];
+    feed (Array.sub filler 0 28);
+    feed [| rec_ ~origin:1 ~seq:1 |];
+    feed (Array.sub filler 28 120);
+    feed [| rec_ ~origin:1 ~seq:1 |];
+    feed (Array.sub filler 148 52);
+    Refill.Stream.finish t
   in
   let config =
     { (test_config ~watermark:10 ()) with late_retention = Some 30 }
@@ -547,7 +489,7 @@ let evicted_table_is_bounded () =
   in
   let single_acc = ref [] in
   let ss =
-    run Refill.Stream.feed Refill.Stream.finish
+    run
       (Refill.Stream.create ~config ~sink:(sink ())
          ~emit:(record_emissions single_acc) ())
   in
@@ -556,14 +498,14 @@ let evicted_table_is_bounded () =
     (ss.forgotten_keys >= 1);
   let sharded_acc = ref [] in
   let sh =
-    run Refill.Stream.Sharded.feed Refill.Stream.Sharded.finish
-      (Refill.Stream.Sharded.create
+    run
+      (Refill.Stream.create
          ~config:{ config with shards = 3 }
          ~sink:(sink ())
          ~emit:(record_emissions sharded_acc) ())
   in
-  (* Forgetting is a function of global positions only: the sharded layer
-     sees the same late fragments, the same forgotten count, and the same
+  (* Forgetting is a function of global positions only: three shards see
+     the same late fragments, the same forgotten count, and the same
      emission sequence. *)
   Alcotest.(check int) "sharded: late fragments agree" ss.late_fragments
     sh.late_fragments;
@@ -571,6 +513,36 @@ let evicted_table_is_bounded () =
     sh.forgotten_keys;
   Alcotest.(check (list (triple int int bool))) "emission sequences agree"
     (List.rev !single_acc) (List.rev !sharded_acc)
+
+(* Checkpoints are replaced by rename: when the new one cannot be written
+   (here its temporary path is a directory), the call fails with an I/O
+   error and the previous checkpoint stays byte-identical and
+   resumable. *)
+let failed_checkpoint_keeps_old () =
+  with_temp_file @@ fun path ->
+  let ordered = Logsys.Collected.merged_by_time (lossy_collected 0.25 42) in
+  let config = test_config ~watermark:150 () in
+  let t = Refill.Stream.create ~config ~sink:(sink ()) ~emit:ignore () in
+  Refill.Stream.feed t (Array.sub ordered 0 500);
+  (match Refill.Stream.checkpoint_file t path with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "checkpoint: %s" (Refill.Error.message e));
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let before = read () in
+  Alcotest.(check bool) "no temporary left behind" false
+    (Sys.file_exists (path ^ ".tmp"));
+  Refill.Stream.feed t (Array.sub ordered 500 500);
+  Sys.mkdir (path ^ ".tmp") 0o755;
+  Fun.protect ~finally:(fun () -> Sys.rmdir (path ^ ".tmp")) (fun () ->
+      match Refill.Stream.checkpoint_file t path with
+      | Error (Refill.Error.Io _) -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Refill.Error.message e)
+      | Ok () -> Alcotest.fail "checkpoint over an unwritable temp succeeded");
+  Alcotest.(check string) "old checkpoint untouched" before (read ());
+  match Refill.Stream.resume_file ~config path ~sink:(sink ()) ~emit:ignore with
+  | Ok t -> Alcotest.(check int) "old position" 500 (Refill.Stream.processed t)
+  | Error e ->
+      Alcotest.failf "old checkpoint unusable: %s" (Refill.Error.message e)
 
 let resume_rejects_garbage () =
   with_temp_file @@ fun path ->
@@ -584,6 +556,34 @@ let resume_rejects_garbage () =
   | Error (Refill.Error.Bad_checkpoint _ as e) ->
       Alcotest.(check int) "exit code" 1 (Refill.Error.exit_code e)
   | Error e -> Alcotest.failf "wrong error: %s" (Refill.Error.message e)
+
+(* An exception from [emit] poisons the stream at any shard count: once a
+   call has raised it, every later call re-raises it — including
+   [finish], which must not hang on workers that were already stopped. *)
+let failure_poisons_stream () =
+  let ordered = Logsys.Collected.merged_by_time (Lazy.force lossless) in
+  let fails f = match f () with _ -> false | exception Failure _ -> true in
+  List.iter
+    (fun shards ->
+      let t =
+        Refill.Stream.create
+          ~config:(test_config ~watermark:50 ~shards ())
+          ~sink:(sink ())
+          ~emit:(fun _ -> failwith "emit failed")
+          ()
+      in
+      let check what f =
+        Alcotest.(check bool)
+          (Printf.sprintf "%d shard(s): %s raises" shards what)
+          true (fails f)
+      in
+      check "feed + summary" (fun () ->
+          Refill.Stream.feed t ordered;
+          Refill.Stream.summary t);
+      check "later feed" (fun () -> Refill.Stream.feed t [||]);
+      check "finish" (fun () -> Refill.Stream.finish t);
+      check "summary after finish" (fun () -> Refill.Stream.summary t))
+    [ 1; 3 ]
 
 let feed_after_finish_raises () =
   let t = Refill.Stream.create ~sink:0 ~emit:(fun _ -> ()) () in
@@ -604,29 +604,30 @@ let record_close (a : Logsys.Record.t) (b : Logsys.Record.t) =
   && ((Float.is_nan a.true_time && Float.is_nan b.true_time)
      || Float.abs (a.true_time -. b.true_time) < 1e-5)
 
+(* Read a dump through [Mseg] in [chunk]-row arena chunks, materialized. *)
+let mseg_chunks r ~chunk =
+  let a = Logsys.Arena.create () in
+  let rec loop acc =
+    Logsys.Arena.clear a;
+    match Logsys.Log_io.Mseg.next_into r a ~max_records:chunk with
+    | 0 -> List.rev acc
+    | n ->
+        Alcotest.(check bool) "chunk within bound" true (n <= chunk);
+        loop (Logsys.Arena.to_records a :: acc)
+  in
+  loop []
+
 let seg_reader_roundtrip () =
   let collected = Lazy.force lossless in
   let ordered = Logsys.Collected.merged_by_time collected in
   with_temp_file @@ fun path ->
   Logsys.Log_io.save_file path ~sink:(sink ()) ~time_order:true collected;
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let r = Logsys.Log_io.Seg.of_channel ic in
+  let r = Logsys.Log_io.Mseg.open_file path in
   Alcotest.(check int) "n_nodes"
     (Logsys.Collected.n_nodes collected)
-    (Logsys.Log_io.Seg.n_nodes r);
-  Alcotest.(check int) "sink" (sink ()) (Logsys.Log_io.Seg.sink r);
-  let acc = ref [] in
-  let rec loop () =
-    match Logsys.Log_io.Seg.next r ~max_records:61 with
-    | None -> ()
-    | Some seg ->
-        Alcotest.(check bool) "non-empty segment" true (Array.length seg > 0);
-        acc := seg :: !acc;
-        loop ()
-  in
-  loop ();
-  let got = Array.concat (List.rev !acc) in
+    (Logsys.Log_io.Mseg.n_nodes r);
+  Alcotest.(check int) "sink" (sink ()) (Logsys.Log_io.Mseg.sink r);
+  let got = Array.concat (mseg_chunks r ~chunk:61) in
   Alcotest.(check int) "record count" (Array.length ordered)
     (Array.length got);
   Array.iteri
@@ -642,25 +643,23 @@ let seg_skip_fast_forwards () =
   let ordered = Logsys.Collected.merged_by_time collected in
   with_temp_file @@ fun path ->
   Logsys.Log_io.save_file path ~sink:(sink ()) ~time_order:true collected;
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let r = Logsys.Log_io.Seg.of_channel ic in
-  Alcotest.(check int) "read starts at 0" 0 (Logsys.Log_io.Seg.read r);
-  Alcotest.(check int) "skipped" 100 (Logsys.Log_io.Seg.skip r 100);
+  let r = Logsys.Log_io.Mseg.open_file path in
+  Alcotest.(check int) "read starts at 0" 0 (Logsys.Log_io.Mseg.read r);
+  Alcotest.(check int) "skipped" 100 (Logsys.Log_io.Mseg.skip r 100);
   Alcotest.(check int) "read counts skipped records" 100
-    (Logsys.Log_io.Seg.read r);
-  (match Logsys.Log_io.Seg.next r ~max_records:1 with
-  | Some [| rec_ |] ->
-      Alcotest.(check bool) "positioned at record 100" true
-        (record_close ordered.(100) rec_)
-  | _ -> Alcotest.fail "no record after skip");
+    (Logsys.Log_io.Mseg.read r);
+  let a = Logsys.Arena.create () in
+  Alcotest.(check int) "one record after skip" 1
+    (Logsys.Log_io.Mseg.next_into r a ~max_records:1);
+  Alcotest.(check bool) "positioned at record 100" true
+    (record_close ordered.(100) (Logsys.Arena.get a 0));
   Alcotest.(check int) "read counts returned records" 101
-    (Logsys.Log_io.Seg.read r);
+    (Logsys.Log_io.Mseg.read r);
   let n = Array.length ordered in
   Alcotest.(check int) "skip clamps at EOF" (n - 101)
-    (Logsys.Log_io.Seg.skip r (n + 500));
+    (Logsys.Log_io.Mseg.skip r (n + 500));
   Alcotest.(check int) "read is the stream position" n
-    (Logsys.Log_io.Seg.read r)
+    (Logsys.Log_io.Mseg.read r)
 
 let exact_record_line_roundtrip () =
   let records = Logsys.Collected.merged_by_time (Lazy.force lossless) in
@@ -790,13 +789,15 @@ let () =
             resume_config_conflict_rejected;
           Alcotest.test_case "nonsense headers rejected" `Quick
             resume_rejects_nonsense_headers;
-          Alcotest.test_case "v1 checkpoint still readable" `Quick
-            v1_checkpoint_still_readable;
+          Alcotest.test_case "failed write keeps the old checkpoint" `Quick
+            failed_checkpoint_keeps_old;
           Alcotest.test_case "evicted table is bounded" `Quick
             evicted_table_is_bounded;
           Alcotest.test_case "garbage rejected" `Quick resume_rejects_garbage;
           Alcotest.test_case "feed after finish" `Quick
             feed_after_finish_raises;
+          Alcotest.test_case "a failure poisons the stream" `Quick
+            failure_poisons_stream;
         ] );
       ( "segments",
         [
