@@ -8,7 +8,13 @@
      reconstruct  run the reconstruction pipeline alone, batch or streaming
                   (bounded memory, checkpoint/resume)
      trace        print one packet's reconstructed event flow
+     explain      show why each event of one packet's flow is believed
+                  (per-event provenance, text or JSON)
      figures      regenerate the paper's figures from a fresh simulation
+     report       simulate a deployment and print the full diagnosis report
+     check        statically analyze the protocol models
+     serve        run a live TCP ingestion server on the streaming pipeline
+     feed         send a log dump to a running `serve`
 *)
 
 open Cmdliner
@@ -330,6 +336,47 @@ let simulate_cmd =
       const simulate $ obs_opts_term $ seed_arg $ days_arg $ nodes_arg
       $ loss_arg $ stream_order $ output)
 
+(* -- The batch pipeline ---------------------------------------------------- *)
+
+let print_packet_summary (s : Refill.Reconstruct.summary) =
+  Printf.printf
+    "reconstructed %d packets: %d logged events, %d inferred lost events, %d \
+     unusable records\n"
+    s.packets s.logged_events s.inferred_events s.skipped_events
+
+let print_global_flow_stats (gs : Refill.Global_flow.stats) =
+  Printf.printf
+    "global flow: %d events merged (%d logged, %d inferred), %d node-log \
+     constraints relaxed\n"
+    gs.events gs.logged gs.inferred gs.relaxed
+
+(* The batch run behind `analyze` and `reconstruct`: [run] hands every
+   packet's flow to [~emit] in key order, reading [packets]; each flow
+   goes to [on_flow], the summary line and the quality scorecard, and
+   with --global-flow into the network-wide merge over the same index.
+   Quality accumulates as flows are emitted, so only --global-flow
+   retains them. *)
+let run_batch (config : Refill.Config.t) ~global_flow ~quality
+    ?(on_flow = ignore) ~run packets =
+  let summary = ref Refill.Reconstruct.empty_summary in
+  let flows_rev = ref [] in
+  let qacc = Option.map (fun _ -> Analysis.Quality.create ()) quality in
+  run ~emit:(fun f ->
+      summary := Refill.Reconstruct.summary_add !summary f;
+      Option.iter (fun acc -> Analysis.Quality.add acc f) qacc;
+      on_flow f;
+      if global_flow then flows_rev := f :: !flows_rev);
+  (match (quality, qacc) with
+  | Some dest, Some acc -> write_quality dest (Analysis.Quality.finish acc)
+  | _ -> ());
+  print_packet_summary !summary;
+  if global_flow then
+    print_global_flow_stats
+      (Refill.Global_flow.merge_from ?jobs:config.jobs
+         (Refill.Global_flow.Arena_index packets)
+         ~flows:(Array.of_list (List.rev !flows_rev))
+         ~emit:ignore)
+
 (* -- analyze ------------------------------------------------------------------ *)
 
 let print_breakdown verdicts ~sink ~total_label =
@@ -371,35 +418,14 @@ let analyze obs mk_config global_flow provenance input =
       Obs.Log.debug "loaded %d surviving records from %s"
         (Logsys.Collected.total dump.collected)
         input;
-      let flows_rev = ref [] in
-      Refill.Reconstruct.run ~config dump.collected ~sink:dump.sink
-        ~emit:(fun f -> flows_rev := f :: !flows_rev);
-      let flows = List.rev !flows_rev in
-      Option.iter
-        (fun dest -> write_quality dest (Analysis.Quality.of_flows flows))
-        provenance;
-      let summary = Refill.Reconstruct.summarize flows in
-      Printf.printf
-        "reconstructed %d packets: %d logged events, %d inferred lost \
-         events, %d unusable records\n"
-        summary.packets summary.logged_events summary.inferred_events
-        summary.skipped_events;
-      if global_flow then begin
-        let (gs : Refill.Global_flow.stats) =
-          Refill.Global_flow.merge dump.collected
-            ~flows:(Array.of_list flows) ~emit:ignore
-        in
-        Printf.printf
-          "global flow: %d events merged (%d logged, %d inferred), %d \
-           node-log constraints relaxed\n"
-          gs.events gs.logged gs.inferred gs.relaxed
-      end;
-      let verdicts =
-        List.map
-          (fun (f : Refill.Flow.t) ->
-            ((f.origin, f.seq), Refill.Classify.classify f))
-          flows
-      in
+      let verdicts_rev = ref [] in
+      run_batch config ~global_flow ~quality:provenance
+        ~on_flow:(fun (f : Refill.Flow.t) ->
+          verdicts_rev :=
+            ((f.origin, f.seq), Refill.Classify.classify f) :: !verdicts_rev)
+        ~run:(Refill.Reconstruct.run ~config dump.collected ~sink:dump.sink)
+        (Logsys.Collected.packets dump.collected);
+      let verdicts = List.rev !verdicts_rev in
       print_breakdown verdicts ~sink:dump.sink ~total_label:"verdicts";
       (match dump.truth with
       | None ->
@@ -461,18 +487,6 @@ let analyze_cmd =
 
 (* -- reconstruct -------------------------------------------------------------- *)
 
-let print_packet_summary (s : Refill.Reconstruct.summary) =
-  Printf.printf
-    "reconstructed %d packets: %d logged events, %d inferred lost events, %d \
-     unusable records\n"
-    s.packets s.logged_events s.inferred_events s.skipped_events
-
-let print_global_flow_stats (gs : Refill.Global_flow.stats) =
-  Printf.printf
-    "global flow: %d events merged (%d logged, %d inferred), %d node-log \
-     constraints relaxed\n"
-    gs.events gs.logged gs.inferred gs.relaxed
-
 let print_stream_summary (s : Refill.Stream.summary) =
   Printf.printf
     "streamed %d records in %d segment(s): %d flows (%d complete, %d \
@@ -515,25 +529,9 @@ let reconstruct_batch (config : Refill.Config.t) ~global_flow ~quality input =
   match loaded with
   | Error e -> err_exit e
   | Ok (packets, sink) ->
-      let summary = ref Refill.Reconstruct.empty_summary in
-      let flows_rev = ref [] in
-      (* Quality accumulates per flow as it is emitted, so the provenance
-         path never forces flow retention (only --global-flow does). *)
-      let qacc = Option.map (fun _ -> Analysis.Quality.create ()) quality in
-      Refill.Reconstruct.run_arena ~config packets ~sink ~emit:(fun f ->
-          summary := Refill.Reconstruct.summary_add !summary f;
-          Option.iter (fun acc -> Analysis.Quality.add acc f) qacc;
-          if global_flow then flows_rev := f :: !flows_rev);
-      print_packet_summary !summary;
-      (match (quality, qacc) with
-      | Some dest, Some acc -> write_quality dest (Analysis.Quality.finish acc)
-      | _ -> ());
-      if global_flow then
-        print_global_flow_stats
-          (Refill.Global_flow.merge_from ?jobs:config.jobs
-             (Refill.Global_flow.Arena_index packets)
-             ~flows:(Array.of_list (List.rev !flows_rev))
-             ~emit:ignore);
+      run_batch config ~global_flow ~quality
+        ~run:(Refill.Reconstruct.run_arena ~config packets ~sink)
+        packets;
       0
 
 let reconstruct_stream (config : Refill.Config.t) ~global_flow ~quality

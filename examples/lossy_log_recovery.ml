@@ -71,7 +71,7 @@ let () =
   | None -> ()
   | Some ack ->
       let config =
-        Refill.Protocol.make_config ~records:[ ack ] ~origin ~seq
+        Refill.Protocol.make_config ~records:[| ack |] ~origin ~seq
           ~sink:scenario.sink
       in
       let acc = ref [] in

@@ -25,8 +25,9 @@ let () =
   (* Build the connected inference engines for this packet (origin = node 1;
      node 99 stands in for a sink that never saw the packet). *)
   let config =
-    Refill.Protocol.make_config ~records:surviving_records ~origin:1 ~seq:0
-      ~sink:99
+    Refill.Protocol.make_config
+      ~records:(Array.of_list surviving_records)
+      ~origin:1 ~seq:0 ~sink:99
   in
   let events = Refill.Protocol.events_of_records surviving_records in
 

@@ -40,7 +40,10 @@ let table2_cases : (string * Logsys.Record.t list) list =
   ]
 
 let run_table2_case records =
-  let config = Refill.Protocol.make_config ~records ~origin:1 ~seq:0 ~sink:99 in
+  let config =
+    Refill.Protocol.make_config ~records:(Array.of_list records) ~origin:1
+      ~seq:0 ~sink:99
+  in
   let events = Refill.Protocol.events_of_records records in
   let acc = ref [] in
   let stats =

@@ -201,11 +201,6 @@ let finish acc =
       Obs.Metrics.Gauge.set g_fraction_inferred (fraction_inferred t));
   t
 
-let of_flows flows =
-  let acc = create () in
-  List.iter (add acc) flows;
-  finish acc
-
 let to_json t =
   let module J = Obs.Json in
   let num i = J.Num (float_of_int i) in

@@ -67,8 +67,6 @@ val finish : acc -> t
     may keep being fed and finished again; metrics count each [finish]'s
     totals once per call. *)
 
-val of_flows : Refill.Flow.t list -> t
-
 val to_json : t -> Refill_obs.Json.t
 (** Stable shape: [{schema: "refill-quality-v1", packets, events,
     inferred, fraction_inferred, complete, incomplete, mechanisms: {...},

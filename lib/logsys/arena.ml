@@ -248,12 +248,15 @@ let decode_segment_into t b =
   Refill_obs.Metrics.Counter.inc ~by:count c_decoded_rows;
   count
 
-(* -- Per-packet index over rows (the column analogue of Collected). ------ *)
+(* -- Per-packet index over rows (Collected's views read it too). --------- *)
 
 module Packets = struct
-  (* Same dense-2D-plus-fallback shape as Collected's index, but the
-     buckets hold arena row indices instead of record pointers, and the
-     node grouping ([node_rows]) replaces [Collected.node_log]. *)
+  (* Origins are node ids and seqs are dense per-origin counters, so the
+     buckets live in a 2D array — origin-major, grown on demand — rather
+     than a hash table: at CitySee scale the build loop runs millions of
+     times and two dependent array reads beat any hashing.  Keys with a
+     negative or absurdly large component (never produced by the loggers,
+     but possible in hand-built logs) fall back to a side table. *)
   type 'a rows = { mutable by_origin : 'a array array }
 
   type t = {
@@ -307,8 +310,8 @@ module Packets = struct
   let build (a : arena) ~n_nodes =
     if n_nodes <= 0 then invalid_arg "Arena.Packets.build: n_nodes <= 0";
     let n = a.len in
-    (* Node grouping: rows of each node in arena (= file/write) order,
-       exactly the per-node log order [Collected.node_log] exposes. *)
+    (* Node grouping: rows of each node in arena (= file/write) order —
+       the node's log. *)
     let node_count = Array.make n_nodes 0 in
     for i = 0 to n - 1 do
       let nd = Bigarray.Array1.unsafe_get a.nodes i in
@@ -324,9 +327,8 @@ module Packets = struct
       node_fill.(nd) <- node_fill.(nd) + 1
     done;
     (* Packet buckets, filled in node-scan order (nodes ascending, each
-       node's rows in order) — the order [Collected.packet_records]
-       guarantees and the reconstruction depends on.  Two counted passes,
-       the counts doubling as fill cursors. *)
+       node's rows in order) — the order the reconstruction depends on.
+       Two counted passes, the counts doubling as fill cursors. *)
     let counts : int rows = { by_origin = [||] } in
     let fb_counts : (int * int, int ref) Hashtbl.t = Hashtbl.create 8 in
     let scan f = Array.iter (fun rows -> Array.iter f rows) node_rows in

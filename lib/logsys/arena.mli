@@ -104,10 +104,12 @@ val decode_segment_into : t -> Bytes.t -> int
 
 (** {2 Per-packet index}
 
-    The column analogue of {!Collected}: packet buckets hold arena row
-    indices in node-scan order (nodes ascending, each node's rows in
-    arena order), and {!node_rows} replaces [Collected.node_log].  Built
-    once, read-only afterwards — safe to share across domains. *)
+    The one per-packet index: packet buckets hold arena row indices in
+    node-scan order (nodes ascending, each node's rows in arena order),
+    and {!node_rows} groups every node's rows, its log.  {!Collected}'s
+    per-packet views read one of these, built over a node-major copy of
+    the snapshot.  Built once, read-only afterwards — safe to share
+    across domains. *)
 module Packets : sig
   type t
 
@@ -120,13 +122,16 @@ module Packets : sig
   val n_nodes : t -> int
 
   val keys : t -> (int * int) list
-  (** Distinct [(origin, seq)] keys, sorted — same contents and order as
-      [Collected.packet_keys] over the same records. *)
+  (** Distinct [(origin, seq)] keys, sorted: keys the dense
+      origin-by-seq table holds and exotic ones (a negative component, or
+      one at or past 2{^28}) merged into one order. *)
 
   val node_rows : t -> int -> int array
   (** One node's rows in arena order — its log, as row indices. *)
 
   val packet_rows : t -> origin:int -> seq:int -> int array
-  (** One packet's rows, node-scan order; [[||]] for unknown keys.
-      Shared with the index — do not mutate. *)
+  (** One packet's rows in node-scan order: nodes ascending, each node's
+      rows in arena order — the record order the reconstruction's packer
+      expects.  [[||]] for unknown keys.  Shared with the index — do not
+      mutate. *)
 end

@@ -1,158 +1,28 @@
-(* Origins are node ids and seqs are dense per-origin counters, so the
-   per-packet index is a 2D array — origin-major, grown on demand — rather
-   than a hash table: at CitySee scale the build loop runs millions of
-   times and two dependent array reads beat any hashing.  Keys with a
-   negative or absurdly large component (never produced by the loggers,
-   but possible in hand-built logs) fall back to a side table. *)
-type 'a rows = { mutable by_origin : 'a array array }
+(* The per-packet view is an [Arena.Packets] index over a node-major
+   arena copy of the snapshot, built once on first use.  Arena row [i] is
+   [flat.(i)] — the snapshot's own record, so a packet's rows map back to
+   records with one array read each, and flows keep pointing at the
+   snapshot instead of at fresh copies. *)
+type index = { packets : Arena.Packets.t; flat : Record.t array }
 
-type index = {
-  records : Record.t array rows;
-      (* origin -> seq -> the packet's records, node-scan order: nodes
-         ascending, each node's records contiguous in write order *)
-  fallback : (int * int, Record.t array) Hashtbl.t;
-  keys : (int * int) list;  (* every packet key, sorted *)
-}
-
-type t = {
-  node_logs : Record.t array array;
-  (* Lazily built per-packet index, finalized (keys sorted) on first
-     use. *)
-  mutable index : index option;
-}
+type t = { node_logs : Record.t array array; mutable index : index option }
 
 let of_node_logs node_logs = { node_logs; index = None }
 
-(* Dense-index eligibility: loggers emit small nonnegative origins and
-   dense seqs; anything else is exotic enough for the fallback table. *)
-let sparse_limit = 1 lsl 28
-
-let dense ~origin ~seq =
-  origin >= 0 && origin < sparse_limit && seq >= 0 && seq < sparse_limit
-
-let row_get (rows : 'a rows) ~absent origin seq =
-  let by_origin = rows.by_origin in
-  if origin >= Array.length by_origin then absent
-  else
-    let row = by_origin.(origin) in
-    if seq >= Array.length row then absent else row.(seq)
-
-let row_set (rows : 'a rows) ~absent origin seq v =
-  let by_origin = rows.by_origin in
-  let by_origin =
-    if origin < Array.length by_origin then by_origin
-    else begin
-      let grown =
-        Array.make (max (origin + 1) (2 * Array.length by_origin)) [||]
-      in
-      Array.blit by_origin 0 grown 0 (Array.length by_origin);
-      rows.by_origin <- grown;
-      grown
-    end
-  in
-  let row = by_origin.(origin) in
-  let row =
-    if seq < Array.length row then row
-    else begin
-      let grown =
-        Array.make (max (seq + 1) (max 64 (2 * Array.length row))) absent
-      in
-      Array.blit row 0 grown 0 (Array.length row);
-      by_origin.(origin) <- grown;
-      grown
-    end
-  in
-  row.(seq) <- v
-
-(* Two passes, both allocation-lean: count each packet's records, then
-   fill exact-sized arrays.  The counts rows double as fill cursors in the
-   second pass and are rebuilt (cheaply, from the array lengths) for the
-   finalized index. *)
-let build_index t =
+let memo t =
   match t.index with
   | Some idx -> idx
   | None ->
-      let counts : int rows = { by_origin = [||] } in
-      let fb_counts : (int * int, int ref) Hashtbl.t = Hashtbl.create 8 in
-      Array.iter
-        (fun log ->
-          Array.iter
-            (fun (r : Record.t) ->
-              let origin = r.origin and seq = r.pkt_seq in
-              if dense ~origin ~seq then
-                row_set counts ~absent:0 origin seq
-                  (row_get counts ~absent:0 origin seq + 1)
-              else
-                match Hashtbl.find fb_counts (origin, seq) with
-                | c -> incr c
-                | exception Not_found ->
-                    Hashtbl.add fb_counts (origin, seq) (ref 1))
-            log)
-        t.node_logs;
-      let records : Record.t array rows = { by_origin = [||] } in
-      let fallback = Hashtbl.create (max 8 (Hashtbl.length fb_counts)) in
-      (* Second pass: counts.(origin).(seq) becomes the fill cursor —
-         records are appended in node-scan order, which is exactly the
-         node-ascending, write-ordered grouping every consumer expects. *)
-      Array.iter
-        (fun log ->
-          Array.iter
-            (fun (r : Record.t) ->
-              let origin = r.origin and seq = r.pkt_seq in
-              if dense ~origin ~seq then begin
-                let arr =
-                  match row_get records ~absent:[||] origin seq with
-                  | [||] ->
-                      let n = row_get counts ~absent:0 origin seq in
-                      let arr = Array.make n r in
-                      row_set records ~absent:[||] origin seq arr;
-                      row_set counts ~absent:0 origin seq 0;
-                      arr
-                  | arr -> arr
-                in
-                let fill = row_get counts ~absent:0 origin seq in
-                arr.(fill) <- r;
-                row_set counts ~absent:0 origin seq (fill + 1)
-              end
-              else begin
-                let arr =
-                  match Hashtbl.find fallback (origin, seq) with
-                  | arr -> arr
-                  | exception Not_found ->
-                      let n = !(Hashtbl.find fb_counts (origin, seq)) in
-                      let arr = Array.make n r in
-                      Hashtbl.add fallback (origin, seq) arr;
-                      (Hashtbl.find fb_counts (origin, seq)) := 0;
-                      arr
-                in
-                let fill = !(Hashtbl.find fb_counts (origin, seq)) in
-                arr.(fill) <- r;
-                (Hashtbl.find fb_counts (origin, seq)) := fill + 1
-              end)
-            log)
-        t.node_logs;
-      (* Origin-major ascending sweep yields the sorted key list for
-         free. *)
-      let keys_rev = ref [] in
-      Array.iteri
-        (fun origin row ->
-          Array.iteri
-            (fun seq (arr : Record.t array) ->
-              if Array.length arr > 0 then
-                keys_rev := (origin, seq) :: !keys_rev)
-            row)
-        records.by_origin;
-      let fallback_keys =
-        Hashtbl.fold (fun key _ acc -> key :: acc) fallback []
-      in
-      let keys =
-        match fallback_keys with
-        | [] -> List.rev !keys_rev
-        | fk -> List.merge compare (List.rev !keys_rev) (List.sort compare fk)
-      in
-      let idx = { records; fallback; keys } in
+      let flat = Array.concat (Array.to_list t.node_logs) in
+      (* [Arena.Packets.build] rejects zero nodes; an empty snapshot
+         indexes the same nothing over one node. *)
+      let n_nodes = max 1 (Array.length t.node_logs) in
+      let packets = Arena.Packets.build (Arena.of_records flat) ~n_nodes in
+      let idx = { packets; flat } in
       t.index <- Some idx;
       idx
+
+let packets t = (memo t).packets
 
 let of_logger logger =
   of_node_logs
@@ -167,15 +37,11 @@ let node_log t i = t.node_logs.(i)
 
 let total t = Array.fold_left (fun acc l -> acc + Array.length l) 0 t.node_logs
 
-let packet_keys t = (build_index t).keys
+let packet_keys t = Arena.Packets.keys (packets t)
 
 let packet_records t ~origin ~seq =
-  let idx = build_index t in
-  if dense ~origin ~seq then row_get idx.records ~absent:[||] origin seq
-  else
-    match Hashtbl.find idx.fallback (origin, seq) with
-    | arr -> arr
-    | exception Not_found -> [||]
+  let { packets; flat } = memo t in
+  Array.map (Array.get flat) (Arena.Packets.packet_rows packets ~origin ~seq)
 
 let events_of_packet t ~origin ~seq =
   (* Derive the per-node groups from the flat record array: records are in

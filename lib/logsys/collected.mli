@@ -8,8 +8,12 @@
 type t
 
 val of_node_logs : Record.t array array -> t
-(** Index = node id. The arrays are not copied; callers hand over
-    ownership. *)
+(** Index = node id: [node_logs.(i)] is node [i]'s log, in write order,
+    and holds only records with [node = i] — every producer (the loggers,
+    {!lossify}, {!Log_io.load}, the in-band log transport) builds it that
+    way, and the per-packet index groups records by their [node] field
+    (building it raises [Failure] on a node outside [0, n_nodes)).  The
+    arrays are not copied; callers hand over ownership. *)
 
 val of_logger : Logger.t -> t
 (** Lossless snapshot of a live log store. *)
@@ -23,17 +27,26 @@ val node_log : t -> Net.Packet.node_id -> Record.t array
 
 val total : t -> int
 
+val packets : t -> Arena.Packets.t
+(** The snapshot's per-packet index: an {!Arena.Packets} index over a
+    node-major arena copy of the node logs, built once on first use and
+    read-only afterwards (safe to share across domains once built).  Every
+    per-packet view below reads it, and so does
+    [Refill.Global_flow.merge].  A zero-node snapshot is indexed over one
+    empty node. *)
+
 val packet_keys : t -> (Net.Packet.node_id * int) list
-(** Distinct [(origin, seq)] packet keys appearing anywhere, sorted.
-    Backed by a per-packet index built once per snapshot. *)
+(** Distinct [(origin, seq)] packet keys appearing anywhere, sorted:
+    {!Arena.Packets.keys} of {!packets}. *)
 
 val packet_records : t -> origin:Net.Packet.node_id -> seq:int -> Record.t array
 (** One packet's surviving records, flat, in node-scan order: nodes
-    ascending, each node's records contiguous in local write order.  The
-    array is shared with the index — callers must not mutate it.  [[||]]
-    for unknown packets.  This is the zero-copy view the reconstruction
-    hot path consumes; {!events_of_packet} derives the grouped view from
-    it. *)
+    ascending, each node's records contiguous in local write order — the
+    order {!Arena.Packets.packet_rows} lists the rows in.  Each row maps
+    back to the snapshot's own record (no copy); the array is fresh, so
+    the caller owns it.  [[||]] for unknown packets.  This is the view the
+    reconstruction hot path consumes; {!events_of_packet} derives the
+    grouped view from it. *)
 
 val events_of_packet :
   t ->

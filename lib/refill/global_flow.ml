@@ -59,9 +59,9 @@ let c_prov_carry =
     ~labels:[ ("mechanism", Provenance.mechanism_name Provenance.Anchor_carry) ]
 
 (* Packet interning.  Origins and seqs are small nonnegative ints for
-   every logger-produced record (the same observation Collected's index
-   relies on), so the common case packs them into one int key; anything
-   exotic (hand-built logs) falls back to a tuple-keyed table. *)
+   every logger-produced record (the same observation the [Arena.Packets]
+   index relies on), so the common case packs them into one int key;
+   anything exotic (hand-built logs) falls back to a tuple-keyed table. *)
 let dense_limit = 1 lsl 28
 
 type interner = {
@@ -484,22 +484,9 @@ let merge_from ?jobs ?emit_prov source ~flows ~emit =
       run
   else run ()
 
-(* A snapshot's per-node logs, node-major, as an arena index: each
-   node's rows keep its log order, which is all the alignment reads. *)
-let index_of_collected collected =
-  let n_nodes = Logsys.Collected.n_nodes collected in
-  let arena =
-    Logsys.Arena.create ~capacity:(Logsys.Collected.total collected) ()
-  in
-  for node = 0 to n_nodes - 1 do
-    Array.iter (Logsys.Arena.push arena)
-      (Logsys.Collected.node_log collected node)
-  done;
-  Logsys.Arena.Packets.build arena ~n_nodes
-
 let merge ?jobs ?emit_prov collected ~flows ~emit =
   merge_from ?jobs ?emit_prov
-    (Arena_index (index_of_collected collected))
+    (Arena_index (Logsys.Collected.packets collected))
     ~flows ~emit
 
 (* -- Incremental merge mode ------------------------------------------------ *)

@@ -42,8 +42,9 @@ val merge :
     item to [emit], in global-flow order.  [collected] must be the same
     snapshot the flows were reconstructed from (its per-node logs provide
     the cross-packet constraints).  Every flow's items appear in their
-    original relative order.  The snapshot is copied node-major into an
-    arena index and merged by {!merge_from}.
+    original relative order.  This is {!merge_from} over the snapshot's
+    own packet index ({!Logsys.Collected.packets}), the one
+    {!Reconstruct.run} reads, so no second copy is made.
 
     [jobs] caps the domain fan-out of the per-node log alignment (default
     {!Par.default_jobs}; small inputs stay serial).  The emission sequence

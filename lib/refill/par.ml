@@ -1,10 +1,13 @@
 (* Domain fan-out for the per-packet reconstruction loop.
 
    Packets are independent, so Reconstruct.run shards them over a small
-   pool of domains pulling indices from a shared atomic counter.  The only
-   shared mutable state in a worker's path is the observability registry;
-   workers batch their metric updates and flush under [with_obs_lock], so
-   process-wide totals stay exact regardless of the fan-out. *)
+   pool of domains pulling indices from a shared atomic counter.  Workers
+   read the packet index ([Arena.Packets], and for a snapshot its flat
+   record array) only after the calling domain has built it, so it is
+   read-only by then.  The only shared mutable state in a worker's path is
+   the observability registry; workers batch their metric updates and
+   flush under [with_obs_lock], so process-wide totals stay exact
+   regardless of the fan-out. *)
 
 let obs_mutex = Mutex.create ()
 

@@ -102,9 +102,11 @@ let unknown_node = -1
 (* -- Payload synthesis for inferred events. ------------------------------ *)
 
 (* Peer recovery used to rescan the packet's record list once per inferred
-   event; [Peer_index.build] extracts the same first-match answers in one
-   pass so each synthesis is a hashtable lookup.  First-write-wins mirrors
-   the original List.find_map semantics exactly. *)
+   event; [Peer_index] extracts the same first-match answers in one pass
+   ([make_config]) so each synthesis is a hashtable lookup.  First-write-
+   wins mirrors the original List.find_map semantics exactly: the answer
+   for each node comes from the earliest matching record in array
+   order. *)
 module Peer_index = struct
   type t = {
     sender_toward : (int, int) Hashtbl.t;
@@ -132,11 +134,6 @@ module Peer_index = struct
     | Recv { from } | Dup { from } | Overflow { from } ->
         put t.named_receiver from r.node
     | Gen | Deliver -> ()
-
-  let build (records : Logsys.Record.t list) =
-    let t = create () in
-    List.iter (scan t) records;
-    t
 
   (* Who transmitted toward [node]? Any sender-side record pointing at it. *)
   let sender_toward t node = Hashtbl.find_opt t.sender_toward node
@@ -194,12 +191,6 @@ let config_with_index ~index ~origin ~seq ~sink :
         synthesize ~index:(Lazy.force index) ~origin ~seq ~node label);
   }
 
-let make_config ~records ~origin ~seq ~sink =
-  (* One pass over the packet's records — and only for packets that infer
-     at all (lazily): every inferred event's peer recovery is then a
-     lookup instead of a rescan of [records]. *)
-  config_with_index ~index:(lazy (Peer_index.build records)) ~origin ~seq ~sink
-
 let events_of_records records =
   List.map
     (fun (r : Logsys.Record.t) -> (r.node, label_of_kind r.kind, Some r))
@@ -256,13 +247,13 @@ type packed = {
 
 (* [pack_events records ~origin ~sink] builds the engine's packed input
    straight from one packet's flat record array (node-scan order, as
-   {!Logsys.Collected.packet_records} returns it), emitting into parallel
-   arrays with labels, dense FSM ids, and inter-node prerequisites all
-   resolved per event in this single pass — no tuples, no hashing, no
-   per-event closure calls downstream.  Per-node record runs are merged
-   along the forwarding chains the records reveal: start at the origin,
-   follow each run's next hop, and restart from any run loss disconnected
-   from its upstream. *)
+   {!Logsys.Arena.Packets.packet_rows} lists the rows), emitting into
+   parallel arrays with labels, dense FSM ids, and inter-node
+   prerequisites all resolved per event in this single pass — no tuples,
+   no hashing, no per-event closure calls downstream.  Per-node record
+   runs are merged along the forwarding chains the records reveal: start
+   at the origin, follow each run's next hop, and restart from any run
+   loss disconnected from its upstream. *)
 let pack_events (records : Logsys.Record.t array) ~origin ~sink =
   let n = Array.length records in
   let p =
@@ -394,7 +385,10 @@ let pack_events (records : Logsys.Record.t array) ~origin ~sink =
     p
   end
 
-let make_config_of_records ~records ~origin ~seq ~sink =
+(* One pass over the packet's records — and only for packets that infer
+   at all (lazily): every inferred event's peer recovery is then a lookup
+   instead of a rescan of [records]. *)
+let make_config ~records ~origin ~seq ~sink =
   config_with_index
     ~index:
       (lazy

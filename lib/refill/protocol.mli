@@ -78,47 +78,20 @@ val unknown_node : int
 (** [-1]: placeholder peer when synthesis cannot recover the other
     endpoint. *)
 
-(** Peer recovery index over one packet's surviving records.
-
-    Built in a single pass and queried per inferred event, replacing the
-    per-synthesis linear rescan of the record list.  First-write-wins
-    preserves the original first-match semantics: the answer for each node
-    is taken from the earliest matching record in list order. *)
-module Peer_index : sig
-  type t
-
-  val build : Logsys.Record.t list -> t
-
-  val sender_toward : t -> int -> int option
-  (** Who transmitted toward this node? First sender-side record
-      ([trans]/[ack recvd]/[retx timeout]) pointing at it. *)
-
-  val receiver_from : t -> int -> int option
-  (** Whom did this node transmit to? Its own first sender-side record,
-      else the first receiver-side record naming it as the sender. *)
-end
-
 val make_config :
-  records:Logsys.Record.t list ->
-  origin:int ->
-  seq:int ->
-  sink:int ->
-  (label, Logsys.Record.t) Engine.config
-(** Engine configuration for reconstructing one packet.  [records] are the
-    packet's surviving records network-wide (the synthesis search pool). *)
-
-val events_of_records :
-  Logsys.Record.t list -> (int * label * Logsys.Record.t option) list
-(** Map records to engine input events (node, label, payload). *)
-
-val make_config_of_records :
   records:Logsys.Record.t array ->
   origin:int ->
   seq:int ->
   sink:int ->
   (label, Logsys.Record.t) Engine.config
-(** {!make_config} drawing the synthesis search pool from the packet's
-    flat record array ({!Logsys.Collected.packet_records}), lazily. *)
+(** Engine configuration for reconstructing one packet.  [records] are the
+    packet's surviving records network-wide: the synthesis search pool,
+    scanned once, lazily, by the first inferred event that needs a peer.
+    Where several records name a peer, the first in array order wins. *)
+
+val events_of_records :
+  Logsys.Record.t list -> (int * label * Logsys.Record.t option) list
+(** Map records to engine input events (node, label, payload). *)
 
 (** Packed engine input: one packet's merged events as parallel arrays —
     node, label, dense FSM label id, payload, and inter-node prerequisite
@@ -140,7 +113,8 @@ type packed = {
 
 val pack_events : Logsys.Record.t array -> origin:int -> sink:int -> packed
 (** Build the packed engine input from one packet's flat record array (in
-    node-scan order, as {!Logsys.Collected.packet_records} returns it) —
+    node-scan order: nodes ascending, each node's records in local write
+    order, as {!Logsys.Arena.Packets.packet_rows} lists its rows) —
     the one packer every reconstruction goes through.  Per-node record
     runs are merged along the forwarding chain the records reveal — origin
     first, then each next hop — with stragglers after in node order.  Each

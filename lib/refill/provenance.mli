@@ -11,8 +11,8 @@
 
     Evidence indices index the packet's own record array in *node-scan
     order* — nodes ascending, each node's records in local write order,
-    exactly as {!Logsys.Collected.packet_records} returns them and as
-    {!Reconstruct.of_records} consumes them.  The streaming frontier
+    the order {!Logsys.Arena.Packets.packet_rows} lists a packet's rows in
+    and {!Reconstruct.of_records} consumes them in.  The streaming frontier
     restores the same order before reconstructing, so batch and streaming
     runs produce identical provenance for the same input. *)
 

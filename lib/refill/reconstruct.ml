@@ -36,7 +36,7 @@ let of_records ?(use_intra = true) ?(use_inter = true) ?(provenance = false)
     records ~origin ~seq ~sink =
   let t0 = Obs.Span.now_us () in
   let p = Protocol.pack_events records ~origin ~sink in
-  let config = Protocol.make_config_of_records ~records ~origin ~seq ~sink in
+  let config = Protocol.make_config ~records ~origin ~seq ~sink in
   let config =
     if use_inter then config
     else { config with prerequisites = (fun ~node:_ ~label:_ ~payload:_ -> []) }
@@ -150,8 +150,6 @@ let summary_add acc (f : Flow.t) =
   }
 
 let summarize flows = List.fold_left summary_add empty_summary flows
-
-let summarize_array flows = Array.fold_left summary_add empty_summary flows
 
 let pp_summary ppf s =
   Format.fprintf ppf

@@ -36,9 +36,9 @@ val of_records :
     record array instead of a {!Logsys.Collected} snapshot — the entry the
     streaming frontier ({!Stream}) uses when it evicts a packet.  The
     records must be in node-scan order (nodes ascending, each node's
-    records in local write order), exactly as
-    {!Logsys.Collected.packet_records} returns them; the engine takes
-    ownership of the array. *)
+    records in local write order), the order
+    {!Logsys.Arena.Packets.packet_rows} lists a packet's rows in; the
+    engine takes ownership of the array. *)
 
 val run :
   ?config:Config.t ->
@@ -48,7 +48,10 @@ val run :
   unit
 (** Reconstruct every packet found in the logs and hand each flow to
     [emit], in packet-key order.  This is the batch entry point over a
-    record snapshot; {!run_arena} is the same run over an arena index.
+    record snapshot, reading its packet index
+    ({!Logsys.Collected.packets}, built on first use) with each row mapped
+    back to the snapshot's own record; {!run_arena} is the same run over
+    an arena index read from a dump, whose rows materialize.
 
     Packets are independent, so large workloads are sharded over
     [config.jobs] worker domains (default
@@ -87,9 +90,5 @@ val summary_add : summary -> Flow.t -> summary
     summarize without materializing the flow sequence. *)
 
 val summarize : Flow.t list -> summary
-
-val summarize_array : Flow.t array -> summary
-(** {!summarize} over the array shape the batch and bench paths carry,
-    without a list round-trip. *)
 
 val pp_summary : Format.formatter -> summary -> unit

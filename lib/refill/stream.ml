@@ -881,9 +881,14 @@ let parse_shard_body rs next_line peek_line =
                   in
                   let records_rev = ref [] in
                   for _ = 1 to count do
-                    records_rev :=
-                      Logsys.Log_io.record_of_line (next_line ())
-                      :: !records_rev
+                    let r = Logsys.Log_io.record_of_line (next_line ()) in
+                    if r.origin <> origin || r.pkt_seq <> seq then
+                      failwith
+                        (Printf.sprintf
+                           "Stream: buffer (%d, %d) holds a record of packet \
+                            (%d, %d)"
+                           origin seq r.origin r.pkt_seq);
+                    records_rev := r :: !records_rev
                   done;
                   rs.rs_buffers <-
                     {
@@ -974,6 +979,7 @@ let validate_restored r =
   if r.r_segments < 0 then fail "negative segments";
   if r.r_clock < 0 then fail "negative clock";
   let total = ref 0 in
+  let buffered = Hashtbl.create 64 in
   Array.iter
     (fun rs ->
       if rs.rs_processed < 0 then fail "negative processed";
@@ -996,7 +1002,12 @@ let validate_restored r =
       List.iter
         (fun b ->
           if b.last_seen < 1 || b.last_seen > r.r_clock then
-            fail "buffer last-seen out of range")
+            fail "buffer last-seen out of range";
+          (* One buffer per key across every shard: a second one would
+             emit the packet twice. *)
+          let key = (b.b_origin, b.b_seq) in
+          if Hashtbl.mem buffered key then fail "packet buffered twice";
+          Hashtbl.add buffered key ())
         rs.rs_buffers)
     r.r_shards;
   if !total <> r.r_clock then fail "shard record totals disagree with clock"

@@ -111,7 +111,10 @@ let path_quality_counts_acked_extension () =
       record 2 (Ack_recvd { to_ = 0 });
     ]
   in
-  let config = Refill.Protocol.make_config ~records ~origin:1 ~seq:0 ~sink:0 in
+  let config =
+    Refill.Protocol.make_config ~records:(Array.of_list records) ~origin:1
+      ~seq:0 ~sink:0
+  in
   let acc = ref [] in
   let stats =
     Refill.Engine.process config

@@ -1,9 +1,10 @@
 (* The flat-column arena (zero-copy ingest): the materializing view must be
    Record.equal-exact for every kind and boundary value, the bulk decoders
-   must agree with the record-path codec byte for byte, the arena-indexed
-   batch run must reproduce the record snapshot's flows exactly, lossless
-   and lossy, and the chunked dump reader (Log_io.Mseg) must read what
-   Log_io.load reads. *)
+   must agree with the record-path codec byte for byte, the packet index
+   must group exactly like a naive oracle (exotic keys included), the
+   batch run over an arrival-order dump read by Log_io.Mseg must
+   reproduce the node-major snapshot's flows exactly, lossless and lossy,
+   and Mseg must read what Log_io.load reads. *)
 
 let scenario = lazy (Scenario.Citysee.run Scenario.Citysee.tiny)
 
@@ -26,24 +27,41 @@ let batch_flows collected =
       acc := f :: !acc);
   List.rev !acc
 
-(* An arena holding exactly [collected]'s records, node-major — the same
-   node-scan order Collected's packet index uses. *)
-let arena_of_collected c =
+let with_dump ?(time_order = false) ?truth c f =
+  let path = Filename.temp_file "refill_arena" ".log" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Logsys.Log_io.save_file path ~sink:(sink ()) ?truth ~time_order c;
+      f path)
+
+(* Every row [Mseg] decodes from [path], one chunk of [chunk] rows at a
+   time, after skipping [skip] records. *)
+let mseg_rows ?(skip = 0) ~chunk path =
+  let r = Logsys.Log_io.Mseg.open_file path in
+  Alcotest.(check int) "mseg skipped" skip (Logsys.Log_io.Mseg.skip r skip);
   let a = Logsys.Arena.create () in
-  for node = 0 to Logsys.Collected.n_nodes c - 1 do
-    Array.iter (Logsys.Arena.push a) (Logsys.Collected.node_log c node)
+  while Logsys.Log_io.Mseg.next_into r a ~max_records:chunk > 0 do
+    ()
   done;
-  a
+  Alcotest.(check int) "read position"
+    (skip + Logsys.Arena.length a)
+    (Logsys.Log_io.Mseg.read r);
+  (r, a)
 
-let packets_of_collected c =
-  Logsys.Arena.Packets.build (arena_of_collected c)
-    ~n_nodes:(Logsys.Collected.n_nodes c)
-
+(* The arena side of [run_arena == run]: [c] dumped in arrival order and
+   read back by Mseg, so the index is built from a different row order
+   than the snapshot's node-major copy. *)
 let arena_flows c =
-  let acc = ref [] in
-  Refill.Reconstruct.run_arena (packets_of_collected c) ~sink:(sink ())
-    ~emit:(fun f -> acc := f :: !acc);
-  List.rev !acc
+  with_dump ~time_order:true c (fun path ->
+      let r, a = mseg_rows ~chunk:500 path in
+      let p =
+        Logsys.Arena.Packets.build a ~n_nodes:(Logsys.Log_io.Mseg.n_nodes r)
+      in
+      let acc = ref [] in
+      Refill.Reconstruct.run_arena p ~sink:(Logsys.Log_io.Mseg.sink r)
+        ~emit:(fun f -> acc := f :: !acc);
+      List.rev !acc)
 
 (* -- Record generators ----------------------------------------------------- *)
 
@@ -318,27 +336,122 @@ let run_arena_equals_run_lossy =
       let b = List.map flow_sig (arena_flows c) in
       a = b)
 
-let packets_index_matches_collected () =
-  let c = Lazy.force lossless in
-  let p = packets_of_collected c in
-  let a = Logsys.Arena.Packets.arena p in
+(* The naive per-packet grouping: records keyed by packet, nodes
+   ascending, each node's records in log order. *)
+let naive_packets c =
+  let tbl = Hashtbl.create 64 in
+  for node = Logsys.Collected.n_nodes c - 1 downto 0 do
+    let log = Logsys.Collected.node_log c node in
+    for i = Array.length log - 1 downto 0 do
+      let key = Logsys.Record.packet_key log.(i) in
+      Hashtbl.replace tbl key
+        (log.(i) :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+    done
+  done;
+  Hashtbl.fold (fun key records acc -> (key, records) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* The index against the oracle: same sorted keys, and each packet's
+   records the snapshot's own (physically), in node-scan order, grouped
+   per node by [events_of_packet]. *)
+let check_index_matches_oracle c =
+  let oracle = naive_packets c in
   Alcotest.(check (list (pair int int)))
-    "same packet keys"
-    (Logsys.Collected.packet_keys c)
-    (Logsys.Arena.Packets.keys p);
+    "packet keys" (List.map fst oracle)
+    (Logsys.Collected.packet_keys c);
   List.iter
-    (fun (origin, seq) ->
-      let rows = Logsys.Arena.Packets.packet_rows p ~origin ~seq in
-      let records = Logsys.Collected.packet_records c ~origin ~seq in
+    (fun ((origin, seq), expected) ->
+      let got = Logsys.Collected.packet_records c ~origin ~seq in
       Alcotest.(check int)
         (Printf.sprintf "packet (%d,%d) size" origin seq)
-        (Array.length records) (Array.length rows);
-      Array.iteri
-        (fun i row ->
-          Alcotest.(check bool) "node-scan order matches" true
-            (Logsys.Arena.equal_record a row records.(i)))
-        rows)
-    (Logsys.Collected.packet_keys c)
+        (List.length expected) (Array.length got);
+      List.iteri
+        (fun i r ->
+          if got.(i) != r then
+            Alcotest.failf "packet (%d,%d) record %d out of node-scan order"
+              origin seq i)
+        expected;
+      let groups =
+        List.fold_right
+          (fun (r : Logsys.Record.t) acc ->
+            match acc with
+            | (node, rs) :: rest when node = r.node -> (node, r :: rs) :: rest
+            | _ -> (r.node, [ r ]) :: acc)
+          expected []
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "packet (%d,%d) per-node groups" origin seq)
+        true
+        (List.equal
+           (fun (n, rs) (n', rs') -> n = n' && List.equal ( == ) rs rs')
+           (Logsys.Collected.events_of_packet c ~origin ~seq)
+           groups))
+    oracle
+
+let packets_index_matches_collected () =
+  check_index_matches_oracle (Lazy.force lossless);
+  check_index_matches_oracle (lossy_collected 0.3 5)
+
+(* Keys the dense origin-by-seq table cannot hold — a negative origin or
+   seq, or one at or past 2^28 — go to the index's fallback table; the
+   key list must still come out sorted with both kinds merged, and a
+   zero-node snapshot must reconstruct and merge nothing. *)
+let exotic_keys () =
+  let big = 1 lsl 28 in
+  let r node origin seq kind : Logsys.Record.t =
+    { node; kind; origin; pkt_seq = seq; true_time = 0.; gseq = 0 }
+  in
+  let logs =
+    [|
+      [|
+        r 0 (-1) 5 (Recv { from = 2 });
+        r 0 1 0 Deliver;
+        r 0 big 0 (Recv { from = 1 });
+      |];
+      [|
+        r 1 1 0 Gen;
+        r 1 1 big (Trans { to_ = 0 });
+        r 1 2 (-3) (Recv { from = 2 });
+        r 1 1 0 (Trans { to_ = 0 });
+        r 1 big 0 (Trans { to_ = 0 });
+      |];
+      [|
+        r 2 (-1) 5 Gen;
+        r 2 1 big Gen;
+        r 2 2 (-3) Gen;
+        r 2 (-1) 5 (Trans { to_ = 0 });
+        r 2 0 2 (Recv { from = 1 });
+      |];
+    |]
+  in
+  let c = Logsys.Collected.of_node_logs logs in
+  let keys = Logsys.Collected.packet_keys c in
+  Alcotest.(check (list (pair int int)))
+    "sorted, dense and exotic merged"
+    [ (-1, 5); (0, 2); (1, 0); (1, big); (2, -3); (big, 0) ]
+    keys;
+  check_index_matches_oracle c;
+  let flows = ref [] in
+  Refill.Reconstruct.run c ~sink:0 ~emit:(fun f -> flows := f :: !flows);
+  let flows = Array.of_list (List.rev !flows) in
+  Alcotest.(check (list (pair int int)))
+    "flows in key order" keys
+    (Array.to_list
+       (Array.map (fun (f : Refill.Flow.t) -> (f.origin, f.seq)) flows));
+  let stats = Refill.Global_flow.merge c ~flows ~emit:ignore in
+  Alcotest.(check int) "every event merged"
+    (Array.fold_left
+       (fun n (f : Refill.Flow.t) -> n + List.length f.items)
+       0 flows)
+    stats.events;
+  let empty = Logsys.Collected.of_node_logs [||] in
+  Alcotest.(check (list (pair int int)))
+    "no keys" []
+    (Logsys.Collected.packet_keys empty);
+  Refill.Reconstruct.run empty ~sink:0 ~emit:(fun _ ->
+      Alcotest.fail "flow from an empty snapshot");
+  let stats = Refill.Global_flow.merge empty ~flows:[||] ~emit:ignore in
+  Alcotest.(check int) "nothing merged" 0 stats.events
 
 let packets_build_rejects_bad_node () =
   let a = Logsys.Arena.create () in
@@ -350,28 +463,6 @@ let packets_build_rejects_bad_node () =
     | _ -> false)
 
 (* -- Memory-mapped dump reader (Mseg) ------------------------------------- *)
-
-let with_dump ?(time_order = false) ?truth c f =
-  let path = Filename.temp_file "refill_arena" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Logsys.Log_io.save_file path ~sink:(sink ()) ?truth ~time_order c;
-      f path)
-
-(* Every row [Mseg] decodes from [path], one chunk of [chunk] rows at a
-   time, after skipping [skip] records. *)
-let mseg_rows ?(skip = 0) ~chunk path =
-  let r = Logsys.Log_io.Mseg.open_file path in
-  Alcotest.(check int) "mseg skipped" skip (Logsys.Log_io.Mseg.skip r skip);
-  let a = Logsys.Arena.create () in
-  while Logsys.Log_io.Mseg.next_into r a ~max_records:chunk > 0 do
-    ()
-  done;
-  Alcotest.(check int) "read position"
-    (skip + Logsys.Arena.length a)
-    (Logsys.Log_io.Mseg.read r);
-  (r, a)
 
 (* [Log_io.load] is the reference reader: an arrival-order dump with truth
    lines must decode to the same records, node by node in log order, with
@@ -492,6 +583,7 @@ let () =
           QCheck_alcotest.to_alcotest run_arena_equals_run_lossy;
           Alcotest.test_case "packet index matches Collected" `Quick
             packets_index_matches_collected;
+          Alcotest.test_case "exotic keys" `Quick exotic_keys;
           Alcotest.test_case "index rejects bad node" `Quick
             packets_build_rejects_bad_node;
         ] );

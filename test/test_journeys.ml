@@ -120,7 +120,10 @@ let records_of_journey j =
 let valid j = match j.terminal with T_dup -> j.hops >= 2 | _ -> true
 
 let classify_records records =
-  let config = Protocol.make_config ~records ~origin:1 ~seq:0 ~sink:0 in
+  let config =
+    Protocol.make_config ~records:(Array.of_list records) ~origin:1 ~seq:0
+      ~sink:0
+  in
   let events = Protocol.events_of_records records in
   let acc = ref [] in
   let stats =

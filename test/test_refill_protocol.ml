@@ -7,7 +7,9 @@ let record node kind : Logsys.Record.t =
   { node; kind; origin = 1; pkt_seq = 0; true_time = 0.; gseq = 0 }
 
 let reconstruct ?(origin = 1) ?(sink = 99) records =
-  let config = Protocol.make_config ~records ~origin ~seq:0 ~sink in
+  let config =
+    Protocol.make_config ~records:(Array.of_list records) ~origin ~seq:0 ~sink
+  in
   let events = Protocol.events_of_records records in
   let acc = ref [] in
   let stats =

@@ -357,13 +357,15 @@ let resume_config_conflict_rejected () =
 
 (* Regression (malformed headers): before the fix, resume accepted
    negative counters and a peak-frontier below the restored frontier,
-   building a stream whose drain limit was garbage. *)
+   building a stream whose drain limit was garbage.  It also accepted a
+   buffer holding another packet's record, and a packet buffered twice,
+   which was then emitted twice. *)
 let resume_rejects_nonsense_headers () =
-  let record_line =
-    let ordered =
-      Logsys.Collected.merged_by_time (Lazy.force lossless)
-    in
-    Logsys.Log_io.record_to_line_exact ordered.(0)
+  let first = (Logsys.Collected.merged_by_time (Lazy.force lossless)).(0) in
+  (* A one-record buffer holding [first] under key [(origin, seq)]. *)
+  let buffer ?(origin = first.origin) ?(seq = first.pkt_seq) () =
+    Printf.sprintf "b %d %d 5 0 1\n%s\n" origin seq
+      (Logsys.Log_io.record_to_line_exact first)
   in
   let v2 ?(watermark = 100) ?(complete = 0) ?(incomplete = 0) ?flows
       ?(peak = 0) ?(body = "") ~clock ~processed () =
@@ -412,9 +414,13 @@ let resume_rejects_nonsense_headers () =
       ("negative watermark", v2 ~watermark:(-1) ~clock:10 ~processed:10 ());
       ("zero watermark", v2 ~watermark:0 ~clock:10 ~processed:10 ());
       ( "peak below restored frontier",
-        v2 ~clock:10 ~processed:10 ~peak:0
-          ~body:(Printf.sprintf "b 3 7 5 0 1\n%s\n" record_line)
+        v2 ~clock:10 ~processed:10 ~peak:0 ~body:(buffer ()) () );
+      ( "record of another packet in a buffer",
+        v2 ~clock:10 ~processed:10 ~peak:1
+          ~body:(buffer ~origin:(first.origin + 7) ())
           () );
+      ( "packet buffered twice",
+        v2 ~clock:10 ~processed:10 ~peak:2 ~body:(buffer () ^ buffer ()) () );
       ("negative clock", v2 ~clock:(-3) ~processed:(-3) ());
       ( "flows disagree with outcomes",
         v2 ~clock:10 ~processed:10 ~flows:3 ~complete:1 ~incomplete:1 () );
@@ -427,9 +433,7 @@ let resume_rejects_nonsense_headers () =
   with_temp_file (fun path ->
       let oc = open_out path in
       output_string oc
-        (v2 ~clock:10 ~processed:10 ~peak:1
-           ~body:(Printf.sprintf "b 3 7 5 0 1\n%s\n" record_line)
-           ());
+        (v2 ~clock:10 ~processed:10 ~peak:1 ~body:(buffer ()) ());
       close_out oc;
       match Refill.Stream.resume_file path ~sink:(sink ()) ~emit:ignore with
       | Ok _ -> ()
@@ -742,13 +746,7 @@ let incremental_merge_equals_batch () =
   Alcotest.(check (list string)) "items"
     (List.rev !batch_items) (List.rev !inc_items)
 
-(* -- Summaries and config -------------------------------------------------- *)
-
-let summarize_array_matches_list () =
-  let flows = batch_flows (Lazy.force lossless) in
-  Alcotest.(check bool) "array summary = list summary" true
-    (Refill.Reconstruct.summarize flows
-    = Refill.Reconstruct.summarize_array (Array.of_list flows))
+(* -- Config --------------------------------------------------------------- *)
 
 let config_validation () =
   (match Refill.Config.validate Refill.Config.default with
@@ -816,8 +814,6 @@ let () =
         ] );
       ( "api",
         [
-          Alcotest.test_case "summarize_array" `Quick
-            summarize_array_matches_list;
           Alcotest.test_case "config validation" `Quick config_validation;
         ] );
     ]
