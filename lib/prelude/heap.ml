@@ -6,8 +6,7 @@ type 'a t = {
   mutable next_seq : int;
 }
 
-let create ?(capacity = 16) () =
-  { data = [||]; size = 0; next_seq = capacity * 0 }
+let create () = { data = [||]; size = 0; next_seq = 0 }
 
 let length t = t.size
 
@@ -57,8 +56,6 @@ let push t ~priority value =
   let entry = { priority; seq = t.next_seq; value } in
   t.next_seq <- t.next_seq + 1;
   push_entry t entry
-
-let push_tie t ~priority ~tie value = push_entry t { priority; seq = tie; value }
 
 let peek t =
   if t.size = 0 then None

@@ -6,8 +6,8 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** Fresh empty heap. [capacity] is an initial size hint. *)
+val create : unit -> 'a t
+(** Fresh empty heap. *)
 
 val length : 'a t -> int
 
@@ -15,13 +15,6 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> priority:float -> 'a -> unit
 (** Insert an element. *)
-
-val push_tie : 'a t -> priority:float -> tie:int -> 'a -> unit
-(** Like {!push}, but equal priorities pop in ascending [tie] order instead
-    of insertion order — a lexicographic [(priority, tie)] key.  A heap
-    should use either {!push} or {!push_tie} exclusively: mixing the two
-    makes the tie-break between an auto-sequenced and an explicitly-tied
-    entry meaningless. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the element with the smallest priority; [None] when

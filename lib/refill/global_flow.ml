@@ -1,28 +1,34 @@
 (* The network-wide merge is the pipeline stage that sees every event at
    once (~1.4M items on the 30-day CitySee rung), so its data layout is
-   flat and index-based throughout:
+   flat and index-based throughout, with no hashing per item or per log
+   row and no allocation per event:
 
-   - items live in one array filled by two counted passes over the flows
-     (no per-flow cons lists, no [Array.of_list]);
-   - packet identities are interned to dense ints ([pid]s) via int-packed
-     [(origin, seq)] keys, so the hot lookups hash machine ints instead of
-     tuples;
+   - items live in one array filled by one pass over the flows; packet
+     identities ([pid]s) are interned once per flow;
    - hard edges (per-packet flow order) are consecutive chains, stored as
-     a single-successor array; soft edges (cross-packet node-log order)
-     are a CSR adjacency built in two counted passes;
-   - the per-node log alignment that discovers soft edges touches disjoint
-     state per node, so it fans out across domains via {!Par};
-   - stall recovery pops a secondary min-heap of hard-ready events keyed
-     lexicographically by [(anchor, id)] — O(log n) per relaxation where
-     the previous implementation rescanned all n items per soft cycle
-     (O(n^2) worst case).
+     a single-successor array;
+   - the log alignment runs per packet: candidates are bucketed by
+     payload packet in (node, id) order by two counting sorts, and each
+     bucket is merge-walked against that packet's rows of the
+     {!Logsys.Arena.Packets} index; packets touch disjoint rows and ids,
+     so they fan out across domains via {!Par};
+   - soft edges (cross-packet node-log order) chain each node's matched
+     items, one walk over the node logs; every item sits on one node, so
+     soft edges are a single-successor array too;
+   - Kahn's algorithm runs on two unboxed int heaps: the main one keyed
+     (anchor, push sequence), the stall one (anchor, id) holding only
+     events that became hard-ready with soft in-edges pending — O(log n)
+     per stall release where the original implementation rescanned all n
+     items per soft cycle.
 
    The emission order is bit-identical to the straightforward
    list-and-hashtable implementation this replaced (the test suite keeps a
-   copy of it as an oracle): the main Kahn heap receives the same pushes
-   in the same sequence, and the stall heap's [(anchor, id)] key
-   reproduces the old linear scan's smallest-anchor-then-smallest-id
-   choice. *)
+   copy of it as an oracle): the alignment matches each (packet, node)
+   queue against the same log rows in the same order, the main heap
+   receives the same pushes in the same sequence, and the stall heap's
+   [(anchor, id)] key reproduces the old linear scan's
+   smallest-anchor-then-smallest-id choice.  Both keys are strict total
+   orders, so the pop sequence does not depend on heap internals. *)
 
 module Obs = Refill_obs
 
@@ -58,61 +64,82 @@ let c_prov_carry =
     ~help:"Events emitted per provenance mechanism (provenance-enabled runs)."
     ~labels:[ ("mechanism", Provenance.mechanism_name Provenance.Anchor_carry) ]
 
-(* Packet interning.  Origins and seqs are small nonnegative ints for
-   every logger-produced record (the same observation the [Arena.Packets]
-   index relies on), so the common case packs them into one int key;
-   anything exotic (hand-built logs) falls back to a tuple-keyed table. *)
-let dense_limit = 1 lsl 28
+(* Packet interning, per flow (not per item): flows sharing a key share a
+   pid, which is what chains their items into one hard sequence. *)
+let intern tbl ~origin ~seq =
+  match Hashtbl.find_opt tbl (origin, seq) with
+  | Some pid -> pid
+  | None ->
+      let pid = Hashtbl.length tbl in
+      Hashtbl.add tbl (origin, seq) pid;
+      pid
 
-type interner = {
-  dense : (int, int) Hashtbl.t;
-  exotic : (int * int, int) Hashtbl.t;
-  mutable n_pids : int;
-}
+(* Stable counting sort of [src] into [dst] by [key x] in [0, n_keys);
+   returns the bucket offsets (bucket [k] is [dst.(off.(k)) ..
+   dst.(off.(k + 1) - 1)]). *)
+let counting_sort ~n_keys key src dst =
+  let off = Array.make (n_keys + 1) 0 in
+  Array.iter (fun x -> off.(key x) <- off.(key x) + 1) src;
+  for k = 1 to n_keys do
+    off.(k) <- off.(k) + off.(k - 1)
+  done;
+  for i = Array.length src - 1 downto 0 do
+    let x = src.(i) in
+    let k = key x in
+    off.(k) <- off.(k) - 1;
+    dst.(off.(k)) <- x
+  done;
+  off
 
-let interner_create n_hint =
-  {
-    dense = Hashtbl.create (max 64 n_hint);
-    exotic = Hashtbl.create 8;
-    n_pids = 0;
-  }
+(* A binary min-heap of non-negative ints ordered by
+   [(key.(e land id_mask), e)]: the element is an item id, optionally with
+   a push sequence in the bits above [id_bits], so the lexicographic key
+   needs no tuple and the heap no boxes.  Every id is pushed at most once,
+   so capacity [n] never grows.  [pop] returns [-1] when empty. *)
+let id_bits = 31
 
-let pid_intern t ~origin ~seq =
-  let fresh tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some pid -> pid
-    | None ->
-        let pid = t.n_pids in
-        t.n_pids <- pid + 1;
-        Hashtbl.add tbl key pid;
-        pid
-  in
-  if origin >= 0 && origin < dense_limit && seq >= 0 && seq < dense_limit then
-    fresh t.dense ((origin lsl 28) lor seq)
-  else fresh t.exotic (origin, seq)
+let id_mask = (1 lsl id_bits) - 1
 
-(* Lookup without interning — absent keys mean "no constraint", exactly as
-   a missing queue did in the hashtable implementation. *)
-let pid_find t ~origin ~seq =
-  if origin >= 0 && origin < dense_limit && seq >= 0 && seq < dense_limit then
-    Hashtbl.find_opt t.dense ((origin lsl 28) lor seq)
-  else Hashtbl.find_opt t.exotic (origin, seq)
+module Int_heap = struct
+  type t = { data : int array; mutable size : int; key : float array }
 
-(* A tiny growable int buffer for the per-node edge lists (edges are
-   appended as flattened [src; dst] pairs). *)
-type ibuf = { mutable data : int array; mutable len : int }
+  let create key n = { data = Array.make n 0; size = 0; key }
 
-let ibuf_create () = { data = Array.make 64 0; len = 0 }
+  let before h a b =
+    let ka = h.key.(a land id_mask) and kb = h.key.(b land id_mask) in
+    ka < kb || (ka = kb && a < b)
 
-let ibuf_push2 b x y =
-  if b.len + 2 > Array.length b.data then begin
-    let grown = Array.make (2 * Array.length b.data) 0 in
-    Array.blit b.data 0 grown 0 b.len;
-    b.data <- grown
-  end;
-  b.data.(b.len) <- x;
-  b.data.(b.len + 1) <- y;
-  b.len <- b.len + 2
+  let push h e =
+    let i = ref h.size in
+    h.size <- h.size + 1;
+    while !i > 0 && before h e h.data.((!i - 1) / 2) do
+      h.data.(!i) <- h.data.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    h.data.(!i) <- e
+
+  let pop h =
+    if h.size = 0 then -1
+    else begin
+      let top = h.data.(0) in
+      h.size <- h.size - 1;
+      let last = h.data.(h.size) and i = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        let c =
+          if l + 1 < h.size && before h h.data.(l + 1) h.data.(l) then l + 1
+          else l
+        in
+        if c < h.size && before h h.data.(c) last then begin
+          h.data.(!i) <- h.data.(c);
+          i := c
+        end
+        else sifting := false
+      done;
+      h.data.(!i) <- last;
+      top
+    end
+end
 
 (* Where the merge reads per-node logs from: an arena-indexed packet
    index (columns; the alignment never materializes a record). *)
@@ -120,17 +147,9 @@ type log_source = Arena_index of Logsys.Arena.Packets.t
 
 let merge_untimed ?jobs ?emit_prov (Arena_index packets)
     ~(flows : Flow.t array) ~emit:emit_item =
-  (* ---- Pass 1: count items and intern every flow's packet. ---- *)
-  let n_flows = Array.length flows in
-  let interner = interner_create n_flows in
-  let flow_pid = Array.make n_flows 0 in
-  let n = ref 0 in
-  Array.iteri
-    (fun fi (f : Flow.t) ->
-      flow_pid.(fi) <- pid_intern interner ~origin:f.origin ~seq:f.seq;
-      n := !n + List.length f.items)
-    flows;
-  let n = !n in
+  let n =
+    Array.fold_left (fun n (f : Flow.t) -> n + List.length f.items) 0 flows
+  in
   if n = 0 then { events = 0; logged = 0; inferred = 0; relaxed = 0 }
   else begin
     let dummy =
@@ -138,18 +157,15 @@ let merge_untimed ?jobs ?emit_prov (Arena_index packets)
       | Some f -> List.hd f.items
       | None -> assert false
     in
-    (* ---- Pass 2: flat fill.  Ids are assigned in flow order, so each
-       packet's hard chain is a run of consecutive ids; [last_of_pid]
-       extends the chain across flows that share a packet key, mirroring
-       the per-packet linearization exactly. ---- *)
+    let module Packets = Logsys.Arena.Packets in
+    let n_nodes = Packets.n_nodes packets in
+    let arena = Packets.arena packets in
     let items = Array.make n dummy in
     let packet_of = Array.make n 0 in
     let pos_of = Array.make n 0 in
-    let anchors = Array.make n Float.nan in
     let hard_succ = Array.make n (-1) in
     let hard_in = Array.make n 0 in
     let logged = ref 0 in
-    let last_of_pid = Array.make interner.n_pids (-1) in
     (* Provenance side-cars, allocated only when the caller listens.  Each
        item's base provenance comes from its flow's side-car when the flows
        were reconstructed with provenance on; otherwise it is synthesized
@@ -169,287 +185,271 @@ let merge_untimed ?jobs ?emit_prov (Arena_index packets)
       if want_prov then Array.make n (synth_prov dummy) else [||]
     in
     let aligned = if want_prov then Array.make n false else [||] in
-    let cursor = ref 0 in
-    Array.iteri
-      (fun fi (f : Flow.t) ->
-        let pid = flow_pid.(fi) in
-        let fprov = f.prov in
-        let n_fprov = Array.length fprov in
-        List.iteri
-          (fun pos item ->
-            let id = !cursor in
-            incr cursor;
-            items.(id) <- item;
-            packet_of.(id) <- pid;
-            pos_of.(id) <- pos;
-            if want_prov then
-              prov_of.(id) <-
-                (if pos < n_fprov then fprov.(pos) else synth_prov item);
-            if not item.Engine.inferred then incr logged;
-            let prev = last_of_pid.(pid) in
-            if prev >= 0 && prev <> id then begin
-              hard_succ.(prev) <- id;
-              hard_in.(id) <- hard_in.(id) + 1
-            end;
-            last_of_pid.(pid) <- id)
-          f.items)
-      flows;
-    (* ---- Soft-constraint candidates: for each (packet, node), the
-       logged items whose payloads can be aligned with that node's log, in
-       flow order.  CSR over dense slots, two counted passes; the node
-       component of the slot key partitions slots across nodes, which is
-       what lets the alignment below run per-node in parallel. ---- *)
-    let n_nodes = Logsys.Arena.Packets.n_nodes packets in
-    let slot_tbl : (int, int) Hashtbl.t = Hashtbl.create (max 64 n_flows) in
-    let n_slots = ref 0 in
-    let q_count = Array.make n 0 in
-    let eligible = ref 0 in
-    let slot_key id (r : Logsys.Record.t) =
-      let item = items.(id) in
-      if item.Engine.inferred || item.Engine.node < 0
-         || item.Engine.node >= n_nodes
-      then None
-      else
-        match pid_find interner ~origin:r.origin ~seq:r.pkt_seq with
-        | None -> None
-        | Some qpid -> Some ((qpid * n_nodes) + item.Engine.node)
+    (* ---- Candidates.  Flat fill: ids are assigned in flow order, so each
+       packet's hard chain is a run of consecutive ids, extended across
+       flows that share a packet key.  Every logged item on a known node
+       is a candidate for alignment under its payload's packet — on
+       logger-produced records that is its flow's own packet, so only a
+       foreign payload costs a lookup.  Candidates are then bucketed by
+       packet, each bucket in (node, id) order: two stable counting
+       sorts. ---- *)
+    let pids = Hashtbl.create (max 64 (Array.length flows)) in
+    let n_pids, cand, cand_off =
+      Obs.Profile.with_stage ~name:"refill.global_flow.candidates" (fun () ->
+          let flow_pid =
+            Array.map
+              (fun (f : Flow.t) -> intern pids ~origin:f.origin ~seq:f.seq)
+              flows
+          in
+          let last_of_pid = Array.make (Hashtbl.length pids) (-1) in
+          let qpid = Array.make n (-1) in
+          let n_cand = ref 0 in
+          let cursor = ref 0 in
+          Array.iteri
+            (fun fi (f : Flow.t) ->
+              let pid = flow_pid.(fi) in
+              let fprov = f.prov in
+              List.iteri
+                (fun pos (item : _ Engine.item) ->
+                  let id = !cursor in
+                  incr cursor;
+                  items.(id) <- item;
+                  packet_of.(id) <- pid;
+                  pos_of.(id) <- pos;
+                  if want_prov then
+                    prov_of.(id) <-
+                      (if pos < Array.length fprov then fprov.(pos)
+                       else synth_prov item);
+                  if not item.inferred then incr logged;
+                  let prev = last_of_pid.(pid) in
+                  if prev >= 0 then begin
+                    hard_succ.(prev) <- id;
+                    hard_in.(id) <- 1
+                  end;
+                  last_of_pid.(pid) <- id;
+                  match item.payload with
+                  | Some r
+                    when (not item.inferred) && item.node >= 0
+                         && item.node < n_nodes ->
+                      qpid.(id) <-
+                        (if r.origin = f.origin && r.pkt_seq = f.seq then pid
+                         else intern pids ~origin:r.origin ~seq:r.pkt_seq);
+                      incr n_cand
+                  | Some _ | None -> ())
+                f.items)
+            flows;
+          let eligible = Array.make !n_cand 0 in
+          let k = ref 0 in
+          Array.iteri
+            (fun id p ->
+              if p >= 0 then begin
+                eligible.(!k) <- id;
+                incr k
+              end)
+            qpid;
+          let by_node = Array.make !n_cand 0 in
+          ignore
+            (counting_sort ~n_keys:n_nodes
+               (fun id -> items.(id).Engine.node)
+               eligible by_node
+              : int array);
+          let n_pids = Hashtbl.length pids in
+          let cand = eligible (* its order is no longer needed *) in
+          let cand_off =
+            counting_sort ~n_keys:n_pids (fun id -> qpid.(id)) by_node cand
+          in
+          (n_pids, cand, cand_off))
     in
-    for id = 0 to n - 1 do
-      match items.(id).Engine.payload with
-      | None -> ()
-      | Some r -> (
-          (* Payload packets are interned too: a payload key that never
-             appeared as a flow key still forms its own queue. *)
-          let item = items.(id) in
-          if
-            (not item.Engine.inferred)
-            && item.Engine.node >= 0
-            && item.Engine.node < n_nodes
-          then begin
-            let qpid = pid_intern interner ~origin:r.origin ~seq:r.pkt_seq in
-            let key = (qpid * n_nodes) + item.Engine.node in
-            let slot =
-              match Hashtbl.find_opt slot_tbl key with
-              | Some s -> s
-              | None ->
-                  let s = !n_slots in
-                  incr n_slots;
-                  Hashtbl.add slot_tbl key s;
-                  s
-            in
-            q_count.(slot) <- q_count.(slot) + 1;
-            incr eligible
-          end)
-    done;
-    let n_slots = !n_slots in
-    let q_off = Array.make (n_slots + 1) 0 in
-    for s = 0 to n_slots - 1 do
-      q_off.(s + 1) <- q_off.(s) + q_count.(s)
-    done;
-    let q_ids = Array.make (max 1 !eligible) 0 in
-    let q_fill = Array.make (max 1 n_slots) 0 in
-    for id = 0 to n - 1 do
-      match items.(id).Engine.payload with
-      | None -> ()
-      | Some r -> (
-          match slot_key id r with
-          | None -> ()
-          | Some key ->
-              let slot = Hashtbl.find slot_tbl key in
-              q_ids.(q_off.(slot) + q_fill.(slot)) <- id;
-              q_fill.(slot) <- q_fill.(slot) + 1)
-    done;
-    (* ---- Per-node alignment: walk each node's log, matching records
-       against the head of their (packet, node) candidate run; a match
-       fixes the item's anchor (its log-position fraction) and chains a
-       soft edge from the previously matched item on that node.  Each
-       worker touches only its node's slots, cursors and matched item ids,
-       so nodes fan out across domains; interner reads are lookups into
-       tables no longer being written. ---- *)
-    let q_cursor = Array.make (max 1 n_slots) 0 in
-    let arena = Logsys.Arena.Packets.arena packets in
-    let align node =
-      let rows = Logsys.Arena.Packets.node_rows packets node in
-      let len = float_of_int (max 1 (Array.length rows)) in
-      let edges = ibuf_create () in
-      let last = ref (-1) in
-      Array.iteri
-        (fun log_idx row ->
-          let origin = Logsys.Arena.origin arena row
-          and seq = Logsys.Arena.pkt_seq arena row in
-          match pid_find interner ~origin ~seq with
-          | None -> ()
-          | Some qpid -> (
-              match Hashtbl.find_opt slot_tbl ((qpid * n_nodes) + node) with
-              | None -> ()
-              | Some slot ->
-                  let cur = q_cursor.(slot) in
-                  if cur < q_off.(slot + 1) - q_off.(slot) then begin
-                    let id = q_ids.(q_off.(slot) + cur) in
-                    match items.(id).Engine.payload with
-                    | Some r' when Logsys.Arena.equal_record arena row r' ->
-                        q_cursor.(slot) <- cur + 1;
-                        anchors.(id) <- float_of_int log_idx /. len;
-                        (* Distinct ids per node: safe to write from the
-                           per-node workers, like [anchors] above. *)
-                        if want_prov then aligned.(id) <- true;
-                        if !last >= 0 then ibuf_push2 edges !last id;
-                        last := id
-                    | Some _ | None -> ()
-                  end))
-        rows;
-      Array.sub edges.data 0 edges.len
+    (* ---- Alignment, per packet.  The packet's rows are node-ascending,
+       each node's in log order, and its candidates node-ascending, each
+       node's in flow order — so one merge-walk runs the greedy
+       head-of-queue match of every (packet, node) queue against that
+       node's log: a row equal to the queue head matches it, any other
+       row is skipped, and a node whose rows run out leaves the rest of
+       its queue unmatched.  Each row and each id belongs to one packet,
+       so packets fan out across domains writing disjoint slots of
+       [matched_of_row]. ---- *)
+    let matched_of_row = Array.make (Logsys.Arena.length arena) (-1) in
+    let align pid =
+      let c = ref cand_off.(pid) and c_end = cand_off.(pid + 1) in
+      if !c < c_end then begin
+        let origin, seq =
+          match items.(cand.(!c)).Engine.payload with
+          | Some r -> (r.origin, r.pkt_seq)
+          | None -> assert false
+        in
+        let rows = Packets.packet_rows packets ~origin ~seq in
+        let r = ref 0 in
+        while !c < c_end && !r < Array.length rows do
+          let id = cand.(!c) and row = rows.(!r) in
+          let node = items.(id).Engine.node
+          and row_node = Logsys.Arena.node arena row in
+          if row_node < node then incr r
+          else if row_node > node then incr c
+          else begin
+            (match items.(id).Engine.payload with
+            | Some p when Logsys.Arena.equal_record arena row p ->
+                matched_of_row.(row) <- id;
+                incr c
+            | Some _ | None -> ());
+            incr r
+          end
+        done
+      end
     in
     let jobs =
       match jobs with Some j -> max 1 j | None -> Par.default_jobs ()
     in
     let jobs = if n < Par.min_parallel_items then 1 else jobs in
-    let node_edges =
-      Par.map_array ~jobs align (Array.init n_nodes (fun i -> i))
-    in
-    (* ---- Soft CSR.  A soft edge opposing a hard (same-packet) path is a
-       concurrent pair whose linearization chose the other interleaving:
-       dropped and counted, not an error.  Surviving edges are laid out in
-       discovery order (nodes ascending, log order within a node), which
-       is the successor order emission traverses. ---- *)
-    let relaxed = ref 0 in
+    Obs.Profile.with_stage ~name:"refill.global_flow.align" (fun () ->
+        let chunks = if jobs = 1 then 1 else 8 * jobs in
+        ignore
+          (Par.map_array ~jobs
+             (fun c ->
+               for pid = c * n_pids / chunks to ((c + 1) * n_pids / chunks) - 1
+               do
+                 align pid
+               done)
+             (Array.init chunks Fun.id)
+            : unit array));
+    (* ---- Order: one walk over every node's log, in log order, fixes
+       each matched item's anchor (its log-position fraction) and chains
+       it to the node's previous match.  Each item sits on one node, so
+       soft edges have in- and out-degree at most one.  A soft edge
+       opposing a hard (same-packet) path is a concurrent pair whose
+       linearization chose the other interleaving: dropped and counted,
+       not an error.  Unmatched items then inherit the anchor of the
+       nearest matched neighbour in their flow, following first (backward
+       pass), then preceding (forward pass), else 0. ---- *)
+    let anchors = Array.make n Float.nan in
+    let soft_succ = Array.make n (-1) in
     let soft_in = Array.make n 0 in
-    let soft_out = Array.make n 0 in
-    let n_soft = ref 0 in
-    let iter_edges f =
-      Array.iter
-        (fun (edges : int array) ->
-          let m = Array.length edges in
-          let k = ref 0 in
-          while !k < m do
-            f edges.(!k) edges.(!k + 1);
-            k := !k + 2
-          done)
-        node_edges
-    in
-    iter_edges (fun a b ->
-        if a <> b then
-          if packet_of.(a) = packet_of.(b) && pos_of.(b) <= pos_of.(a) then
-            incr relaxed
-          else begin
-            soft_out.(a) <- soft_out.(a) + 1;
-            soft_in.(b) <- soft_in.(b) + 1;
-            incr n_soft
-          end);
-    let soft_off = Array.make (n + 1) 0 in
-    for id = 0 to n - 1 do
-      soft_off.(id + 1) <- soft_off.(id) + soft_out.(id)
-    done;
-    let soft_adj = Array.make (max 1 !n_soft) 0 in
-    let soft_fill = Array.make n 0 in
-    iter_edges (fun a b ->
-        if
-          a <> b
-          && not (packet_of.(a) = packet_of.(b) && pos_of.(b) <= pos_of.(a))
-        then begin
-          soft_adj.(soft_off.(a) + soft_fill.(a)) <- b;
-          soft_fill.(a) <- soft_fill.(a) + 1
-        end);
-    (* ---- Anchor inheritance for unmatched items: nearest logged
-       neighbour in their flow, following first (backward pass), then
-       preceding (forward pass), else 0. ---- *)
-    let carry = Array.make interner.n_pids Float.nan in
-    for id = n - 1 downto 0 do
-      let pid = packet_of.(id) in
-      if Float.is_nan anchors.(id) then begin
-        if not (Float.is_nan carry.(pid)) then anchors.(id) <- carry.(pid)
-      end
-      else carry.(pid) <- anchors.(id)
-    done;
-    Array.fill carry 0 (Array.length carry) Float.nan;
-    for id = 0 to n - 1 do
-      let pid = packet_of.(id) in
-      if Float.is_nan anchors.(id) then
-        anchors.(id) <-
-          (if Float.is_nan carry.(pid) then 0. else carry.(pid))
-      else carry.(pid) <- anchors.(id)
-    done;
+    let relaxed = ref 0 in
+    Obs.Profile.with_stage ~name:"refill.global_flow.order" (fun () ->
+        for node = 0 to n_nodes - 1 do
+          let rows = Packets.node_rows packets node in
+          let len = float_of_int (max 1 (Array.length rows)) in
+          let last = ref (-1) in
+          Array.iteri
+            (fun log_idx row ->
+              let b = matched_of_row.(row) in
+              if b >= 0 then begin
+                anchors.(b) <- float_of_int log_idx /. len;
+                if want_prov then aligned.(b) <- true;
+                let a = !last in
+                if a >= 0 then
+                  if packet_of.(a) = packet_of.(b) && pos_of.(b) <= pos_of.(a)
+                  then incr relaxed
+                  else begin
+                    soft_succ.(a) <- b;
+                    soft_in.(b) <- 1
+                  end;
+                last := b
+              end)
+            rows
+        done;
+        let carry = Array.make n_pids Float.nan in
+        for id = n - 1 downto 0 do
+          let pid = packet_of.(id) in
+          if Float.is_nan anchors.(id) then begin
+            if not (Float.is_nan carry.(pid)) then anchors.(id) <- carry.(pid)
+          end
+          else carry.(pid) <- anchors.(id)
+        done;
+        Array.fill carry 0 n_pids Float.nan;
+        for id = 0 to n - 1 do
+          let pid = packet_of.(id) in
+          if Float.is_nan anchors.(id) then
+            anchors.(id) <-
+              (if Float.is_nan carry.(pid) then 0. else carry.(pid))
+          else carry.(pid) <- anchors.(id)
+        done);
     (* ---- Deterministic Kahn's algorithm.  The main heap orders ready
-       events by anchor (FIFO among equals); the stall heap indexes every
-       event whose HARD prerequisites are met, keyed (anchor, id), so
-       breaking a soft cycle is a pop instead of a full rescan.  Entries
-       go stale when their event is emitted through the main heap — pops
-       skip those lazily. ---- *)
-    let module Pq = Prelude.Heap in
-    let main = Pq.create ~capacity:(max 16 (n / 4)) () in
-    let stall = Pq.create ~capacity:(max 16 (n / 4)) () in
-    let emitted = Array.make n false in
-    let emitted_count = ref 0 in
-    let stalls = ref 0 in
-    for id = 0 to n - 1 do
-      if hard_in.(id) = 0 then begin
-        Pq.push_tie stall ~priority:anchors.(id) ~tie:id id;
-        if soft_in.(id) = 0 then Pq.push main ~priority:anchors.(id) id
-      end
-    done;
+       events by (anchor, push sequence): FIFO among equal anchors.  An
+       event that becomes hard-ready while soft in-edges are pending goes
+       to the stall heap, keyed (anchor, id); when the main heap runs dry
+       (a soft cycle) the smallest live stall entry is released by
+       dropping its soft in-edges.  Every hard-ready, not yet emitted
+       event is in the stall heap by then — any soft-ready one went
+       through the main heap, which is always drained first — so the
+       release is the (anchor, id)-smallest hard-ready event, exactly as
+       a full rescan would pick.  Stall entries go stale when their event
+       is emitted through the main heap; pops skip them lazily. ---- *)
     let n_stall_prov = ref 0 in
     let n_carry_prov = ref 0 in
-    let emit ?(stalled = false) id =
-      emitted.(id) <- true;
-      emit_item items.(id);
-      (match emit_prov with
-      | None -> ()
-      | Some f ->
-          let base = prov_of.(id) in
-          let pv =
-            if stalled then begin
-              incr n_stall_prov;
-              Provenance.with_mechanism Provenance.Stall_recovery base
-            end
-            else if
-              (not items.(id).Engine.inferred) && not aligned.(id)
-            then begin
-              (* A logged event whose record never aligned with its node's
-                 log: its global position was carried from a neighbour's
-                 anchor, not evidenced by the log itself. *)
-              incr n_carry_prov;
-              Provenance.with_mechanism Provenance.Anchor_carry base
-            end
-            else base
-          in
-          f pv);
-      incr emitted_count;
-      (match hard_succ.(id) with
-      | -1 -> ()
-      | succ ->
-          hard_in.(succ) <- hard_in.(succ) - 1;
-          if hard_in.(succ) = 0 then begin
-            Pq.push_tie stall ~priority:anchors.(succ) ~tie:succ succ;
-            if soft_in.(succ) = 0 && not emitted.(succ) then
-              Pq.push main ~priority:anchors.(succ) succ
-          end);
-      for k = soft_off.(id) to soft_off.(id + 1) - 1 do
-        let succ = soft_adj.(k) in
-        soft_in.(succ) <- soft_in.(succ) - 1;
-        if hard_in.(succ) = 0 && soft_in.(succ) = 0 && not emitted.(succ)
-        then Pq.push main ~priority:anchors.(succ) succ
-      done
-    in
-    while !emitted_count < n do
-      match Pq.pop main with
-      | Some (_, id) -> if not emitted.(id) then emit id
-      | None ->
-          (* A cycle through soft edges: release the (anchor, id)-smallest
-             event whose hard prerequisites are met by dropping its
-             remaining soft in-edges.  Hard edges are per-packet chains
-             (acyclic), so the stall heap always holds a live entry. *)
-          let rec release () =
-            match Pq.pop stall with
-            | None -> assert false
-            | Some (_, id) when emitted.(id) -> release ()
-            | Some (_, id) ->
-                relaxed := !relaxed + soft_in.(id);
-                soft_in.(id) <- 0;
-                incr stalls;
-                emit ~stalled:true id
-          in
-          release ()
-    done;
+    let stalls = ref 0 in
+    Obs.Profile.with_stage ~name:"refill.global_flow.emit" (fun () ->
+        let main = Int_heap.create anchors n in
+        let stall = Int_heap.create anchors n in
+        let pushes = ref 0 in
+        let push_main id =
+          Int_heap.push main ((!pushes lsl id_bits) lor id);
+          incr pushes
+        in
+        let emitted = Array.make n false in
+        let emitted_count = ref 0 in
+        for id = 0 to n - 1 do
+          if hard_in.(id) = 0 then
+            if soft_in.(id) = 0 then push_main id else Int_heap.push stall id
+        done;
+        let emit ~stalled id =
+          emitted.(id) <- true;
+          emit_item items.(id);
+          (match emit_prov with
+          | None -> ()
+          | Some f ->
+              let base = prov_of.(id) in
+              let pv =
+                if stalled then begin
+                  incr n_stall_prov;
+                  Provenance.with_mechanism Provenance.Stall_recovery base
+                end
+                else if
+                  (not items.(id).Engine.inferred) && not aligned.(id)
+                then begin
+                  (* A logged event whose record never aligned with its
+                     node's log: its global position was carried from a
+                     neighbour's anchor, not evidenced by the log itself. *)
+                  incr n_carry_prov;
+                  Provenance.with_mechanism Provenance.Anchor_carry base
+                end
+                else base
+              in
+              f pv);
+          incr emitted_count;
+          let succ = hard_succ.(id) in
+          if succ >= 0 then begin
+            hard_in.(succ) <- 0;
+            if soft_in.(succ) = 0 then push_main succ
+            else Int_heap.push stall succ
+          end;
+          let succ = soft_succ.(id) in
+          if succ >= 0 then begin
+            soft_in.(succ) <- soft_in.(succ) - 1;
+            if hard_in.(succ) = 0 && soft_in.(succ) = 0 && not emitted.(succ)
+            then push_main succ
+          end
+        in
+        while !emitted_count < n do
+          match Int_heap.pop main with
+          | -1 ->
+              (* Hard edges are per-packet chains (acyclic), so the stall
+                 heap always holds a live entry. *)
+              let rec release () =
+                match Int_heap.pop stall with
+                | -1 -> assert false
+                | id when emitted.(id) -> release ()
+                | id ->
+                    relaxed := !relaxed + soft_in.(id);
+                    soft_in.(id) <- 0;
+                    incr stalls;
+                    emit ~stalled:true id
+              in
+              release ()
+          | e ->
+              let id = e land id_mask in
+              if not emitted.(id) then emit ~stalled:false id
+        done);
     let stats =
       {
         events = n;
@@ -497,7 +497,7 @@ let merge ?jobs ?emit_prov collected ~flows ~emit =
    record in arrival order (each node's rows therefore in its write
    order, since any valid stream merge preserves it) and the flow array
    re-sorted to packet-key order (the order {!Reconstruct.run} emits) — so
-   [finish] reproduces the batch merge exactly: same interner ids, same
+   [finish] reproduces the batch merge exactly: same item ids, same
    anchors, same heap tie-breaks. *)
 module Incremental = struct
   type t = {
@@ -533,12 +533,11 @@ module Incremental = struct
     (* Stable sort restores the batch emission order (key-ascending);
        duplicate keys — an evicted packet's late fragments — keep their
        eviction order, which is also their arrival order. *)
-    let flows =
-      Array.of_list
-        (List.stable_sort
-           (fun (a : Flow.t) (b : Flow.t) ->
-             compare (a.origin, a.seq) (b.origin, b.seq))
-           (List.rev t.flows_rev))
-    in
+    let flows = Array.of_list (List.rev t.flows_rev) in
+    Array.stable_sort
+      (fun (a : Flow.t) (b : Flow.t) ->
+        let c = Int.compare a.origin b.origin in
+        if c <> 0 then c else Int.compare a.seq b.seq)
+      flows;
     merge_from ?jobs ?emit_prov (Arena_index packets) ~flows ~emit
 end

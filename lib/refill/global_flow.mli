@@ -46,9 +46,9 @@ val merge :
     own packet index ({!Logsys.Collected.packets}), the one
     {!Reconstruct.run} reads, so no second copy is made.
 
-    [jobs] caps the domain fan-out of the per-node log alignment (default
-    {!Par.default_jobs}; small inputs stay serial).  The emission sequence
-    is independent of [jobs].
+    [jobs] caps the domain fan-out of the per-packet log alignment
+    (default {!Par.default_jobs}; small inputs stay serial).  The emission
+    sequence is independent of [jobs].
 
     [emit_prov], when given, is called in lockstep with [emit] with each
     item's merge-refined provenance: the flow's own entry
@@ -75,7 +75,7 @@ val merge_from :
     emission sequence is identical to {!merge} over the batch
     reconstruction — the accumulator keeps every record in an arena in
     arrival order (so each node's rows stay in its write order) and
-    re-sorts flows to packet-key order, so interner ids, anchors and heap
+    re-sorts flows to packet-key order, so item ids, anchors and heap
     tie-breaks all coincide. *)
 module Incremental : sig
   type t

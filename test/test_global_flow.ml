@@ -255,6 +255,16 @@ module Reference = struct
     relaxed : int;
   }
 
+  (* The merge's output, plus the ids the log alignment matched and the ids
+     stall recovery released (in release order) — what [Anchor_carry] and
+     [Stall_recovery] provenance must mark. *)
+  type run = {
+    items : Refill.Flow.item list;
+    stats : stats;
+    matched : int list;
+    released : int list;
+  }
+
   type tagged = {
     item : Refill.Flow.item;
     packet : int * int;
@@ -322,6 +332,7 @@ module Reference = struct
         end)
       arr;
     let soft_edges = ref [] in
+    let matched = ref [] and released = ref [] in
     for node = 0 to Logsys.Collected.n_nodes collected - 1 do
       let log = Logsys.Collected.node_log collected node in
       let len = float_of_int (max 1 (Array.length log)) in
@@ -338,6 +349,7 @@ module Reference = struct
                      | Some r' -> compare r r' = 0
                      | None -> false) ->
                   ignore (Queue.pop q : int);
+                  matched := id :: !matched;
                   arr.(id).anchor <- float_of_int log_idx /. len;
                   (match !last with
                   | Some prev -> soft_edges := (prev, id) :: !soft_edges
@@ -417,16 +429,23 @@ module Reference = struct
             arr;
           relaxed := !relaxed + soft_in.(!best);
           soft_in.(!best) <- 0;
+          released := !best :: !released;
           emit !best
     done;
     let items = List.rev !out in
     let logged =
       List.length (List.filter (fun (i : Refill.Flow.item) -> not i.inferred) items)
     in
-    (items, { events = n; logged; inferred = n - logged; relaxed = !relaxed })
+    {
+      items;
+      stats = { events = n; logged; inferred = n - logged; relaxed = !relaxed };
+      matched = List.rev !matched;
+      released = List.rev !released;
+    }
 end
 
-let check_same_output label (ref_items, ref_stats) (items, stats) =
+let check_same_output label
+    { Reference.items = ref_items; stats = ref_stats; _ } (items, stats) =
   Alcotest.(check int) (label ^ ": events") ref_stats.Reference.events
     stats.Refill.Global_flow.events;
   Alcotest.(check int) (label ^ ": logged") ref_stats.logged stats.logged;
@@ -441,6 +460,57 @@ let check_same_output label (ref_items, ref_stats) (items, stats) =
     (label ^ ": identical sequence")
     true
     (List.for_all2 (fun a b -> a == b) ref_items items)
+
+(* Items keyed by identity: the merge emits the flows' own item values, so
+   an emitted item names its reference id (its position in the flows). *)
+module Phys = Hashtbl.Make (struct
+  type t = Refill.Flow.item
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* [merge ~emit_prov] must mark exactly the reference's released ids as
+   [Stall_recovery], and exactly its logged, unmatched, unreleased ids as
+   [Anchor_carry]. *)
+let check_merge_provenance label ?jobs collected ~flows
+    (reference : Reference.run) =
+  let id_of = Phys.create 1024 in
+  List.iteri
+    (fun id it -> Phys.replace id_of it id)
+    (List.concat_map (fun (f : Refill.Flow.t) -> f.items) flows);
+  let n = Phys.length id_of in
+  let mark ids =
+    let a = Array.make n false in
+    List.iter (fun id -> a.(id) <- true) ids;
+    a
+  in
+  let matched = mark reference.matched in
+  let released = mark reference.released in
+  let emitted = ref [] in
+  let item = ref None in
+  ignore
+    (Refill.Global_flow.merge ?jobs collected ~flows:(Array.of_list flows)
+       ~emit:(fun it -> item := Some it)
+       ~emit_prov:(fun pv ->
+         let mech = Refill.Provenance.mechanism pv in
+         emitted := (Option.get !item, mech) :: !emitted)
+      : Refill.Global_flow.stats);
+  Alcotest.(check int) (label ^ ": one provenance per item") n
+    (List.length !emitted);
+  List.iter
+    (fun ((it : Refill.Flow.item), mech) ->
+      let id = Phys.find id_of it in
+      let carry =
+        (not it.inferred) && (not matched.(id)) && not released.(id)
+      in
+      if (mech = Refill.Provenance.Stall_recovery) <> released.(id)
+         || (mech = Refill.Provenance.Anchor_carry) <> carry
+      then
+        Alcotest.failf "%s: id %d marked %s (released %b, matched %b)" label id
+          (Refill.Provenance.mechanism_name mech)
+          released.(id) matched.(id))
+    !emitted
 
 let matches_reference_implementation () =
   let sc = Lazy.force scenario in
@@ -467,7 +537,8 @@ let matches_reference_implementation () =
       check_same_output (label ^ " jobs=1") reference
         (merge_flows ~jobs:1 collected ~flows);
       check_same_output (label ^ " jobs=8") reference
-        (merge_flows ~jobs:8 collected ~flows))
+        (merge_flows ~jobs:8 collected ~flows);
+      check_merge_provenance label collected ~flows reference)
     cases
 
 let soft_cycle_stall_recovery () =
@@ -526,9 +597,10 @@ let soft_cycle_stall_recovery () =
   let collected = Logsys.Collected.of_node_logs logs in
   let flows = reconstruct_flows collected ~sink:0 in
   let items, stats = merge_flows collected ~flows in
-  check_same_output "soft cycle"
-    (Reference.build collected ~flows)
-    (items, stats);
+  let reference = Reference.build collected ~flows in
+  check_same_output "soft cycle" reference (items, stats);
+  check_merge_provenance "soft cycle" collected ~flows reference;
+  Alcotest.(check int) "one stall release" 1 (List.length reference.released);
   Alcotest.(check int) "all 22 events" 22 stats.events;
   Alcotest.(check int) "nothing inferred" 0 stats.inferred;
   Alcotest.(check int) "exactly one constraint relaxed" 1 stats.relaxed;
@@ -649,6 +721,152 @@ let order_preservation_property =
       done;
       packet_order_ok && !violations <= stats.relaxed)
 
+(* Inputs the reconstruction never produces, which the merge must still
+   treat exactly as the oracle does: a payload swapped for another packet's
+   record on the same node; a payload keyed by a packet no flow has (its
+   flow dropped) and by one absent from the snapshot; an item moved off
+   the node range; two logged items of one flow on one node swapped, so
+   the greedy alignment skips a row; and a flow split in two under one
+   key, as late fragments reach the incremental merge. *)
+let perturb rng collected flows =
+  let module Rng = Prelude.Rng in
+  let n_nodes = Logsys.Collected.n_nodes collected in
+  let flows = Array.of_list flows in
+  let items =
+    Array.map (fun (f : Refill.Flow.t) -> Array.of_list f.items) flows
+  in
+  let logged fi =
+    List.filter
+      (fun k ->
+        let (it : Refill.Flow.item) = items.(fi).(k) in
+        (not it.inferred) && it.payload <> None)
+      (List.init (Array.length items.(fi)) Fun.id)
+  in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let all = List.init (Array.length flows) Fun.id in
+  let with_logged = List.filter (fun fi -> logged fi <> []) all in
+  let dropped = pick with_logged in
+  let kept = List.filter (( <> ) dropped) with_logged in
+  let update f =
+    let fi = pick kept in
+    let k = pick (logged fi) in
+    items.(fi).(k) <- f items.(fi).(k) (Option.get items.(fi).(k).payload)
+  in
+  update (fun it r ->
+      match
+        List.filter
+          (fun (r' : Logsys.Record.t) ->
+            Logsys.Record.packet_key r' <> Logsys.Record.packet_key r)
+          (Array.to_list (Logsys.Collected.node_log collected it.node))
+      with
+      | [] -> it
+      | others -> { it with payload = Some (pick others) });
+  let orphan = Option.get items.(dropped).(pick (logged dropped)).payload in
+  update (fun it _ -> { it with node = orphan.node; payload = Some orphan });
+  update (fun it r ->
+      let origin = if Rng.bool rng then -7 else n_nodes + 1000 in
+      { it with payload = Some { r with origin } });
+  update (fun it _ ->
+      let node = if Rng.bool rng then -1 else n_nodes + Rng.int rng 3 in
+      { it with node });
+  (match
+     List.concat_map
+       (fun fi ->
+         List.concat_map
+           (fun k1 ->
+             List.filter_map
+               (fun k2 ->
+                 if k1 < k2 && items.(fi).(k1).node = items.(fi).(k2).node then
+                   Some (fi, k1, k2)
+                 else None)
+               (logged fi))
+           (logged fi))
+       kept
+   with
+  | [] -> ()
+  | pairs ->
+      let fi, k1, k2 = pick pairs in
+      let a = items.(fi).(k1) in
+      items.(fi).(k1) <- items.(fi).(k2);
+      items.(fi).(k2) <- a);
+  let flows =
+    List.filter_map
+      (fun fi ->
+        if fi = dropped then None
+        else Some { flows.(fi) with items = Array.to_list items.(fi) })
+      all
+  in
+  match
+    List.filter (fun (f : Refill.Flow.t) -> List.length f.items >= 2) flows
+  with
+  | [] -> flows
+  | long ->
+      let f = pick long in
+      let cut = 1 + Rng.int rng (List.length f.items - 1) in
+      let head = List.filteri (fun i _ -> i < cut) f.items
+      and tail = List.filteri (fun i _ -> i >= cut) f.items in
+      List.map (fun g -> if g == f then { f with items = head } else g) flows
+      @ [ { f with items = tail } ]
+
+let perturbed_inputs_match_reference =
+  QCheck.Test.make ~name:"perturbed inputs match the reference at jobs 1 and 4"
+    ~count:20
+    QCheck.(pair (int_range 0 6) small_nat)
+    (fun (rate10, seed) ->
+      let sc = Lazy.force scenario in
+      let collected =
+        Logsys.Collected.lossify
+          (Logsys.Loss_model.uniform (float_of_int rate10 /. 10.))
+          (Prelude.Rng.create ~seed:(Int64.of_int seed))
+          (Scenario.Citysee.collected sc)
+      in
+      let flows =
+        perturb
+          (Prelude.Rng.create ~seed:(Int64.of_int ((seed * 10) + rate10)))
+          collected
+          (reconstruct_flows collected ~sink:sc.sink)
+      in
+      let reference = Reference.build collected ~flows in
+      List.iter
+        (fun jobs ->
+          let label =
+            Printf.sprintf "loss %d/10 seed %d jobs=%d" rate10 seed jobs
+          in
+          check_same_output label reference
+            (merge_flows ~jobs collected ~flows);
+          check_merge_provenance label ~jobs collected ~flows reference)
+        [ 1; 4 ];
+      true)
+
+let stage_spans () =
+  (* Each merge phase is its own span, once per merge, inside the merge's
+     span. *)
+  let module Obs = Refill_obs in
+  let sc = Lazy.force scenario in
+  let collected = Scenario.Citysee.collected sc in
+  let flows = reconstruct_flows collected ~sink:sc.sink in
+  let sink = Obs.Sink.memory () in
+  let prev = Obs.Span.swap_sink sink in
+  Fun.protect
+    ~finally:(fun () -> ignore (Obs.Span.swap_sink prev : Obs.Sink.t))
+    (fun () -> ignore (merge_flows collected ~flows));
+  let dur name =
+    match
+      List.filter
+        (fun (e : Obs.Sink.event) -> e.name = name)
+        (Obs.Sink.events sink)
+    with
+    | [ e ] -> e.dur_us
+    | es -> Alcotest.failf "%s: %d events" name (List.length es)
+  in
+  let stages =
+    List.map
+      (fun s -> dur ("refill.global_flow." ^ s))
+      [ "candidates"; "align"; "order"; "emit" ]
+  in
+  Alcotest.(check bool) "stages fit in the merge span" true
+    (List.fold_left ( +. ) 0. stages <= dur "refill.global_flow")
+
 let empty_inputs () =
   let empty = Logsys.Collected.of_node_logs [| [||]; [||] |] in
   let items, stats = merge_flows empty ~flows:[] in
@@ -671,6 +889,7 @@ let () =
           Alcotest.test_case "inferred anchor inherits following" `Quick
             inferred_anchor_inherits_following;
           Alcotest.test_case "empty" `Quick empty_inputs;
+          Alcotest.test_case "stage spans" `Quick stage_spans;
         ] );
       ( "equivalence",
         [
@@ -679,5 +898,6 @@ let () =
           Alcotest.test_case "soft cycle stall recovery" `Quick
             soft_cycle_stall_recovery;
           QCheck_alcotest.to_alcotest order_preservation_property;
+          QCheck_alcotest.to_alcotest perturbed_inputs_match_reference;
         ] );
     ]

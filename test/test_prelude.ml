@@ -138,18 +138,6 @@ let heap_peek_does_not_remove () =
   Alcotest.(check bool) "peek min" true (Heap.peek h = Some (1., 1));
   Alcotest.(check int) "length unchanged" 2 (Heap.length h)
 
-let heap_push_tie_order () =
-  (* push_tie breaks equal priorities by the explicit tie key, not by
-     insertion order — "c" goes in before "b" but pops after it. *)
-  let h = Heap.create () in
-  Heap.push_tie h ~priority:1. ~tie:5 "c";
-  Heap.push_tie h ~priority:1. ~tie:2 "b";
-  Heap.push_tie h ~priority:0.5 ~tie:9 "a";
-  Heap.push_tie h ~priority:1. ~tie:7 "d";
-  let drained = List.map snd (Heap.to_sorted_list h) in
-  Alcotest.(check (list string)) "lexicographic (priority, tie)"
-    [ "a"; "b"; "c"; "d" ] drained
-
 let heap_to_sorted_preserves () =
   let h = Heap.create () in
   List.iter (fun p -> Heap.push h ~priority:(float_of_int p) p) [ 3; 1; 2 ];
@@ -262,7 +250,6 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick heap_ordering;
           Alcotest.test_case "fifo ties" `Quick heap_fifo_ties;
-          Alcotest.test_case "push_tie ties" `Quick heap_push_tie_order;
           Alcotest.test_case "empty" `Quick heap_empty;
           Alcotest.test_case "peek" `Quick heap_peek_does_not_remove;
           Alcotest.test_case "to_sorted preserves" `Quick
