@@ -970,7 +970,7 @@ let serve_p99_frame_latency : float option ref = ref None
 (* The two-day trace pushed through a real `refill serve` over loopback: an
    in-process server (sharded stream, null emit), one lockstep client, so
    every frame pays the full wire cost — encode, TCP, decode into the
-   connection arena, queue, feed, ack.  Records/s is end-to-end wall time;
+   connection arena, feed, ack.  Records/s is end-to-end wall time;
    the p99 is the lockstep ack round-trip, i.e. per-frame ingest latency
    including the reconstruction work that frame triggered. *)
 let run_serve_2d_smoke () =

@@ -1179,7 +1179,7 @@ let check_cmd =
 (* -- serve / feed -------------------------------------------------------------- *)
 
 let serve obs mk_config port http_port checkpoint checkpoint_interval
-    emit_file emit_socket read_timeout max_frame queue_capacity sink =
+    emit_file emit_socket read_timeout max_frame sink =
   with_observability obs @@ fun () ->
   match mk_config ~provenance:false with
   | Error e -> err_exit e
@@ -1203,7 +1203,6 @@ let serve obs mk_config port http_port checkpoint checkpoint_interval
           checkpoint_interval;
           read_timeout;
           max_frame;
-          queue_capacity;
           stream = stream_cfg;
           sink;
           emit;
@@ -1289,15 +1288,6 @@ let serve_cmd =
       & info [ "max-frame" ] ~docv:"BYTES"
           ~doc:"Maximum accepted frame payload (negotiated to clients).")
   in
-  let queue_capacity =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-segments" ] ~docv:"N"
-          ~doc:
-            "Ingest queue bound in segments; connections whose frames \
-             would exceed it stop being read until the stream drains \
-             (backpressure).")
-  in
   let sink =
     Arg.(
       value & opt int 0
@@ -1311,17 +1301,19 @@ let serve_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Listens for refill-wire connections (see `refill feed`), assigns \
-         every accepted record batch a global stream position in arrival \
-         order, and feeds the same streaming reconstruction `reconstruct \
-         --stream` runs offline — sharded across domains with --shards.  \
+        "Listens for refill-wire connections (see `refill feed`) and feeds \
+         every accepted record batch, one at a time in arrival order, to \
+         the same streaming reconstruction `reconstruct --stream` runs \
+         offline — sharded across domains with --shards.  A batch is \
+         acked once it has been fed; a connection's next batch is read \
+         only then, so a busy stream backpressures the senders over TCP.  \
          Flow outcomes can be written to a file (--emit-file) and/or \
          streamed to subscribers (--emit-socket).";
       `P
-        "SIGTERM and SIGINT stop the server gracefully: already-acked \
-         record batches are drained into the stream, a final checkpoint is \
-         written (with --checkpoint), and the process exits 0.  A later \
-         `refill serve --checkpoint` resumes byte-identically.";
+        "SIGTERM and SIGINT stop the server gracefully: connections are \
+         closed (every acked batch is already in the stream), a final \
+         checkpoint is written (with --checkpoint), and the process exits \
+         0.  A later `refill serve --checkpoint` resumes byte-identically.";
     ]
   in
   Cmd.v
@@ -1329,7 +1321,7 @@ let serve_cmd =
     Term.(
       const serve $ obs_opts_term $ config_term $ port $ http_port
       $ checkpoint $ checkpoint_interval $ emit_file $ emit_socket
-      $ read_timeout $ max_frame $ queue_capacity $ sink)
+      $ read_timeout $ max_frame $ sink)
 
 let feed obs port chunk pipelined input =
   with_observability obs @@ fun () ->

@@ -5,9 +5,9 @@
    Two sending modes with different guarantees:
 
    - [send] is lockstep: frame out, ack in, ack returned.  After it
-     returns, the records hold their global stream position — a group of
-     clients that take turns calling [send] imposes an exact total order
-     across connections (what the byte-identity test does).
+     returns, the records have been fed to the server's stream — a group
+     of clients that take turns calling [send] imposes an exact total
+     order across connections (what the byte-identity test does).
    - [send_nowait] pipelines: frames are written back to back and acks
      collected later ([drain_acks] / [finish]).  Order within the
      connection still holds; order across connections does not.  This is

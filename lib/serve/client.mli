@@ -2,7 +2,7 @@
     and the serve bench use to push records into a live server.
 
     {!send} is lockstep (frame out, ack in): once it returns, the
-    records hold their global stream position, so clients taking turns
+    records have been fed to the server's stream, so clients taking turns
     impose an exact cross-connection order.  {!send_nowait} pipelines
     frames and collects acks later — the throughput mode, and the one
     that exercises server backpressure.  Batches whose encoding exceeds

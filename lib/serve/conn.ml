@@ -2,60 +2,21 @@ module Obs = Refill_obs
 
 (* One ingesting connection: Handshaking → Streaming → Closed/Rejected.
 
-   The connection thread owns the socket and a small ring of arenas.
-   Each accepted data frame is decoded straight into a free arena slot
-   ([Arena.decode_segment_into] — no per-record allocation), the slice is
-   pushed onto the shared ingest queue, and the ack goes out as soon as
-   the push returns: the ack certifies the records' global stream
-   position (queue order), not that reconstruction has consumed them.
-   Slot reuse waits for the ingest thread's consumed callback, so at most
-   [arena_slots] decoded segments per connection are in flight beyond the
-   queue bound.
+   The connection thread owns the socket and one reusable arena.  Each
+   data frame is decoded straight into the arena
+   ([Arena.decode_segment_into] — no per-record allocation), handed to
+   [feed], and acked only after [feed] returns, so an ack means the
+   records are in the stream.  The next frame is not read before that:
+   while the stream is busy the socket is not read, and TCP carries the
+   backpressure to the sender.
 
    Failure containment: every protocol violation (bad magic, unknown
    frame type, oversized length, a payload [Codec] cannot decode) and
    every socket-level failure (EOF mid-frame, receive timeout) terminates
-   *this* connection — logged, counted, fd closed — and nothing else. *)
-
-type slot = { arena : Logsys.Arena.t; mutable in_flight : bool }
-
-type ring = {
-  slots : slot array;
-  mutable next : int;
-  mu : Mutex.t;
-  freed : Condition.t;
-}
-
-let ring_create n =
-  {
-    slots =
-      Array.init n (fun _ ->
-          { arena = Logsys.Arena.create (); in_flight = false });
-    next = 0;
-    mu = Mutex.create ();
-    freed = Condition.create ();
-  }
-
-(* Slots are claimed round-robin: waiting for [next] (rather than any
-   free slot) keeps claim order = push order, which keeps this
-   connection's segments in send order on the queue. *)
-let ring_claim r =
-  let s = r.slots.(r.next) in
-  r.next <- (r.next + 1) mod Array.length r.slots;
-  Mutex.protect r.mu (fun () ->
-      while s.in_flight do
-        Condition.wait r.freed r.mu
-      done;
-      s.in_flight <- true);
-  Logsys.Arena.clear s.arena;
-  s
-
-let ring_release r s =
-  Mutex.protect r.mu (fun () ->
-      s.in_flight <- false;
-      Condition.broadcast r.freed)
-
-type outcome = Drained  (** Client sent end-of-stream. *) | Rejected
+   *this* connection — logged, counted, fd closed — and nothing else.  A
+   stream failure never reaches this module as an exception: [feed]
+   reports it by returning [false], and the connection closes without
+   acking the frame. *)
 
 let reject_reason = function
   | Wire.Protocol_error m -> Some m
@@ -65,46 +26,35 @@ let reject_reason = function
   | Failure m -> Some ("undecodable segment: " ^ m)
   | _ -> None
 
-let streaming_loop ~id ~fd ~queue ~max_frame ring =
+let streaming_loop ~fd ~feed ~max_frame =
+  let arena = Logsys.Arena.create () in
   let frames = ref 0 in
   let records = ref 0 in
   let rec loop () =
     let typ, payload = Wire.read_frame fd ~max_payload:max_frame in
-    if typ = Wire.frame_end then begin
-      Wire.write_ack fd { Wire.frames = !frames; records = !records };
-      Drained
-    end
+    if typ = Wire.frame_end then
+      Wire.write_ack fd { Wire.frames = !frames; records = !records }
     else if typ = Wire.frame_data then begin
-      let slot = ring_claim ring in
-      let n =
-        match Logsys.Arena.decode_segment_into slot.arena payload with
-        | n -> n
-        | exception e ->
-            ring_release ring slot;
-            raise e
-      in
-      Ingest.push_segment queue
-        {
-          Ingest.sg_slice = Logsys.Arena.slice_all slot.arena;
-          sg_conn = id;
-          sg_consumed = (fun () -> ring_release ring slot);
-        };
-      incr frames;
-      records := !records + n;
-      Obs.Metrics.Counter.inc Telemetry.frames_total;
-      Obs.Metrics.Counter.add Telemetry.records_total n;
-      Obs.Metrics.Counter.add Telemetry.bytes_total (Bytes.length payload);
-      Wire.write_ack fd { Wire.frames = !frames; records = !records };
-      loop ()
+      Logsys.Arena.clear arena;
+      let n = Logsys.Arena.decode_segment_into arena payload in
+      if feed (Logsys.Arena.slice_all arena) then begin
+        incr frames;
+        records := !records + n;
+        Obs.Metrics.Counter.inc Telemetry.frames_total;
+        Obs.Metrics.Counter.add Telemetry.records_total n;
+        Obs.Metrics.Counter.add Telemetry.bytes_total (Bytes.length payload);
+        Wire.write_ack fd { Wire.frames = !frames; records = !records };
+        loop ()
+      end
     end
     else Wire.proto_fail "unexpected frame type %C" typ
   in
   loop ()
 
-let handle ~id ~fd ~queue ~max_frame ~read_timeout ~arena_slots =
+let handle ~id ~fd ~feed ~max_frame ~read_timeout =
   Telemetry.enter_handshaking ();
   let streaming = ref false in
-  let outcome =
+  let rejected =
     match
       (* Acks are tiny; without NODELAY each one waits out the peer's
          delayed-ACK timer and lockstep clients crawl. *)
@@ -116,16 +66,15 @@ let handle ~id ~fd ~queue ~max_frame ~read_timeout ~arena_slots =
       Wire.send_server_greeting fd ~max_frame;
       Telemetry.handshake_ok ();
       streaming := true;
-      streaming_loop ~id ~fd ~queue ~max_frame (ring_create arena_slots)
+      streaming_loop ~fd ~feed ~max_frame
     with
-    | outcome -> outcome
+    | () -> false
     | exception e -> (
         match reject_reason e with
         | Some reason ->
             Obs.Log.info "serve: conn %d rejected: %s" id reason;
-            Rejected
+            true
         | None -> raise e)
   in
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  Telemetry.finish ~rejected:(outcome = Rejected) ~was_streaming:!streaming;
-  outcome
+  Telemetry.finish ~rejected ~was_streaming:!streaming

@@ -72,7 +72,6 @@ type subscriber = {
 }
 
 type publisher = {
-  listen_fd : Unix.file_descr;
   mutable subs : subscriber list;
   mutable stopped : bool;
   mu : Mutex.t;
@@ -82,25 +81,16 @@ let locked mu f =
   Mutex.lock mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
-let publisher_accept_loop p =
-  let continue = ref true in
-  while !continue do
-    match Unix.accept p.listen_fd with
-    | fd, _ ->
-        locked p.mu (fun () ->
-            if p.stopped then begin
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              continue := false
-            end
-            else begin
-              (* Non-blocking so a stalled subscriber surfaces as EAGAIN
-                 on write (and is buffered, then dropped if it stays
-                 stalled) instead of wedging emission. *)
-              Unix.set_nonblock fd;
-              p.subs <- { sfd = fd; pending = Bytes.create 0; off = 0 } :: p.subs
-            end)
-    | exception Unix.Unix_error _ -> continue := false
-  done
+let subscribe p fd =
+  locked p.mu (fun () ->
+      if p.stopped then (try Unix.close fd with Unix.Unix_error _ -> ())
+      else begin
+        (* Non-blocking so a stalled subscriber surfaces as EAGAIN on
+           write (and is buffered, then dropped if it stays stalled)
+           instead of wedging emission. *)
+        Unix.set_nonblock fd;
+        p.subs <- { sfd = fd; pending = Bytes.create 0; off = 0 } :: p.subs
+      end)
 
 (* Queue [payload] behind whatever is still undelivered, then push as
    much as the socket accepts.  Returns [false] (subscriber must be
@@ -140,16 +130,9 @@ let subscriber_write s payload =
       false
 
 let publish ~port =
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-     Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.listen listen_fd 16
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  let p = { listen_fd; subs = []; stopped = false; mu = Mutex.create () } in
-  let _accepter : Thread.t = Thread.create publisher_accept_loop p in
+  let listener = Wire.listen_on port in
+  let p = { subs = []; stopped = false; mu = Mutex.create () } in
+  Wire.accept_in_thread listener (subscribe p);
   let write l =
     let payload = Bytes.unsafe_of_string (l ^ "\n") in
     locked p.mu (fun () ->
@@ -162,8 +145,7 @@ let publish ~port =
           (fun s -> try Unix.close s.sfd with Unix.Unix_error _ -> ())
           p.subs;
         p.subs <- []);
-    (* Closing the listener wakes the accept loop with EBADF. *)
-    try Unix.close p.listen_fd with Unix.Unix_error _ -> ()
+    Wire.close_listener listener
   in
   { write; close }
 

@@ -32,7 +32,8 @@ val publish : port:int -> sink
     error — the undelivered tail is buffered (bounded) and retried on the
     next write, so a live subscriber never sees a torn line; only a peer
     stalled past the backlog bound is dropped.  [close] disconnects
-    subscribers and stops the accept thread. *)
+    subscribers, stops the accept thread and closes the listener, so the
+    port can be bound again. *)
 
 val tee : sink -> sink -> sink
 

@@ -6,12 +6,6 @@ module Obs = Refill_obs
    Prometheus, not a web server — no keep-alive, no chunking, request
    bodies ignored. *)
 
-type t = {
-  listen_fd : Unix.file_descr;
-  mutable stopped : bool;
-  mu : Mutex.t;
-}
-
 let http_response ~status ~content_type body =
   Printf.sprintf
     "HTTP/1.0 %s\r\n\
@@ -64,48 +58,23 @@ let handle_request ~routes fd =
         (http_response ~status:"405 Method Not Allowed"
            ~content_type:"text/plain" "GET only\n")
 
-let accept_loop t ~routes =
-  let continue = ref true in
-  while !continue do
-    match Unix.accept t.listen_fd with
-    | fd, _ ->
-        if Mutex.protect t.mu (fun () -> t.stopped) then begin
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          continue := false
-        end
-        else
-          let (_ : Thread.t) =
-            Thread.create
-              (fun () ->
-                try handle_request ~routes fd
-                with Unix.Unix_error _ | Sys_error _ -> ())
-              ()
-          in
-          ()
-    | exception Unix.Unix_error _ -> continue := false
-  done
+type t = Wire.listener
 
 let start ~port ~routes =
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-     Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.listen listen_fd 16
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  let t = { listen_fd; stopped = false; mu = Mutex.create () } in
-  let (_ : Thread.t) = Thread.create (fun () -> accept_loop t ~routes) () in
-  t
+  let l = Wire.listen_on port in
+  Wire.accept_in_thread l (fun fd ->
+      let (_ : Thread.t) =
+        Thread.create
+          (fun () ->
+            try handle_request ~routes fd
+            with Unix.Unix_error _ | Sys_error _ -> ())
+          ()
+      in
+      ());
+  l
 
-let port t =
-  match Unix.getsockname t.listen_fd with
-  | Unix.ADDR_INET (_, p) -> p
-  | Unix.ADDR_UNIX _ -> invalid_arg "Http.port: unix socket"
-
-let stop t =
-  Mutex.protect t.mu (fun () -> t.stopped <- true);
-  try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+let port = Wire.listener_port
+let stop = Wire.close_listener
 
 let metrics_routes ?registry () =
   [

@@ -13,7 +13,8 @@ val start : port:int -> routes:(string * (unit -> string * string)) list -> t
 val port : t -> int
 
 val stop : t -> unit
-(** Close the listener; in-flight request threads finish on their own. *)
+(** Stop the accept thread and close the listener, so the port can be
+    bound again; in-flight request threads finish on their own. *)
 
 val metrics_routes :
   ?registry:Refill_obs.Metrics.registry -> unit -> (string * (unit -> string * string)) list

@@ -2,12 +2,13 @@
     connections and feeding one {!Refill.Stream} (sharded per
     [stream.shards]).
 
-    One ingest thread owns the stream; connection threads hand decoded
-    segments over a bounded queue (queue order = global record order),
-    and an ack on the wire certifies the records' stream position.
-    Shutdown — {!stop}, or {!request_stop} from a signal handler — is
-    checkpoint-and-exit: acked segments are always drained into the
-    stream before the final checkpoint, so resume is byte-identical. *)
+    Each connection thread feeds its decoded segments to the stream under
+    one stream lock (lock order = global record order) and acks a segment
+    only after the feed returns, so an ack means the records are in the
+    stream.  Shutdown — {!stop}, {!request_stop} from a signal handler,
+    or a stream failure — is checkpoint-and-exit: once every connection
+    thread has exited the final checkpoint holds every acked record, so
+    resume is byte-identical. *)
 
 type config = {
   port : int;  (** 0 picks an ephemeral port (tests). *)
@@ -20,30 +21,31 @@ type config = {
   checkpoint_interval : float;  (** Seconds between periodic checkpoints. *)
   read_timeout : float;
       (** Per-connection receive timeout in seconds; ≤ 0 disables. *)
-  max_frame : int;  (** Negotiated maximum frame payload bytes. *)
-  queue_capacity : int;
-      (** Ingest queue bound, in segments; in-flight wire bytes are
-          bounded by [queue_capacity × max_frame] plus per-connection
-          arena rings. *)
-  arena_slots : int;  (** Decoded-segment ring size per connection. *)
+  max_frame : int;
+      (** Negotiated maximum frame payload bytes; with one frame read at
+          a time per connection, it bounds each connection's in-flight
+          wire bytes. *)
   stream : Refill.Config.t;
   sink : int;  (** The topology's backbone sink node. *)
-  emit : Emit.sink;  (** Flow outcomes, written from the ingest thread. *)
+  emit : Emit.sink;
+      (** Flow outcomes, written under the stream lock by whichever
+          thread holds it (a connection's feed, a checkpoint, the final
+          [finish]). *)
   on_segment : (unit -> unit) option;
-      (** Test hook: runs in the ingest thread before each segment is
-          fed (throttling it exercises backpressure). *)
+      (** Test hook: runs under the stream lock, in the feeding
+          connection's thread, just before each segment is fed
+          (throttling it exercises backpressure). *)
 }
 
 val default_config : config
 (** Ephemeral port, no HTTP, no checkpoint, 30 s timeout/interval, 1 MiB
-    frames, 64-segment queue, 4 arena slots, [Refill.Config.default],
-    sink 0, null emit. *)
+    frames, [Refill.Config.default], sink 0, null emit. *)
 
 type t
 
 val start : config -> (t, Refill.Error.t) result
 (** Bind, resume from [checkpoint] if the file exists, and spin up the
-    accept / ingest / timer threads.  [Error] on a bind failure of either
+    accept and timer threads (each connection then gets its own).  [Error] on a bind failure of either
     listener ([Io]) or an unusable checkpoint ([Bad_checkpoint]).
 
     Sets the process SIGPIPE disposition to ignore: a peer that vanishes
@@ -60,9 +62,12 @@ val request_stop : t -> unit
     flips an atomic — the timer thread performs the teardown). *)
 
 val wait : t -> Refill.Stream.summary
-(** Block until the server has fully stopped; joins every thread, closes
-    the emit sink, and returns the final stream summary.  Re-raises an
-    ingest-thread failure. *)
+(** Block until the server has fully stopped: join the accept and timer
+    threads, wait until every connection thread has exited, write the
+    final checkpoint (or [finish] the stream when none is configured),
+    close the emit sink, and return the final stream summary.  Re-raises
+    the first stream failure — from a feed, a worker or [emit] — which
+    also stopped the server. *)
 
 val stop : t -> Refill.Stream.summary
 (** [request_stop] + [wait]. *)

@@ -36,8 +36,9 @@ let bytes_total =
 let backpressure_stalls_total =
   Obs.Metrics.Counter.v
     ~help:
-      "Times a connection blocked on a full ingest queue (socket reads \
-       paused until the stream drained)"
+      "Times a connection found the stream held by another connection's \
+       feed or a checkpoint (its socket reads paused until the stream was \
+       free)"
     "refill_serve_backpressure_stalls_total"
 
 let checkpoint_seconds =

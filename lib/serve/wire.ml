@@ -14,9 +14,9 @@
    (end-of-stream, empty payload).  Server frames: 'A' (ack: u64be frames
    accepted so far on this connection, u64be records accepted).  Every
    accepted 'D' and the final 'E' is acked; an ack means the records have
-   been assigned their global stream position (enqueued for the shard
-   router), so a client that wants a total cross-connection order can
-   wait for the ack before the next sender proceeds.
+   been fed to the stream, so a client that wants a total cross-connection
+   order can wait for the ack before the next sender proceeds, and a frame
+   the stream failed on is never acked.
 
    Anything that violates the protocol — bad magic, an unknown frame
    type, a length above the negotiated maximum, a payload that fails to
@@ -76,6 +76,66 @@ let read_line_crude fd ~max =
         go ()
   in
   go ()
+
+(* -- listeners -------------------------------------------------------------- *)
+
+(* The server's three listeners (wire port, /metrics, emit tap) share one
+   bind path, one accept loop and one stop path. *)
+
+type listener = {
+  lfd : Unix.file_descr;
+  lport : int;
+  stopped : bool Atomic.t;
+  mutable accepter : Thread.t option;
+}
+
+let listen_on port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  try
+    Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    Unix.listen fd 64;
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) ->
+        { lfd = fd; lport = p; stopped = Atomic.make false; accepter = None }
+    | Unix.ADDR_UNIX _ -> assert false
+  with e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
+
+let listener_port l = l.lport
+
+let accept_in_thread l on_accept =
+  let rec loop () =
+    match Unix.accept l.lfd with
+    | fd, _ ->
+        if Atomic.get l.stopped then (
+          try Unix.close fd with Unix.Unix_error _ -> ())
+        else begin
+          on_accept fd;
+          loop ()
+        end
+    | exception Unix.Unix_error _ -> ()
+  in
+  l.accepter <- Some (Thread.create loop ())
+
+(* Closing an fd does not wake a thread already blocked in accept(2):
+   that call keeps the socket, and its port, alive, and a late accept
+   thread could even pick up the fd number once it is reused.  So wake
+   the thread first — shutdown usually does it on Linux, the loopback
+   self-connect covers platforms where it does not — join it, and only
+   then close. *)
+let close_listener l =
+  Atomic.set l.stopped true;
+  (try Unix.shutdown l.lfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  (match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ -> ()
+  | s ->
+      (try Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, l.lport))
+       with Unix.Unix_error _ -> ());
+      (try Unix.close s with Unix.Unix_error _ -> ()));
+  Option.iter Thread.join l.accepter;
+  try Unix.close l.lfd with Unix.Unix_error _ -> ()
 
 (* -- prologue --------------------------------------------------------------- *)
 

@@ -10,8 +10,8 @@
     ({!Logsys.Codec.encode_segment} bytes); ['E'] — end of stream (empty
     payload).  Server frames: ['A'] — an {!ack}.  Every accepted ['D']
     (and the final ['E']) is acked; the ack means the records have been
-    assigned their global stream position, so clients that need a total
-    cross-connection order can serialize on acks.
+    fed to the stream, so clients that need a total cross-connection order
+    can serialize on acks.
 
     All protocol violations raise {!Protocol_error}; receive timeouts and
     socket failures surface as [Unix.Unix_error]. *)
@@ -38,6 +38,30 @@ val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
 (** Write exactly [len] bytes (loops over short writes). *)
 
 val write_string : Unix.file_descr -> string -> unit
+
+(** {2 Listeners}
+
+    The one bind path, accept loop and stop path of the server's three
+    listeners: the wire port, [/metrics] and the emit tap. *)
+
+type listener
+
+val listen_on : int -> listener
+(** Bind and listen on loopback [port] ([0] picks an ephemeral port).
+    @raise Unix.Unix_error when the port is busy. *)
+
+val listener_port : listener -> int
+(** The bound port. *)
+
+val accept_in_thread : listener -> (Unix.file_descr -> unit) -> unit
+(** Start the listener's accept thread, which passes every accepted
+    connection to the callback until {!close_listener}. *)
+
+val close_listener : listener -> unit
+(** Stop the accept thread (wake it from [accept(2)], then join it) and
+    close the socket, so that a new listener can bind the port once this
+    returns.  A plain [close] would leave a blocked [accept] holding the
+    socket. *)
 
 val client_greeting : string
 

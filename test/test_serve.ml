@@ -1,6 +1,8 @@
 (* The live ingestion server: wire framing, concurrent-feed byte-identity
-   against the offline stream, malformed-frame containment, SIGTERM-style
-   checkpoint/resume, read timeouts, and backpressure accounting.
+   against the offline stream, the ack contract (an ack means fed; a
+   stream failure is never acked and stops the server), malformed-frame
+   containment, SIGTERM-style checkpoint/resume, read timeouts,
+   backpressure accounting, and listeners that free their port.
 
    Every test runs a real in-process server on an ephemeral loopback port
    and talks to it over actual sockets — the same code paths `refill
@@ -64,9 +66,9 @@ let offline_emit ?(config = test_config) ?(finish = true) chunk_list =
   if finish then ignore (Refill.Stream.finish st);
   (Buffer.contents b, st)
 
-let start_server ?(config = test_config) ?checkpoint ?(queue_capacity = 64)
-    ?(read_timeout = 5.0) ?(max_frame = Serve.Wire.default_max_frame)
-    ?on_segment ?http_port ?emit buf =
+let start_server ?(config = test_config) ?checkpoint ?(read_timeout = 5.0)
+    ?(max_frame = Serve.Wire.default_max_frame) ?on_segment ?http_port ?emit
+    buf =
   match
     Serve.Server.start
       {
@@ -75,7 +77,6 @@ let start_server ?(config = test_config) ?checkpoint ?(queue_capacity = 64)
         sink = sink ();
         emit = Option.value emit ~default:(buffer_sink buf);
         checkpoint;
-        queue_capacity;
         read_timeout;
         max_frame;
         on_segment;
@@ -89,6 +90,11 @@ let counter_delta c f =
   let before = Obs.Metrics.Counter.value c in
   let r = f () in
   (r, Obs.Metrics.Counter.value c - before)
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
 
 (* -- wire framing ------------------------------------------------------------ *)
 
@@ -127,9 +133,9 @@ let wire_rejects_oversize () =
 
 (* N connections, chunks dealt round-robin, lockstep acks: connection
    [j mod n] sends chunk [j] and waits for the ack before chunk [j+1]
-   goes out on the next connection.  The ack certifies the global stream
-   position, so the server must process exactly the offline chunk order —
-   and its emit stream must match the offline driver's byte for byte. *)
+   goes out on the next connection.  An ack means the chunk was fed, so
+   the server must process exactly the offline chunk order — and its emit
+   stream must match the offline driver's byte for byte. *)
 let concurrent_feed_identical () =
   let chunk_list = chunks ~chunk:97 in
   let reference, refd = offline_emit chunk_list in
@@ -150,6 +156,78 @@ let concurrent_feed_identical () =
     (Refill.Stream.summary refd).Refill.Stream.events
     summary.Refill.Stream.events;
   Alcotest.(check string) "emit byte-identical" reference (Buffer.contents buf)
+
+(* -- the ack contract -------------------------------------------------------- *)
+
+(* The hook counts a segment only after a 10 ms delay, just before its
+   feed: an ack sent before the feed (say, on enqueue) reaches the
+   lockstep client before the count moves. *)
+let ack_means_fed () =
+  let fed = Atomic.make 0 in
+  let buf = Buffer.create 4096 in
+  let srv =
+    start_server
+      ~on_segment:(fun () ->
+        Thread.delay 0.01;
+        Atomic.incr fed)
+      buf
+  in
+  let c = Serve.Client.connect ~port:(Serve.Server.port srv) () in
+  let early = ref 0 in
+  List.iteri
+    (fun i seg ->
+      ignore (Serve.Client.send c seg);
+      if Atomic.get fed < i + 1 then incr early)
+    (chunks ~chunk:97);
+  ignore (Serve.Client.finish c);
+  ignore (Serve.Server.stop srv);
+  Alcotest.(check int) "acks that arrived before their feed" 0 !early
+
+(* The sink fails on its 5th line; a watermark of 200 makes evictions,
+   and so emission, happen mid-feed.  The segment whose feed failed is
+   never acked, the client's send fails, and [stop] re-raises the sink's
+   own [Failure] — not a rejected connection's "undecodable segment". *)
+let stream_failure_stops_server () =
+  let lines = ref 0 in
+  let emit =
+    {
+      Serve.Emit.write =
+        (fun _ ->
+          incr lines;
+          if !lines = 5 then failwith "emit sink broke");
+      close = ignore;
+    }
+  in
+  let hooks = Atomic.make 0 in
+  let srv =
+    start_server
+      ~config:{ test_config with watermark = 200 }
+      ~on_segment:(fun () -> Atomic.incr hooks)
+      ~emit (Buffer.create 16)
+  in
+  let c = Serve.Client.connect ~port:(Serve.Server.port srv) () in
+  let acked = ref 0 in
+  let send_failed =
+    List.exists
+      (fun seg ->
+        match Serve.Client.send c seg with
+        | _ ->
+            incr acked;
+            false
+        | exception (Serve.Wire.Protocol_error _ | Unix.Unix_error _) -> true)
+      (chunks ~chunk:97)
+  in
+  Serve.Client.close c;
+  Alcotest.(check bool) "a send failed" true send_failed;
+  Alcotest.(check bool)
+    (Printf.sprintf "acked frames (%d) < segments fed (%d)" !acked
+       (Atomic.get hooks))
+    true
+    (!acked < Atomic.get hooks);
+  match Serve.Server.stop srv with
+  | _ -> Alcotest.fail "stop returned a summary from a failed stream"
+  | exception Failure m ->
+      Alcotest.(check string) "the sink's failure" "emit sink broke" m
 
 (* -- malformed input containment --------------------------------------------- *)
 
@@ -286,22 +364,33 @@ let checkpoint_resume_identical () =
 
 (* -- backpressure ------------------------------------------------------------- *)
 
-let backpressure_bounds_inflight () =
+(* Two pipelined connections, one half of the chunks each, against a
+   slow stream: each connection finds the stream held by the other's
+   feed, stops reading its socket meanwhile, and the stall counter says
+   so. *)
+let busy_stream_stalls_other_conn () =
   let buf = Buffer.create 4096 in
-  (* A one-segment queue and a slow consumer: a pipelined client must
-     stall the socket, and the stall counter must say so. *)
-  let srv =
-    start_server ~queue_capacity:1
-      ~on_segment:(fun () -> Thread.delay 0.002)
-      buf
-  in
+  let srv = start_server ~on_segment:(fun () -> Thread.delay 0.002) buf in
   let chunk_list = chunks ~chunk:97 in
   let _, refd = offline_emit chunk_list in
+  let half = List.length chunk_list / 2 in
+  let halves =
+    [
+      List.filteri (fun i _ -> i < half) chunk_list;
+      List.filteri (fun i _ -> i >= half) chunk_list;
+    ]
+  in
   let (), stalls =
     counter_delta Serve.Telemetry.backpressure_stalls_total (fun () ->
-        let c = Serve.Client.connect ~port:(Serve.Server.port srv) () in
-        List.iter (Serve.Client.send_nowait c) chunk_list;
-        ignore (Serve.Client.finish c))
+        let clients =
+          List.map
+            (fun _ -> Serve.Client.connect ~port:(Serve.Server.port srv) ())
+            halves
+        in
+        List.iter2
+          (fun c segs -> List.iter (Serve.Client.send_nowait c) segs)
+          clients halves;
+        List.iter (fun c -> ignore (Serve.Client.finish c)) clients)
   in
   let summary = Serve.Server.stop srv in
   Alcotest.(check bool) "stalled at least once" true (stalls > 0);
@@ -343,11 +432,6 @@ let metrics_endpoint_serves () =
   let c = Serve.Client.connect ~port:(Serve.Server.port srv) () in
   ignore (Serve.Client.send c (Array.sub (Lazy.force records) 0 100));
   let body = http_get ~port:http_port "/metrics" in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "200" true (contains body "200 OK");
   Alcotest.(check bool)
     "counter exposed" true
@@ -428,6 +512,56 @@ let emit_subscriber_hangup_survives () =
   Alcotest.(check string)
     "durable emit unaffected by the hangup" reference (Buffer.contents buf)
 
+(* -- listeners free their port ----------------------------------------------- *)
+
+(* Closing a listening fd does not wake a thread blocked in accept(2): that
+   thread keeps the socket, so the port stays taken and the orphaned accept
+   loop answers the next connection.  A stopped endpoint must let a new one
+   bind its port, and the new one must be the one that answers. *)
+
+let free_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, p) -> p
+  | Unix.ADDR_UNIX _ -> assert false
+
+let http_port_reusable_after_stop () =
+  let routes = Serve.Http.metrics_routes () in
+  let h = Serve.Http.start ~port:0 ~routes in
+  let port = Serve.Http.port h in
+  Serve.Http.stop h;
+  match Serve.Http.start ~port ~routes with
+  | exception Unix.Unix_error (e, _, _) ->
+      Alcotest.failf "restart on %d: %s" port (Unix.error_message e)
+  | h ->
+      Alcotest.(check bool)
+        "the new endpoint answers" true
+        (contains (http_get ~port "/metrics") "200 OK");
+      Serve.Http.stop h
+
+let emit_port_reusable_after_close () =
+  let port = free_port () in
+  let pub = Serve.Emit.publish ~port in
+  pub.Serve.Emit.close ();
+  match Serve.Emit.publish ~port with
+  | exception Unix.Unix_error (e, _, _) ->
+      Alcotest.failf "republish on %d: %s" port (Unix.error_message e)
+  | pub ->
+      let sub = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect sub (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      (* Give the accept thread a beat to register the subscriber. *)
+      Thread.delay 0.1;
+      pub.Serve.Emit.write "hello";
+      pub.Serve.Emit.close ();
+      let b = Bytes.create 64 in
+      let n = try Unix.read sub b 0 64 with Unix.Unix_error _ -> 0 in
+      Unix.close sub;
+      Alcotest.(check string)
+        "the new tap's subscriber got the line" "hello\n"
+        (Bytes.sub_string b 0 n)
+
 (* -- startup failure ----------------------------------------------------------- *)
 
 let http_port_busy_is_error () =
@@ -492,6 +626,12 @@ let () =
           Alcotest.test_case "checkpoint/resume across restart" `Quick
             checkpoint_resume_identical;
         ] );
+      ( "ack",
+        [
+          Alcotest.test_case "an ack means fed" `Quick ack_means_fed;
+          Alcotest.test_case "stream failure stops the server" `Quick
+            stream_failure_stops_server;
+        ] );
       ( "containment",
         [
           Alcotest.test_case "fuzzed frames kill the connection, not the \
@@ -510,13 +650,20 @@ let () =
         ] );
       ( "flow-control",
         [
-          Alcotest.test_case "full queue stalls the socket" `Quick
-            backpressure_bounds_inflight;
+          Alcotest.test_case "busy stream stalls the other conn" `Quick
+            busy_stream_stalls_other_conn;
         ] );
       ( "observability",
         [
           Alcotest.test_case "/metrics endpoint" `Quick metrics_endpoint_serves;
           Alcotest.test_case "emit publisher streams outcomes" `Quick
             emit_socket_streams_outcomes;
+        ] );
+      ( "listeners",
+        [
+          Alcotest.test_case "/metrics port reusable after stop" `Quick
+            http_port_reusable_after_stop;
+          Alcotest.test_case "emit port reusable after close" `Quick
+            emit_port_reusable_after_close;
         ] );
     ]
