@@ -787,8 +787,8 @@ let scaling_rung ?(shards = 1) name params =
   (* Sharded rung: identical trace through a [shards]-shard stream.
      Output is byte-identical by construction (qcheck-pinned in the test
      suite), so only the wall time and flow count are recorded.  Speedup
-     needs one core per shard; on fewer cores the queue hand-offs make
-     this an honest slowdown, which the JSON reports as-is. *)
+     needs one core per shard; on fewer cores each round waits for
+     time-sliced workers, an honest slowdown the JSON reports as-is. *)
   let dt_sharded =
     if shards <= 1 then None
     else begin

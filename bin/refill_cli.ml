@@ -208,10 +208,11 @@ let config_term =
       & opt (some int) None
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Shard the streaming frontier across $(docv) worker domains, \
-             routing each packet key by hash.  Output is byte-identical to \
-             --shards 1.  Checkpoints record all shards and resume at any \
-             shard count.")
+            "Shard the streaming frontier $(docv) ways, routing each \
+             packet key by hash: shard 0 runs in the calling domain and \
+             each other shard on a worker domain.  Output is \
+             byte-identical to --shards 1.  Checkpoints record all shards \
+             and resume at any shard count.")
   in
   let late_retention =
     Arg.(
@@ -413,8 +414,12 @@ let analyze obs mk_config global_flow provenance input =
   match mk_config ~provenance:(provenance <> None) with
   | Error e -> err_exit e
   | Ok config -> (
-      match Logsys.Log_io.load_file input with
-      | dump ->
+      match
+        Refill.Error.guard ~source:input (fun () ->
+            Logsys.Log_io.load_file input)
+      with
+      | Error e -> err_exit e
+      | Ok dump ->
       Obs.Log.debug "loaded %d surviving records from %s"
         (Logsys.Collected.total dump.collected)
         input;
@@ -766,8 +771,11 @@ let reconstruct_cmd =
 
 let trace obs input origin seq =
   with_observability obs @@ fun () ->
-  match Logsys.Log_io.load_file input with
-  | dump ->
+  match
+    Refill.Error.guard ~source:input (fun () -> Logsys.Log_io.load_file input)
+  with
+  | Error e -> err_exit e
+  | Ok dump ->
       let flow =
         Refill.Reconstruct.packet dump.collected ~origin ~seq ~sink:dump.sink
       in

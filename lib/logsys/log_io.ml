@@ -263,10 +263,12 @@ module Mseg = struct
       incr p
     in
     let parse_int () =
+      let start = !p in
       let neg = !p < eol && geti m !p = '-' in
       if neg then incr p;
       if !p >= eol then fail ();
       (match geti m !p with '0' .. '9' -> () | _ -> fail ());
+      let digits = !p in
       let v = ref 0 in
       let continue = ref true in
       while !continue && !p < eol do
@@ -276,7 +278,14 @@ module Mseg = struct
             incr p
         | _ -> continue := false
       done;
-      if neg then - !v else !v
+      (* 19 digits may overflow an int: such a token gets
+         [int_of_string]'s verdict, as in {!record_of_line}. *)
+      if !p - digits >= 19 then
+        match int_of_string_opt (substring m start !p) with
+        | Some v -> v
+        | None -> fail ()
+      else if neg then - !v
+      else !v
     in
     let token_end () =
       let e = ref !p in

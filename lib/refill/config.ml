@@ -30,16 +30,7 @@ let resolved_retention t =
   | Some r -> r
   | None -> if t.watermark >= max_int / 4 then max_int else 4 * t.watermark
 
-(* Builder surface: every knob gets a [with_] combinator over [default],
-   so call sites name only what they change and survive record growth. *)
-let with_intra use_intra t = { t with use_intra }
-let with_inter use_inter t = { t with use_inter }
-let with_jobs jobs t = { t with jobs }
-let with_watermark watermark t = { t with watermark }
-let with_chunk_events chunk_events t = { t with chunk_events }
-let with_provenance provenance t = { t with provenance }
 let with_shards shards t = { t with shards }
-let with_late_retention late_retention t = { t with late_retention }
 
 let validate t =
   if t.watermark <= 0 then

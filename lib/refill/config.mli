@@ -25,8 +25,9 @@ type t = {
           nothing for provenance. *)
   shards : int;
       (** Streaming only: how many shards {!Stream} splits the frontier
-          into.  [1] runs the one shard inline in the caller's domain;
-          above that, each shard gets a worker domain. *)
+          into.  Shard 0 runs in the caller's domain and each other shard
+          on a worker domain, so [n] shards start [n - 1] workers; every
+          {!Stream.feed_arena} is one round that waits for all of them. *)
   late_retention : int option;
       (** Streaming only: how many records past a packet's eviction
           trigger a returning fragment is still recognized as a late
@@ -40,20 +41,14 @@ val default : t
     [watermark = 50_000], [chunk_events = 4096], [provenance = false],
     [shards = 1], [late_retention = None]. *)
 
-(** {2 Builders}
+(** {2 Building a configuration}
 
-    [default |> with_watermark 1000 |> with_shards 4] style: each
-    combinator replaces one knob, so call sites name only what they change
-    and keep compiling when the record grows. *)
+    Name only the knobs you change with a record update,
+    [{ Config.default with watermark = 1000 }]; the CLI goes through
+    {!of_options}. *)
 
-val with_intra : bool -> t -> t
-val with_inter : bool -> t -> t
-val with_jobs : int option -> t -> t
-val with_watermark : int -> t -> t
-val with_chunk_events : int -> t -> t
-val with_provenance : bool -> t -> t
 val with_shards : int -> t -> t
-val with_late_retention : int option -> t -> t
+(** [with_shards n t] is [{ t with shards = n }]. *)
 
 val of_options :
   ?use_intra:bool ->

@@ -71,6 +71,9 @@ let compare_key (ao, as_) (bo, bs) =
 let compare_evicted (ka, ta) (kb, tb) =
   match Int.compare ta tb with 0 -> compare_key ka kb | c -> c
 
+(* A flow evicted in the current round, not yet emitted. *)
+type pending = { p_last_seen : int; p_key : int * int; p_emitted : emitted }
+
 (* The frontier of the packet keys that hash to one shard.  It ingests
    only its own keys but hears every global stream position, so it
    evicts exactly where a frontier holding every key would. *)
@@ -81,7 +84,6 @@ type shard = {
   provenance : bool;
   watermark : int;
   retention : int;
-  emit : final:bool -> last_seen:int -> key:int * int -> emitted -> unit;
   frontier : (int * int, buffer) Hashtbl.t;
   (* key -> eviction trigger (the global position [last_seen + watermark]
      at which the key was evicted).  Bounded: a key is forgotten once the
@@ -94,6 +96,7 @@ type shard = {
      (key re-evicted with a newer trigger, or already forgotten lazily)
      are skipped when popped. *)
   prune : (int * (int * int)) Queue.t;
+  mutable pending : pending list;  (* this round's evictions, newest first *)
   mutable clock : int;  (* global stream position this shard has heard *)
   mutable processed : int;  (* records this shard ingested *)
   mutable flows : int;
@@ -107,7 +110,7 @@ type shard = {
 }
 
 let make_shard ~flags:(use_intra, use_inter, provenance) ~watermark ~retention
-    ~sink ~emit =
+    ~sink =
   {
     sink;
     use_intra;
@@ -115,11 +118,11 @@ let make_shard ~flags:(use_intra, use_inter, provenance) ~watermark ~retention
     provenance;
     watermark;
     retention;
-    emit;
     frontier = Hashtbl.create 256;
     evicted = Hashtbl.create 1024;
     deadlines = Queue.create ();
     prune = Queue.create ();
+    pending = [];
     clock = 0;
     processed = 0;
     flows = 0;
@@ -198,9 +201,13 @@ let evict sh ~final buf =
   (match outcome with
   | Complete -> sh.complete <- sh.complete + 1
   | Incomplete -> sh.incomplete <- sh.incomplete + 1);
-  sh.emit ~final ~last_seen:buf.last_seen
-    ~key:(buf.b_origin, buf.b_seq)
-    { flow; outcome }
+  sh.pending <-
+    {
+      p_last_seen = buf.last_seen;
+      p_key = (buf.b_origin, buf.b_seq);
+      p_emitted = { flow; outcome };
+    }
+    :: sh.pending
 
 let drain sh =
   let limit = sh.clock - sh.watermark in
@@ -289,198 +296,129 @@ let advance sh c =
     drain sh
   end
 
-(* End of input: flush every open packet, ascending key order. *)
+(* End of input: flush every open packet ([release] orders them). *)
 let finish_shard sh =
   let before = counters sh in
   let bufs = Hashtbl.fold (fun _ b acc -> b :: acc) sh.frontier [] in
-  let bufs =
-    List.sort
-      (fun a b -> compare_key (a.b_origin, a.b_seq) (b.b_origin, b.b_seq))
-      bufs
-  in
   List.iter (fun b -> if b.live then evict sh ~final:true b) bufs;
   Queue.clear sh.deadlines;
   flush_metrics sh before
 
-(* -- The stream: shards, workers and the combiner -------------------------- *)
+(* -- The stream: one round per segment ------------------------------------- *)
 
-(* Bounded SPSC channel: the feeder blocks when a worker falls behind
-   (backpressure, bounded memory), the worker blocks when idle.  On a
-   machine with fewer cores than shards this degrades to cooperative
-   scheduling, not spinning. *)
-module Chan = struct
-  type 'a chan = {
-    q : 'a Queue.t;
-    cap : int;
-    mu : Mutex.t;
-    not_empty : Condition.t;
-    not_full : Condition.t;
-  }
+(* A worker's job slot, under [w_mu].  The caller posts a [Round] into an
+   [Idle] slot; the worker runs it and leaves [Idle], or [Raised] if it
+   failed; [await] takes that result and leaves [Idle].  [Quit] ends the
+   worker. *)
+type slot =
+  | Idle
+  | Round of (int * Logsys.Record.t) list * int
+      (** (global position, record), positions ascending; then the
+          segment's last position *)
+  | Raised of exn
+  | Quit
 
-  let create cap =
-    {
-      q = Queue.create ();
-      cap;
-      mu = Mutex.create ();
-      not_empty = Condition.create ();
-      not_full = Condition.create ();
-    }
-
-  let push c x =
-    Mutex.lock c.mu;
-    while Queue.length c.q >= c.cap do
-      Condition.wait c.not_full c.mu
-    done;
-    Queue.push x c.q;
-    Condition.signal c.not_empty;
-    Mutex.unlock c.mu
-
-  let pop c =
-    Mutex.lock c.mu;
-    while Queue.is_empty c.q do
-      Condition.wait c.not_empty c.mu
-    done;
-    let x = Queue.pop c.q in
-    Condition.signal c.not_full;
-    Mutex.unlock c.mu;
-    x
-end
-
-type msg =
-  | Records of (int * Logsys.Record.t) array
-      (** (global position, record), positions ascending. *)
-  | Tick of int  (** advance the worker clock to this position *)
-  | Stop of int  (** final clock; the worker exits its loop *)
-
-type pending = {
-  p_last_seen : int;
-  p_final : bool;
-  p_key : int * int;
-  p_emitted : emitted;
-}
-
-(* A shard running on its own domain. *)
+(* A shard other than shard 0, running on its own domain. *)
 type worker = {
   w_shard : shard;
-  w_chan : msg Chan.chan;
   w_mu : Mutex.t;
   w_cond : Condition.t;
-  w_outbox : pending list ref;  (* newest first; under [w_mu] *)
-  mutable w_clock : int;  (* published position; under [w_mu] *)
-  mutable w_error : exn option;  (* under [w_mu] *)
+  mutable w_slot : slot;
   mutable w_domain : unit Domain.t option;
 }
 
 type state = Live | Done of summary | Failed of exn
 
 type t = {
-  st_watermark : int;
   st_emit : emitted -> unit;
   shards : shard array;
-  (* One per shard when there are several; empty when the single shard
-     runs inline in the caller's domain, emitting straight to
-     [st_emit]. *)
+  (* Shards 1 .. n-1; shard 0 runs in the caller's domain. *)
   workers : worker array;
   mutable st_clock : int;  (* global records routed so far *)
   mutable segments : int;
-  mutable pending : pending list;
   mutable state : state;
 }
 
 let shard_of ~origin ~seq n =
   ((origin * 0x9E3779B1) lxor (seq * 0x85EBCA6B)) land max_int mod n
 
+(* One shard's part of a round: ingest its own rows, then hear every
+   position up to the segment's last. *)
+let run_round sh items last =
+  let before = counters sh in
+  List.iter (fun (pos, r) -> push sh ~pos r) items;
+  advance sh last;
+  flush_metrics sh before
+
 let worker_loop w =
-  let running = ref true in
-  while !running do
-    let msg = Chan.pop w.w_chan in
-    let target =
-      match msg with
-      | Records items ->
-          if Array.length items = 0 then w.w_shard.clock
-          else fst items.(Array.length items - 1)
-      | Tick c | Stop c -> c
+  let rec next () =
+    let slot =
+      Mutex.protect w.w_mu (fun () ->
+          while (match w.w_slot with Idle | Raised _ -> true | _ -> false) do
+            Condition.wait w.w_cond w.w_mu
+          done;
+          w.w_slot)
     in
-    (match msg with Stop _ -> running := false | _ -> ());
-    Mutex.lock w.w_mu;
-    let errored = w.w_error <> None in
-    Mutex.unlock w.w_mu;
-    (* After an error the worker keeps draining (and discarding) so the
-       feeder never blocks on a full queue; the clock still advances so
-       quiesce terminates. *)
-    if not errored then begin
-      try
-        let sh = w.w_shard in
-        let before = counters sh in
-        (match msg with
-        | Records items -> Array.iter (fun (pos, r) -> push sh ~pos r) items
-        | Tick c | Stop c -> advance sh c);
-        flush_metrics sh before
-      with e ->
-        Mutex.lock w.w_mu;
-        w.w_error <- Some e;
-        Mutex.unlock w.w_mu
-    end;
-    Mutex.lock w.w_mu;
-    if target > w.w_clock then w.w_clock <- target;
-    Condition.broadcast w.w_cond;
-    Mutex.unlock w.w_mu
-  done
+    match slot with
+    | Round (items, last) ->
+        let result =
+          match run_round w.w_shard items last with
+          | () -> Idle
+          | exception e -> Raised e
+        in
+        Mutex.protect w.w_mu (fun () ->
+            w.w_slot <- result;
+            Condition.signal w.w_cond);
+        next ()
+    | Idle | Raised _ | Quit -> ()
+  in
+  next ()
+
+let post w slot =
+  Mutex.protect w.w_mu (fun () ->
+      w.w_slot <- slot;
+      Condition.signal w.w_cond)
+
+(* Wait for [w]'s round to end: [Some e] if it raised [e]. *)
+let await w =
+  Mutex.protect w.w_mu (fun () ->
+      while (match w.w_slot with Round _ -> true | _ -> false) do
+        Condition.wait w.w_cond w.w_mu
+      done;
+      let result = match w.w_slot with Raised e -> Some e | _ -> None in
+      w.w_slot <- Idle;
+      result)
 
 (* Build [n] shards, let [init] populate each (resume restores shard
-   state) before any domain starts, and start one worker domain per
-   shard — or none when [n = 1]. *)
+   state) before any domain starts, and start a worker domain for every
+   shard but shard 0. *)
 let launch ~n ~flags ~watermark ~retention ~sink ~emit ~clock ~segments ~init
     =
-  let make emit = make_shard ~flags ~watermark ~retention ~sink ~emit in
-  let shards, workers =
-    if n = 1 then begin
-      let sh = make (fun ~final:_ ~last_seen:_ ~key:_ e -> emit e) in
-      init 0 sh;
-      ([| sh |], [||])
-    end
-    else begin
-      let workers =
-        Array.init n (fun i ->
-            let mu = Mutex.create () and outbox = ref [] in
-            let sh =
-              make (fun ~final ~last_seen ~key e ->
-                  Mutex.protect mu (fun () ->
-                      outbox :=
-                        {
-                          p_last_seen = last_seen;
-                          p_final = final;
-                          p_key = key;
-                          p_emitted = e;
-                        }
-                        :: !outbox))
-            in
-            init i sh;
-            {
-              w_shard = sh;
-              w_chan = Chan.create 8;
-              w_mu = mu;
-              w_cond = Condition.create ();
-              w_outbox = outbox;
-              w_clock = sh.clock;
-              w_error = None;
-              w_domain = None;
-            })
-      in
-      Array.iter
-        (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_loop w)))
-        workers;
-      (Array.map (fun w -> w.w_shard) workers, workers)
-    end
+  let shards =
+    Array.init n (fun i ->
+        let sh = make_shard ~flags ~watermark ~retention ~sink in
+        init i sh;
+        sh)
   in
+  let workers =
+    Array.init (n - 1) (fun i ->
+        {
+          w_shard = shards.(i + 1);
+          w_mu = Mutex.create ();
+          w_cond = Condition.create ();
+          w_slot = Idle;
+          w_domain = None;
+        })
+  in
+  Array.iter
+    (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_loop w)))
+    workers;
   {
-    st_watermark = watermark;
     st_emit = emit;
     shards;
     workers;
     st_clock = clock;
     segments;
-    pending = [];
     state = Live;
   }
 
@@ -494,27 +432,19 @@ let create ?(config = Config.default) ~sink ~emit () =
 let shards t = Array.length t.shards
 let processed t = t.st_clock
 
-let read_clock w = Mutex.protect w.w_mu (fun () -> w.w_clock)
-
-(* Stop and join every worker still running; idempotent. *)
+(* Stop and join every worker still running; idempotent.  A worker still
+   in a round (the caller failed first) ends it before it quits. *)
 let shutdown t =
   Array.iter
     (fun w ->
-      if Option.is_some w.w_domain then Chan.push w.w_chan (Stop t.st_clock))
-    t.workers;
-  Array.iter
-    (fun w ->
-      Option.iter Domain.join w.w_domain;
-      w.w_domain <- None)
+      Option.iter
+        (fun d ->
+          ignore (await w);
+          post w Quit;
+          Domain.join d;
+          w.w_domain <- None)
+        w.w_domain)
     t.workers
-
-let first_error t =
-  Array.fold_left
-    (fun acc w ->
-      match acc with
-      | Some _ -> acc
-      | None -> Mutex.protect w.w_mu (fun () -> w.w_error))
-    None t.workers
 
 (* Any failure poisons the stream: all domains are joined and every later
    call re-raises it. *)
@@ -525,61 +455,23 @@ let fail t e =
 
 let guarded t f = try f () with e -> fail t e
 
-let check_workers t = Option.iter (fail t) (first_error t)
-
 let check_live t =
   match t.state with
   | Live -> ()
   | Done _ -> invalid_arg "Stream.feed: stream already finished"
   | Failed e -> raise e
 
-(* Release every pending mid-stream eviction that can no longer be
-   preceded by anything: clocks are read BEFORE outboxes, so a worker's
-   future emissions all have last_seen > safe - watermark — anything at
-   or below that line is already in an outbox we are about to take.
-   Released ascending by last_seen, which is exactly the one-shard
-   emission order (positions are unique, and eviction triggers are
-   monotone in last_seen). *)
-let combine t =
-  let safe =
-    Array.fold_left (fun acc w -> min acc (read_clock w)) max_int t.workers
+(* Emit every shard's buffered evictions in the one-shard order [by]. *)
+let release t ~by =
+  let all =
+    Array.fold_left
+      (fun acc sh ->
+        let p = sh.pending in
+        sh.pending <- [];
+        List.rev_append p acc)
+      [] t.shards
   in
-  Array.iter
-    (fun w ->
-      let out =
-        Mutex.protect w.w_mu (fun () ->
-            let out = !(w.w_outbox) in
-            w.w_outbox := [];
-            out)
-      in
-      t.pending <- List.rev_append out t.pending)
-    t.workers;
-  let limit = safe - t.st_watermark in
-  let ready, rest =
-    List.partition
-      (fun p -> (not p.p_final) && p.p_last_seen <= limit)
-      t.pending
-  in
-  t.pending <- rest;
-  let ready =
-    List.sort (fun a b -> Int.compare a.p_last_seen b.p_last_seen) ready
-  in
-  List.iter (fun p -> t.st_emit p.p_emitted) ready
-
-(* Wait until every worker has processed up to the feeder's clock; after
-   this the feeder may read shard state directly (the workers are parked
-   in [Chan.pop], and the [w_mu] handshake ordered their writes before
-   our reads). *)
-let quiesce t =
-  Array.iter
-    (fun w ->
-      Mutex.lock w.w_mu;
-      while w.w_clock < t.st_clock && w.w_error = None do
-        Condition.wait w.w_cond w.w_mu
-      done;
-      Mutex.unlock w.w_mu)
-    t.workers;
-  check_workers t
+  List.iter (fun p -> t.st_emit p.p_emitted) (List.sort by all)
 
 let aggregate t =
   Array.fold_left
@@ -617,53 +509,58 @@ let publish_gauges (s : summary) =
       Obs.Metrics.Gauge.set g_frontier (float_of_int s.frontier_events);
       Obs.Metrics.Gauge.set g_peak (float_of_int s.peak_frontier_events))
 
-(* Every kept row materializes once: pushed straight into the inline
-   shard, or bucketed by key with its global position and handed to the
-   owning worker, followed by a clock tick for every worker. *)
+(* One round.  The caller buckets the rows of shards 1 .. n-1 with their
+   global positions and posts each worker its bucket, pushes shard 0's
+   rows itself on a second pass, waits for every worker, and emits the
+   round's evictions ascending by last_seen: the one-shard order, since
+   positions are unique and an eviction's trigger is
+   [last_seen + watermark].  Every kept row materializes once. *)
 let feed_arena t (s : Logsys.Arena.slice) =
   check_live t;
   guarded t @@ fun () ->
-  check_workers t;
   t.segments <- t.segments + 1;
   Par.with_obs_lock (fun () -> Obs.Metrics.Counter.inc c_segments);
   let a = s.Logsys.Arena.sl_base in
   let lo = s.Logsys.Arena.sl_off in
   let hi = lo + s.Logsys.Arena.sl_len - 1 in
-  match t.workers with
-  | [||] ->
-      let sh = t.shards.(0) in
-      let before = counters sh in
-      for i = lo to hi do
-        if Logsys.Arena.node a i >= 0 then begin
-          t.st_clock <- t.st_clock + 1;
-          push sh ~pos:t.st_clock (Logsys.Arena.get a i)
-        end
-      done;
-      flush_metrics sh before;
-      publish_gauges (counters sh)
-  | workers ->
-      let n = Array.length workers in
-      let parts = Array.make n [] in
-      for i = lo to hi do
-        if Logsys.Arena.node a i >= 0 then begin
-          t.st_clock <- t.st_clock + 1;
-          let k =
-            shard_of ~origin:(Logsys.Arena.origin a i)
-              ~seq:(Logsys.Arena.pkt_seq a i) n
-          in
-          parts.(k) <- (t.st_clock, Logsys.Arena.get a i) :: parts.(k)
-        end
-      done;
-      Array.iteri
-        (fun k items ->
-          match items with
-          | [] -> ()
-          | _ ->
-              Chan.push workers.(k).w_chan
-                (Records (Array.of_list (List.rev items))))
-        parts;
-      Array.iter (fun w -> Chan.push w.w_chan (Tick t.st_clock)) workers;
-      combine t
+  let n = Array.length t.shards in
+  let owner i =
+    shard_of ~origin:(Logsys.Arena.origin a i) ~seq:(Logsys.Arena.pkt_seq a i) n
+  in
+  if n > 1 then begin
+    let parts = Array.make n [] in
+    let pos = ref t.st_clock in
+    for i = lo to hi do
+      if Logsys.Arena.node a i >= 0 then begin
+        incr pos;
+        let k = owner i in
+        if k > 0 then parts.(k) <- (!pos, Logsys.Arena.get a i) :: parts.(k)
+      end
+    done;
+    Array.iteri
+      (fun k w -> post w (Round (List.rev parts.(k + 1), !pos)))
+      t.workers
+  end;
+  let sh = t.shards.(0) in
+  let before = counters sh in
+  for i = lo to hi do
+    if Logsys.Arena.node a i >= 0 then begin
+      t.st_clock <- t.st_clock + 1;
+      if owner i = 0 then push sh ~pos:t.st_clock (Logsys.Arena.get a i)
+    end
+  done;
+  advance sh t.st_clock;
+  flush_metrics sh before;
+  let failure =
+    Array.fold_left
+      (fun acc w ->
+        let r = await w in
+        if Option.is_some acc then acc else r)
+      None t.workers
+  in
+  Option.iter raise failure;
+  release t ~by:(fun a b -> Int.compare a.p_last_seen b.p_last_seen);
+  publish_gauges (aggregate t)
 
 let feed t records =
   feed_arena t (Logsys.Arena.slice_all (Logsys.Arena.of_records records))
@@ -673,13 +570,12 @@ let summary t =
   | Done s -> s
   | Failed e -> raise e
   | Live ->
-      guarded t @@ fun () ->
-      quiesce t;
-      combine t;
       let s = aggregate t in
       publish_gauges s;
       s
 
+(* Join the workers, flush every frontier, and emit the finals in
+   ascending key order — the one-shard finish order. *)
 let finish t =
   match t.state with
   | Done s -> s
@@ -687,20 +583,8 @@ let finish t =
   | Live ->
       guarded t @@ fun () ->
       shutdown t;
-      check_workers t;
-      (* All mid-stream evictions first (safe = final clock releases
-         everything), then flush the frontiers and emit the finals in
-         ascending key order — the one-shard finish order. *)
-      combine t;
       Array.iter finish_shard t.shards;
-      let finals =
-        Array.fold_left
-          (fun acc w -> List.rev_append !(w.w_outbox) acc)
-          [] t.workers
-      in
-      List.iter
-        (fun p -> t.st_emit p.p_emitted)
-        (List.sort (fun a b -> compare_key a.p_key b.p_key) finals);
+      release t ~by:(fun a b -> compare_key a.p_key b.p_key);
       let s = aggregate t in
       publish_gauges s;
       t.state <- Done s;
@@ -715,9 +599,6 @@ let checkpoint t oc =
   | Live -> ()
   | Done _ -> invalid_arg "Stream.checkpoint: stream finished"
   | Failed e -> raise e);
-  guarded t (fun () ->
-      quiesce t;
-      combine t);
   let s0 = t.shards.(0) in
   Printf.fprintf oc "%s\n" ckpt_magic;
   Printf.fprintf oc "# shards %d\n" (Array.length t.shards);
@@ -725,7 +606,7 @@ let checkpoint t oc =
   Printf.fprintf oc "# use-intra %d\n" (b s0.use_intra);
   Printf.fprintf oc "# use-inter %d\n" (b s0.use_inter);
   Printf.fprintf oc "# provenance %d\n" (b s0.provenance);
-  Printf.fprintf oc "# watermark %d\n" t.st_watermark;
+  Printf.fprintf oc "# watermark %d\n" s0.watermark;
   Printf.fprintf oc "# retention %d\n" s0.retention;
   Printf.fprintf oc "# segments %d\n" t.segments;
   Printf.fprintf oc "# clock %d\n" t.st_clock;

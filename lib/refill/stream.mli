@@ -45,12 +45,15 @@
     The frontier is split into [config.shards] shards by a hash of the
     packet key.  Every record gets its global stream position, and every
     shard hears every position, so each one evicts exactly where a single
-    frontier holding every key would.  With one shard (the default) the
-    frontier runs inline in the caller's domain and emits as it evicts.
-    With more, each shard runs on a worker domain fed over a bounded
-    queue, and a combiner re-serializes their emissions into exactly the
-    one-shard order: output is byte-identical at any shard count and any
-    chunking.
+    frontier holding every key would.  Shard 0 runs in the caller's domain
+    and every other shard on a worker domain, so [n] shards start [n - 1]
+    workers.  Each {!feed_arena} call is one round at any shard count:
+    the caller hands each worker its shard's rows and the segment's last
+    position, pushes shard 0's rows itself, waits for every worker, and
+    emits the round's evictions ascending by their last record's position
+    — the one-shard order.  Output is byte-identical at any shard count
+    and any chunking.  A stream buffers at most one segment's evictions,
+    so the caller's segment size bounds that buffer.
 
     {2 Checkpoints}
 
@@ -91,18 +94,18 @@ val create : ?config:Config.t -> sink:int -> emit:(emitted -> unit) -> unit -> t
 (** A fresh stream.  [config] supplies the ablation knobs,
     [config.watermark], [config.late_retention] and [config.shards].
     [emit] is called from the caller's domain, in eviction order
-    (deterministic for a given record sequence).  With one shard it fires
-    synchronously from {!feed_arena} / {!finish}; with several, from any
-    call into the stream, possibly several segments after the records
-    that produced a flow (the release lags the slowest worker by up to
-    one watermark). *)
+    (deterministic for a given record sequence): at any shard count,
+    every flow a {!feed_arena} call evicts is emitted at the end of that
+    call, before it returns, and {!finish} emits the flushed packets.  No
+    other call emits. *)
 
 val shards : t -> int
 
 val feed_arena : t -> Logsys.Arena.slice -> unit
 (** Process one segment (one slice), in arrival order.  Rows with a
     negative node id are ignored; every other row materializes once.
-    Emission depends only on the concatenation of segments, not on how
+    Every flow the segment evicts is emitted before this returns;
+    emission depends only on the concatenation of segments, not on how
     they are chunked.  A failure — raised by [emit], or by a worker — is
     re-raised from this and every later call, after all worker domains
     are joined.
@@ -112,23 +115,23 @@ val feed : t -> Logsys.Record.t array -> unit
 (** {!feed_arena} over records. *)
 
 val finish : t -> summary
-(** Flush every still-open packet (ascending key order), join the
-    workers, and return the final summary.  Idempotent; the stream
-    accepts no further [feed]. *)
+(** Join the workers, flush every still-open packet (emitted in
+    ascending key order), and return the final summary.  Idempotent; the
+    stream accepts no further [feed]. *)
 
 val summary : t -> summary
-(** Counters so far, without finishing; waits for the workers to catch
-    up and releases the emissions that are already in order.  Totals sum
-    over shards, so [peak_frontier_events] (a sum of per-shard peaks) is
-    an upper bound on the one-shard peak; [segments] counts feed calls. *)
+(** Counters so far, without finishing.  Nothing waits and nothing is
+    emitted: every evicted flow already was.  Totals sum over shards, so
+    [peak_frontier_events] (a sum of per-shard peaks) is an upper bound
+    on the one-shard peak; [segments] counts feed calls. *)
 
 val processed : t -> int
 (** Records processed so far — what {!Logsys.Log_io.Mseg.skip} needs to
     fast-forward a reopened input to the checkpoint position. *)
 
 val checkpoint : t -> out_channel -> unit
-(** Serialize the live state of every shard as one v2 checkpoint.  Only
-    meaningful before {!finish}. *)
+(** Serialize the live state of every shard as one v2 checkpoint; emits
+    nothing.  Only meaningful before {!finish}. *)
 
 val checkpoint_file : t -> string -> (unit, Error.t) result
 (** {!checkpoint} to [path ^ ".tmp"], then rename it over [path], so a

@@ -5,7 +5,7 @@
     Each connection thread feeds its decoded segments to the stream under
     one stream lock (lock order = global record order) and acks a segment
     only after the feed returns, so an ack means the records are in the
-    stream.  Shutdown — {!stop}, {!request_stop} from a signal handler,
+    stream and every flow they evicted has been emitted.  Shutdown — {!stop}, {!request_stop} from a signal handler,
     or a stream failure — is checkpoint-and-exit: once every connection
     thread has exited the final checkpoint holds every acked record, so
     resume is byte-identical. *)

@@ -10,8 +10,8 @@
     ({!Logsys.Codec.encode_segment} bytes); ['E'] — end of stream (empty
     payload).  Server frames: ['A'] — an {!ack}.  Every accepted ['D']
     (and the final ['E']) is acked; the ack means the records have been
-    fed to the stream, so clients that need a total cross-connection order
-    can serialize on acks.
+    fed to the stream, and the flows they evicted emitted, so clients
+    that need a total cross-connection order can serialize on acks.
 
     All protocol violations raise {!Protocol_error}; receive timeouts and
     socket failures surface as [Unix.Unix_error]. *)

@@ -519,14 +519,14 @@ let mseg_skip_parity () =
       Alcotest.(check int) "over-skip clamps" total
         (Logsys.Log_io.Mseg.skip r2 (total + 999)))
 
+let write_file lines =
+  let path = Filename.temp_file "refill_arena" ".log" in
+  let oc = open_out path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc;
+  path
+
 let mseg_rejects_malformed () =
-  let write_file lines =
-    let path = Filename.temp_file "refill_arena" ".log" in
-    let oc = open_out path in
-    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-    close_out oc;
-    path
-  in
   let raises_failure path =
     Fun.protect
       ~finally:(fun () -> Sys.remove path)
@@ -557,7 +557,38 @@ let mseg_rejects_malformed () =
   Alcotest.(check bool) "peer on gen raises" true
     (raises_failure
        (write_file
-          [ "# refill-log v1"; "# nodes 3"; "# sink 0"; "r 1 gen 2 1 0 0.5 1" ]))
+          [ "# refill-log v1"; "# nodes 3"; "# sink 0"; "r 1 gen 2 1 0 0.5 1" ]));
+  (* 2^64 + 1 wraps to 1 in a 63-bit accumulator. *)
+  Alcotest.(check bool) "overflowing origin raises" true
+    (raises_failure
+       (write_file
+          [
+            "# refill-log v1";
+            "# nodes 3";
+            "# sink 0";
+            "r 1 gen - 18446744073709551617 0 0.5 1";
+          ]))
+
+(* Integer fields at the ends of the int range, and a long token of
+   leading zeros, decode the same through the reference reader and
+   Mseg. *)
+let mseg_int_extremes () =
+  let line =
+    Printf.sprintf "r 1 recv %d %d %d 0.5 -0000000000000000000000007" max_int
+      min_int max_int
+  in
+  let path = write_file [ "# refill-log v1"; "# nodes 3"; "# sink 0"; line ] in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let dump = Logsys.Log_io.load_file path in
+  let r = (Logsys.Collected.node_log dump.collected 1).(0) in
+  Alcotest.(check bool) "reference peer" true
+    (Logsys.Record.kind_equal r.kind (Recv { from = max_int }));
+  Alcotest.(check (list int)) "reference origin, seq, gseq"
+    [ min_int; max_int; -7 ] [ r.origin; r.pkt_seq; r.gseq ];
+  let _, a = mseg_rows ~chunk:10 path in
+  Alcotest.(check int) "one row" 1 (Logsys.Arena.length a);
+  Alcotest.(check bool) "mseg row equals the reference record" true
+    (Logsys.Arena.equal_record a 0 r)
 
 let () =
   Alcotest.run "arena"
@@ -592,5 +623,6 @@ let () =
           Alcotest.test_case "mseg == load" `Quick mseg_equals_load;
           Alcotest.test_case "skip parity" `Quick mseg_skip_parity;
           Alcotest.test_case "rejects malformed" `Quick mseg_rejects_malformed;
+          Alcotest.test_case "integer extremes" `Quick mseg_int_extremes;
         ] );
     ]

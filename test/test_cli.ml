@@ -28,8 +28,9 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Run the CLI, capturing stdout and stderr; returns (exit code, stdout). *)
-let run_cli args =
+(* Run the CLI, capturing stdout and stderr; returns (exit code, stdout,
+   stderr). *)
+let run_cli_err args =
   let out = tmp ".out" and err = tmp ".err" in
   Fun.protect
     ~finally:(fun () ->
@@ -42,7 +43,11 @@ let run_cli args =
           (Filename.quote out) (Filename.quote err)
       in
       let code = Sys.command cmd in
-      (code, read_file out))
+      (code, read_file out, read_file err))
+
+let run_cli args =
+  let code, out, _ = run_cli_err args in
+  (code, out)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -99,6 +104,38 @@ let missing_file_still_dumps_metrics () =
       Alcotest.(check bool) "missing input is a nonzero exit" true (code <> 0);
       Alcotest.(check bool) "metrics survive the I/O error" true
         (Sys.file_exists metrics))
+
+(* An origin past the int range is malformed input to every subcommand
+   that reads the dump: none wraps it, and all report it the same way. *)
+let overflowing_origin_is_malformed () =
+  let bad = tmp ".log" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove bad)
+    (fun () ->
+      let oc = open_out bad in
+      output_string oc
+        "# refill-log v1\n\
+         # nodes 3\n\
+         # sink 0\n\
+         r 1 gen - 18446744073709551617 0 0.5 1\n\
+         r 1 trans 0 18446744073709551617 0 0.6 2\n\
+         r 0 recv 1 18446744073709551617 0 0.7 3\n";
+      close_out oc;
+      List.iter
+        (fun args ->
+          let what = String.concat " " args in
+          let code, _, err = run_cli_err (args @ [ bad; "-q" ]) in
+          Alcotest.(check int) (what ^ " exits 1") 1 code;
+          Alcotest.(check bool)
+            (what ^ " reports malformed input")
+            true
+            (contains err (bad ^ ": malformed input: ")))
+        [
+          [ "analyze" ];
+          [ "trace"; "--origin"; "1"; "--seq"; "0" ];
+          [ "reconstruct" ];
+          [ "reconstruct"; "--stream" ];
+        ])
 
 (* -- serve ------------------------------------------------------------------ *)
 
@@ -269,6 +306,8 @@ let () =
             malformed_log_still_dumps_metrics;
           Alcotest.test_case "missing file writes metrics" `Quick
             missing_file_still_dumps_metrics;
+          Alcotest.test_case "overflowing origin is malformed" `Quick
+            overflowing_origin_is_malformed;
         ] );
       ( "serve",
         [

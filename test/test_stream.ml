@@ -589,6 +589,37 @@ let failure_poisons_stream () =
       check "summary after finish" (fun () -> Refill.Stream.summary t))
     [ 1; 3 ]
 
+(* A feed emits every flow it evicts before it returns, at any shard
+   count: after each segment, the flows emitted so far are exactly the
+   flows the stream has counted. *)
+let feed_emits_its_evictions () =
+  let ordered = Logsys.Collected.merged_by_time (lossy_collected 0.25 42) in
+  let n = Array.length ordered in
+  List.iter
+    (fun shards ->
+      let emitted = ref 0 in
+      let t =
+        Refill.Stream.create
+          ~config:(test_config ~watermark:150 ~shards ())
+          ~sink:(sink ())
+          ~emit:(fun _ -> incr emitted)
+          ()
+      in
+      let i = ref 0 in
+      while !i < n do
+        let len = min 97 (n - !i) in
+        Refill.Stream.feed t (Array.sub ordered !i len);
+        i := !i + len;
+        (* Read before [summary], which must not emit anything itself. *)
+        let seen = !emitted in
+        Alcotest.(check int)
+          (Printf.sprintf "%d shard(s): flows emitted after %d records"
+             shards !i)
+          (Refill.Stream.summary t).flows seen
+      done;
+      ignore (Refill.Stream.finish t))
+    [ 1; 2; 4 ]
+
 let feed_after_finish_raises () =
   let t = Refill.Stream.create ~sink:0 ~emit:(fun _ -> ()) () in
   ignore (Refill.Stream.finish t);
@@ -796,6 +827,8 @@ let () =
             feed_after_finish_raises;
           Alcotest.test_case "a failure poisons the stream" `Quick
             failure_poisons_stream;
+          Alcotest.test_case "a feed emits what it evicts" `Quick
+            feed_emits_its_evictions;
         ] );
       ( "segments",
         [
