@@ -1186,51 +1186,67 @@ let check_cmd =
 
 (* -- serve / feed -------------------------------------------------------------- *)
 
+let tcp_error port message =
+  Refill.Error.Io { path = Printf.sprintf "tcp://127.0.0.1:%d" port; message }
+
+(* The --emit-file sink opens first, so a busy --emit-socket port is an
+   [Io] error that closes it again, like a busy --port. *)
+let emit_sink ~emit_file ~emit_socket =
+  let file = Option.map Refill_serve.Emit.to_file emit_file in
+  match emit_socket with
+  | None -> Ok (Option.value file ~default:Refill_serve.Emit.null)
+  | Some port -> (
+      match Refill_serve.Emit.publish ~port with
+      | exception Unix.Unix_error (e, _, _) ->
+          Option.iter (fun (f : Refill_serve.Emit.sink) -> f.close ()) file;
+          Error (tcp_error port (Unix.error_message e))
+      | socket ->
+          Ok
+            (match file with
+            | None -> socket
+            | Some f -> Refill_serve.Emit.tee f socket))
+
 let serve obs mk_config port http_port checkpoint checkpoint_interval
     emit_file emit_socket read_timeout max_frame sink =
   with_observability obs @@ fun () ->
   match mk_config ~provenance:false with
   | Error e -> err_exit e
   | Ok stream_cfg -> (
-      let emit =
-        match (emit_file, emit_socket) with
-        | None, None -> Refill_serve.Emit.null
-        | Some path, None -> Refill_serve.Emit.to_file path
-        | None, Some p -> Refill_serve.Emit.publish ~port:p
-        | Some path, Some p ->
-            Refill_serve.Emit.tee
-              (Refill_serve.Emit.to_file path)
-              (Refill_serve.Emit.publish ~port:p)
-      in
-      let cfg =
-        {
-          Refill_serve.Server.default_config with
-          port;
-          http_port;
-          checkpoint;
-          checkpoint_interval;
-          read_timeout;
-          max_frame;
-          stream = stream_cfg;
-          sink;
-          emit;
-        }
-      in
-      match Refill_serve.Server.start cfg with
+      match emit_sink ~emit_file ~emit_socket with
       | Error e -> err_exit e
-      | Ok srv ->
-          (* The handlers only flip an atomic; the server's timer thread
-             does the teardown, `wait` returns normally, and the exit
-             goes through with_metrics_flush like any other. *)
-          let on_signal _ = Refill_serve.Server.request_stop srv in
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-          Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-          (match Refill_serve.Server.http_port srv with
-          | Some p -> Obs.Log.info "serve: /metrics on http://127.0.0.1:%d" p
-          | None -> ());
-          let s = Refill_serve.Server.wait srv in
-          print_stream_summary s;
-          0)
+      | Ok emit -> (
+          let cfg =
+            {
+              Refill_serve.Server.default_config with
+              port;
+              http_port;
+              checkpoint;
+              checkpoint_interval;
+              read_timeout;
+              max_frame;
+              stream = stream_cfg;
+              sink;
+              emit;
+            }
+          in
+          match Refill_serve.Server.start cfg with
+          | Error e ->
+              emit.close ();
+              err_exit e
+          | Ok srv ->
+              (* The handlers only flip an atomic; the server's timer thread
+                 does the teardown, `wait` returns normally, and the exit
+                 goes through with_metrics_flush like any other. *)
+              let on_signal _ = Refill_serve.Server.request_stop srv in
+              Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+              Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+              (match Refill_serve.Server.http_port srv with
+              | Some p ->
+                  Obs.Log.info "serve: /metrics on http://127.0.0.1:%d" p
+              | None -> ());
+              let s = Refill_serve.Server.wait srv in
+              print_stream_summary s;
+              0))
 
 let serve_cmd =
   let port =
@@ -1341,25 +1357,42 @@ let feed obs port chunk pipelined input =
         Unix.sleepf 0.1;
         connect (tries - 1)
   in
-  match connect 50 with
-  | exception Unix.Unix_error (e, _, _) ->
-      err_exit
-        (Refill.Error.Io
-           {
-             path = Printf.sprintf "tcp://127.0.0.1:%d" port;
-             message = Unix.error_message e;
-           })
-  | client ->
-      Refill_serve.Client.feed_file ~chunk ~lockstep:(not pipelined) client
-        input;
-      let ack = Refill_serve.Client.finish client in
-      let st = Refill_serve.Client.stats client in
-      Printf.printf
-        "fed %d records in %d frames (%d payload bytes); server acked \
-         %d/%d; ack rtt p50 %.6fs p99 %.6fs\n"
-        st.records st.frames st.bytes ack.frames ack.records st.rtt_p50
-        st.rtt_p99;
-      0
+  let run () =
+    (* A server gone mid-feed must surface as EPIPE, not kill the feeder. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    let client = connect 50 in
+    Refill_serve.Client.feed_file ~chunk ~lockstep:(not pipelined) client
+      input;
+    let ack = Refill_serve.Client.finish client in
+    (ack, Refill_serve.Client.stats client)
+  in
+  if chunk <= 0 then
+    err_exit
+      (Refill.Error.Invalid_config
+         (Printf.sprintf "--chunk must be positive, got %d" chunk))
+  else
+    (* What the peer does wrong (a refused handshake, a record the
+       server's max-frame cannot carry, a reset) is an [Io] error on the
+       server's address, like a refused connection. *)
+    match run () with
+    | ack, st ->
+        Printf.printf
+          "fed %d records in %d frames (%d payload bytes); server acked \
+           %d/%d; ack rtt p50 %.6fs p99 %.6fs\n"
+          st.records st.frames st.bytes ack.frames ack.records st.rtt_p50
+          st.rtt_p99;
+        0
+    | exception Unix.Unix_error (e, _, _) ->
+        err_exit (tcp_error port (Unix.error_message e))
+    | exception Refill_serve.Wire.Protocol_error m ->
+        err_exit (tcp_error port m)
+    | exception Refill_serve.Client.Record_too_large { encoded; max_frame } ->
+        err_exit
+          (tcp_error port
+             (Printf.sprintf
+                "a record encodes to %d bytes, above the server's max-frame \
+                 of %d"
+                encoded max_frame))
 
 let feed_cmd =
   let input =

@@ -46,19 +46,6 @@ let per_cause c =
          let j = cause_index cause in
          List.exists (fun row -> row.(j) > 0) (Array.to_list c.matrix))
 
-let pp_confusion ppf c =
-  let header =
-    "truth\\pred" :: List.map Logsys.Cause.name c.labels
-  in
-  let rows =
-    List.mapi
-      (fun i cause ->
-        Logsys.Cause.name cause
-        :: Array.to_list (Array.map string_of_int c.matrix.(i)))
-      c.labels
-  in
-  Format.fprintf ppf "%s" (Prelude.Text_table.render ~header rows)
-
 let position_accuracy ~truth ~positions =
   let lost = ref 0 and correct = ref 0 in
   List.iter

@@ -24,8 +24,6 @@ val per_cause : confusion -> (Logsys.Cause.t * float * float * int) list
 (** [(cause, precision, recall, support)] per cause with nonzero support or
     predictions. *)
 
-val pp_confusion : Format.formatter -> confusion -> unit
-
 val position_accuracy :
   truth:Logsys.Truth.t ->
   positions:((int * int) * int option) list ->

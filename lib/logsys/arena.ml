@@ -251,61 +251,32 @@ let decode_segment_into t b =
 (* -- Per-packet index over rows (Collected's views read it too). --------- *)
 
 module Packets = struct
-  (* Origins are node ids and seqs are dense per-origin counters, so the
-     buckets live in a 2D array — origin-major, grown on demand — rather
-     than a hash table: at CitySee scale the build loop runs millions of
-     times and two dependent array reads beat any hashing.  Keys with a
-     negative or absurdly large component (never produced by the loggers,
-     but possible in hand-built logs) fall back to a side table. *)
-  type 'a rows = { mutable by_origin : 'a array array }
+  (* One table interns every distinct (origin, seq) into a dense packet
+     id, and buckets are indexed by id, so memory follows rows and
+     distinct keys whatever the key values (a corrupt field in a lossy
+     log must not size the index).  The hash mixes both fields and keeps
+     the product's high bits; [lsr] binds tighter than [*], hence the
+     outer parentheses. *)
+  module Key_tbl = Hashtbl.Make (struct
+    type t = int * int
+
+    let equal ((o, s) : t) (o', s') = o = o' && s = s'
+
+    let hash ((o, s) : t) =
+      (((o * 0x1F3D5B79) + s) * 0x1E3779B97F4A7C15) lsr 33
+  end)
 
   type t = {
     p_arena : arena;
     p_n_nodes : int;
     p_keys : (int * int) list;
-    p_rows : int array rows;
-    p_fallback : (int * int, int array) Hashtbl.t;
+    p_ids : int Key_tbl.t;
+    p_buckets : int array array;
     p_node_rows : int array array;
   }
 
-  let sparse_limit = 1 lsl 28
-
-  let dense ~origin ~seq =
-    origin >= 0 && origin < sparse_limit && seq >= 0 && seq < sparse_limit
-
-  let row_get (rows : 'a rows) ~absent origin seq =
-    let by_origin = rows.by_origin in
-    if origin >= Array.length by_origin then absent
-    else
-      let row = by_origin.(origin) in
-      if seq >= Array.length row then absent else row.(seq)
-
-  let row_set (rows : 'a rows) ~absent origin seq v =
-    let by_origin = rows.by_origin in
-    let by_origin =
-      if origin < Array.length by_origin then by_origin
-      else begin
-        let grown =
-          Array.make (max (origin + 1) (2 * Array.length by_origin)) [||]
-        in
-        Array.blit by_origin 0 grown 0 (Array.length by_origin);
-        rows.by_origin <- grown;
-        grown
-      end
-    in
-    let row = by_origin.(origin) in
-    let row =
-      if seq < Array.length row then row
-      else begin
-        let grown =
-          Array.make (max (seq + 1) (max 64 (2 * Array.length row))) absent
-        in
-        Array.blit row 0 grown 0 (Array.length row);
-        by_origin.(origin) <- grown;
-        grown
-      end
-    in
-    row.(seq) <- v
+  let compare_key ((o, s) : int * int) (o', s') =
+    match Int.compare o o' with 0 -> Int.compare s s' | c -> c
 
   let build (a : arena) ~n_nodes =
     if n_nodes <= 0 then invalid_arg "Arena.Packets.build: n_nodes <= 0";
@@ -326,78 +297,49 @@ module Packets = struct
       node_rows.(nd).(node_fill.(nd)) <- i;
       node_fill.(nd) <- node_fill.(nd) + 1
     done;
+    (* Each row's packet id.  A node logs a packet's records back to
+       back, so the previous row's key is tried before the table. *)
+    let ids = Key_tbl.create 64 in
+    let row_id = Array.make n 0 in
+    let prev_origin = ref 0 and prev_seq = ref 0 and prev_id = ref (-1) in
+    Array.iter
+      (Array.iter (fun i ->
+           let origin = Bigarray.Array1.unsafe_get a.origins i
+           and seq = Bigarray.Array1.unsafe_get a.seqs i in
+           if !prev_id < 0 || origin <> !prev_origin || seq <> !prev_seq
+           then begin
+             prev_origin := origin;
+             prev_seq := seq;
+             prev_id :=
+               match Key_tbl.find ids (origin, seq) with
+               | id -> id
+               | exception Not_found ->
+                   let id = Key_tbl.length ids in
+                   Key_tbl.add ids (origin, seq) id;
+                   id
+           end;
+           row_id.(i) <- !prev_id))
+      node_rows;
     (* Packet buckets, filled in node-scan order (nodes ascending, each
        node's rows in order) — the order the reconstruction depends on.
-       Two counted passes, the counts doubling as fill cursors. *)
-    let counts : int rows = { by_origin = [||] } in
-    let fb_counts : (int * int, int ref) Hashtbl.t = Hashtbl.create 8 in
-    let scan f = Array.iter (fun rows -> Array.iter f rows) node_rows in
-    scan (fun i ->
-        let origin = Bigarray.Array1.unsafe_get a.origins i
-        and seq = Bigarray.Array1.unsafe_get a.seqs i in
-        if dense ~origin ~seq then
-          row_set counts ~absent:0 origin seq
-            (row_get counts ~absent:0 origin seq + 1)
-        else
-          match Hashtbl.find_opt fb_counts (origin, seq) with
-          | Some c -> incr c
-          | None -> Hashtbl.add fb_counts (origin, seq) (ref 1));
-    let buckets : int array rows = { by_origin = [||] } in
-    let fallback = Hashtbl.create (max 8 (Hashtbl.length fb_counts)) in
-    scan (fun i ->
-        let origin = Bigarray.Array1.unsafe_get a.origins i
-        and seq = Bigarray.Array1.unsafe_get a.seqs i in
-        if dense ~origin ~seq then begin
-          let arr =
-            match row_get buckets ~absent:[||] origin seq with
-            | [||] ->
-                let c = row_get counts ~absent:0 origin seq in
-                let arr = Array.make c 0 in
-                row_set buckets ~absent:[||] origin seq arr;
-                row_set counts ~absent:0 origin seq 0;
-                arr
-            | arr -> arr
-          in
-          let fill = row_get counts ~absent:0 origin seq in
-          arr.(fill) <- i;
-          row_set counts ~absent:0 origin seq (fill + 1)
-        end
-        else begin
-          let cr = Hashtbl.find fb_counts (origin, seq) in
-          let arr =
-            match Hashtbl.find_opt fallback (origin, seq) with
-            | Some arr -> arr
-            | None ->
-                let arr = Array.make !cr 0 in
-                Hashtbl.add fallback (origin, seq) arr;
-                cr := 0;
-                arr
-          in
-          arr.(!cr) <- i;
-          incr cr
-        end);
-    let keys_rev = ref [] in
-    Array.iteri
-      (fun origin row ->
-        Array.iteri
-          (fun seq (arr : int array) ->
-            if Array.length arr > 0 then keys_rev := (origin, seq) :: !keys_rev)
-          row)
-      buckets.by_origin;
-    let fallback_keys =
-      Hashtbl.fold (fun key _ acc -> key :: acc) fallback []
-    in
-    let keys =
-      match fallback_keys with
-      | [] -> List.rev !keys_rev
-      | fk -> List.merge compare (List.rev !keys_rev) (List.sort compare fk)
-    in
+       The counts double as fill cursors. *)
+    let counts = Array.make (Key_tbl.length ids) 0 in
+    Array.iter (fun id -> counts.(id) <- counts.(id) + 1) row_id;
+    let buckets = Array.map (fun c -> Array.make c 0) counts in
+    Array.fill counts 0 (Array.length counts) 0;
+    Array.iter
+      (Array.iter (fun i ->
+           let id = row_id.(i) in
+           buckets.(id).(counts.(id)) <- i;
+           counts.(id) <- counts.(id) + 1))
+      node_rows;
     {
       p_arena = a;
       p_n_nodes = n_nodes;
-      p_keys = keys;
-      p_rows = buckets;
-      p_fallback = fallback;
+      p_keys =
+        List.sort compare_key (Key_tbl.fold (fun k _ acc -> k :: acc) ids []);
+      p_ids = ids;
+      p_buckets = buckets;
       p_node_rows = node_rows;
     }
 
@@ -410,9 +352,7 @@ module Packets = struct
   let node_rows p node = p.p_node_rows.(node)
 
   let packet_rows p ~origin ~seq =
-    if dense ~origin ~seq then row_get p.p_rows ~absent:[||] origin seq
-    else
-      match Hashtbl.find_opt p.p_fallback (origin, seq) with
-      | Some arr -> arr
-      | None -> [||]
+    match Key_tbl.find p.p_ids (origin, seq) with
+    | id -> p.p_buckets.(id)
+    | exception Not_found -> [||]
 end

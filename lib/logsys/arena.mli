@@ -106,10 +106,12 @@ val decode_segment_into : t -> Bytes.t -> int
 
     The one per-packet index: packet buckets hold arena row indices in
     node-scan order (nodes ascending, each node's rows in arena order),
-    and {!node_rows} groups every node's rows, its log.  {!Collected}'s
-    per-packet views read one of these, built over a node-major copy of
-    the snapshot.  Built once, read-only afterwards — safe to share
-    across domains. *)
+    and {!node_rows} groups every node's rows, its log.  One hash table
+    maps each distinct [(origin, seq)] to its bucket, so the index's
+    memory follows its rows and distinct keys, whatever the key values.
+    {!Collected}'s per-packet views read one of these, built over a
+    node-major copy of the snapshot.  Built once, read-only afterwards —
+    safe to share across domains. *)
 module Packets : sig
   type t
 
@@ -122,9 +124,7 @@ module Packets : sig
   val n_nodes : t -> int
 
   val keys : t -> (int * int) list
-  (** Distinct [(origin, seq)] keys, sorted: keys the dense
-      origin-by-seq table holds and exotic ones (a negative component, or
-      one at or past 2{^28}) merged into one order. *)
+  (** Distinct [(origin, seq)] keys, sorted by [compare]. *)
 
   val node_rows : t -> int -> int array
   (** One node's rows in arena order — its log, as row indices. *)

@@ -164,15 +164,6 @@ let encode_segment records =
   Refill_obs.Metrics.Counter.inc ~by:(Bytes.length b) c_encoded_bytes;
   b
 
-(* Frame receivers peek the count before committing to a full decode: a
-   frame whose header promises more records than its bytes could possibly
-   hold is rejected without touching the rest of the payload. *)
-let segment_record_count b =
-  let count, _ = read_varint b 0 in
-  if count < 0 || count > Bytes.length b then
-    failwith "Codec: implausible segment count";
-  count
-
 let decode_segment b =
   let count, pos = read_varint b 0 in
   if count < 0 || count > Bytes.length b then

@@ -57,13 +57,6 @@ val encode_segment : Record.t array -> Bytes.t
     ({!Refill.Stream}) consumes — unlike {!encode_log}, records may come
     from any mix of nodes. *)
 
-val segment_record_count : Bytes.t -> int
-(** Peek a segment's record count (the leading varint) without decoding
-    the records — what a frame receiver uses to account for in-flight
-    records before committing to the decode.
-    @raise Failure on an empty/truncated header or a count that could not
-    possibly fit the segment's byte length. *)
-
 val decode_segment : Bytes.t -> Record.t array
 (** Inverse of {!encode_segment}.  Decoded records carry [true_time = nan]
     and [gseq = -1], like {!decode_log}.

@@ -184,8 +184,6 @@ module Histogram = struct
 
   let observe t x = observe_n t x 1
 
-  let observe_int t x = observe t (float_of_int x)
-
   let observe_int_n t x times = observe_n t (float_of_int x) times
 
   let count t = t.h_count

@@ -81,8 +81,6 @@ module Histogram : sig
 
   val observe : t -> float -> unit
 
-  val observe_int : t -> int -> unit
-
   val observe_n : t -> float -> int -> unit
   (** [observe_n h x times] records [times] observations of [x] in one
       bucket update — what batched flushes (e.g. the engine's run-local

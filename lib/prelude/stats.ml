@@ -77,11 +77,6 @@ let summarize a =
     max;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f p25=%.3f p50=%.3f p75=%.3f p95=%.3f max=%.3f"
-    s.n s.mean s.stddev s.min s.p25 s.p50 s.p75 s.p95 s.max
-
 type histogram = { bins : int array; lo : float; hi : float; width : float }
 
 let histogram a ~bins =

@@ -37,8 +37,6 @@ type summary = {
 val summarize : float array -> summary
 (** @raise Invalid_argument on empty input. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 type histogram = { bins : int array; lo : float; hi : float; width : float }
 
 val histogram : float array -> bins:int -> histogram

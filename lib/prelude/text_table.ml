@@ -30,12 +30,3 @@ let render ~header rows =
   Buffer.add_char buf '\n';
   List.iter emit rows;
   Buffer.contents buf
-
-let render_floats ~header ?(precision = 2) rows =
-  let rows =
-    List.map
-      (fun (label, values) ->
-        label :: List.map (fun v -> Printf.sprintf "%.*f" precision v) values)
-      rows
-  in
-  render ~header rows

@@ -4,8 +4,3 @@ val render : header:string list -> string list list -> string
 (** [render ~header rows] lays out the header and rows with columns padded to
     the widest cell, separated by two spaces, with a dashed rule under the
     header. Rows shorter than the header are padded with empty cells. *)
-
-val render_floats :
-  header:string list -> ?precision:int -> (string * float list) list -> string
-(** Convenience: first column is a row label, remaining cells are floats
-    printed with [precision] (default 2) decimals. *)

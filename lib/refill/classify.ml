@@ -79,5 +79,3 @@ let classify (flow : Flow.t) =
                   else no_loss Logsys.Cause.Unknown))))
 
 let is_delivered flow = (classify flow).cause = Logsys.Cause.Delivered
-
-let loss_position flow = (classify flow).loss_node

@@ -28,6 +28,3 @@ val classify : Flow.t -> verdict
 (** Delivered flows report [cause = Delivered]. *)
 
 val is_delivered : Flow.t -> bool
-
-val loss_position : Flow.t -> int option
-(** Shorthand for [(classify flow).loss_node]. *)

@@ -151,8 +151,3 @@ let summary_add acc (f : Flow.t) =
 
 let summarize flows = List.fold_left summary_add empty_summary flows
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "packets=%d logged=%d inferred=%d skipped=%d" s.packets s.logged_events
-    s.inferred_events s.skipped_events
-

@@ -90,5 +90,3 @@ val summary_add : summary -> Flow.t -> summary
     summarize without materializing the flow sequence. *)
 
 val summarize : Flow.t list -> summary
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -35,13 +35,16 @@ type stats = {
 
 let connect ?(host = Unix.inet_addr_loopback) ~port () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_INET (host, port))
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  Unix.setsockopt fd Unix.TCP_NODELAY true;
-  Wire.send_client_greeting fd;
-  let max_frame = Wire.expect_server_greeting fd in
+  let max_frame =
+    try
+      Unix.connect fd (Unix.ADDR_INET (host, port));
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      Wire.send_client_greeting fd;
+      Wire.expect_server_greeting fd
+    with e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
+  in
   {
     fd;
     max_frame;

@@ -203,16 +203,24 @@ let start cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let emit e = Emit.emit_to cfg.emit e in
   let stream_r =
-    match cfg.checkpoint with
-    | Some path when Sys.file_exists path ->
-        Result.map
-          (fun st ->
-            Obs.Log.info "serve: resumed from %s at record %d" path
-              (Refill.Stream.processed st);
-            st)
-          (Refill.Stream.resume_file ~config:cfg.stream path ~sink:cfg.sink
-             ~emit)
-    | _ -> Ok (Refill.Stream.create ~config:cfg.stream ~sink:cfg.sink ~emit ())
+    (* Every client would refuse a greeting whose max-frame is not
+       positive. *)
+    if cfg.max_frame <= 0 then
+      Error
+        (Refill.Error.Invalid_config
+           (Printf.sprintf "max-frame must be positive, got %d" cfg.max_frame))
+    else
+      match cfg.checkpoint with
+      | Some path when Sys.file_exists path ->
+          Result.map
+            (fun st ->
+              Obs.Log.info "serve: resumed from %s at record %d" path
+                (Refill.Stream.processed st);
+              st)
+            (Refill.Stream.resume_file ~config:cfg.stream path ~sink:cfg.sink
+               ~emit)
+      | _ ->
+          Ok (Refill.Stream.create ~config:cfg.stream ~sink:cfg.sink ~emit ())
   in
   match stream_r with
   | Error e -> Error e

@@ -46,7 +46,8 @@ type t
 val start : config -> (t, Refill.Error.t) result
 (** Bind, resume from [checkpoint] if the file exists, and spin up the
     accept and timer threads (each connection then gets its own).  [Error] on a bind failure of either
-    listener ([Io]) or an unusable checkpoint ([Bad_checkpoint]).
+    listener ([Io]), an unusable checkpoint ([Bad_checkpoint]) or a
+    [max_frame] that is not positive ([Invalid_config]).
 
     Sets the process SIGPIPE disposition to ignore: a peer that vanishes
     mid-write must surface as [EPIPE] on that connection, not kill the

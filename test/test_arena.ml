@@ -392,9 +392,8 @@ let packets_index_matches_collected () =
   check_index_matches_oracle (Lazy.force lossless);
   check_index_matches_oracle (lossy_collected 0.3 5)
 
-(* Keys the dense origin-by-seq table cannot hold — a negative origin or
-   seq, or one at or past 2^28 — go to the index's fallback table; the
-   key list must still come out sorted with both kinds merged, and a
+(* Keys no logger produces — a negative origin or seq, or one at or past
+   2^28 — must index, sort and reconstruct like any other key, and a
    zero-node snapshot must reconstruct and merge nothing. *)
 let exotic_keys () =
   let big = 1 lsl 28 in
@@ -427,7 +426,7 @@ let exotic_keys () =
   let c = Logsys.Collected.of_node_logs logs in
   let keys = Logsys.Collected.packet_keys c in
   Alcotest.(check (list (pair int int)))
-    "sorted, dense and exotic merged"
+    "sorted, small and exotic keys in one order"
     [ (-1, 5); (0, 2); (1, 0); (1, big); (2, -3); (big, 0) ]
     keys;
   check_index_matches_oracle c;
@@ -452,6 +451,88 @@ let exotic_keys () =
       Alcotest.fail "flow from an empty snapshot");
   let stats = Refill.Global_flow.merge empty ~flows:[||] ~emit:ignore in
   Alcotest.(check int) "nothing merged" 0 stats.events
+
+(* Key components from every range the index must treat alike: small
+   dense values, negatives, values at or past 2^28 and the ends of the int
+   range. *)
+let gen_key_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range 0 20);
+        (2, int_range (-20) (-1));
+        (2, map (fun k -> (1 lsl 28) + k) (int_range (-2) 20));
+        (1, oneofl [ min_int; min_int + 1; max_int - 1; max_int ]);
+      ])
+
+(* A snapshot of 1-6 nodes and up to 400 records whose keys come from a
+   small pool, so packets span nodes and repeat within a node's log. *)
+let arbitrary_snapshot =
+  QCheck.make
+    ~print:(fun logs ->
+      Array.to_list (Array.concat (Array.to_list logs))
+      |> List.map Logsys.Log_io.record_to_line_exact
+      |> String.concat "\n")
+    QCheck.Gen.(
+      let* n_nodes = int_range 1 6 in
+      let* pool = array_size (int_range 1 30) (pair gen_key_int gen_key_int) in
+      let+ rows =
+        list_size (int_range 0 400)
+          (pair (int_range 0 (n_nodes - 1)) (oneofa pool))
+      in
+      Array.init n_nodes (fun node ->
+          List.filter (fun (nd, _) -> nd = node) rows
+          |> List.map (fun (_, (origin, seq)) : Logsys.Record.t ->
+                 {
+                   node;
+                   kind = Gen;
+                   origin;
+                   pkt_seq = seq;
+                   true_time = 0.;
+                   gseq = 0;
+                 })
+          |> Array.of_list))
+
+let index_matches_oracle_on_any_keys =
+  QCheck.Test.make ~name:"packet index matches the oracle on any keys"
+    ~count:200 arbitrary_snapshot (fun logs ->
+      let c = Logsys.Collected.of_node_logs logs in
+      check_index_matches_oracle c;
+      let p = Logsys.Collected.packets c in
+      let keys = Logsys.Arena.Packets.keys p in
+      List.iter
+        (fun (origin, seq) ->
+          List.iter
+            (fun (origin, seq) ->
+              if
+                (not (List.mem (origin, seq) keys))
+                && Logsys.Arena.Packets.packet_rows p ~origin ~seq <> [||]
+              then
+                QCheck.Test.fail_reportf "absent key (%d,%d) has rows" origin
+                  seq)
+            [ (origin, seq + 1); (origin + 1, seq); (seq, origin) ])
+        keys;
+      true)
+
+(* The index's memory follows its rows and distinct keys, not the key
+   values: three rows holding origin 2^24 and seq 2^24 must not allocate
+   tables sized by them. *)
+let index_memory_follows_rows () =
+  let a = Logsys.Arena.create () in
+  List.iter
+    (fun (origin, seq) ->
+      Logsys.Arena.push_row a ~node:0 ~tag:0 ~peer:0 ~origin ~pkt_seq:seq
+        ~true_time:0. ~gseq:0)
+    [ (1, 0); (1 lsl 24, 1); (1, 1 lsl 24) ];
+  let before = (Gc.quick_stat ()).major_words in
+  let p = Logsys.Arena.Packets.build a ~n_nodes:1 in
+  let words = (Gc.quick_stat ()).major_words -. before in
+  Alcotest.(check (list (pair int int)))
+    "keys"
+    [ (1, 0); (1, 1 lsl 24); (1 lsl 24, 1) ]
+    (Logsys.Arena.Packets.keys p);
+  if words >= 1e6 then
+    Alcotest.failf "a 3-row index allocated %.0f major-heap words" words
 
 let packets_build_rejects_bad_node () =
   let a = Logsys.Arena.create () in
@@ -615,6 +696,9 @@ let () =
           Alcotest.test_case "packet index matches Collected" `Quick
             packets_index_matches_collected;
           Alcotest.test_case "exotic keys" `Quick exotic_keys;
+          QCheck_alcotest.to_alcotest index_matches_oracle_on_any_keys;
+          Alcotest.test_case "index memory follows rows" `Quick
+            index_memory_follows_rows;
           Alcotest.test_case "index rejects bad node" `Quick
             packets_build_rejects_bad_node;
         ] );

@@ -179,6 +179,68 @@ let serve_sigterm_flushes_metrics () =
   Alcotest.(check bool) "flow outcomes written" true
     (String.length (read_file emit) > 0)
 
+(* A loopback listener the test owns, on an ephemeral port; [f] gets the
+   listening socket and its port. *)
+let with_listener f =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 1;
+  match Unix.getsockname sock with
+  | Unix.ADDR_INET (_, port) -> f sock port
+  | Unix.ADDR_UNIX _ -> assert false
+
+let one_line_tcp_error what err =
+  Alcotest.(check bool)
+    (what ^ ": one stderr line starting refill: tcp://127.0.0.1:")
+    true
+    (String.starts_with ~prefix:"refill: tcp://127.0.0.1:" err
+    && List.length (String.split_on_char '\n' (String.trim err)) = 1)
+
+(* A port that does not speak refill-wire (here: one answering the
+   greeting with an HTTP status line) is a peer error, not a crash. *)
+let feed_to_foreign_port_is_io_error () =
+  let log = Lazy.force log_file in
+  with_listener @@ fun sock port ->
+  let peer =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept sock in
+        let b = Bytes.create 1 in
+        while Unix.read fd b 0 1 = 1 && Bytes.get b 0 <> '\n' do
+          ()
+        done;
+        let reply = "HTTP/1.1 400 Bad Request\r\n\r\n" in
+        ignore (Unix.write_substring fd reply 0 (String.length reply));
+        Unix.close fd)
+      ()
+  in
+  let code, _, err =
+    run_cli_err [ "feed"; "--port"; string_of_int port; log; "-q" ]
+  in
+  Thread.join peer;
+  Alcotest.(check int) "feed exits 1" 1 code;
+  one_line_tcp_error "feed" err
+
+let feed_rejects_nonpositive_chunk () =
+  let log = Lazy.force log_file in
+  let code, _, err = run_cli_err [ "feed"; "--chunk"; "0"; log ] in
+  Alcotest.(check int) "feed --chunk 0 exits 2" 2 code;
+  Alcotest.(check bool) "names --chunk" true (contains err "--chunk")
+
+let serve_busy_emit_socket_is_io_error () =
+  with_listener @@ fun _ port ->
+  let code, _, err =
+    run_cli_err
+      [ "serve"; "--port"; "0"; "--emit-socket"; string_of_int port; "-q" ]
+  in
+  Alcotest.(check int) "serve exits 1" 1 code;
+  one_line_tcp_error "serve" err;
+  Alcotest.(check bool) "says the address is in use" true
+    (contains err "Address already in use")
+
 (* -- reconstruct --------------------------------------------------------------- *)
 
 (* Cold-start race regression: Protocol's per-role tables and FSM caches
@@ -313,6 +375,12 @@ let () =
         [
           Alcotest.test_case "SIGTERM exits 0 and flushes metrics" `Quick
             serve_sigterm_flushes_metrics;
+          Alcotest.test_case "feed to a foreign port is an I/O error" `Quick
+            feed_to_foreign_port_is_io_error;
+          Alcotest.test_case "feed --chunk 0 is a usage error" `Quick
+            feed_rejects_nonpositive_chunk;
+          Alcotest.test_case "busy --emit-socket is an I/O error" `Quick
+            serve_busy_emit_socket_is_io_error;
         ] );
       ( "reconstruct",
         [

@@ -591,6 +591,24 @@ let http_port_busy_is_error () =
   | Error (Refill.Error.Io _) -> ()
   | Error e -> Alcotest.failf "unexpected error: %s" (Refill.Error.message e)
 
+(* A max-frame every client would refuse in the greeting is a config
+   error, not a server that starts and then fails each handshake. *)
+let nonpositive_max_frame_is_error () =
+  match
+    Serve.Server.start
+      {
+        Serve.Server.default_config with
+        stream = test_config;
+        sink = sink ();
+        max_frame = 0;
+      }
+  with
+  | Ok srv ->
+      ignore (Serve.Server.stop srv);
+      Alcotest.fail "server started with max_frame = 0"
+  | Error (Refill.Error.Invalid_config _) -> ()
+  | Error e -> Alcotest.failf "unexpected error: %s" (Refill.Error.message e)
+
 (* -- client-side frame limit --------------------------------------------------- *)
 
 let oversized_record_fails_before_send () =
@@ -644,6 +662,8 @@ let () =
             `Quick emit_subscriber_hangup_survives;
           Alcotest.test_case "busy --http-port is a clean Error" `Quick
             http_port_busy_is_error;
+          Alcotest.test_case "max_frame = 0 is Invalid_config" `Quick
+            nonpositive_max_frame_is_error;
           Alcotest.test_case "oversized record fails client-side before \
                               sending"
             `Quick oversized_record_fails_before_send;
