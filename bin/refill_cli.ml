@@ -351,18 +351,49 @@ let print_global_flow_stats (gs : Refill.Global_flow.stats) =
      constraints relaxed\n"
     gs.events gs.logged gs.inferred gs.relaxed
 
-(* The batch run behind `analyze` and `reconstruct`: [run] hands every
-   packet's flow to [~emit] in key order, reading [packets]; each flow
-   goes to [on_flow], the summary line and the quality scorecard, and
-   with --global-flow into the network-wide merge over the same index.
-   Quality accumulates as flows are emitted, so only --global-flow
-   retains them. *)
+(* Open a dump for reading, with the CLI's error surface. *)
+let open_mseg input =
+  match Logsys.Log_io.Mseg.open_file input with
+  | r -> Ok r
+  | exception Unix.Unix_error (e, _, _) ->
+      Error (Refill.Error.Io { path = input; message = Unix.error_message e })
+  | exception Sys_error message ->
+      Error (Refill.Error.Io { path = input; message })
+  | exception Failure message ->
+      Error (Refill.Error.Malformed { source = input; message })
+
+(* How every subcommand reads a whole dump: every record into one arena,
+   the packet index over it, the sink, and with [~truth] the ground-truth
+   fates. *)
+let load_dump ?(truth = false) input =
+  Result.bind (open_mseg input) (fun reader ->
+      Refill.Error.guard ~source:input (fun () ->
+          let arena = Logsys.Arena.create () in
+          ignore
+            (Logsys.Log_io.Mseg.next_into reader arena ~max_records:max_int
+              : int);
+          ( Logsys.Arena.Packets.build arena
+              ~n_nodes:(Logsys.Log_io.Mseg.n_nodes reader),
+            Logsys.Log_io.Mseg.sink reader,
+            if truth then Logsys.Log_io.Mseg.truth reader else None )))
+
+(* One packet's records from the index, in the order the packer wants. *)
+let packet_records packets ~origin ~seq =
+  Array.map
+    (Logsys.Arena.get (Logsys.Arena.Packets.arena packets))
+    (Logsys.Arena.Packets.packet_rows packets ~origin ~seq)
+
+(* The batch run behind `analyze` and `reconstruct`: every packet's flow
+   over [packets], in key order, goes to [on_flow], the summary line and
+   the quality scorecard, and with --global-flow into the network-wide
+   merge over the same index.  Quality accumulates as flows are emitted,
+   so only --global-flow retains them. *)
 let run_batch (config : Refill.Config.t) ~global_flow ~quality
-    ?(on_flow = ignore) ~run packets =
+    ?(on_flow = ignore) ~sink packets =
   let summary = ref Refill.Reconstruct.empty_summary in
   let flows_rev = ref [] in
   let qacc = Option.map (fun _ -> Analysis.Quality.create ()) quality in
-  run ~emit:(fun f ->
+  Refill.Reconstruct.run_arena ~config packets ~sink ~emit:(fun f ->
       summary := Refill.Reconstruct.summary_add !summary f;
       Option.iter (fun acc -> Analysis.Quality.add acc f) qacc;
       on_flow f;
@@ -414,25 +445,21 @@ let analyze obs mk_config global_flow provenance input =
   match mk_config ~provenance:(provenance <> None) with
   | Error e -> err_exit e
   | Ok config -> (
-      match
-        Refill.Error.guard ~source:input (fun () ->
-            Logsys.Log_io.load_file input)
-      with
+      match load_dump ~truth:true input with
       | Error e -> err_exit e
-      | Ok dump ->
+      | Ok (packets, sink, truth) ->
       Obs.Log.debug "loaded %d surviving records from %s"
-        (Logsys.Collected.total dump.collected)
+        (Logsys.Arena.length (Logsys.Arena.Packets.arena packets))
         input;
       let verdicts_rev = ref [] in
       run_batch config ~global_flow ~quality:provenance
         ~on_flow:(fun (f : Refill.Flow.t) ->
           verdicts_rev :=
             ((f.origin, f.seq), Refill.Classify.classify f) :: !verdicts_rev)
-        ~run:(Refill.Reconstruct.run ~config dump.collected ~sink:dump.sink)
-        (Logsys.Collected.packets dump.collected);
+        ~sink packets;
       let verdicts = List.rev !verdicts_rev in
-      print_breakdown verdicts ~sink:dump.sink ~total_label:"verdicts";
-      (match dump.truth with
+      print_breakdown verdicts ~sink ~total_label:"verdicts";
+      (match truth with
       | None ->
           print_string
             "note: no server database available; Delivered verdicts cannot \
@@ -450,7 +477,7 @@ let analyze obs mk_config global_flow provenance input =
             Analysis.Pipeline.refine_with_server ~delivered_db verdicts
           in
           print_newline ();
-          print_breakdown refined ~sink:dump.sink
+          print_breakdown refined ~sink
             ~total_label:"verdicts (reconciled with server DB)";
           let accuracy v =
             100.
@@ -500,43 +527,11 @@ let print_stream_summary (s : Refill.Stream.summary) =
     s.events s.segments s.flows s.complete s.incomplete s.evictions
     s.late_fragments s.forgotten_keys s.peak_frontier_events
 
-(* Open a dump for chunked reading, with the CLI's error surface. *)
-let open_mseg input =
-  match Logsys.Log_io.Mseg.open_file input with
-  | r -> Ok r
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Refill.Error.Io { path = input; message = Unix.error_message e })
-  | exception Sys_error message ->
-      Error (Refill.Error.Io { path = input; message })
-  | exception Failure message ->
-      Error (Refill.Error.Malformed { source = input; message })
-
-let reconstruct_batch (config : Refill.Config.t) ~global_flow ~quality input =
-  let loaded =
-    match open_mseg input with
-    | Error e -> Error e
-    | Ok reader ->
-        Refill.Error.guard ~source:input (fun () ->
-            let arena = Logsys.Arena.create () in
-            while
-              Logsys.Log_io.Mseg.next_into reader arena
-                ~max_records:config.chunk_events
-              > 0
-            do
-              ()
-            done;
-            let packets =
-              Logsys.Arena.Packets.build arena
-                ~n_nodes:(Logsys.Log_io.Mseg.n_nodes reader)
-            in
-            (packets, Logsys.Log_io.Mseg.sink reader))
-  in
-  match loaded with
+let reconstruct_batch config ~global_flow ~quality input =
+  match load_dump input with
   | Error e -> err_exit e
-  | Ok (packets, sink) ->
-      run_batch config ~global_flow ~quality
-        ~run:(Refill.Reconstruct.run_arena ~config packets ~sink)
-        packets;
+  | Ok (packets, sink, _) ->
+      run_batch config ~global_flow ~quality ~sink packets;
       0
 
 let reconstruct_stream (config : Refill.Config.t) ~global_flow ~quality
@@ -771,13 +766,16 @@ let reconstruct_cmd =
 
 let trace obs input origin seq =
   with_observability obs @@ fun () ->
-  match
-    Refill.Error.guard ~source:input (fun () -> Logsys.Log_io.load_file input)
-  with
+  match load_dump ~truth:true input with
   | Error e -> err_exit e
-  | Ok dump ->
+  | Ok (packets, sink, truth) ->
       let flow =
-        Refill.Reconstruct.packet dump.collected ~origin ~seq ~sink:dump.sink
+        Obs.Span.with_ ~name:"refill.packet"
+          ~attrs:[ ("origin", string_of_int origin); ("seq", string_of_int seq) ]
+          (fun () ->
+            Refill.Reconstruct.of_records
+              (packet_records packets ~origin ~seq)
+              ~origin ~seq ~sink)
       in
       if Refill.Flow.length flow = 0 then begin
         Printf.printf "no surviving records for packet (%d, %d)\n" origin seq;
@@ -801,7 +799,7 @@ let trace obs input origin seq =
           (match v.next_hop with
           | Some n -> Printf.sprintf " (toward node %d)" n
           | None -> "");
-        (match dump.truth with
+        (match truth with
         | Some truth -> (
             match Logsys.Truth.find truth ~origin ~seq with
             | Some fate ->
@@ -924,18 +922,16 @@ let explain_text ~origin ~seq ~records (flow : Refill.Flow.t) =
 
 let explain obs json input origin seq =
   with_observability obs @@ fun () ->
-  match
-    Refill.Error.guard ~source:input (fun () -> Logsys.Log_io.load_file input)
-  with
+  match load_dump input with
   | Error e -> err_exit e
-  | Ok dump -> (
+  | Ok (packets, sink, _) -> (
       let key =
         match (origin, seq) with
         | Some o, Some s -> Ok (o, s)
         | None, None -> (
             (* Default to the dump's first packet: a worked example needs no
                argument spelunking. *)
-            match Logsys.Collected.packet_keys dump.collected with
+            match Logsys.Arena.Packets.keys packets with
             | [] -> Error "no packets in the dump"
             | k :: _ -> Ok k)
         | _ -> Error "give both --origin and --seq, or neither"
@@ -945,12 +941,10 @@ let explain obs json input origin seq =
           Obs.Log.error "%s" msg;
           1
       | Ok (origin, seq) ->
-          let records =
-            Logsys.Collected.packet_records dump.collected ~origin ~seq
-          in
+          let records = packet_records packets ~origin ~seq in
           let flow =
             Refill.Reconstruct.of_records ~provenance:true records ~origin
-              ~seq ~sink:dump.sink
+              ~seq ~sink
           in
           if Refill.Flow.length flow = 0 then begin
             Obs.Log.error "no surviving records for packet (%d, %d)" origin
@@ -1357,12 +1351,12 @@ let feed obs port chunk pipelined input =
         Unix.sleepf 0.1;
         connect (tries - 1)
   in
-  let run () =
+  let run reader =
     (* A server gone mid-feed must surface as EPIPE, not kill the feeder. *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let client = connect 50 in
     Refill_serve.Client.feed_file ~chunk ~lockstep:(not pipelined) client
-      input;
+      reader;
     let ack = Refill_serve.Client.finish client in
     (ack, Refill_serve.Client.stats client)
   in
@@ -1371,28 +1365,36 @@ let feed obs port chunk pipelined input =
       (Refill.Error.Invalid_config
          (Printf.sprintf "--chunk must be positive, got %d" chunk))
   else
-    (* What the peer does wrong (a refused handshake, a record the
-       server's max-frame cannot carry, a reset) is an [Io] error on the
-       server's address, like a refused connection. *)
-    match run () with
-    | ack, st ->
-        Printf.printf
-          "fed %d records in %d frames (%d payload bytes); server acked \
-           %d/%d; ack rtt p50 %.6fs p99 %.6fs\n"
-          st.records st.frames st.bytes ack.frames ack.records st.rtt_p50
-          st.rtt_p99;
-        0
-    | exception Unix.Unix_error (e, _, _) ->
-        err_exit (tcp_error port (Unix.error_message e))
-    | exception Refill_serve.Wire.Protocol_error m ->
-        err_exit (tcp_error port m)
-    | exception Refill_serve.Client.Record_too_large { encoded; max_frame } ->
-        err_exit
-          (tcp_error port
-             (Printf.sprintf
-                "a record encodes to %d bytes, above the server's max-frame \
-                 of %d"
-                encoded max_frame))
+    (* The dump opens before the connection, so a bad one is reported
+       like any subcommand's.  What the peer does wrong (a refused
+       handshake, a record the server's max-frame cannot carry, a reset)
+       is an [Io] error on the server's address, like a refused
+       connection. *)
+    match open_mseg input with
+    | Error e -> err_exit e
+    | Ok reader -> (
+        match run reader with
+        | ack, st ->
+            Printf.printf
+              "fed %d records in %d frames (%d payload bytes); server acked \
+               %d/%d; ack rtt p50 %.6fs p99 %.6fs\n"
+              st.records st.frames st.bytes ack.frames ack.records st.rtt_p50
+              st.rtt_p99;
+            0
+        | exception Unix.Unix_error (e, _, _) ->
+            err_exit (tcp_error port (Unix.error_message e))
+        | exception Refill_serve.Wire.Protocol_error m ->
+            err_exit (tcp_error port m)
+        | exception Refill_serve.Client.Record_too_large { encoded; max_frame }
+          ->
+            err_exit
+              (tcp_error port
+                 (Printf.sprintf
+                    "a record encodes to %d bytes, above the server's \
+                     max-frame of %d"
+                    encoded max_frame))
+        | exception Failure message ->
+            err_exit (Refill.Error.Malformed { source = input; message }))
 
 let feed_cmd =
   let input =

@@ -268,7 +268,6 @@ module Packets = struct
 
   type t = {
     p_arena : arena;
-    p_n_nodes : int;
     p_keys : (int * int) list;
     p_ids : int Key_tbl.t;
     p_buckets : int array array;
@@ -282,16 +281,22 @@ module Packets = struct
     if n_nodes <= 0 then invalid_arg "Arena.Packets.build: n_nodes <= 0";
     let n = a.len in
     (* Node grouping: rows of each node in arena (= file/write) order —
-       the node's log. *)
-    let node_count = Array.make n_nodes 0 in
+       the node's log.  The tables stop at the highest node a row names,
+       so [n_nodes] (a dump's header) bounds nodes but sizes nothing. *)
+    let hi = ref (-1) in
     for i = 0 to n - 1 do
       let nd = Bigarray.Array1.unsafe_get a.nodes i in
       if nd < 0 || nd >= n_nodes then
         failwith "Arena: record node out of range";
+      if nd > !hi then hi := nd
+    done;
+    let node_count = Array.make (!hi + 1) 0 in
+    for i = 0 to n - 1 do
+      let nd = Bigarray.Array1.unsafe_get a.nodes i in
       node_count.(nd) <- node_count.(nd) + 1
     done;
     let node_rows = Array.map (fun c -> Array.make c 0) node_count in
-    let node_fill = Array.make n_nodes 0 in
+    let node_fill = Array.make (!hi + 1) 0 in
     for i = 0 to n - 1 do
       let nd = Bigarray.Array1.unsafe_get a.nodes i in
       node_rows.(nd).(node_fill.(nd)) <- i;
@@ -335,7 +340,6 @@ module Packets = struct
       node_rows;
     {
       p_arena = a;
-      p_n_nodes = n_nodes;
       p_keys =
         List.sort compare_key (Key_tbl.fold (fun k _ acc -> k :: acc) ids []);
       p_ids = ids;
@@ -345,11 +349,14 @@ module Packets = struct
 
   let arena p = p.p_arena
 
-  let n_nodes p = p.p_n_nodes
+  let n_nodes p = Array.length p.p_node_rows
 
   let keys p = p.p_keys
 
-  let node_rows p node = p.p_node_rows.(node)
+  let node_rows p node =
+    if node >= 0 && node < Array.length p.p_node_rows then
+      p.p_node_rows.(node)
+    else [||]
 
   let packet_rows p ~origin ~seq =
     match Key_tbl.find p.p_ids (origin, seq) with

@@ -122,12 +122,16 @@ module Packets : sig
   val arena : t -> arena
 
   val n_nodes : t -> int
+  (** One more than the highest node any row names ([0] with no rows):
+      the index's node tables follow its rows, not [~n_nodes], so a dump
+      header cannot size them. *)
 
   val keys : t -> (int * int) list
   (** Distinct [(origin, seq)] keys, sorted by [compare]. *)
 
   val node_rows : t -> int -> int array
-  (** One node's rows in arena order — its log, as row indices. *)
+  (** One node's rows in arena order — its log, as row indices; [[||]]
+      for a node outside [0, n_nodes). *)
 
   val packet_rows : t -> origin:int -> seq:int -> int array
   (** One packet's rows in node-scan order: nodes ascending, each node's

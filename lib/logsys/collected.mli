@@ -10,10 +10,10 @@ type t
 val of_node_logs : Record.t array array -> t
 (** Index = node id: [node_logs.(i)] is node [i]'s log, in write order,
     and holds only records with [node = i] — every producer (the loggers,
-    {!lossify}, {!Log_io.load}, the in-band log transport) builds it that
-    way, and the per-packet index groups records by their [node] field
-    (building it raises [Failure] on a node outside [0, n_nodes)).  The
-    arrays are not copied; callers hand over ownership. *)
+    {!lossify}, the in-band log transport) builds it that way, and the
+    per-packet index groups records by their [node] field (building it
+    raises [Failure] on a node outside [0, n_nodes)).  The arrays are not
+    copied; callers hand over ownership. *)
 
 val of_logger : Logger.t -> t
 (** Lossless snapshot of a live log store. *)
@@ -32,8 +32,8 @@ val packets : t -> Arena.Packets.t
     node-major arena copy of the node logs, built once on first use and
     read-only afterwards (safe to share across domains once built).  Every
     per-packet view below reads it, and so does
-    [Refill.Global_flow.merge].  A zero-node snapshot is indexed over one
-    empty node. *)
+    [Refill.Global_flow.merge].  A zero-node snapshot gets an empty
+    index. *)
 
 val packet_keys : t -> (Net.Packet.node_id * int) list
 (** Distinct [(origin, seq)] packet keys appearing anywhere, sorted:

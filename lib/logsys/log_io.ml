@@ -1,31 +1,14 @@
-type dump = {
-  n_nodes : int;
-  sink : Net.Packet.node_id;
-  collected : Collected.t;
-  truth : Truth.t option;
-}
+(* Kind names by codec tag, spelled once by [Record.kind_name]; both
+   readers search this table. *)
+let kind_names =
+  Array.init 8 (fun tag -> Record.kind_name (Codec.kind_of_tag tag (Some 0)))
 
-let kind_fields (kind : Record.kind) =
-  match kind with
-  | Gen -> ("gen", None)
-  | Recv { from } -> ("recv", Some from)
-  | Dup { from } -> ("dup", Some from)
-  | Overflow { from } -> ("overflow", Some from)
-  | Trans { to_ } -> ("trans", Some to_)
-  | Ack_recvd { to_ } -> ("ack", Some to_)
-  | Retx_timeout { to_ } -> ("timeout", Some to_)
-  | Deliver -> ("deliver", None)
+(* Gen and Deliver take no peer; every other kind needs one. *)
+let peerless tag = tag = 0 || tag = 7
 
 let kind_of_fields name peer : Record.kind =
-  match (name, peer) with
-  | "gen", None -> Gen
-  | "recv", Some from -> Recv { from }
-  | "dup", Some from -> Dup { from }
-  | "overflow", Some from -> Overflow { from }
-  | "trans", Some to_ -> Trans { to_ }
-  | "ack", Some to_ -> Ack_recvd { to_ }
-  | "timeout", Some to_ -> Retx_timeout { to_ }
-  | "deliver", None -> Deliver
+  match Array.find_index (String.equal name) kind_names with
+  | Some tag when peerless tag = (peer = None) -> Codec.kind_of_tag tag peer
   | _ -> failwith (Printf.sprintf "Log_io: malformed kind %S" name)
 
 let peer_str = function None -> "-" | Some p -> string_of_int p
@@ -33,8 +16,8 @@ let peer_str = function None -> "-" | Some p -> string_of_int p
 let peer_of_str = function "-" -> None | s -> Some (int_of_string s)
 
 let record_to_line (r : Record.t) =
-  let kind, peer = kind_fields r.kind in
-  Printf.sprintf "r %d %s %s %d %d %.6f %d" r.node kind (peer_str peer)
+  Printf.sprintf "r %d %s %s %d %d %.6f %d" r.node (Record.kind_name r.kind)
+    (peer_str (Codec.peer_of_kind r.kind))
     r.origin r.pkt_seq r.true_time r.gseq
 
 (* Hex-float time field: %.6f loses bits, and a streaming checkpoint must
@@ -42,9 +25,9 @@ let record_to_line (r : Record.t) =
    accepts both forms (and "nan"), so exact lines load like ordinary
    ones. *)
 let record_to_line_exact (r : Record.t) =
-  let kind, peer = kind_fields r.kind in
-  Printf.sprintf "r %d %s %s %d %d %h %d" r.node kind (peer_str peer) r.origin
-    r.pkt_seq r.true_time r.gseq
+  Printf.sprintf "r %d %s %s %d %d %h %d" r.node (Record.kind_name r.kind)
+    (peer_str (Codec.peer_of_kind r.kind))
+    r.origin r.pkt_seq r.true_time r.gseq
 
 let record_of_line line =
   match String.split_on_char ' ' line with
@@ -125,64 +108,14 @@ let header_value line prefix =
   | [ h; key; v ] when h = "#" && key = prefix -> Some (int_of_string v)
   | _ -> None
 
-let load ic =
-  let first = input_line ic in
-  if first <> "# refill-log v1" then
-    failwith (Printf.sprintf "Log_io: bad header %S" first);
-  let n_nodes =
-    match header_value (input_line ic) "nodes" with
-    | Some n when n > 0 -> n
-    | _ -> failwith "Log_io: missing nodes header"
-  in
-  let sink =
-    match header_value (input_line ic) "sink" with
-    | Some s -> s
-    | None -> failwith "Log_io: missing sink header"
-  in
-  let logs_rev = Array.make n_nodes [] in
-  let truth = Truth.create () in
-  let has_truth = ref false in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.length line = 0 then ()
-       else if line.[0] = 'r' then begin
-         let r = record_of_line line in
-         if r.node < 0 || r.node >= n_nodes then
-           failwith "Log_io: record node out of range";
-         logs_rev.(r.node) <- r :: logs_rev.(r.node)
-       end
-       else if line.[0] = 't' then begin
-         let origin, seq, fate = fate_of_line line in
-         has_truth := true;
-         Truth.record truth ~origin ~seq fate
-       end
-       else if line.[0] = '#' then ()
-       else failwith (Printf.sprintf "Log_io: malformed line %S" line)
-     done
-   with End_of_file -> ());
-  let node_logs =
-    Array.map (fun l -> Array.of_list (List.rev l)) logs_rev
-  in
-  {
-    n_nodes;
-    sink;
-    collected = Collected.of_node_logs node_logs;
-    truth = (if !has_truth then Some truth else None);
-  }
-
-let load_file path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> load ic)
-
 (* -- Memory-mapped segment reader ----------------------------------------- *)
 
-(* The dump format of {!load}, consumed chunk by chunk: the file is
+(* The one dump reader, consumed chunk by chunk: the file is
    memory-mapped ([Unix.map_file]) and record lines are parsed in place,
    decoding straight into arena columns — no input-channel buffering, no
    per-line strings, no per-record allocation except the time token
    (handed to [float_of_string] so the parse is bit-identical to
-   {!record_of_line}'s). *)
+   {!record_of_line}'s).  Truth lines are read apart, by [truth]. *)
 module Mseg = struct
   type map = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -215,7 +148,11 @@ module Mseg = struct
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          let size = (Unix.fstat fd).Unix.st_size in
+          let st = Unix.fstat fd in
+          (* [map_file] refuses a directory with ENODEV; say what it is. *)
+          if st.Unix.st_kind = Unix.S_DIR then
+            raise (Unix.Unix_error (Unix.EISDIR, "open", path));
+          let size = st.Unix.st_size in
           if size = 0 then failwith "Log_io: bad header \"\"";
           ( Bigarray.array1_of_genarray
               (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| -1 |]),
@@ -305,17 +242,12 @@ module Mseg = struct
     expect_space ();
     let ka = !p in
     let kb = token_end () in
-    let tag =
-      if tok_eq ka kb "gen" then 0
-      else if tok_eq ka kb "recv" then 1
-      else if tok_eq ka kb "dup" then 2
-      else if tok_eq ka kb "overflow" then 3
-      else if tok_eq ka kb "trans" then 4
-      else if tok_eq ka kb "ack" then 5
-      else if tok_eq ka kb "timeout" then 6
-      else if tok_eq ka kb "deliver" then 7
-      else fail ()
+    let rec find_tag tag =
+      if tag = Array.length kind_names then fail ()
+      else if tok_eq ka kb kind_names.(tag) then tag
+      else find_tag (tag + 1)
     in
+    let tag = find_tag 0 in
     p := kb;
     expect_space ();
     (* Peer: "-" alone means none; "-3" is a negative peer. *)
@@ -329,11 +261,7 @@ module Mseg = struct
       end
       else parse_int ()
     in
-    (* Kind/peer consistency, as [kind_of_fields] enforces. *)
-    if tag = 0 || tag = 7 then begin
-      if not no_peer then fail ()
-    end
-    else if no_peer then fail ();
+    if peerless tag <> no_peer then fail ();
     expect_space ();
     let origin = parse_int () in
     expect_space ();
@@ -374,6 +302,20 @@ module Mseg = struct
       r.pos <- eol + 1
     done;
     !count
+
+  (* One pass over the whole mapping, wherever the cursor is: fates are
+     never collected while records stream, so a streaming run holds none. *)
+  let truth r =
+    let t = Truth.create () and pos = ref 0 in
+    while !pos < r.mlen do
+      let eol = line_end r.map r.mlen !pos in
+      if eol > !pos && geti r.map !pos = 't' then begin
+        let origin, seq, fate = fate_of_line (substring r.map !pos eol) in
+        Truth.record t ~origin ~seq fate
+      end;
+      pos := eol + 1
+    done;
+    if Truth.count t > 0 then Some t else None
 
   (* Fast-forward without decoding: classify lines and count the record
      ones.  Skipped lines are not validated beyond their leading byte —

@@ -13,14 +13,8 @@
     t <origin> <seq> <cause> <loss-node|-> <generated> <resolved> <path,csv>
     v}
 
-    Used by the CLI to hand logs between `simulate` and `analyze` runs. *)
-
-type dump = {
-  n_nodes : int;
-  sink : Net.Packet.node_id;
-  collected : Collected.t;
-  truth : Truth.t option;
-}
+    Used by the CLI to hand logs from `simulate` to every command that
+    reads them, all through the one reader, {!Mseg}. *)
 
 val save :
   out_channel ->
@@ -42,17 +36,13 @@ val save_file :
   Collected.t ->
   unit
 
-val load : in_channel -> dump
-(** @raise Failure on a malformed dump (bad header, unknown kind/cause,
-    wrong field count). *)
-
-val load_file : string -> dump
-
 val record_to_line : Record.t -> string
 (** The [r ...] line for one record (without trailing newline). *)
 
 val record_of_line : string -> Record.t
-(** @raise Failure on malformed input. *)
+(** The record an [r ...] line spells — how checkpoint resume reads its
+    buffered records.  Integer fields go through [int_of_string].
+    @raise Failure on malformed input. *)
 
 val record_to_line_exact : Record.t -> string
 (** Like {!record_to_line} but with the time field in hexadecimal float
@@ -60,14 +50,16 @@ val record_to_line_exact : Record.t -> string
     (including [nan] times).  Checkpoints use this; ordinary dumps keep the
     human-readable [%.6f] form. *)
 
-(** Segmented (incremental) reading of a dump: the same on-disk format as
-    {!load}, consumed chunk by chunk so a streaming pipeline never holds
-    the whole trace.  The file is memory-mapped and record lines decode
-    in place straight into {!Arena} columns — no channel buffering, no
-    per-line strings, no per-record allocation (except the time token,
-    parsed by [float_of_string] so times load bit-identically to
-    {!record_of_line}).  Truth ([t ...]) and comment lines are skipped.
-    This is how every command that reads a dump in chunks ingests it. *)
+(** The one dump reader, incremental: the format {!save} writes, consumed
+    chunk by chunk so a streaming pipeline never holds the whole trace.
+    The file is memory-mapped and record lines decode in place straight
+    into {!Arena} columns — no channel buffering, no per-line strings, no
+    per-record allocation (except the time token, parsed by
+    [float_of_string] so times load bit-identically to
+    {!record_of_line}).  Integer fields are optionally signed decimal
+    digits only.  Truth ([t ...]) and comment lines are skipped; {!truth}
+    reads the truth lines apart.  Every command that reads a dump reads it
+    through here. *)
 module Mseg : sig
   type reader
 
@@ -76,7 +68,7 @@ module Mseg : sig
       is closed before returning (the mapping persists until the reader
       is collected).
       @raise Failure on a malformed header; [Unix.Unix_error] when the
-      file cannot be opened. *)
+      file cannot be opened ([EISDIR] for a directory). *)
 
   val n_nodes : reader -> int
 
@@ -92,6 +84,13 @@ module Mseg : sig
       input.  Truth and comment lines are skipped.
       @raise Failure on a malformed or out-of-node-range record line,
       [Invalid_argument] if [max_records <= 0]. *)
+
+  val truth : reader -> Truth.t option
+  (** The dump's ground-truth fates: one pass over the whole file,
+      whatever the reader's position, one fate per [t ...] line ([None]
+      when there are none).  {!next_into} never collects them, so a
+      streaming run holds no fates.
+      @raise Failure on a malformed truth line. *)
 
   val skip : reader -> int -> int
   (** [skip r n] fast-forwards past up to [n] record lines without

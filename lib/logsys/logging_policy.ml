@@ -1,7 +1,7 @@
 type t = { dropped : string list }
 
 let kind_names =
-  [ "gen"; "recv"; "dup"; "overflow"; "trans"; "ack"; "timeout"; "deliver" ]
+  List.init 8 (fun tag -> Record.kind_name (Codec.kind_of_tag tag (Some 0)))
 
 let check name =
   if not (List.mem name kind_names) then

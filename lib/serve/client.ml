@@ -152,15 +152,10 @@ let stats t =
     rtt_p99 = percentile rtts 0.99;
   }
 
-(* Feed a simulator dump in file order, [chunk] records per send.  The
-   dump's own sink/n_nodes header is the feeder's concern only as far as
-   skipping it — topology parameters live server-side. *)
-let feed_file ?(chunk = 512) ?(lockstep = true) t path =
-  let reader =
-    try Logsys.Log_io.Mseg.open_file path
-    with Unix.Unix_error (e, _, _) ->
-      raise (Sys_error (path ^ ": " ^ Unix.error_message e))
-  in
+(* Feed an open dump's records in file order, [chunk] records per send.
+   The dump's own sink/n_nodes header is not the feeder's concern —
+   topology parameters live server-side. *)
+let feed_file ?(chunk = 512) ?(lockstep = true) t reader =
   let arena = Logsys.Arena.create ~capacity:chunk () in
   let rec loop () =
     Logsys.Arena.clear arena;

@@ -52,9 +52,10 @@ val close : t -> unit
 
 val stats : t -> stats
 
-val feed_file : ?chunk:int -> ?lockstep:bool -> t -> string -> unit
-(** Send a simulator dump's records in file order, [chunk] (default 512)
-    records per batch, read with {!Logsys.Log_io.Mseg}; [lockstep]
-    (default true) picks {!send} vs {!send_nowait}.
-    @raise Sys_error when the dump cannot be opened; [Failure] when it is
-    malformed. *)
+val feed_file :
+  ?chunk:int -> ?lockstep:bool -> t -> Logsys.Log_io.Mseg.reader -> unit
+(** Send an open dump's remaining records in file order, [chunk] (default
+    512) records per batch; [lockstep] (default true) picks {!send} vs
+    {!send_nowait}.  Opening the dump first lets a caller report a bad
+    one before it connects.
+    @raise Failure on a malformed record line. *)

@@ -4,7 +4,7 @@
    must group exactly like a naive oracle (exotic keys included), the
    batch run over an arrival-order dump read by Log_io.Mseg must
    reproduce the node-major snapshot's flows exactly, lossless and lossy,
-   and Mseg must read what Log_io.load reads. *)
+   and Mseg must read what [Log_io.record_of_line] reads. *)
 
 let scenario = lazy (Scenario.Citysee.run Scenario.Citysee.tiny)
 
@@ -515,8 +515,9 @@ let index_matches_oracle_on_any_keys =
       true)
 
 (* The index's memory follows its rows and distinct keys, not the key
-   values: three rows holding origin 2^24 and seq 2^24 must not allocate
-   tables sized by them. *)
+   values or the node count it is told: three rows holding origin 2^24
+   and seq 2^24 must not allocate tables sized by them, nor must a
+   [~n_nodes] of [max_int] (a dump header's value). *)
 let index_memory_follows_rows () =
   let a = Logsys.Arena.create () in
   List.iter
@@ -524,15 +525,22 @@ let index_memory_follows_rows () =
       Logsys.Arena.push_row a ~node:0 ~tag:0 ~peer:0 ~origin ~pkt_seq:seq
         ~true_time:0. ~gseq:0)
     [ (1, 0); (1 lsl 24, 1); (1, 1 lsl 24) ];
-  let before = (Gc.quick_stat ()).major_words in
-  let p = Logsys.Arena.Packets.build a ~n_nodes:1 in
-  let words = (Gc.quick_stat ()).major_words -. before in
-  Alcotest.(check (list (pair int int)))
-    "keys"
-    [ (1, 0); (1, 1 lsl 24); (1 lsl 24, 1) ]
-    (Logsys.Arena.Packets.keys p);
-  if words >= 1e6 then
-    Alcotest.failf "a 3-row index allocated %.0f major-heap words" words
+  List.iter
+    (fun n_nodes ->
+      let before = (Gc.quick_stat ()).major_words in
+      let p = Logsys.Arena.Packets.build a ~n_nodes in
+      let words = (Gc.quick_stat ()).major_words -. before in
+      Alcotest.(check (list (pair int int)))
+        "keys"
+        [ (1, 0); (1, 1 lsl 24); (1 lsl 24, 1) ]
+        (Logsys.Arena.Packets.keys p);
+      Alcotest.(check int) "nodes with rows" 1 (Logsys.Arena.Packets.n_nodes p);
+      Alcotest.(check (array int)) "a node past the rows has none" [||]
+        (Logsys.Arena.Packets.node_rows p (max_int - 1));
+      if words >= 1e6 then
+        Alcotest.failf "a 3-row index over %d nodes allocated %.0f major-heap \
+                        words" n_nodes words)
+    [ 1; max_int ]
 
 let packets_build_rejects_bad_node () =
   let a = Logsys.Arena.create () in
@@ -545,25 +553,32 @@ let packets_build_rejects_bad_node () =
 
 (* -- Memory-mapped dump reader (Mseg) ------------------------------------- *)
 
-(* [Log_io.load] is the reference reader: an arrival-order dump with truth
-   lines must decode to the same records, node by node in log order, with
-   the same header. *)
-let mseg_equals_load () =
+(* What a saved record reads back as through the reference parser:
+   [record_to_line] keeps six decimals of time. *)
+let reference_log c node =
+  Array.map
+    (fun r -> Logsys.Log_io.record_of_line (Logsys.Log_io.record_to_line r))
+    (Logsys.Collected.node_log c node)
+
+(* [Log_io.record_of_line] is the reference parser: an arrival-order dump
+   with truth lines must decode to the saved records, read back line by
+   line, node by node in log order, with the same header; and every saved
+   fate must come back through [Mseg.truth]. *)
+let mseg_equals_reference () =
   let sc = Lazy.force scenario in
   let c = lossy_collected 0.2 77 in
   let truth = Node.Network.truth sc.network in
   with_dump ~time_order:true ~truth c (fun path ->
-      let dump = Logsys.Log_io.load_file path in
+      let n_nodes = Logsys.Collected.n_nodes c in
       let r, a = mseg_rows ~chunk:777 path in
-      Alcotest.(check int) "nodes" dump.n_nodes (Logsys.Log_io.Mseg.n_nodes r);
-      Alcotest.(check int) "sink" dump.sink (Logsys.Log_io.Mseg.sink r);
-      Alcotest.(check int) "same record count"
-        (Logsys.Collected.total dump.collected)
+      Alcotest.(check int) "nodes" n_nodes (Logsys.Log_io.Mseg.n_nodes r);
+      Alcotest.(check int) "sink" (sink ()) (Logsys.Log_io.Mseg.sink r);
+      Alcotest.(check int) "same record count" (Logsys.Collected.total c)
         (Logsys.Arena.length a);
-      let p = Logsys.Arena.Packets.build a ~n_nodes:dump.n_nodes in
-      for node = 0 to dump.n_nodes - 1 do
+      let p = Logsys.Arena.Packets.build a ~n_nodes in
+      for node = 0 to n_nodes - 1 do
         let rows = Logsys.Arena.Packets.node_rows p node in
-        let log = Logsys.Collected.node_log dump.collected node in
+        let log = reference_log c node in
         Alcotest.(check int)
           (Printf.sprintf "node %d log length" node)
           (Array.length log) (Array.length rows);
@@ -572,17 +587,31 @@ let mseg_equals_load () =
             if not (Logsys.Arena.equal_record a row log.(i)) then
               Alcotest.failf "node %d record %d differs" node i)
           rows
-      done)
+      done;
+      match Logsys.Log_io.Mseg.truth r with
+      | None -> Alcotest.fail "truth expected"
+      | Some read ->
+          Alcotest.(check int) "fate count" (Logsys.Truth.count truth)
+            (Logsys.Truth.count read);
+          let time = Printf.sprintf "%.6f" in
+          Logsys.Truth.iter truth (fun (origin, seq) (f : Logsys.Truth.fate) ->
+              match Logsys.Truth.find read ~origin ~seq with
+              | Some g
+                when Logsys.Cause.equal f.cause g.cause
+                     && f.loss_node = g.loss_node && f.path = g.path
+                     && time f.generated_at = time g.generated_at
+                     && time f.resolved_at = time g.resolved_at ->
+                  ()
+              | _ -> Alcotest.failf "fate (%d, %d) differs" origin seq))
 
 (* A node-major dump's file order is its node logs in turn, so skipping
    [k] records must land on the [k]th record of that concatenation. *)
 let mseg_skip_parity () =
   let c = lossy_collected 0.1 123 in
   with_dump c (fun path ->
-      let dump = Logsys.Log_io.load_file path in
       let all =
         Array.concat
-          (List.init dump.n_nodes (Logsys.Collected.node_log dump.collected))
+          (List.init (Logsys.Collected.n_nodes c) (reference_log c))
       in
       let total = Array.length all in
       let k = total / 3 in
@@ -660,8 +689,7 @@ let mseg_int_extremes () =
   in
   let path = write_file [ "# refill-log v1"; "# nodes 3"; "# sink 0"; line ] in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let dump = Logsys.Log_io.load_file path in
-  let r = (Logsys.Collected.node_log dump.collected 1).(0) in
+  let r = Logsys.Log_io.record_of_line line in
   Alcotest.(check bool) "reference peer" true
     (Logsys.Record.kind_equal r.kind (Recv { from = max_int }));
   Alcotest.(check (list int)) "reference origin, seq, gseq"
@@ -670,6 +698,15 @@ let mseg_int_extremes () =
   Alcotest.(check int) "one row" 1 (Logsys.Arena.length a);
   Alcotest.(check bool) "mseg row equals the reference record" true
     (Logsys.Arena.equal_record a 0 r)
+
+(* [map_file] would refuse a directory with ENODEV ("No such device"). *)
+let mseg_directory_is_eisdir () =
+  let dir = Filename.temp_dir "refill_arena" "" in
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
+  Alcotest.(check bool) "EISDIR" true
+    (match Logsys.Log_io.Mseg.open_file dir with
+    | exception Unix.Unix_error (Unix.EISDIR, _, _) -> true
+    | _ -> false)
 
 let () =
   Alcotest.run "arena"
@@ -704,9 +741,11 @@ let () =
         ] );
       ( "mseg",
         [
-          Alcotest.test_case "mseg == load" `Quick mseg_equals_load;
+          Alcotest.test_case "mseg == reference" `Quick mseg_equals_reference;
           Alcotest.test_case "skip parity" `Quick mseg_skip_parity;
           Alcotest.test_case "rejects malformed" `Quick mseg_rejects_malformed;
           Alcotest.test_case "integer extremes" `Quick mseg_int_extremes;
+          Alcotest.test_case "a directory is EISDIR" `Quick
+            mseg_directory_is_eisdir;
         ] );
     ]

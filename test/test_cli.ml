@@ -105,37 +105,61 @@ let missing_file_still_dumps_metrics () =
       Alcotest.(check bool) "metrics survive the I/O error" true
         (Sys.file_exists metrics))
 
+(* [commands] on a dump holding [contents] each exit 1 with one stderr
+   line, "refill: <dump>: malformed input: ...": one reader, one error
+   surface. *)
+let malformed_for contents commands =
+  let bad = tmp ".log" in
+  Fun.protect ~finally:(fun () -> Sys.remove bad) @@ fun () ->
+  let oc = open_out bad in
+  output_string oc contents;
+  close_out oc;
+  List.iter
+    (fun args ->
+      let what = Printf.sprintf "%s on %S" (String.concat " " args) contents in
+      let code, _, err = run_cli_err (args @ [ bad; "-q" ]) in
+      Alcotest.(check int) (what ^ " exits 1") 1 code;
+      Alcotest.(check bool)
+        (what ^ " reports malformed input on one line")
+        true
+        (String.starts_with
+           ~prefix:("refill: " ^ bad ^ ": malformed input: ")
+           err
+        && List.length (String.split_on_char '\n' (String.trim err)) = 1))
+    commands
+
+let readers =
+  [
+    [ "analyze" ];
+    [ "trace"; "--origin"; "1"; "--seq"; "0" ];
+    [ "explain" ];
+    [ "reconstruct" ];
+    [ "reconstruct"; "--stream" ];
+  ]
+
+let header = "# refill-log v1\n# nodes 3\n# sink 0\n"
+
 (* An origin past the int range is malformed input to every subcommand
    that reads the dump: none wraps it, and all report it the same way. *)
 let overflowing_origin_is_malformed () =
-  let bad = tmp ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove bad)
-    (fun () ->
-      let oc = open_out bad in
-      output_string oc
-        "# refill-log v1\n\
-         # nodes 3\n\
-         # sink 0\n\
-         r 1 gen - 18446744073709551617 0 0.5 1\n\
-         r 1 trans 0 18446744073709551617 0 0.6 2\n\
-         r 0 recv 1 18446744073709551617 0 0.7 3\n";
-      close_out oc;
-      List.iter
-        (fun args ->
-          let what = String.concat " " args in
-          let code, _, err = run_cli_err (args @ [ bad; "-q" ]) in
-          Alcotest.(check int) (what ^ " exits 1") 1 code;
-          Alcotest.(check bool)
-            (what ^ " reports malformed input")
-            true
-            (contains err (bad ^ ": malformed input: ")))
-        [
-          [ "analyze" ];
-          [ "trace"; "--origin"; "1"; "--seq"; "0" ];
-          [ "reconstruct" ];
-          [ "reconstruct"; "--stream" ];
-        ])
+  malformed_for
+    (header
+    ^ "r 1 gen - 18446744073709551617 0 0.5 1\n\
+       r 1 trans 0 18446744073709551617 0 0.6 2\n\
+       r 0 recv 1 18446744073709551617 0 0.7 3\n")
+    readers
+
+(* An empty or header-only dump is malformed input, not an uncaught
+   [End_of_file]. *)
+let empty_dump_is_malformed () =
+  malformed_for "" readers;
+  malformed_for "# refill-log v1\n" readers
+
+(* Integer fields are decimal digits: [int_of_string]'s hex and
+   underscore spellings are malformed to every reader. *)
+let non_decimal_int_is_malformed () =
+  malformed_for (header ^ "r 1 gen - 0x1 0 0.5 1\n") readers;
+  malformed_for (header ^ "r 1 gen - 1_0 0 0.5 1\n") readers
 
 (* -- serve ------------------------------------------------------------------ *)
 
@@ -229,6 +253,33 @@ let feed_rejects_nonpositive_chunk () =
   let code, _, err = run_cli_err [ "feed"; "--chunk"; "0"; log ] in
   Alcotest.(check int) "feed --chunk 0 exits 2" 2 code;
   Alcotest.(check bool) "names --chunk" true (contains err "--chunk")
+
+(* A port nothing listens on: bound, then closed. *)
+let free_port () =
+  with_listener (fun sock port ->
+      Unix.close sock;
+      port)
+
+(* `feed` opens its dump before it connects: a bad dump is reported at
+   once, naming the file, not after the connect retries give up. *)
+let feed_reports_a_bad_dump_first () =
+  let port = string_of_int (free_port ()) in
+  let empty = tmp ".log" in
+  Fun.protect ~finally:(fun () -> Sys.remove empty) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let code, _, err = run_cli_err [ "feed"; "--port"; port; empty ] in
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "empty dump exits 1" 1 code;
+  Alcotest.(check string) "reported as malformed"
+    (Printf.sprintf "refill: %s: malformed input: Log_io: bad header \"\"\n"
+       empty)
+    err;
+  if took > 2.5 then Alcotest.failf "feed took %.1f s to report it" took;
+  let missing = empty ^ ".missing" in
+  let code, _, err = run_cli_err [ "feed"; "--port"; port; missing ] in
+  Alcotest.(check int) "missing dump exits 1" 1 code;
+  Alcotest.(check bool) "names the file" true
+    (String.starts_with ~prefix:("refill: " ^ missing ^ ": ") err)
 
 let serve_busy_emit_socket_is_io_error () =
   with_listener @@ fun _ port ->
@@ -370,6 +421,10 @@ let () =
             missing_file_still_dumps_metrics;
           Alcotest.test_case "overflowing origin is malformed" `Quick
             overflowing_origin_is_malformed;
+          Alcotest.test_case "empty dump is malformed" `Quick
+            empty_dump_is_malformed;
+          Alcotest.test_case "non-decimal integer is malformed" `Quick
+            non_decimal_int_is_malformed;
         ] );
       ( "serve",
         [
@@ -379,6 +434,8 @@ let () =
             feed_to_foreign_port_is_io_error;
           Alcotest.test_case "feed --chunk 0 is a usage error" `Quick
             feed_rejects_nonpositive_chunk;
+          Alcotest.test_case "feed reports a bad dump before connecting"
+            `Quick feed_reports_a_bad_dump_first;
           Alcotest.test_case "busy --emit-socket is an I/O error" `Quick
             serve_busy_emit_socket_is_io_error;
         ] );

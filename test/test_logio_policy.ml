@@ -39,6 +39,14 @@ let record_of_line_rejects_garbage () =
     | exception Failure _ -> true
     | _ -> false)
 
+(* A dump read back through the one reader: its reader (header, truth)
+   and every record in one arena. *)
+let read_dump path =
+  let r = Logsys.Log_io.Mseg.open_file path in
+  let a = Logsys.Arena.create () in
+  ignore (Logsys.Log_io.Mseg.next_into r a ~max_records:max_int : int);
+  (r, a)
+
 let roundtrip_dump () =
   let logger = Logsys.Logger.create ~n_nodes:3 in
   Logsys.Logger.log logger (record 1 Gen ~origin:1 ~seq:0 ~time:0. ~gseq:0);
@@ -61,17 +69,17 @@ let roundtrip_dump () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Logsys.Log_io.save_file path ~sink:0 ~truth collected;
-      let dump = Logsys.Log_io.load_file path in
-      Alcotest.(check int) "nodes" 3 dump.n_nodes;
-      Alcotest.(check int) "sink" 0 dump.sink;
-      Alcotest.(check int) "records" 3 (Logsys.Collected.total dump.collected);
+      let r, a = read_dump path in
+      Alcotest.(check int) "nodes" 3 (Logsys.Log_io.Mseg.n_nodes r);
+      Alcotest.(check int) "sink" 0 (Logsys.Log_io.Mseg.sink r);
+      Alcotest.(check int) "records" 3 (Logsys.Arena.length a);
       (* Per-node order preserved. *)
-      let n1 = Logsys.Collected.node_log dump.collected 1 in
+      let p = Logsys.Arena.Packets.build a ~n_nodes:3 in
       Alcotest.(check (list string)) "node 1 order" [ "gen"; "trans" ]
-        (Array.to_list n1
-        |> List.map (fun (r : Logsys.Record.t) ->
-               Logsys.Record.kind_name r.kind));
-      match dump.truth with
+        (Array.to_list (Logsys.Arena.Packets.node_rows p 1)
+        |> List.map (fun i ->
+               Logsys.Record.kind_name (Logsys.Arena.get a i).kind));
+      match Logsys.Log_io.Mseg.truth r with
       | None -> Alcotest.fail "truth expected"
       | Some t -> (
           Alcotest.(check int) "one fate" 1 (Logsys.Truth.count t);
@@ -91,8 +99,9 @@ let dump_without_truth () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Logsys.Log_io.save_file path ~sink:0 (Logsys.Collected.of_logger logger);
-      let dump = Logsys.Log_io.load_file path in
-      Alcotest.(check bool) "no truth" true (dump.truth = None))
+      let r, _ = read_dump path in
+      Alcotest.(check bool) "no truth" true
+        (Logsys.Log_io.Mseg.truth r = None))
 
 let load_rejects_bad_header () =
   let path = Filename.temp_file "refill" ".log" in
@@ -103,18 +112,17 @@ let load_rejects_bad_header () =
       output_string oc "not a dump\n";
       close_out oc;
       Alcotest.(check bool) "raises" true
-        (match Logsys.Log_io.load_file path with
+        (match read_dump path with
         | exception Failure _ -> true
         | _ -> false))
 
 let full_pipeline_through_file () =
-  (* simulate → save → load → reconstruct gives identical verdicts. *)
+  (* simulate → save → read → reconstruct gives identical verdicts. *)
   let scenario = Scenario.Citysee.run Scenario.Citysee.tiny in
   let collected = Scenario.Citysee.collected scenario in
-  let verdicts c =
+  let verdicts run =
     (let acc = ref [] in
-     Refill.Reconstruct.run c ~sink:scenario.sink ~emit:(fun f ->
-         acc := f :: !acc);
+     run ~sink:scenario.sink ~emit:(fun f -> acc := f :: !acc);
      List.rev !acc)
     |> List.map (fun (f : Refill.Flow.t) ->
            ((f.origin, f.seq), (Refill.Classify.classify f).cause))
@@ -124,9 +132,13 @@ let full_pipeline_through_file () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Logsys.Log_io.save_file path ~sink:scenario.sink collected;
-      let dump = Logsys.Log_io.load_file path in
+      let r, a = read_dump path in
+      let packets =
+        Logsys.Arena.Packets.build a ~n_nodes:(Logsys.Log_io.Mseg.n_nodes r)
+      in
       Alcotest.(check bool) "verdicts identical" true
-        (verdicts collected = verdicts dump.collected))
+        (verdicts (Refill.Reconstruct.run collected)
+        = verdicts (Refill.Reconstruct.run_arena packets)))
 
 (* -- Codec ------------------------------------------------------------------ *)
 
