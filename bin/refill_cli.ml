@@ -110,29 +110,57 @@ let with_metrics_flush opts f =
       dump_metrics_guarded ();
       raise e
 
+(* An optional-value flag takes the next word as its FILE, so
+   `--provenance a.txt b.txt` names the dump a.txt as the report file:
+   refuse to write over a dump or a checkpoint.  Only a regular file is
+   read (a FIFO or a terminal would block). *)
+let clobbers_input (flag, dest) =
+  match dest with
+  | Some path
+    when path <> "-"
+         && (try (Unix.stat path).st_kind = S_REG
+             with Unix.Unix_error _ -> false)
+    -> (
+      match In_channel.with_open_bin path In_channel.input_line with
+      | Some l
+        when l = "# refill-log v1"
+             || String.starts_with ~prefix:"# refill-stream-ckpt" l ->
+          Some
+            (Printf.sprintf
+               "%s: a refill dump or checkpoint, not overwritten by %s (name \
+                the report with %s=FILE, or put a bare %s after LOGFILE)"
+               path flag flag flag)
+      | _ | (exception Sys_error _) -> None)
+  | _ -> None
+
 (* Install the requested log level and trace sink, run the command body
    under the metrics-flush wrapper, and turn unreadable/corrupt inputs
    into a clear message and a non-zero exit instead of an exception
-   backtrace. *)
-let with_observability opts f =
+   backtrace.  Nothing is read or written when a report FILE
+   ([--metrics], or one of [outputs]) is a dump or a checkpoint. *)
+let with_observability ?(outputs = []) opts f =
   Obs.Log.set_level
     (if opts.quiet then Obs.Log.Quiet
      else if opts.verbose then Obs.Log.Debug
      else Obs.Log.Info);
-  (match opts.trace_out with
-  | Some path ->
-      (* swap, then close: a sink left installed by an earlier install
-         must be finalized, not leaked. *)
-      Obs.Sink.close (Obs.Span.swap_sink (Obs.Sink.file path))
-  | None -> ());
-  match with_metrics_flush opts f with
-  | code -> code
-  | exception Sys_error msg ->
+  match
+    List.find_map clobbers_input (("--metrics", opts.metrics) :: outputs)
+  with
+  | Some msg ->
       Obs.Log.error "%s" msg;
       1
-  | exception Failure msg ->
-      Obs.Log.error "%s" msg;
-      1
+  | None -> (
+      (match opts.trace_out with
+      | Some path ->
+          (* swap, then close: a sink left installed by an earlier install
+             must be finalized, not leaked. *)
+          Obs.Sink.close (Obs.Span.swap_sink (Obs.Sink.file path))
+      | None -> ());
+      match with_metrics_flush opts f with
+      | code -> code
+      | exception (Sys_error msg | Failure msg) ->
+          Obs.Log.error "%s" msg;
+          1)
 
 (* Structured pipeline errors carry their own exit-code mapping
    (I/O and malformed input -> 1, bad configuration -> 2). *)
@@ -441,7 +469,8 @@ let print_breakdown verdicts ~sink ~total_label =
     (Logsys.Cause.loss_causes @ [ Logsys.Cause.Unknown ])
 
 let analyze obs mk_config global_flow provenance input =
-  with_observability obs @@ fun () ->
+  with_observability obs ~outputs:[ ("--provenance", provenance) ]
+  @@ fun () ->
   match mk_config ~provenance:(provenance <> None) with
   | Error e -> err_exit e
   | Ok config -> (
@@ -657,7 +686,8 @@ let reconstruct_stream (config : Refill.Config.t) ~global_flow ~quality
 
 let reconstruct obs mk_config stream checkpoint finish emit_file global_flow
     quality input =
-  with_observability obs @@ fun () ->
+  with_observability obs ~outputs:[ ("--provenance", quality) ]
+  @@ fun () ->
   match mk_config ~provenance:(quality <> None) with
   | Error e -> err_exit e
   | Ok (config : Refill.Config.t) ->

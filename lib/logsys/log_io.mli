@@ -44,21 +44,25 @@ val record_of_line : string -> Record.t
     buffered records.  Integer fields go through [int_of_string].
     @raise Failure on malformed input. *)
 
+val add_record_line_exact : Buffer.t -> Record.t -> unit
+(** Append {!record_to_line}'s line with the time field in hexadecimal
+    float notation ([%h]), so {!record_of_line} recovers the record
+    bit-exactly (including [nan] times).  Checkpoints use this; ordinary
+    dumps keep the human-readable [%.6f] form. *)
+
 val record_to_line_exact : Record.t -> string
-(** Like {!record_to_line} but with the time field in hexadecimal float
-    notation ([%h]), so {!record_of_line} recovers the record bit-exactly
-    (including [nan] times).  Checkpoints use this; ordinary dumps keep the
-    human-readable [%.6f] form. *)
+(** {!add_record_line_exact} as a string. *)
 
 (** The one dump reader, incremental: the format {!save} writes, consumed
     chunk by chunk so a streaming pipeline never holds the whole trace.
     The file is memory-mapped and record lines decode in place straight
-    into {!Arena} columns — no channel buffering, no per-line strings, no
-    per-record allocation (except the time token, parsed by
-    [float_of_string] so times load bit-identically to
-    {!record_of_line}).  Integer fields are optionally signed decimal
-    digits only.  Truth ([t ...]) and comment lines are skipped; {!truth}
-    reads the truth lines apart.  Every command that reads a dump reads it
+    into {!Arena} columns — no channel buffering, no per-line strings, and
+    a record allocates only its boxed time: a [%.6f] time converts
+    without [float_of_string], any other spelling through it, so times
+    load bit-identically to {!record_of_line}.  Integer fields, in header,
+    record and truth lines alike, are optionally signed decimal digits
+    only.  Truth ([t ...]) and comment lines are skipped; {!truth} reads
+    the truth lines apart.  Every command that reads a dump reads it
     through here. *)
 module Mseg : sig
   type reader

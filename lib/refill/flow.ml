@@ -16,25 +16,40 @@ let inferred_items t = List.filter (fun (i : item) -> i.inferred) t.items
 
 let length t = List.length t.items
 
-let node_str n = if n = Protocol.unknown_node then "?" else string_of_int n
+let add_node b n =
+  if n = Protocol.unknown_node then Buffer.add_char b '?'
+  else Prelude.Decimal.add_int b n
 
-let item_to_string (i : item) =
-  let base =
-    match i.payload with
-    | Some r -> (
-        match Logsys.Record.link r with
-        | Some (s, d) ->
-            Printf.sprintf "%s-%s %s" (node_str s) (node_str d)
-              (Protocol.label_name i.label)
-        | None ->
-            Printf.sprintf "%s@%s" (Protocol.label_name i.label)
-              (node_str i.node))
-    | None ->
-        Printf.sprintf "%s@%s" (Protocol.label_name i.label) (node_str i.node)
-  in
-  if i.inferred then "[" ^ base ^ "]" else base
+let add_item b (i : item) =
+  if i.inferred then Buffer.add_char b '[';
+  (match Option.bind i.payload Logsys.Record.link with
+  | Some (s, d) ->
+      add_node b s;
+      Buffer.add_char b '-';
+      add_node b d;
+      Buffer.add_char b ' ';
+      Buffer.add_string b (Protocol.label_name i.label)
+  | None ->
+      Buffer.add_string b (Protocol.label_name i.label);
+      Buffer.add_char b '@';
+      add_node b i.node);
+  if i.inferred then Buffer.add_char b ']'
 
-let to_string t = String.concat ", " (List.map item_to_string t.items)
+let add_to_buffer b t =
+  List.iteri
+    (fun k i ->
+      if k > 0 then Buffer.add_string b ", ";
+      add_item b i)
+    t.items
+
+let render add x ~size =
+  let b = Buffer.create size in
+  add b x;
+  Buffer.contents b
+
+let item_to_string = render add_item ~size:24
+
+let to_string t = render add_to_buffer t ~size:(24 * List.length t.items)
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 

@@ -26,12 +26,16 @@ val inferred_items : t -> item list
 
 val length : t -> int
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** The flow renderer: items joined by [", "], each ["1-2 recv"] (or
+    ["gen@1"] without a link), inferred ones bracketed (["[1-2 recv]"]),
+    {!Protocol.unknown_node} as [?]. *)
+
 val item_to_string : item -> string
-(** ["1-2 recv"] style; inferred items are bracketed: ["[1-2 recv]"];
-    an unknown peer renders as [?]. *)
+(** One item, as {!add_to_buffer} renders it. *)
 
 val to_string : t -> string
-(** Comma-separated items. *)
+(** {!add_to_buffer} into a fresh string. *)
 
 val pp : Format.formatter -> t -> unit
 

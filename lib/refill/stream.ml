@@ -34,7 +34,7 @@ let g_peak =
 
 type outcome = Complete | Incomplete
 
-type emitted = { flow : Flow.t; outcome : outcome }
+type emitted = { flow : Flow.t; outcome : outcome; cause : Logsys.Cause.t }
 
 type summary = {
   events : int;
@@ -190,11 +190,10 @@ let evict sh ~final buf =
       ~provenance:sh.provenance records ~origin:buf.b_origin ~seq:buf.b_seq
       ~sink:sh.sink
   in
+  let cause = (Classify.classify flow).cause in
   let outcome =
     if buf.b_late then Incomplete
-    else if final then Complete
-    else if (Classify.classify flow).cause <> Logsys.Cause.Unknown then
-      Complete
+    else if final || cause <> Logsys.Cause.Unknown then Complete
     else Incomplete
   in
   sh.flows <- sh.flows + 1;
@@ -205,7 +204,7 @@ let evict sh ~final buf =
     {
       p_last_seen = buf.last_seen;
       p_key = (buf.b_origin, buf.b_seq);
-      p_emitted = { flow; outcome };
+      p_emitted = { flow; outcome; cause };
     }
     :: sh.pending
 
@@ -600,48 +599,58 @@ let checkpoint t oc =
   | Done _ -> invalid_arg "Stream.checkpoint: stream finished"
   | Failed e -> raise e);
   let s0 = t.shards.(0) in
-  Printf.fprintf oc "%s\n" ckpt_magic;
-  Printf.fprintf oc "# shards %d\n" (Array.length t.shards);
-  let b v = if v then 1 else 0 in
-  Printf.fprintf oc "# use-intra %d\n" (b s0.use_intra);
-  Printf.fprintf oc "# use-inter %d\n" (b s0.use_inter);
-  Printf.fprintf oc "# provenance %d\n" (b s0.provenance);
-  Printf.fprintf oc "# watermark %d\n" s0.watermark;
-  Printf.fprintf oc "# retention %d\n" s0.retention;
-  Printf.fprintf oc "# segments %d\n" t.segments;
-  Printf.fprintf oc "# clock %d\n" t.st_clock;
+  (* Written out at each line past 64 KiB, so memory stays bounded. *)
+  let b = Buffer.create 65536 in
+  let line tag ints =
+    Buffer.add_string b tag;
+    List.iter (Prelude.Decimal.add_field b) ints;
+    Buffer.add_char b '\n';
+    if Buffer.length b >= 65536 then begin
+      Buffer.output_buffer oc b;
+      Buffer.clear b
+    end
+  in
+  let flag v = if v then 1 else 0 in
+  line ckpt_magic [];
+  line "# shards" [ Array.length t.shards ];
+  line "# use-intra" [ flag s0.use_intra ];
+  line "# use-inter" [ flag s0.use_inter ];
+  line "# provenance" [ flag s0.provenance ];
+  line "# watermark" [ s0.watermark ];
+  line "# retention" [ s0.retention ];
+  line "# segments" [ t.segments ];
+  line "# clock" [ t.st_clock ];
   Array.iteri
     (fun i sh ->
-      Printf.fprintf oc "# shard %d\n" i;
-      Printf.fprintf oc "# processed %d\n" sh.processed;
-      Printf.fprintf oc "# flows %d\n" sh.flows;
-      Printf.fprintf oc "# complete %d\n" sh.complete;
-      Printf.fprintf oc "# incomplete %d\n" sh.incomplete;
-      Printf.fprintf oc "# evictions %d\n" sh.evictions;
-      Printf.fprintf oc "# late-fragments %d\n" sh.late_fragments;
-      Printf.fprintf oc "# forgotten %d\n" sh.forgotten;
-      Printf.fprintf oc "# peak-frontier %d\n" sh.peak_frontier_events;
+      line "# shard" [ i ];
+      line "# processed" [ sh.processed ];
+      line "# flows" [ sh.flows ];
+      line "# complete" [ sh.complete ];
+      line "# incomplete" [ sh.incomplete ];
+      line "# evictions" [ sh.evictions ];
+      line "# late-fragments" [ sh.late_fragments ];
+      line "# forgotten" [ sh.forgotten ];
+      line "# peak-frontier" [ sh.peak_frontier_events ];
       let ev = Hashtbl.fold (fun k tr acc -> (k, tr) :: acc) sh.evicted [] in
       List.iter
-        (fun ((origin, seq), trigger) ->
-          Printf.fprintf oc "e %d %d %d\n" origin seq trigger)
+        (fun ((origin, seq), trigger) -> line "e" [ origin; seq; trigger ])
         (List.sort compare_evicted ev);
       (* Buffers ascending by last_seen: resume pushes one deadline entry
          per buffer in this order, which reproduces the live queue's
          effective contents (all superseded entries are no-ops anyway). *)
       let bufs = Hashtbl.fold (fun _ b acc -> b :: acc) sh.frontier [] in
       List.iter
-        (fun b ->
-          Printf.fprintf oc "b %d %d %d %d %d\n" b.b_origin b.b_seq
-            b.last_seen
-            (if b.b_late then 1 else 0)
-            b.count;
+        (fun bf ->
+          line "b"
+            [ bf.b_origin; bf.b_seq; bf.last_seen; flag bf.b_late; bf.count ];
           List.iter
             (fun r ->
-              output_string oc (Logsys.Log_io.record_to_line_exact r ^ "\n"))
-            (List.rev b.records_rev))
+              Logsys.Log_io.add_record_line_exact b r;
+              Buffer.add_char b '\n')
+            (List.rev bf.records_rev))
         (List.sort (fun a b -> Int.compare a.last_seen b.last_seen) bufs))
-    t.shards
+    t.shards;
+  Buffer.output_buffer oc b
 
 (* Write [path.tmp], close it, then rename it over [path]: a crash or a
    failed write mid-checkpoint leaves the previous checkpoint intact. *)

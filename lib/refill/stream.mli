@@ -71,7 +71,13 @@ type outcome =
       (** Evicted without a classifiable ending, or a late fragment of a
           key already emitted. *)
 
-type emitted = { flow : Flow.t; outcome : outcome }
+type emitted = {
+  flow : Flow.t;
+  outcome : outcome;
+  cause : Logsys.Cause.t;
+      (** [(Classify.classify flow).cause], computed once per flow by its
+          shard, which also decides [outcome]. *)
+}
 
 type summary = {
   events : int;  (** Records processed (excludes skipped negatives). *)

@@ -14,10 +14,15 @@ let outcome_char = function
 
 let line (e : Refill.Stream.emitted) =
   let f = e.flow in
-  let v = Refill.Classify.classify f in
-  Printf.sprintf "%c %d %d %s | %s" (outcome_char e.outcome) f.origin f.seq
-    (Logsys.Cause.name v.cause)
-    (Refill.Flow.to_string f)
+  let b = Buffer.create (32 + (24 * List.length f.items)) in
+  Buffer.add_char b (outcome_char e.outcome);
+  Prelude.Decimal.add_field b f.origin;
+  Prelude.Decimal.add_field b f.seq;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (Logsys.Cause.name e.cause);
+  Buffer.add_string b " | ";
+  Refill.Flow.add_to_buffer b f;
+  Buffer.contents b
 
 (* Provenance side-car: the packed ints, space-separated, in item order.
    Raw ints rather than the pretty rendering keep the line cheap and
@@ -28,9 +33,7 @@ let prov_line (f : Refill.Flow.t) =
     let b = Buffer.create (8 * Array.length f.prov) in
     Buffer.add_char b 'p';
     Array.iter
-      (fun pv ->
-        Buffer.add_char b ' ';
-        Buffer.add_string b (string_of_int (pv : Refill.Provenance.t :> int)))
+      (fun pv -> Prelude.Decimal.add_field b (pv : Refill.Provenance.t :> int))
       f.prov;
     Some (Buffer.contents b)
   end
@@ -162,5 +165,7 @@ let tee a b =
   }
 
 let emit_to sink (e : Refill.Stream.emitted) =
-  sink.write (line e);
-  Option.iter sink.write (prov_line e.flow)
+  if sink != null then begin
+    sink.write (line e);
+    Option.iter sink.write (prov_line e.flow)
+  end

@@ -7,8 +7,9 @@
 
 val line : Refill.Stream.emitted -> string
 (** ["C 3 17 delivered | 3-2 trans, [3-2 recv], ..."] — outcome letter
-    ([C]omplete / [I]ncomplete), origin, seq, classified cause, then the
-    flow rendered by {!Refill.Flow.to_string}.  No trailing newline. *)
+    ([C]omplete / [I]ncomplete), origin, seq, [e.cause], then the flow
+    rendered by {!Refill.Flow.add_to_buffer}.  No trailing newline; safe
+    to call from several threads at once. *)
 
 val prov_line : Refill.Flow.t -> string option
 (** Provenance side-car line ["p <int> <int> ..."] — the packed
@@ -20,6 +21,7 @@ type sink = { write : string -> unit; close : unit -> unit }
     effect (callers invoke it once). *)
 
 val null : sink
+(** Drops every line; {!emit_to} renders nothing for it. *)
 
 val to_file : string -> sink
 (** Truncate-and-write; lines are flushed on [close]. *)
@@ -38,4 +40,5 @@ val publish : port:int -> sink
 val tee : sink -> sink -> sink
 
 val emit_to : sink -> Refill.Stream.emitted -> unit
-(** Write {!line} and, when present, {!prov_line}. *)
+(** Write {!line} and, when present, {!prov_line}; nothing at all when
+    the sink is {!null} (physically). *)

@@ -699,6 +699,94 @@ let mseg_int_extremes () =
   Alcotest.(check bool) "mseg row equals the reference record" true
     (Logsys.Arena.equal_record a 0 r)
 
+(* One record line holding time token [tok], through Mseg: its time, or
+   [None] when Mseg rejects the line. *)
+let mseg_time tok =
+  let line = Printf.sprintf "r 1 gen - 1 0 %s 0" tok in
+  let path = write_file [ "# refill-log v1"; "# nodes 3"; "# sink 0"; line ] in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let r = Logsys.Log_io.Mseg.open_file path in
+  let a = Logsys.Arena.create () in
+  match Logsys.Log_io.Mseg.next_into r a ~max_records:1 with
+  | exception Failure _ -> None
+  | _ -> Some (Logsys.Arena.true_time a 0)
+
+(* [m]'s digits with the point [k] digits from the right. *)
+let with_point ~neg m k =
+  let s = string_of_int m in
+  let s = String.make (max 0 (k + 1 - String.length s)) '0' ^ s in
+  let i = String.length s - k in
+  (if neg then "-" else "") ^ String.sub s 0 i ^ "." ^ String.sub s i k
+
+let time_token_gen =
+  let open QCheck.Gen in
+  let two53 = 1 lsl 53 in
+  frequency
+    [
+      (3, map (Printf.sprintf "%.6f") (float_range (-1e7) 1e7));
+      (2, map (Printf.sprintf "%.6f") float);
+      ( 1,
+        map (Printf.sprintf "%.6f")
+          (oneofl [ 0.; -0.; 1e-7; -4e-7; 5e-7; 9007199254.740992 ]) );
+      (* Near 2^53 / 10^6: mantissas around the fast path's bound. *)
+      ( 2,
+        map3
+          (fun d k neg -> with_point ~neg (two53 + d) k)
+          (int_range (-2000) 2000) (int_range 1 8) bool );
+      ( 1,
+        map3
+          (fun m k neg -> with_point ~neg m k)
+          (oneofl [ two53 - 1; two53; two53 + 1 ])
+          (int_range 1 25) bool );
+      (* Any digit string with a point: long mantissas, many fraction
+         digits. *)
+      ( 2,
+        map3
+          (fun digits k neg ->
+            let k = min k (String.length digits) in
+            let i = String.length digits - k in
+            (if neg then "-" else "")
+            ^ String.sub digits 0 i ^ "." ^ String.sub digits i k)
+          (string_size ~gen:(char_range '0' '9') (int_range 1 30))
+          (int_range 0 30) bool );
+      ( 2,
+        oneofl
+          [
+            "nan"; "inf"; "-inf"; "-"; ".5"; "5."; "-.5"; "1e3"; "1.5e3";
+            "1_0.5"; "1.5_"; "+1.5"; "0x1p3"; "1..5"; "1.5."; "-0.000000";
+            "0.000000"; "00.5"; "-00000000000000000000.1";
+          ] );
+    ]
+
+(* The fast path is pinned to the reference: the same bits as
+   [float_of_string], or the same rejection. *)
+let mseg_time_token_parity =
+  QCheck.Test.make ~name:"Mseg time token == float_of_string" ~count:2000
+    (QCheck.make ~print:Fun.id time_token_gen)
+    (fun tok ->
+      match (float_of_string_opt tok, mseg_time tok) with
+      | None, None -> true
+      | Some f, Some g -> Int64.bits_of_float f = Int64.bits_of_float g
+      | _ -> false)
+
+(* A warm [next_into] over a [%.6f] dump allocates only each record's
+   boxed time: no per-line string, closure or ref. *)
+let mseg_allocation () =
+  let c = Lazy.force lossless in
+  with_dump ~time_order:true c (fun path ->
+      let a = Logsys.Arena.create () in
+      let words_per_record () =
+        let r = Logsys.Log_io.Mseg.open_file path in
+        Logsys.Arena.clear a;
+        let before = Gc.minor_words () in
+        let n = Logsys.Log_io.Mseg.next_into r a ~max_records:max_int in
+        (Gc.minor_words () -. before) /. float_of_int n
+      in
+      ignore (words_per_record ());
+      let w = words_per_record () in
+      if w > 4. then
+        Alcotest.failf "%.1f minor words per record, more than 4" w)
+
 (* [map_file] would refuse a directory with ENODEV ("No such device"). *)
 let mseg_directory_is_eisdir () =
   let dir = Filename.temp_dir "refill_arena" "" in
@@ -745,6 +833,9 @@ let () =
           Alcotest.test_case "skip parity" `Quick mseg_skip_parity;
           Alcotest.test_case "rejects malformed" `Quick mseg_rejects_malformed;
           Alcotest.test_case "integer extremes" `Quick mseg_int_extremes;
+          QCheck_alcotest.to_alcotest mseg_time_token_parity;
+          Alcotest.test_case "warm reads allocate only the time" `Quick
+            mseg_allocation;
           Alcotest.test_case "a directory is EISDIR" `Quick
             mseg_directory_is_eisdir;
         ] );

@@ -156,10 +156,61 @@ let empty_dump_is_malformed () =
   malformed_for "# refill-log v1\n" readers
 
 (* Integer fields are decimal digits: [int_of_string]'s hex and
-   underscore spellings are malformed to every reader. *)
+   underscore spellings are malformed to every reader, in header lines
+   too, and in the truth lines of the readers that load them. *)
 let non_decimal_int_is_malformed () =
+  let record = "r 1 gen - 1 0 0.500000 0\n" in
   malformed_for (header ^ "r 1 gen - 0x1 0 0.5 1\n") readers;
-  malformed_for (header ^ "r 1 gen - 1_0 0 0.5 1\n") readers
+  malformed_for (header ^ "r 1 gen - 1_0 0 0.5 1\n") readers;
+  malformed_for ("# refill-log v1\n# nodes 0x3\n# sink 0\n" ^ record) readers;
+  malformed_for ("# refill-log v1\n# nodes 3\n# sink 0_0\n" ^ record) readers;
+  List.iter
+    (fun truth ->
+      malformed_for (header ^ record ^ truth ^ "\n")
+        [ [ "analyze" ]; [ "trace"; "--origin"; "1"; "--seq"; "0" ] ])
+    [
+      "t 0x1 0 delivered - 0.5 0.6 1,0";
+      "t 1 0_0 delivered - 0.5 0.6 1,0";
+      "t 1 0 timeout +2 0.5 0.6 1,2";
+      "t 1 0 delivered - 0.5 0.6 1,0x0";
+    ]
+
+(* A --provenance or --metrics FILE that is a dump or a checkpoint (what
+   `--provenance a.txt b.txt` names, as cmdliner takes the next word) is
+   refused before anything is read, and left byte for byte. *)
+let report_never_overwrites_input () =
+  let log = Lazy.force log_file in
+  let victim = tmp ".log" and ckpt = tmp ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ victim; ckpt ])
+  @@ fun () ->
+  let write path text = Out_channel.with_open_bin path (fun oc -> output_string oc text) in
+  write victim (read_file log);
+  Sys.remove ckpt;
+  let code, _ =
+    run_cli [ "reconstruct"; "--stream"; "--checkpoint"; ckpt; log; "-q" ]
+  in
+  Alcotest.(check int) "checkpoint written" 0 code;
+  List.iter
+    (fun (target, args) ->
+      let before = read_file target in
+      let what = String.concat " " args in
+      let code, _, err = run_cli_err args in
+      Alcotest.(check int) (what ^ " exits 1") 1 code;
+      Alcotest.(check bool)
+        (what ^ ": one line naming the file")
+        true
+        (String.starts_with ~prefix:("refill: " ^ target ^ ": ") err
+        && List.length (String.split_on_char '\n' (String.trim err)) = 1);
+      Alcotest.(check bool) (what ^ " leaves the file") true
+        (read_file target = before))
+    [
+      (victim, [ "analyze"; "--provenance"; victim; log ]);
+      (victim, [ "reconstruct"; "--provenance"; victim; log ]);
+      (victim, [ "trace"; "--metrics"; victim; "--origin"; "1"; "--seq"; "0"; log ]);
+      (ckpt, [ "analyze"; "--provenance"; ckpt; log ]);
+      (ckpt, [ "reconstruct"; "--stream"; "--metrics"; ckpt; log ]);
+    ]
 
 (* -- serve ------------------------------------------------------------------ *)
 
@@ -425,6 +476,8 @@ let () =
             empty_dump_is_malformed;
           Alcotest.test_case "non-decimal integer is malformed" `Quick
             non_decimal_int_is_malformed;
+          Alcotest.test_case "a report never overwrites a dump" `Quick
+            report_never_overwrites_input;
         ] );
       ( "serve",
         [

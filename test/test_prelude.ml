@@ -226,6 +226,23 @@ let sparkline_bounds () =
   let s = Ascii_chart.sparkline [| 0.; 1. |] in
   Alcotest.(check int) "one char per sample" 2 (String.length s)
 
+(* The flow, provenance and checkpoint writers' ints spell as
+   [string_of_int] does, at the ends of the range too. *)
+let decimal_matches_string_of_int =
+  QCheck.Test.make ~name:"Decimal.add_int == string_of_int" ~count:2000
+    QCheck.(
+      oneof
+        [
+          int;
+          int_range (-1000) 1000;
+          oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1 ];
+        ])
+    (fun n ->
+      let b = Buffer.create 4 in
+      Decimal.add_int b n;
+      Decimal.add_field b n;
+      Buffer.contents b = string_of_int n ^ " " ^ string_of_int n)
+
 let () =
   Alcotest.run "prelude"
     [
@@ -270,5 +287,6 @@ let () =
           Alcotest.test_case "table alignment" `Quick table_alignment;
           Alcotest.test_case "charts" `Quick chart_smoke;
           Alcotest.test_case "sparkline" `Quick sparkline_bounds;
+          QCheck_alcotest.to_alcotest decimal_matches_string_of_int;
         ] );
     ]

@@ -627,6 +627,150 @@ let oversized_record_fails_before_send () =
   Alcotest.(check int) "no frames accepted" 0 ack.Serve.Wire.frames;
   ignore (Serve.Server.stop srv)
 
+(* -- The flow-line renderer --------------------------------------------- *)
+
+(* The Printf renderers the Buffer ones replaced, verbatim except that
+   [line] reads the cause from [e.cause] (it used to classify the flow
+   again): the oracle the renderer is pinned to. *)
+module Oracle = struct
+  let node_str n =
+    if n = Refill.Protocol.unknown_node then "?" else string_of_int n
+
+  let item_to_string (i : Refill.Flow.item) =
+    let base =
+      match i.payload with
+      | Some r -> (
+          match Logsys.Record.link r with
+          | Some (s, d) ->
+              Printf.sprintf "%s-%s %s" (node_str s) (node_str d)
+                (Refill.Protocol.label_name i.label)
+          | None ->
+              Printf.sprintf "%s@%s"
+                (Refill.Protocol.label_name i.label)
+                (node_str i.node))
+      | None ->
+          Printf.sprintf "%s@%s"
+            (Refill.Protocol.label_name i.label)
+            (node_str i.node)
+    in
+    if i.inferred then "[" ^ base ^ "]" else base
+
+  let to_string (t : Refill.Flow.t) =
+    String.concat ", " (List.map item_to_string t.items)
+
+  let outcome_char = function
+    | Refill.Stream.Complete -> 'C'
+    | Refill.Stream.Incomplete -> 'I'
+
+  let line (e : Refill.Stream.emitted) =
+    let f = e.flow in
+    Printf.sprintf "%c %d %d %s | %s" (outcome_char e.outcome) f.origin f.seq
+      (Logsys.Cause.name e.cause)
+      (to_string f)
+
+  let prov_line (f : Refill.Flow.t) =
+    if Array.length f.prov = 0 then None
+    else begin
+      let b = Buffer.create (8 * Array.length f.prov) in
+      Buffer.add_char b 'p';
+      Array.iter
+        (fun pv ->
+          Buffer.add_char b ' ';
+          Buffer.add_string b
+            (string_of_int (pv : Refill.Provenance.t :> int)))
+        f.prov;
+      Some (Buffer.contents b)
+    end
+end
+
+let gen_emitted =
+  let open QCheck.Gen in
+  (* Small ids, the unknown peer (-1, printed "?"), negative and extreme
+     ints. *)
+  let id =
+    frequency
+      [
+        (4, int_range (-2) 120);
+        (1, oneofl [ min_int; max_int; -1_000_000; 1 lsl 40 ]);
+        (1, int);
+      ]
+  in
+  let record =
+    let* node = id and* peer = id and* tag = int_range 0 7 in
+    let* origin = id and* pkt_seq = id and* gseq = id in
+    return
+      ({
+         node;
+         kind = Logsys.Codec.kind_of_tag tag (Some peer);
+         origin;
+         pkt_seq;
+         true_time = 0.5;
+         gseq;
+       }
+        : Logsys.Record.t)
+  in
+  let item =
+    let* node = id
+    and* label =
+      oneofl
+        Refill.Protocol.
+          [ L_gen; L_recv; L_dup; L_overflow; L_trans; L_ack; L_timeout;
+            L_deliver ]
+    and* payload = opt record
+    and* inferred = bool in
+    return
+      ({ node; label; payload; inferred; entered = Refill.Protocol.holding }
+        : Refill.Flow.item)
+  in
+  let prov =
+    map3
+      (fun m e1 e2 ->
+        Refill.Provenance.make2 m ~src:Refill.Protocol.holding
+          ~dst:Refill.Protocol.sent ~e1 ~e2)
+      (oneofl
+         Refill.Provenance.
+           [ Logged; Intra_inference; Inter_inference; Stall_recovery;
+             Anchor_carry ])
+      (int_range (-1) 3_000_000) (int_range (-1) 3_000_000)
+  in
+  let* origin = id and* seq = id and* items = list_size (int_range 0 12) item in
+  let* prov = array_size (oneofl [ 0; List.length items ]) prov
+  and* outcome = oneofl Refill.Stream.[ Complete; Incomplete ]
+  and* cause = oneofl Logsys.Cause.all in
+  let stats =
+    { Refill.Engine.emitted_logged = 0; emitted_inferred = 0; skipped = 0 }
+  in
+  return
+    ({ flow = { origin; seq; items; stats; prov }; outcome; cause }
+      : Refill.Stream.emitted)
+
+let renderer_matches_oracle =
+  QCheck.Test.make ~name:"flow lines equal the Printf renderer" ~count:2000
+    (QCheck.make ~print:Oracle.line gen_emitted)
+    (fun e ->
+      Serve.Emit.line e = Oracle.line e
+      && Refill.Flow.to_string e.flow = Oracle.to_string e.flow
+      && List.for_all
+           (fun i -> Refill.Flow.item_to_string i = Oracle.item_to_string i)
+           e.flow.items
+      && Serve.Emit.prov_line e.flow = Oracle.prov_line e.flow)
+
+(* [emit_to Emit.null] renders nothing, so a pass without a sink (say
+   [reconstruct --stream] with no [--emit-file]) formats no line only to
+   drop it.  Rendering a line allocates at least its buffer and string,
+   well over one word per flow. *)
+let null_sink_renders_nothing () =
+  let flows =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:500 gen_emitted
+  in
+  let emit = Serve.Emit.emit_to Serve.Emit.null in
+  let before = Gc.minor_words () in
+  List.iter emit flows;
+  let words = Gc.minor_words () -. before in
+  if words >= float_of_int (List.length flows) then
+    Alcotest.failf "%.0f minor words for %d flows into Emit.null" words
+      (List.length flows)
+
 let () =
   Alcotest.run "serve"
     [
@@ -685,5 +829,11 @@ let () =
             http_port_reusable_after_stop;
           Alcotest.test_case "emit port reusable after close" `Quick
             emit_port_reusable_after_close;
+        ] );
+      ( "render",
+        [
+          QCheck_alcotest.to_alcotest renderer_matches_oracle;
+          Alcotest.test_case "a null sink renders nothing" `Quick
+            null_sink_renders_nothing;
         ] );
     ]

@@ -203,56 +203,85 @@ let lossy_divergence_is_flagged =
                 parts)
         (batch_flows collected))
 
+(* Every emitted flow, late fragments and end-of-input flushes included,
+   carries the cause its classification gives, at one shard and at three
+   (where shards 1 and 2 classify on their worker domains). *)
+let emitted_cause_is_classified =
+  QCheck.Test.make ~name:"emitted cause is the flow's classification"
+    ~count:6
+    QCheck.(pair (int_range 0 1000) (int_range 1 10_000))
+    (fun (loss_milli, seed) ->
+      let collected = lossy_collected (float_of_int loss_milli /. 2000.) seed in
+      List.for_all
+        (fun shards ->
+          let emitted, _ =
+            stream_all ~watermark:150 ~shards ~chunk:97 collected
+          in
+          List.for_all
+            (fun (e : Refill.Stream.emitted) ->
+              e.cause = (Refill.Classify.classify e.flow).cause)
+            emitted)
+        [ 1; 3 ])
+
 (* -- Checkpoint / resume -------------------------------------------------- *)
 
 let with_temp_file f =
   let path = Filename.temp_file "refill-stream" ".ckpt" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
+(* The lossy trace under a 150 watermark, and the lossless one under an
+   unbounded watermark: that frontier keeps every record, so its late
+   checkpoints outgrow the writer's 64 KiB buffer and go out in pieces. *)
 let checkpoint_resume_identical () =
-  let collected = lossy_collected 0.25 42 in
-  let ordered = Logsys.Collected.merged_by_time collected in
-  let n = Array.length ordered in
-  let config = test_config ~watermark:150 () in
-  let run_split cut =
-    with_temp_file @@ fun path ->
-    let acc = ref [] in
-    let t1 =
-      Refill.Stream.create ~config ~sink:(sink ()) ~emit:(fun e ->
-          acc := e :: !acc)
-        ()
+  let largest = ref 0 in
+  let resume_identical collected watermark =
+    let ordered = Logsys.Collected.merged_by_time collected in
+    let n = Array.length ordered in
+    let config = test_config ~watermark () in
+    let run_split cut =
+      with_temp_file @@ fun path ->
+      let acc = ref [] in
+      let t1 =
+        Refill.Stream.create ~config ~sink:(sink ()) ~emit:(fun e ->
+            acc := e :: !acc)
+          ()
+      in
+      Refill.Stream.feed t1 (Array.sub ordered 0 cut);
+      (match Refill.Stream.checkpoint_file t1 path with
+      | Ok () -> largest := max !largest (Unix.stat path).st_size
+      | Error e -> Alcotest.failf "checkpoint: %s" (Refill.Error.message e));
+      (* The abandoned first stream must not influence the resumed one. *)
+      let t2 =
+        match
+          Refill.Stream.resume_file ~config path ~sink:(sink ())
+            ~emit:(fun e -> acc := e :: !acc)
+        with
+        | Ok t -> t
+        | Error e -> Alcotest.failf "resume: %s" (Refill.Error.message e)
+      in
+      Alcotest.(check int) "resume position" cut (Refill.Stream.processed t2);
+      Refill.Stream.feed t2 (Array.sub ordered cut (n - cut));
+      let s = Refill.Stream.finish t2 in
+      (List.rev !acc, s)
     in
-    Refill.Stream.feed t1 (Array.sub ordered 0 cut);
-    (match Refill.Stream.checkpoint_file t1 path with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "checkpoint: %s" (Refill.Error.message e));
-    (* The abandoned first stream must not influence the resumed one. *)
-    let t2 =
-      match
-        Refill.Stream.resume_file ~config path ~sink:(sink ())
-          ~emit:(fun e -> acc := e :: !acc)
-      with
-      | Ok t -> t
-      | Error e -> Alcotest.failf "resume: %s" (Refill.Error.message e)
-    in
-    Alcotest.(check int) "resume position" cut (Refill.Stream.processed t2);
-    Refill.Stream.feed t2 (Array.sub ordered cut (n - cut));
-    let s = Refill.Stream.finish t2 in
-    (List.rev !acc, s)
+    let direct, sd = stream_all ~watermark ~chunk:max_int collected in
+    List.iter
+      (fun cut ->
+        let resumed, sr = run_split cut in
+        Alcotest.(check bool)
+          (Printf.sprintf "emissions at cut %d" cut)
+          true
+          (emission_sigs resumed = emission_sigs direct);
+        Alcotest.(check bool)
+          (Printf.sprintf "summary at cut %d" cut)
+          true
+          ({ sr with segments = sd.segments } = sd))
+      [ 1; n / 3; n / 2; n - 1 ]
   in
-  let direct, sd = stream_all ~watermark:150 ~chunk:max_int collected in
-  List.iter
-    (fun cut ->
-      let resumed, sr = run_split cut in
-      Alcotest.(check bool)
-        (Printf.sprintf "emissions at cut %d" cut)
-        true
-        (emission_sigs resumed = emission_sigs direct);
-      Alcotest.(check bool)
-        (Printf.sprintf "summary at cut %d" cut)
-        true
-        ({ sr with segments = sd.segments } = sd))
-    [ 1; n / 3; n / 2; n - 1 ]
+  resume_identical (lossy_collected 0.25 42) 150;
+  resume_identical (Lazy.force lossless) (max_int / 2);
+  if !largest <= 65536 then
+    Alcotest.failf "largest checkpoint %d bytes, within one buffer" !largest
 
 (* Checkpoints cut anywhere — including mid-segment — resume into any
    shard count (N -> N, N -> 1, 1 -> N, N -> M) with byte-identical
@@ -807,6 +836,7 @@ let () =
           QCheck_alcotest.to_alcotest lossy_divergence_is_flagged;
           QCheck_alcotest.to_alcotest sharded_identical_lossless;
           QCheck_alcotest.to_alcotest sharded_identical_lossy;
+          QCheck_alcotest.to_alcotest emitted_cause_is_classified;
         ] );
       ( "checkpoint",
         [
