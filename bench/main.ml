@@ -31,7 +31,7 @@ let merge_flows collected ~flows =
   let acc = ref [] in
   let stats =
     Refill.Global_flow.merge collected ~flows:(Array.of_list flows)
-      ~emit:(fun it -> acc := it :: !acc)
+      ~emit:(fun { flow; pos } -> acc := Refill.Flow.item flow pos :: !acc)
   in
   (List.rev !acc, stats)
 

@@ -110,27 +110,32 @@ let with_metrics_flush opts f =
       dump_metrics_guarded ();
       raise e
 
+(* The first line of a regular file; [None] for anything else (a FIFO or
+   a terminal would block) or an unreadable file. *)
+let first_line path =
+  if
+    path <> "-"
+    && try (Unix.stat path).st_kind = S_REG with Unix.Unix_error _ -> false
+  then
+    try In_channel.with_open_bin path In_channel.input_line
+    with Sys_error _ -> None
+  else None
+
+let is_dump path = first_line path = Some "# refill-log v1"
+
 (* An optional-value flag takes the next word as its FILE, so
    `--provenance a.txt b.txt` names the dump a.txt as the report file:
-   refuse to write over a dump or a checkpoint.  Only a regular file is
-   read (a FIFO or a terminal would block). *)
+   refuse to write over a dump or a checkpoint. *)
 let clobbers_input (flag, dest) =
-  match dest with
-  | Some path
-    when path <> "-"
-         && (try (Unix.stat path).st_kind = S_REG
-             with Unix.Unix_error _ -> false)
-    -> (
-      match In_channel.with_open_bin path In_channel.input_line with
-      | Some l
-        when l = "# refill-log v1"
-             || String.starts_with ~prefix:"# refill-stream-ckpt" l ->
-          Some
-            (Printf.sprintf
-               "%s: a refill dump or checkpoint, not overwritten by %s (name \
-                the report with %s=FILE, or put a bare %s after LOGFILE)"
-               path flag flag flag)
-      | _ | (exception Sys_error _) -> None)
+  match Option.bind dest first_line with
+  | Some l
+    when l = "# refill-log v1"
+         || String.starts_with ~prefix:"# refill-stream-ckpt" l ->
+      Some
+        (Printf.sprintf
+           "%s: a refill dump or checkpoint, not overwritten by %s (name the \
+            report with %s=FILE, or put a bare %s after LOGFILE)"
+           (Option.get dest) flag flag flag)
   | _ -> None
 
 (* Install the requested log level and trace sink, run the command body
@@ -185,6 +190,44 @@ let provenance_arg =
     value
     & opt ~vopt:(Some "") (some string) None
     & info [ "provenance" ] ~docv:"FILE" ~doc)
+
+(* LOGFILE, the one positional of every command that reads a dump.  An
+   optional-value flag right before it takes it as its FILE, so
+   `analyze --provenance logs.txt` would have no LOGFILE: when LOGFILE is
+   missing and [--provenance]'s or [--metrics]' value is a dump, that
+   value is LOGFILE and the flag is bare.  Truly missing is cmdliner's
+   usage error (exit 124). *)
+let logfile_arg =
+  Arg.(
+    value
+    & pos 0 (some string) None
+    & info [] ~docv:"LOGFILE" ~doc:"Log dump produced by `refill simulate`.")
+
+let recover_logfile obs provenance input =
+  match input with
+  | Some path -> `Ok (obs, provenance, path)
+  | None -> (
+      match provenance with
+      | Some p when is_dump p -> `Ok (obs, Some "", p)
+      | _ -> (
+          match obs.metrics with
+          | Some m when is_dump m ->
+              `Ok ({ obs with metrics = Some "-" }, provenance, m)
+          | _ -> `Error (true, "required argument LOGFILE is missing")))
+
+(* Observability options, [--provenance] and LOGFILE, resolved together. *)
+let obs_provenance_logfile =
+  Term.(ret (const recover_logfile $ obs_opts_term $ provenance_arg $ logfile_arg))
+
+(* Observability options and LOGFILE, for commands without [--provenance]. *)
+let obs_logfile =
+  Term.(
+    ret
+      (const (fun obs input ->
+           match recover_logfile obs None input with
+           | `Ok (obs, _, path) -> `Ok (obs, path)
+           | `Error e -> `Error e)
+      $ obs_opts_term $ logfile_arg))
 
 let write_quality dest q =
   match dest with
@@ -432,7 +475,7 @@ let run_batch (config : Refill.Config.t) ~global_flow ~quality
   print_packet_summary !summary;
   if global_flow then
     print_global_flow_stats
-      (Refill.Global_flow.merge_from ?jobs:config.jobs
+      (Refill.Global_flow.merge_from
          (Refill.Global_flow.Arena_index packets)
          ~flows:(Array.of_list (List.rev !flows_rev))
          ~emit:ignore)
@@ -468,7 +511,7 @@ let print_breakdown verdicts ~sink ~total_label =
             (if s > 0 then Printf.sprintf "  [%d at sink]" s else ""))
     (Logsys.Cause.loss_causes @ [ Logsys.Cause.Unknown ])
 
-let analyze obs mk_config global_flow provenance input =
+let analyze (obs, provenance, input) mk_config global_flow =
   with_observability obs ~outputs:[ ("--provenance", provenance) ]
   @@ fun () ->
   match mk_config ~provenance:(provenance <> None) with
@@ -525,12 +568,6 @@ let analyze obs mk_config global_flow provenance input =
       0)
 
 let analyze_cmd =
-  let input =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"LOGFILE" ~doc:"Log dump produced by `refill simulate`.")
-  in
   let global_flow =
     Arg.(
       value & flag
@@ -543,8 +580,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc)
     Term.(
-      const analyze $ obs_opts_term $ config_term $ global_flow
-      $ provenance_arg $ input)
+      const analyze $ obs_provenance_logfile $ config_term $ global_flow)
 
 (* -- reconstruct -------------------------------------------------------------- *)
 
@@ -664,8 +700,8 @@ let reconstruct_stream (config : Refill.Config.t) ~global_flow ~quality
                   Option.iter
                     (fun g ->
                       print_global_flow_stats
-                        (Refill.Global_flow.Incremental.finish
-                           ?jobs:config.jobs g ~emit:ignore))
+                        (Refill.Global_flow.Incremental.finish g
+                           ~emit:ignore))
                     inc
                 end
                 else begin
@@ -684,8 +720,8 @@ let reconstruct_stream (config : Refill.Config.t) ~global_flow ~quality
   | _ -> ());
   code
 
-let reconstruct obs mk_config stream checkpoint finish emit_file global_flow
-    quality input =
+let reconstruct (obs, quality, input) mk_config stream checkpoint finish
+    emit_file global_flow =
   with_observability obs ~outputs:[ ("--provenance", quality) ]
   @@ fun () ->
   match mk_config ~provenance:(quality <> None) with
@@ -716,12 +752,6 @@ let reconstruct obs mk_config stream checkpoint finish emit_file global_flow
       else reconstruct_batch config ~global_flow ~quality input
 
 let reconstruct_cmd =
-  let input =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"LOGFILE" ~doc:"Log dump produced by `refill simulate`.")
-  in
   let stream =
     Arg.(
       value & flag
@@ -789,12 +819,12 @@ let reconstruct_cmd =
   Cmd.v
     (Cmd.info "reconstruct" ~doc ~man)
     Term.(
-      const reconstruct $ obs_opts_term $ config_term $ stream $ checkpoint
-      $ finish $ emit_file $ global_flow $ provenance_arg $ input)
+      const reconstruct $ obs_provenance_logfile $ config_term $ stream
+      $ checkpoint $ finish $ emit_file $ global_flow)
 
 (* -- trace -------------------------------------------------------------------- *)
 
-let trace obs input origin seq =
+let trace (obs, input) origin seq =
   with_observability obs @@ fun () ->
   match load_dump ~truth:true input with
   | Error e -> err_exit e
@@ -845,12 +875,6 @@ let trace obs input origin seq =
       end
 
 let trace_cmd =
-  let input =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"LOGFILE" ~doc:"Log dump produced by `refill simulate`.")
-  in
   let origin =
     Arg.(
       required
@@ -866,7 +890,7 @@ let trace_cmd =
   let doc = "Print one packet's reconstructed event flow." in
   Cmd.v
     (Cmd.info "trace" ~doc)
-    Term.(const trace $ obs_opts_term $ input $ origin $ seq)
+    Term.(const trace $ obs_logfile $ origin $ seq)
 
 (* -- explain ------------------------------------------------------------------- *)
 
@@ -923,7 +947,7 @@ let explain_json ~origin ~seq ~records (flow : Refill.Flow.t) =
       ("origin", num origin);
       ("seq", num seq);
       ("cause", J.Str (Logsys.Cause.name v.cause));
-      ("events", J.Arr (List.mapi event_json flow.items));
+      ("events", J.Arr (List.mapi event_json (Refill.Flow.items flow)));
     ]
 
 let explain_text ~origin ~seq ~records (flow : Refill.Flow.t) =
@@ -942,7 +966,7 @@ let explain_text ~origin ~seq ~records (flow : Refill.Flow.t) =
             Printf.printf "         evidence[%d] = %s\n" idx
               (Logsys.Record.to_string records.(idx)))
         (Refill.Provenance.evidence pv))
-    flow.items;
+    (Refill.Flow.items flow);
   let v = Refill.Classify.classify flow in
   Printf.printf "cause: %s%s\n"
     (Logsys.Cause.name v.cause)
@@ -950,7 +974,7 @@ let explain_text ~origin ~seq ~records (flow : Refill.Flow.t) =
     | Some n -> Printf.sprintf " at node %d" n
     | None -> "")
 
-let explain obs json input origin seq =
+let explain (obs, input) json origin seq =
   with_observability obs @@ fun () ->
   match load_dump input with
   | Error e -> err_exit e
@@ -991,12 +1015,6 @@ let explain obs json input origin seq =
           end)
 
 let explain_cmd =
-  let input =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"LOGFILE" ~doc:"Log dump produced by `refill simulate`.")
-  in
   let origin =
     Arg.(
       value
@@ -1031,7 +1049,7 @@ let explain_cmd =
     ]
   in
   Cmd.v (Cmd.info "explain" ~doc ~man)
-    Term.(const explain $ obs_opts_term $ json $ input $ origin $ seq)
+    Term.(const explain $ obs_logfile $ json $ origin $ seq)
 
 (* -- figures ------------------------------------------------------------------- *)
 
@@ -1371,7 +1389,7 @@ let serve_cmd =
       $ checkpoint $ checkpoint_interval $ emit_file $ emit_socket
       $ read_timeout $ max_frame $ sink)
 
-let feed obs port chunk pipelined input =
+let feed (obs, input) port chunk pipelined =
   with_observability obs @@ fun () ->
   (* Retry briefly so `serve ... & feed ...` scripts need no sleep. *)
   let rec connect tries =
@@ -1427,12 +1445,6 @@ let feed obs port chunk pipelined input =
             err_exit (Refill.Error.Malformed { source = input; message }))
 
 let feed_cmd =
-  let input =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"LOGFILE" ~doc:"Log dump produced by `refill simulate`.")
-  in
   let port =
     Arg.(
       value & opt int 7733
@@ -1454,7 +1466,7 @@ let feed_cmd =
   let doc = "Feed a log dump to a running `refill serve` over TCP." in
   Cmd.v
     (Cmd.info "feed" ~doc)
-    Term.(const feed $ obs_opts_term $ port $ chunk $ pipelined $ input)
+    Term.(const feed $ obs_logfile $ port $ chunk $ pipelined)
 
 (* -- main ---------------------------------------------------------------------- *)
 

@@ -82,7 +82,7 @@ let () =
           ~emit:(fun it -> acc := it :: !acc)
       in
       let items = List.rev !acc in
-      let flow = { Refill.Flow.origin; seq; items; stats; prov = [||] } in
+      let flow = Refill.Flow.of_items ~origin ~seq ~stats items in
       Printf.printf
         "-- everything destroyed except one ack record (%s) --\n"
         (Logsys.Record.to_string ack);

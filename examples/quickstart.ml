@@ -40,14 +40,14 @@ let () =
       ~emit:(fun it -> acc := it :: !acc)
   in
   let items = List.rev !acc in
-  let flow = { Refill.Flow.origin = 1; seq = 0; items; stats; prov = [||] } in
+  let flow = Refill.Flow.of_items ~origin:1 ~seq:0 ~stats items in
 
   Printf.printf "surviving records : %s\n"
     (String.concat ", " (List.map Logsys.Record.to_string surviving_records));
   Printf.printf "reconstructed flow: %s\n" (Refill.Flow.to_string flow);
   Printf.printf "inferred events   : %d of %d\n"
     stats.emitted_inferred
-    (List.length flow.items);
+    (Refill.Flow.length flow);
   Printf.printf "packet path       : %s\n"
     (String.concat " -> "
        (List.map string_of_int (Refill.Flow.nodes_visited flow)));

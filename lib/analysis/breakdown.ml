@@ -122,9 +122,3 @@ let rows t =
     ("overflow", 100. *. t.overflow);
     ("unknown", 100. *. t.unknown);
   ]
-
-let pp ppf t =
-  Format.fprintf ppf "losses=%d" t.total_losses;
-  List.iter
-    (fun (name, v) -> Format.fprintf ppf " %s=%.1f%%" name v)
-    (rows t)

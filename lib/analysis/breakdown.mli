@@ -34,4 +34,3 @@ val paper : t
 val rows : t -> (string * float) list
 (** Percentage rows in display order, values in [\[0,100\]]. *)
 
-val pp : Format.formatter -> t -> unit

@@ -42,6 +42,3 @@ let per_day (pipeline : Pipeline.t) =
 let losses_per_day pipeline =
   let rows = per_day pipeline in
   Array.of_list (List.map (fun r -> r.total_losses) rows)
-
-let share row cause =
-  Option.value ~default:0. (List.assoc_opt cause row.shares)

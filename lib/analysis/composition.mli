@@ -23,4 +23,3 @@ val per_day : Pipeline.t -> day_row list
 val losses_per_day : Pipeline.t -> int array
 (** Daily loss counts (for the snow-spike and post-fix-drop checks). *)
 
-val share : day_row -> Logsys.Cause.t -> float

@@ -51,7 +51,7 @@ let run_table2_case records =
       (Refill.Engine.Events (Array.of_list events))
       ~emit:(fun it -> acc := it :: !acc)
   in
-  { Refill.Flow.origin = 1; seq = 0; items = List.rev !acc; stats; prov = [||] }
+  Refill.Flow.of_items ~origin:1 ~seq:0 ~stats (List.rev !acc)
 
 let table2 () =
   let buf = Buffer.create 2048 in

@@ -154,7 +154,7 @@ let flow_quality ~ground_truth ~flows =
             List.filter_map
               (fun (i : Refill.Flow.item) ->
                 Option.map key_of_record i.payload)
-              f.items
+              (Refill.Flow.items f)
           in
           let pairs = match_sequences recon_keys true_keys in
           let matched = List.length pairs in

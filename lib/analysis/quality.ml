@@ -141,7 +141,7 @@ let add acc (f : Refill.Flow.t) =
               l_inferred = (ls.l_inferred + if it.inferred then 1 else 0);
             }
       | Some _ | None -> ())
-    f.items;
+    (Refill.Flow.items f);
   let complete =
     (Refill.Classify.classify f).cause <> Logsys.Cause.Unknown
   in

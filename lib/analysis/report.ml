@@ -57,5 +57,3 @@ let to_string t =
   p "daily losses: %s"
     (Prelude.Ascii_chart.sparkline (Array.map float_of_int t.daily_losses));
   Buffer.contents buf
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

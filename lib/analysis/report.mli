@@ -23,4 +23,3 @@ val build : Pipeline.t -> t
 val to_string : t -> string
 (** Multi-line operator-facing report. *)
 
-val pp : Format.formatter -> t -> unit

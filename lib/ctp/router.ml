@@ -112,12 +112,6 @@ let on_data_tx_outcome t ~to_ ~acked =
 
 let neighbor_count t = Hashtbl.length t.table
 
-let neighbors t =
-  Hashtbl.fold
-    (fun id nb acc -> (id, Estimator.etx nb.estimator, nb.advertised_etx) :: acc)
-    t.table []
-  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-
 let link_etx t id =
   Option.map (fun nb -> Estimator.etx nb.estimator) (Hashtbl.find_opt t.table id)
 

@@ -51,10 +51,6 @@ val on_data_tx_outcome :
 
 val neighbor_count : t -> int
 
-val neighbors : t -> (Net.Packet.node_id * float * float) list
-(** [(neighbor, link_etx, advertised_path_etx)] rows of the routing table
-    (diagnostics and tests). *)
-
 val link_etx : t -> Net.Packet.node_id -> float option
 
 val reset : t -> unit

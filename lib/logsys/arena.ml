@@ -137,20 +137,20 @@ let get t i : Record.t =
     gseq = Bigarray.Array1.unsafe_get t.gseqs i;
   }
 
-(* Column-indexed [Record.equal] — no materialization.  Mirrors
-   [Record.equal] field by field, including NaN = NaN on [true_time]. *)
-let equal_record t i (r : Record.t) =
-  Bigarray.Array1.get t.nodes i = r.node
-  && Bigarray.Array1.unsafe_get t.origins i = r.origin
-  && Bigarray.Array1.unsafe_get t.seqs i = r.pkt_seq
-  && Bigarray.Array1.unsafe_get t.gseqs i = r.gseq
-  && (let ta = Bigarray.Array1.unsafe_get t.times i in
-      ta = r.true_time || (Float.is_nan ta && Float.is_nan r.true_time))
-  && Bigarray.Array1.unsafe_get t.tags i = Codec.tag_of_kind r.kind
+(* Two rows hold the same record: [Record.equal] on their materialized
+   records, read column by column. *)
+let equal_rows t i j =
+  let int_eq (col : icol) =
+    Bigarray.Array1.get col i = Bigarray.Array1.get col j
+  in
+  int_eq t.gseqs && int_eq t.nodes && int_eq t.origins && int_eq t.seqs
+  && (let ta = Bigarray.Array1.get t.times i
+      and tb = Bigarray.Array1.get t.times j in
+      ta = tb || (Float.is_nan ta && Float.is_nan tb))
+  && int_eq t.tags
   &&
   let tg = Bigarray.Array1.unsafe_get t.tags i in
-  tg < 1 || tg > 6
-  || Some (Bigarray.Array1.unsafe_get t.peers i) = Codec.peer_of_kind r.kind
+  tg < 1 || tg > 6 || int_eq t.peers
 
 let of_records records =
   let t = create ~capacity:(max 16 (Array.length records)) () in

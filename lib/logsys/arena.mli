@@ -10,7 +10,7 @@
     byte-identical output.
 
     API rule of thumb: hot loops index columns ({!node}, {!tag}, …, or
-    {!equal_record}); anything that stores or prints an event
+    {!equal_rows}); anything that stores or prints an event
     materializes it once via {!get}.  Kind tags are the stable
     {!Codec.tag_of_kind} values. *)
 
@@ -53,8 +53,8 @@ val get : t -> int -> Record.t
     record the row was built from.  @raise Invalid_argument out of
     bounds. *)
 
-val equal_record : t -> int -> Record.t -> bool
-(** [equal_record t i r] = [Record.equal (get t i) r], without
+val equal_rows : t -> int -> int -> bool
+(** [equal_rows t i j] = [Record.equal (get t i) (get t j)], without
     materializing (NaN times compare equal, like [Record.equal]). *)
 
 val push : t -> Record.t -> unit

@@ -35,8 +35,6 @@ let of_name s = List.find_opt (fun c -> name c = s) all
 let loss_causes =
   List.filter (function Delivered | Unknown -> false | _ -> true) all
 
-let pp ppf t = Format.pp_print_string ppf (name t)
-
 let equal a b = a = b
 
 let compare a b = Stdlib.compare a b

@@ -31,8 +31,6 @@ val name : t -> string
 
 val of_name : string -> t option
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool
 
 val compare : t -> t -> int

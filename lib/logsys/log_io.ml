@@ -11,20 +11,10 @@ let kind_of_fields name peer : Record.kind =
   | Some tag when peerless tag = (peer = None) -> Codec.kind_of_tag tag peer
   | _ -> failwith (Printf.sprintf "Log_io: malformed kind %S" name)
 
-let peer_str = function None -> "-" | Some p -> string_of_int p
-
 let peer_of_str = function "-" -> None | s -> Some (int_of_string s)
 
-let record_to_line (r : Record.t) =
-  Printf.sprintf "r %d %s %s %d %d %.6f %d" r.node (Record.kind_name r.kind)
-    (peer_str (Codec.peer_of_kind r.kind))
-    r.origin r.pkt_seq r.true_time r.gseq
-
-(* Hex-float time field: %.6f loses bits, and a streaming checkpoint must
-   round-trip records byte-exactly.  [float_of_string] in [record_of_line]
-   accepts both forms (and "nan"), so exact lines load like ordinary
-   ones. *)
-let add_record_line_exact b (r : Record.t) =
+(* One record line up to its time field, which [add_time] writes. *)
+let add_record_line ~add_time b (r : Record.t) =
   Buffer.add_char b 'r';
   Prelude.Decimal.add_field b r.node;
   Buffer.add_char b ' ';
@@ -34,13 +24,25 @@ let add_record_line_exact b (r : Record.t) =
   | Some p -> Prelude.Decimal.add_field b p);
   Prelude.Decimal.add_field b r.origin;
   Prelude.Decimal.add_field b r.pkt_seq;
-  Printf.bprintf b " %h" r.true_time;
+  Buffer.add_char b ' ';
+  add_time b r.true_time;
   Prelude.Decimal.add_field b r.gseq
 
-let record_to_line_exact r =
+let render add x =
   let b = Buffer.create 64 in
-  add_record_line_exact b r;
+  add b x;
   Buffer.contents b
+
+let record_to_line = render (add_record_line ~add_time:Prelude.Decimal.add_fixed6)
+
+(* Hex-float time field: %.6f loses bits, and a streaming checkpoint must
+   round-trip records byte-exactly.  [float_of_string] in [record_of_line]
+   accepts both forms (and "nan"), so exact lines load like ordinary
+   ones. *)
+let add_record_line_exact =
+  add_record_line ~add_time:(fun b t -> Printf.bprintf b "%h" t)
+
+let record_to_line_exact = render add_record_line_exact
 
 let record_of_line line =
   match String.split_on_char ' ' line with
@@ -56,35 +58,62 @@ let record_of_line line =
         : Record.t)
   | _ -> failwith (Printf.sprintf "Log_io: malformed record line %S" line)
 
-let fate_to_line origin seq (fate : Truth.fate) =
-  Printf.sprintf "t %d %d %s %s %.6f %.6f %s" origin seq
-    (Cause.name fate.cause)
-    (peer_str fate.loss_node)
-    fate.generated_at fate.resolved_at
-    (String.concat "," (List.map string_of_int fate.path))
+let add_fate_line b origin seq (fate : Truth.fate) =
+  Buffer.add_char b 't';
+  Prelude.Decimal.add_field b origin;
+  Prelude.Decimal.add_field b seq;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (Cause.name fate.cause);
+  (match fate.loss_node with
+  | None -> Buffer.add_string b " -"
+  | Some n -> Prelude.Decimal.add_field b n);
+  Buffer.add_char b ' ';
+  Prelude.Decimal.add_fixed6 b fate.generated_at;
+  Buffer.add_char b ' ';
+  Prelude.Decimal.add_fixed6 b fate.resolved_at;
+  Buffer.add_char b ' ';
+  List.iteri
+    (fun i n ->
+      if i > 0 then Buffer.add_char b ',';
+      Prelude.Decimal.add_int b n)
+    fate.path
 
+(* Every line goes through one buffer, handed to the channel at each
+   64 KiB. *)
 let save oc ~sink ?truth ?(time_order = false) collected =
-  Printf.fprintf oc "# refill-log v1\n";
-  Printf.fprintf oc "# nodes %d\n" (Collected.n_nodes collected);
-  Printf.fprintf oc "# sink %d\n" sink;
+  let b = Buffer.create 65536 in
+  let end_line () =
+    Buffer.add_char b '\n';
+    if Buffer.length b >= 65536 then begin
+      Buffer.output_buffer oc b;
+      Buffer.clear b
+    end
+  in
+  let record r =
+    add_record_line ~add_time:Prelude.Decimal.add_fixed6 b r;
+    end_line ()
+  in
+  Buffer.add_string b "# refill-log v1\n# nodes";
+  Prelude.Decimal.add_field b (Collected.n_nodes collected);
+  Buffer.add_string b "\n# sink";
+  Prelude.Decimal.add_field b sink;
+  end_line ();
   if time_order then
     (* Arrival-order dump: what a sink collecting in real time would see.
        Streaming readers want this order — node-major order forces the
        frontier to hold nearly the whole trace. *)
-    Array.iter
-      (fun r -> output_string oc (record_to_line r ^ "\n"))
-      (Collected.merged_by_time collected)
+    Array.iter record (Collected.merged_by_time collected)
   else
     for node = 0 to Collected.n_nodes collected - 1 do
-      Array.iter
-        (fun r -> output_string oc (record_to_line r ^ "\n"))
-        (Collected.node_log collected node)
+      Array.iter record (Collected.node_log collected node)
     done;
-  match truth with
-  | None -> ()
-  | Some t ->
+  Option.iter
+    (fun t ->
       Truth.iter t (fun (origin, seq) fate ->
-          output_string oc (fate_to_line origin seq fate ^ "\n"))
+          add_fate_line b origin seq fate;
+          end_line ()))
+    truth;
+  Buffer.output_buffer oc b
 
 let save_file path ~sink ?truth ?time_order collected =
   let oc = open_out path in

@@ -2,10 +2,6 @@ type node_id = int
 
 type t = { id : int; origin : node_id; seq : int; created_at : float }
 
-let pp ppf p =
-  Format.fprintf ppf "pkt#%d(origin=%d,seq=%d,t=%.2f)" p.id p.origin p.seq
-    p.created_at
-
 let compare a b = Int.compare a.id b.id
 
 let equal a b = a.id = b.id

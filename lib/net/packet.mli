@@ -14,8 +14,6 @@ type t = {
   created_at : float;  (** Simulated generation time. *)
 }
 
-val pp : Format.formatter -> t -> unit
-
 val compare : t -> t -> int
 (** Orders by [id]. *)
 

@@ -6,22 +6,16 @@ let set_level l = current := l
 
 let level () = !current
 
-let ppf = ref Format.err_formatter
-
-let set_formatter f = ppf := f
-
-let err_ppf = ref Format.err_formatter
-
-let set_error_formatter f = err_ppf := f
+let ppf = Format.err_formatter
 
 let info fmt =
   match !current with
-  | Info | Debug -> Format.fprintf !ppf (fmt ^^ "@.")
-  | Quiet -> Format.ifprintf !ppf (fmt ^^ "@.")
+  | Info | Debug -> Format.fprintf ppf (fmt ^^ "@.")
+  | Quiet -> Format.ifprintf ppf (fmt ^^ "@.")
 
 let debug fmt =
   match !current with
-  | Debug -> Format.fprintf !ppf ("debug: " ^^ fmt ^^ "@.")
-  | Info | Quiet -> Format.ifprintf !ppf ("debug: " ^^ fmt ^^ "@.")
+  | Debug -> Format.fprintf ppf ("debug: " ^^ fmt ^^ "@.")
+  | Info | Quiet -> Format.ifprintf ppf ("debug: " ^^ fmt ^^ "@.")
 
-let error fmt = Format.fprintf !err_ppf ("refill: " ^^ fmt ^^ "@.")
+let error fmt = Format.fprintf ppf ("refill: " ^^ fmt ^^ "@.")

@@ -9,11 +9,6 @@ val set_level : level -> unit
 
 val level : unit -> level
 
-val set_formatter : Format.formatter -> unit
-(** Redirect [info]/[debug] output (tests). *)
-
-val set_error_formatter : Format.formatter -> unit
-
 val info : ('a, Format.formatter, unit) format -> 'a
 (** Progress messages; shown at [Info] and [Debug]. *)
 

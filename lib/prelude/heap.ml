@@ -75,10 +75,6 @@ let pop t =
     Some (e.priority, e.value)
   end
 
-let clear t =
-  t.size <- 0;
-  t.data <- [||]
-
 let to_sorted_list t =
   let copy =
     { data = Array.sub t.data 0 t.size; size = t.size; next_seq = t.next_seq }

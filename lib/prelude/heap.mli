@@ -23,7 +23,5 @@ val pop : 'a t -> (float * 'a) option
 val peek : 'a t -> (float * 'a) option
 (** Smallest element without removing it. *)
 
-val clear : 'a t -> unit
-
 val to_sorted_list : 'a t -> (float * 'a) list
 (** Drain a copy of the heap in priority order (the heap is unchanged). *)

@@ -59,13 +59,6 @@ let gaussian t ~mu ~sigma =
   let u1 = nonzero () and u2 = unit_float t in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
-let geometric t ~p =
-  let p = if p <= 0. then 1e-12 else if p > 1. then 1. else p in
-  if p = 1. then 0
-  else
-    let u = 1.0 -. unit_float t in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -46,10 +46,6 @@ val exponential : t -> mean:float -> float
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normally distributed sample (Box–Muller). *)
 
-val geometric : t -> p:float -> int
-(** Number of Bernoulli(p) failures before the first success; [p] clamped to
-    (0, 1]. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

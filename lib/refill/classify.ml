@@ -8,74 +8,51 @@ let no_loss cause = { cause; loss_node = None; next_hop = None }
 
 let at cause node = { cause; loss_node = Some node; next_hop = None }
 
-let peer_of (i : Flow.item) =
-  match i.payload with
-  | Some r -> (
-      match Logsys.Record.peer r with
-      | Some p when p <> Protocol.unknown_node -> Some p
-      | Some _ | None -> None)
-  | None -> None
-
-let find_entered items state =
-  List.find_opt (fun (i : Flow.item) -> i.entered = state) items
-
-(* Index and item of the flow's last [holding] entry: the packet's final
-   holder. *)
-let last_holder items =
-  List.fold_left
-    (fun (idx, best) (i : Flow.item) ->
-      let idx = idx + 1 in
-      if i.entered = Protocol.holding then (idx, Some (idx, i))
-      else (idx, best))
-    (-1, None) items
-  |> snd
-
-(* The holder's state progression after it (re-)took the packet. *)
-let final_state_of items ~node ~from_idx =
-  List.fold_left
-    (fun (idx, state, last) (i : Flow.item) ->
-      let idx = idx + 1 in
-      if idx >= from_idx && i.node = node then (idx, i.entered, Some i)
-      else (idx, state, last))
-    (-1, Protocol.holding, None)
-    items
-  |> fun (_, state, last) -> (state, last)
+(* Everything here reads the flow's packed items by index; nothing builds
+   the item view. *)
+let peer_of flow k =
+  match Flow.peer flow k with
+  | Some p when p <> Protocol.unknown_node -> Some p
+  | Some _ | None -> None
 
 let classify (flow : Flow.t) =
-  let items = flow.items in
-  match find_entered items Protocol.delivered with
-  | Some _ -> no_loss Logsys.Cause.Delivered
-  | None -> (
-      match find_entered items Protocol.dup_dropped with
-      | Some i -> at Logsys.Cause.Duplicate_loss i.node
-      | None -> (
-          match find_entered items Protocol.overflow_dropped with
-          | Some i -> at Logsys.Cause.Overflow_loss i.node
-          | None -> (
-              match last_holder items with
-              | None -> no_loss Logsys.Cause.Unknown
-              | Some (idx, holder_item) -> (
-                  let node = holder_item.node in
-                  let state, last = final_state_of items ~node ~from_idx:idx in
-                  if state = Protocol.holding then
-                    if holder_item.label = Protocol.L_gen then
-                      no_loss Logsys.Cause.Unknown
-                    else if holder_item.inferred then
-                      at Logsys.Cause.Acked_loss node
-                    else at Logsys.Cause.Received_loss node
-                  else if state = Protocol.sent || state = Protocol.timed_out
-                  then
-                    {
-                      cause = Logsys.Cause.Timeout_loss;
-                      loss_node = Some node;
-                      next_hop = Option.bind last peer_of;
-                    }
-                  else if state = Protocol.acked then
-                    (* The ACK was logged but the receiver could not even be
-                       identified; blame the peer when known. *)
-                    match Option.bind last peer_of with
-                    | Some p -> at Logsys.Cause.Acked_loss p
-                    | None -> at Logsys.Cause.Acked_loss node
-                  else no_loss Logsys.Cause.Unknown))))
+  if Flow.find_entered flow Protocol.delivered >= 0 then
+    no_loss Logsys.Cause.Delivered
+  else
+    let k = Flow.find_entered flow Protocol.dup_dropped in
+    if k >= 0 then at Logsys.Cause.Duplicate_loss (Flow.node flow k)
+    else
+      let k = Flow.find_entered flow Protocol.overflow_dropped in
+      if k >= 0 then at Logsys.Cause.Overflow_loss (Flow.node flow k)
+      else
+        (* The flow's last [holding] entry: the packet's final holder. *)
+        let holder = Flow.rfind_entered flow Protocol.holding in
+        if holder < 0 then no_loss Logsys.Cause.Unknown
+        else begin
+          let node = Flow.node flow holder in
+          (* The holder's state progression after it (re-)took the
+             packet ends at its last item, the holder itself at least. *)
+          let last = Flow.rfind_node flow node ~from:holder in
+          let state = Flow.entered flow last in
+          if state = Protocol.holding then
+            if Flow.label flow holder = Protocol.L_gen then
+              no_loss Logsys.Cause.Unknown
+            else if Flow.inferred flow holder then
+              at Logsys.Cause.Acked_loss node
+            else at Logsys.Cause.Received_loss node
+          else if state = Protocol.sent || state = Protocol.timed_out then
+            {
+              cause = Logsys.Cause.Timeout_loss;
+              loss_node = Some node;
+              next_hop = peer_of flow last;
+            }
+          else if state = Protocol.acked then
+            (* The ACK was logged but the receiver could not even be
+               identified; blame the peer when known. *)
+            match peer_of flow last with
+            | Some p -> at Logsys.Cause.Acked_loss p
+            | None -> at Logsys.Cause.Acked_loss node
+          else no_loss Logsys.Cause.Unknown
+        end
 
 let is_delivered flow = (classify flow).cause = Logsys.Cause.Delivered

@@ -136,6 +136,11 @@ type ('label, 'payload) ctx = {
   prov_on : bool;
   mutable provs : Provenance.t array;
   mutable n_provs : int;
+  (* Source side-car, in the same lockstep: per emission, the source
+     index of the input event that fired ([-1] for an inferred one). *)
+  src_on : bool;
+  mutable sources : int array;
+  mutable n_sources : int;
   (* Per event: the index consumers know it by — for packed input, the
      packet's node-scan-order record index the packer permuted it from
      ([||] = identity, the event array position itself). *)
@@ -248,6 +253,16 @@ let emit ctx node label payload ~inferred ~src ~entered ~mech ~ev1 ~ev2 =
     end;
     Array.unsafe_set ctx.provs k pv;
     ctx.n_provs <- k + 1
+  end;
+  if ctx.src_on then begin
+    let k = ctx.n_sources in
+    if k = Array.length ctx.sources then begin
+      let grown = Array.make (max 64 (2 * k)) (-1) in
+      Array.blit ctx.sources 0 grown 0 k;
+      ctx.sources <- grown
+    end;
+    Array.unsafe_set ctx.sources k (if inferred then -1 else ev1);
+    ctx.n_sources <- k + 1
   end;
   if inferred then ctx.n_inferred <- ctx.n_inferred + 1
   else ctx.n_logged <- ctx.n_logged + 1
@@ -416,22 +431,26 @@ let prov_dummy =
    and allocating (then copying out of) a fresh buffer every run is the
    largest fixed cost of provenance-enabled runs on small packets.  The
    scratch lives for the domain's lifetime and grows to the largest packet
-   seen; [prov_out] callees copy out the prefix they need. *)
+   seen; [prov_out] and [src_out] callees copy out the prefix they
+   need. *)
 let prov_scratch_key : Provenance.t array Domain.DLS.key =
   Domain.DLS.new_key (fun () -> [||])
 
-let prov_scratch n =
-  let scratch = Domain.DLS.get prov_scratch_key in
+let src_scratch_key : int array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> [||])
+
+let scratch key dummy n =
+  let scratch = Domain.DLS.get key in
   let need = max 8 (n + (n / 8) + 8) in
   if Array.length scratch >= need then scratch
   else begin
-    let scratch = Array.make need prov_dummy in
-    Domain.DLS.set prov_scratch_key scratch;
+    let scratch = Array.make need dummy in
+    Domain.DLS.set key scratch;
     scratch
   end
 
 let make_ctx config ~use_intra ~labels ~payloads ~ids ~pre_nodes ~pre_states
-    ~emit_item ~prov_on ~srcs ~n =
+    ~emit_item ~prov_on ~src_on ~srcs ~n =
   {
     cfg = config;
     use_intra;
@@ -446,8 +465,11 @@ let make_ctx config ~use_intra ~labels ~payloads ~ids ~pre_nodes ~pre_states
     (* Presized to the input event count plus a few percent: the output is
        the inputs plus the inferred events. *)
     provs =
-      (if prov_on then prov_scratch n else [||]);
+      (if prov_on then scratch prov_scratch_key prov_dummy n else [||]);
     n_provs = 0;
+    src_on;
+    sources = (if src_on then scratch src_scratch_key (-1) n else [||]);
+    n_sources = 0;
     srcs;
     cur_ev = -1;
     n_logged = 0;
@@ -496,38 +518,44 @@ let sweep ctx nodes =
     skipped = ctx.n_skipped;
   }
 
-let finish ?prov_out ctx nodes =
+let finish ?prov_out ?src_out ctx nodes =
   let stats = sweep ctx nodes in
+  (* Persist any growth [emit] did, so the next run on this domain starts
+     with the larger scratch. *)
   (match prov_out with
   | None -> ()
   | Some f ->
       f ctx.provs ctx.n_provs;
-      (* Persist any growth [emit] did, so the next run on this domain
-         starts with the larger scratch. *)
       Domain.DLS.set prov_scratch_key ctx.provs);
+  (match src_out with
+  | None -> ()
+  | Some f ->
+      f ctx.sources ctx.n_sources;
+      Domain.DLS.set src_scratch_key ctx.sources);
   stats
 
-let process ?(use_intra = true) ?prov_out config input ~emit:emit_item =
-  let prov_on = prov_out <> None in
+let process ?(use_intra = true) ?prov_out ?src_out config input
+    ~emit:emit_item =
+  let prov_on = prov_out <> None and src_on = src_out <> None in
   match input with
   | Packed { nodes; labels; ids; payloads; pre_nodes; pre_states; srcs } ->
       let n = Array.length nodes in
       let ctx =
         make_ctx config ~use_intra ~labels ~payloads ~ids ~pre_nodes
-          ~pre_states ~emit_item ~prov_on ~srcs ~n
+          ~pre_states ~emit_item ~prov_on ~src_on ~srcs ~n
       in
       for idx = n - 1 downto 0 do
         let inst = instance ctx nodes.(idx) in
         inst.pending <- idx :: inst.pending
       done;
-      finish ?prov_out ctx nodes
+      finish ?prov_out ?src_out ctx nodes
   | Events arr ->
       let n = Array.length arr in
       if n = 0 then
-        finish ?prov_out
+        finish ?prov_out ?src_out
           (make_ctx config ~use_intra ~labels:[||] ~payloads:[||] ~ids:[||]
-             ~pre_nodes:[||] ~pre_states:[||] ~emit_item ~prov_on ~srcs:[||]
-             ~n:0)
+             ~pre_nodes:[||] ~pre_states:[||] ~emit_item ~prov_on ~src_on
+             ~srcs:[||] ~n:0)
           [||]
       else begin
         let _, l0, p0 = arr.(0) in
@@ -537,7 +565,7 @@ let process ?(use_intra = true) ?prov_out config input ~emit:emit_item =
         let ids = Array.make n (-1) in
         let ctx =
           make_ctx config ~use_intra ~labels ~payloads ~ids ~pre_nodes:[||]
-            ~pre_states:[||] ~emit_item ~prov_on ~srcs:[||] ~n
+            ~pre_states:[||] ~emit_item ~prov_on ~src_on ~srcs:[||] ~n
         in
         (* Per-node pending queues in merged (= local) order, and each
            event's label resolved to its instance FSM's dense id exactly
@@ -552,6 +580,6 @@ let process ?(use_intra = true) ?prov_out config input ~emit:emit_item =
           inst.pending <- idx :: inst.pending;
           ids.(idx) <- Fsm.label_id inst.fsm label
         done;
-        finish ?prov_out ctx nodes
+        finish ?prov_out ?src_out ctx nodes
       end
 

@@ -85,6 +85,7 @@ type ('label, 'payload) input =
 val process :
   ?use_intra:bool ->
   ?prov_out:(Provenance.t array -> int -> unit) ->
+  ?src_out:(int array -> int -> unit) ->
   ('label, 'payload) config ->
   ('label, 'payload) input ->
   emit:(('label, 'payload) item -> unit) ->
@@ -105,6 +106,12 @@ val process :
     per emission; evidence indices are source indices ([srcs]-mapped for
     packed input).  When omitted the engine allocates nothing for
     provenance.
+
+    [src_out buf len], when given, is the same kind of side-car for
+    sources: [buf.(k)] is the source index of the input event the [k]-th
+    emitted item fired ([srcs]-mapped for packed input, like provenance
+    evidence), and [-1] for an inferred item.  This is how a caller
+    points each logged item back at its record without searching.
 
     This is the single entry point: batch callers collect the emissions
     (see {!Reconstruct}), streaming callers forward them downstream without

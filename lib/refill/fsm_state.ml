@@ -1,7 +1,5 @@
 type t = int
 
-let pp ppf s = Format.fprintf ppf "s%d" s
-
 let equal = Int.equal
 
 let compare = Int.compare

@@ -2,8 +2,6 @@
 
 type t = int
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool
 
 val compare : t -> t -> int

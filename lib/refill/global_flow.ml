@@ -1,17 +1,17 @@
 (* The network-wide merge is the pipeline stage that sees every event at
    once (~1.4M items on the 30-day CitySee rung), so its data layout is
    flat and index-based throughout, with no hashing per item or per log
-   row and no allocation per event:
+   row and no allocation per event beyond the handle it emits:
 
-   - items live in one array filled by one pass over the flows; packet
-     identities ([pid]s) are interned once per flow;
+   - items are ids into flat arrays filled by one pass over the flows'
+     packed items; packet identities ([pid]s) are interned once per flow;
    - hard edges (per-packet flow order) are consecutive chains, stored as
      a single-successor array;
-   - the log alignment runs per packet: candidates are bucketed by
-     payload packet in (node, id) order by two counting sorts, and each
-     bucket is merge-walked against that packet's rows of the
-     {!Logsys.Arena.Packets} index; packets touch disjoint rows and ids,
-     so they fan out across domains via {!Par};
+   - the log alignment reads rows: every logged item of a reconstructed
+     flow carries its record's row ({!Flow.row}), so each (packet, node)
+     queue replays the greedy head-of-queue walk against that node's run
+     of the packet's {!Logsys.Arena.Packets} rows with a cursor, comparing
+     rows column by column — nothing is searched for by content;
    - soft edges (cross-packet node-log order) chain each node's matched
      items, one walk over the node logs; every item sits on one node, so
      soft edges are a single-successor array too;
@@ -28,7 +28,9 @@
    receives the same pushes in the same sequence, and the stall heap's
    [(anchor, id)] key reproduces the old linear scan's
    smallest-anchor-then-smallest-id choice.  Both keys are strict total
-   orders, so the pop sequence does not depend on heap internals. *)
+   orders, so the pop sequence does not depend on heap internals.  An
+   item without a row (a hand-built flow) is never matched: it takes a
+   neighbour's anchor, and its provenance says so ([Anchor_carry]). *)
 
 module Obs = Refill_obs
 
@@ -73,23 +75,6 @@ let intern tbl ~origin ~seq =
       let pid = Hashtbl.length tbl in
       Hashtbl.add tbl (origin, seq) pid;
       pid
-
-(* Stable counting sort of [src] into [dst] by [key x] in [0, n_keys);
-   returns the bucket offsets (bucket [k] is [dst.(off.(k)) ..
-   dst.(off.(k + 1) - 1)]). *)
-let counting_sort ~n_keys key src dst =
-  let off = Array.make (n_keys + 1) 0 in
-  Array.iter (fun x -> off.(key x) <- off.(key x) + 1) src;
-  for k = 1 to n_keys do
-    off.(k) <- off.(k) + off.(k - 1)
-  done;
-  for i = Array.length src - 1 downto 0 do
-    let x = src.(i) in
-    let k = key x in
-    off.(k) <- off.(k) - 1;
-    dst.(off.(k)) <- x
-  done;
-  off
 
 (* A binary min-heap of non-negative ints ordered by
    [(key.(e land id_mask), e)]: the element is an item id, optionally with
@@ -145,24 +130,28 @@ end
    index (columns; the alignment never materializes a record). *)
 type log_source = Arena_index of Logsys.Arena.Packets.t
 
-let merge_untimed ?jobs ?emit_prov (Arena_index packets)
-    ~(flows : Flow.t array) ~emit:emit_item =
-  let n =
-    Array.fold_left (fun n (f : Flow.t) -> n + List.length f.items) 0 flows
-  in
+type event = { flow : Flow.t; pos : int }
+
+let no_row = -1
+
+let inferred_row = -2
+
+let merge_untimed ?emit_prov (Arena_index packets) ~(flows : Flow.t array)
+    ~emit:emit_event =
+  let n = Array.fold_left (fun n f -> n + Flow.length f) 0 flows in
   if n = 0 then { events = 0; logged = 0; inferred = 0; relaxed = 0 }
   else begin
-    let dummy =
-      match Array.find_opt (fun (f : Flow.t) -> f.items <> []) flows with
-      | Some f -> List.hd f.items
-      | None -> assert false
-    in
     let module Packets = Logsys.Arena.Packets in
+    let module Arena = Logsys.Arena in
     let n_nodes = Packets.n_nodes packets in
     let arena = Packets.arena packets in
-    let items = Array.make n dummy in
+    let n_rows = Arena.length arena in
+    let flow_of = Array.make n 0 in
     let packet_of = Array.make n 0 in
     let pos_of = Array.make n 0 in
+    (* Per item: its row; [no_row] for a logged item without a valid one,
+       [inferred_row] for an inferred item. *)
+    let row_of = Array.make n inferred_row in
     let hard_succ = Array.make n (-1) in
     let hard_in = Array.make n 0 in
     let logged = ref 0 in
@@ -171,147 +160,137 @@ let merge_untimed ?jobs ?emit_prov (Arena_index packets)
        were reconstructed with provenance on; otherwise it is synthesized
        from the item alone (no evidence, lowest confidence for inferred). *)
     let want_prov = emit_prov <> None in
-    let synth_prov (item : _ Engine.item) =
-      if item.Engine.inferred then
+    let synth_prov f pos =
+      let entered = Flow.entered f pos in
+      if Flow.inferred f pos then
         Provenance.with_confidence Provenance.Low
-          (Provenance.make2 Provenance.Intra_inference
-             ~src:item.Engine.entered ~dst:item.Engine.entered ~e1:(-1)
-             ~e2:(-1))
+          (Provenance.make2 Provenance.Intra_inference ~src:entered
+             ~dst:entered ~e1:(-1) ~e2:(-1))
       else
-        Provenance.make2 Provenance.Logged ~src:item.Engine.entered
-          ~dst:item.Engine.entered ~e1:(-1) ~e2:(-1)
+        Provenance.make2 Provenance.Logged ~src:entered ~dst:entered ~e1:(-1)
+          ~e2:(-1)
     in
     let prov_of =
-      if want_prov then Array.make n (synth_prov dummy) else [||]
+      if want_prov then
+        Array.make n
+          (Provenance.make2 Provenance.Logged ~src:(-1) ~dst:(-1) ~e1:(-1)
+             ~e2:(-1))
+      else [||]
     in
     let aligned = if want_prov then Array.make n false else [||] in
-    (* ---- Candidates.  Flat fill: ids are assigned in flow order, so each
-       packet's hard chain is a run of consecutive ids, extended across
-       flows that share a packet key.  Every logged item on a known node
-       is a candidate for alignment under its payload's packet — on
-       logger-produced records that is its flow's own packet, so only a
-       foreign payload costs a lookup.  Candidates are then bucketed by
-       packet, each bucket in (node, id) order: two stable counting
-       sorts. ---- *)
+    (* ---- Fill.  Ids are assigned in flow order, so each packet's hard
+       chain is a run of consecutive ids, extended across flows that share
+       a packet key; following [hard_succ] from a packet's first id walks
+       its items in flow order. ---- *)
     let pids = Hashtbl.create (max 64 (Array.length flows)) in
-    let n_pids, cand, cand_off =
-      Obs.Profile.with_stage ~name:"refill.global_flow.candidates" (fun () ->
-          let flow_pid =
-            Array.map
-              (fun (f : Flow.t) -> intern pids ~origin:f.origin ~seq:f.seq)
-              flows
-          in
-          let last_of_pid = Array.make (Hashtbl.length pids) (-1) in
-          let qpid = Array.make n (-1) in
-          let n_cand = ref 0 in
-          let cursor = ref 0 in
-          Array.iteri
-            (fun fi (f : Flow.t) ->
-              let pid = flow_pid.(fi) in
-              let fprov = f.prov in
-              List.iteri
-                (fun pos (item : _ Engine.item) ->
-                  let id = !cursor in
-                  incr cursor;
-                  items.(id) <- item;
-                  packet_of.(id) <- pid;
-                  pos_of.(id) <- pos;
-                  if want_prov then
-                    prov_of.(id) <-
-                      (if pos < Array.length fprov then fprov.(pos)
-                       else synth_prov item);
-                  if not item.inferred then incr logged;
-                  let prev = last_of_pid.(pid) in
-                  if prev >= 0 then begin
-                    hard_succ.(prev) <- id;
-                    hard_in.(id) <- 1
-                  end;
-                  last_of_pid.(pid) <- id;
-                  match item.payload with
-                  | Some r
-                    when (not item.inferred) && item.node >= 0
-                         && item.node < n_nodes ->
-                      qpid.(id) <-
-                        (if r.origin = f.origin && r.pkt_seq = f.seq then pid
-                         else intern pids ~origin:r.origin ~seq:r.pkt_seq);
-                      incr n_cand
-                  | Some _ | None -> ())
-                f.items)
-            flows;
-          let eligible = Array.make !n_cand 0 in
-          let k = ref 0 in
-          Array.iteri
-            (fun id p ->
-              if p >= 0 then begin
-                eligible.(!k) <- id;
-                incr k
-              end)
-            qpid;
-          let by_node = Array.make !n_cand 0 in
-          ignore
-            (counting_sort ~n_keys:n_nodes
-               (fun id -> items.(id).Engine.node)
-               eligible by_node
-              : int array);
-          let n_pids = Hashtbl.length pids in
-          let cand = eligible (* its order is no longer needed *) in
-          let cand_off =
-            counting_sort ~n_keys:n_pids (fun id -> qpid.(id)) by_node cand
-          in
-          (n_pids, cand, cand_off))
+    let flow_pid =
+      Array.map (fun (f : Flow.t) -> intern pids ~origin:f.origin ~seq:f.seq) flows
     in
-    (* ---- Alignment, per packet.  The packet's rows are node-ascending,
-       each node's in log order, and its candidates node-ascending, each
-       node's in flow order — so one merge-walk runs the greedy
-       head-of-queue match of every (packet, node) queue against that
-       node's log: a row equal to the queue head matches it, any other
-       row is skipped, and a node whose rows run out leaves the rest of
-       its queue unmatched.  Each row and each id belongs to one packet,
-       so packets fan out across domains writing disjoint slots of
-       [matched_of_row]. ---- *)
-    let matched_of_row = Array.make (Logsys.Arena.length arena) (-1) in
-    let align pid =
-      let c = ref cand_off.(pid) and c_end = cand_off.(pid + 1) in
-      if !c < c_end then begin
-        let origin, seq =
-          match items.(cand.(!c)).Engine.payload with
-          | Some r -> (r.origin, r.pkt_seq)
-          | None -> assert false
-        in
-        let rows = Packets.packet_rows packets ~origin ~seq in
-        let r = ref 0 in
-        while !c < c_end && !r < Array.length rows do
-          let id = cand.(!c) and row = rows.(!r) in
-          let node = items.(id).Engine.node
-          and row_node = Logsys.Arena.node arena row in
-          if row_node < node then incr r
-          else if row_node > node then incr c
-          else begin
-            (match items.(id).Engine.payload with
-            | Some p when Logsys.Arena.equal_record arena row p ->
-                matched_of_row.(row) <- id;
-                incr c
-            | Some _ | None -> ());
-            incr r
-          end
-        done
-      end
-    in
-    let jobs =
-      match jobs with Some j -> max 1 j | None -> Par.default_jobs ()
-    in
-    let jobs = if n < Par.min_parallel_items then 1 else jobs in
+    let n_pids = Hashtbl.length pids in
+    let first_of_pid = Array.make n_pids (-1) in
+    let flow_of_pid = Array.make n_pids 0 in
+    let last_of_pid = Array.make n_pids (-1) in
+    Obs.Profile.with_stage ~name:"refill.global_flow.fill" (fun () ->
+        let id = ref 0 in
+        Array.iteri
+          (fun fi (f : Flow.t) ->
+            let pid = flow_pid.(fi) in
+            for pos = 0 to Flow.length f - 1 do
+              let id' = !id in
+              incr id;
+              flow_of.(id') <- fi;
+              packet_of.(id') <- pid;
+              pos_of.(id') <- pos;
+              if want_prov then
+                prov_of.(id') <-
+                  (if pos < Array.length f.prov then f.prov.(pos)
+                   else synth_prov f pos);
+              if not (Flow.inferred f pos) then begin
+                incr logged;
+                let row = f.rows.(pos) in
+                row_of.(id') <- (if row >= 0 && row < n_rows then row else no_row)
+              end;
+              let prev = last_of_pid.(pid) in
+              if prev >= 0 then begin
+                hard_succ.(prev) <- id';
+                hard_in.(id') <- 1
+              end
+              else begin
+                first_of_pid.(pid) <- id';
+                flow_of_pid.(pid) <- fi
+              end;
+              last_of_pid.(pid) <- id'
+            done)
+          flows);
+    (* ---- Alignment: the greedy head-of-queue match of every
+       (packet, node) queue against that node's rows of the packet, in
+       log order.  The queue is the packet's logged items on the node, in
+       flow order; a cursor walks the node's run of [packet_rows].  An
+       item matches the first row at or after the cursor that is
+       column-equal to its own row, and the cursor moves past the match;
+       when no such row is left, the run is exhausted and the rest of the
+       queue stays unmatched.  An item's own row is in the run, so the
+       search ends there at the latest unless the cursor has passed it —
+       which happens when a prerequisite drive emitted a node's later
+       record before an earlier one.  Matching on the own row alone would
+       then match that earlier record too, where the walk leaves it and
+       the rest of its queue unmatched, and anchors would move.  A logged
+       item without a row names no record of the index, so, like an item
+       whose record is not found, it exhausts its node's run (a record
+       restored from a stream checkpoint is one). ---- *)
+    let matched_of_row = Array.make n_rows (-1) in
     Obs.Profile.with_stage ~name:"refill.global_flow.align" (fun () ->
-        let chunks = if jobs = 1 then 1 else 8 * jobs in
-        ignore
-          (Par.map_array ~jobs
-             (fun c ->
-               for pid = c * n_pids / chunks to ((c + 1) * n_pids / chunks) - 1
-               do
-                 align pid
-               done)
-             (Array.init chunks Fun.id)
-            : unit array));
+        let cursor = Array.make n_nodes 0 in
+        let run_end = Array.make n_nodes 0 in
+        let run_pid = Array.make n_nodes (-1) in
+        for pid = 0 to n_pids - 1 do
+          let f = flows.(flow_of_pid.(pid)) in
+          let rows = Packets.packet_rows packets ~origin:f.origin ~seq:f.seq in
+          let len = Array.length rows in
+          let i = ref 0 in
+          while !i < len do
+            let nd = Arena.node arena rows.(!i) in
+            let j = ref (!i + 1) in
+            while !j < len && Arena.node arena rows.(!j) = nd do
+              incr j
+            done;
+            run_pid.(nd) <- pid;
+            cursor.(nd) <- !i;
+            run_end.(nd) <- !j;
+            i := !j
+          done;
+          let id = ref first_of_pid.(pid) in
+          while !id >= 0 do
+            let row = row_of.(!id) in
+            if row = no_row then begin
+              let nd = Flow.node flows.(flow_of.(!id)) pos_of.(!id) in
+              if nd >= 0 && nd < n_nodes && run_pid.(nd) = pid then
+                cursor.(nd) <- run_end.(nd)
+            end
+            else if row >= 0 then begin
+              let nd = Arena.node arena row in
+              if run_pid.(nd) = pid then begin
+                (* The own row is the usual first hit; only a skipped
+                   row costs a column comparison. *)
+                let k = ref cursor.(nd) and stop = run_end.(nd) in
+                while
+                  !k < stop
+                  &&
+                  let r = rows.(!k) in
+                  r <> row && not (Arena.equal_rows arena r row)
+                do
+                  incr k
+                done;
+                if !k < stop then begin
+                  matched_of_row.(rows.(!k)) <- !id;
+                  cursor.(nd) <- !k + 1
+                end
+                else cursor.(nd) <- stop
+              end
+            end;
+            id := hard_succ.(!id)
+          done
+        done);
     (* ---- Order: one walk over every node's log, in log order, fixes
        each matched item's anchor (its log-position fraction) and chains
        it to the node's previous match.  Each item sits on one node, so
@@ -394,7 +373,8 @@ let merge_untimed ?jobs ?emit_prov (Arena_index packets)
         done;
         let emit ~stalled id =
           emitted.(id) <- true;
-          emit_item items.(id);
+          let flow = flows.(flow_of.(id)) and pos = pos_of.(id) in
+          emit_event { flow; pos };
           (match emit_prov with
           | None -> ()
           | Some f ->
@@ -404,8 +384,7 @@ let merge_untimed ?jobs ?emit_prov (Arena_index packets)
                   incr n_stall_prov;
                   Provenance.with_mechanism Provenance.Stall_recovery base
                 end
-                else if
-                  (not items.(id).Engine.inferred) && not aligned.(id)
+                else if (not (Flow.inferred flow pos)) && not aligned.(id)
                 then begin
                   (* A logged event whose record never aligned with its
                      node's log: its global position was carried from a
@@ -469,10 +448,10 @@ let merge_untimed ?jobs ?emit_prov (Arena_index packets)
     stats
   end
 
-let merge_from ?jobs ?emit_prov source ~flows ~emit =
+let merge_from ?emit_prov source ~flows ~emit =
   let run () =
     let t0 = Obs.Span.now_us () in
-    let stats = merge_untimed ?jobs ?emit_prov source ~flows ~emit in
+    let stats = merge_untimed ?emit_prov source ~flows ~emit in
     Par.with_obs_lock (fun () ->
         Obs.Metrics.Histogram.observe h_seconds
           ((Obs.Span.now_us () -. t0) /. 1e6));
@@ -484,8 +463,8 @@ let merge_from ?jobs ?emit_prov source ~flows ~emit =
       run
   else run ()
 
-let merge ?jobs ?emit_prov collected ~flows ~emit =
-  merge_from ?jobs ?emit_prov
+let merge ?emit_prov collected ~flows ~emit =
+  merge_from ?emit_prov
     (Arena_index (Logsys.Collected.packets collected))
     ~flows ~emit
 
@@ -498,7 +477,9 @@ let merge ?jobs ?emit_prov collected ~flows ~emit =
    order, since any valid stream merge preserves it) and the flow array
    re-sorted to packet-key order (the order {!Reconstruct.run} emits) — so
    [finish] reproduces the batch merge exactly: same item ids, same
-   anchors, same heap tie-breaks. *)
+   anchors, same heap tie-breaks.  A stream flow's rows are global stream
+   positions, counted from 1 over exactly the rows this arena appends
+   (node >= 0), so position [p] is arena row [p - 1]. *)
 module Incremental = struct
   type t = {
     arena : Logsys.Arena.t;
@@ -526,9 +507,11 @@ module Incremental = struct
   let add_records t records =
     add_arena t (Logsys.Arena.slice_all (Logsys.Arena.of_records records))
 
-  let add_flow t flow = t.flows_rev <- flow :: t.flows_rev
+  let add_flow t (flow : Flow.t) =
+    let rows = Array.map (fun p -> if p < 1 then -1 else p - 1) flow.rows in
+    t.flows_rev <- Flow.with_rows flow rows :: t.flows_rev
 
-  let finish ?jobs ?emit_prov t ~emit =
+  let finish ?emit_prov t ~emit =
     let packets = Logsys.Arena.Packets.build t.arena ~n_nodes:t.n_nodes in
     (* Stable sort restores the batch emission order (key-ascending);
        duplicate keys — an evicted packet's late fragments — keep their
@@ -539,5 +522,5 @@ module Incremental = struct
         let c = Int.compare a.origin b.origin in
         if c <> 0 then c else Int.compare a.seq b.seq)
       flows;
-    merge_from ?jobs ?emit_prov (Arena_index packets) ~flows ~emit
+    merge_from ?emit_prov (Arena_index packets) ~flows ~emit
 end

@@ -31,24 +31,30 @@ type stats = {
     columns and never materializes a record. *)
 type log_source = Arena_index of Logsys.Arena.Packets.t
 
+type event = { flow : Flow.t; pos : int }
+(** One emitted event: item [pos] of [flow] ({!Flow.item} builds its
+    view). *)
+
 val merge :
-  ?jobs:int ->
   ?emit_prov:(Provenance.t -> unit) ->
   Logsys.Collected.t ->
   flows:Flow.t array ->
-  emit:(Flow.item -> unit) ->
+  emit:(event -> unit) ->
   stats
 (** [merge collected ~flows ~emit] computes the global flow and hands each
-    item to [emit], in global-flow order.  [collected] must be the same
+    event to [emit], in global-flow order.  [collected] must be the same
     snapshot the flows were reconstructed from (its per-node logs provide
     the cross-packet constraints).  Every flow's items appear in their
     original relative order.  This is {!merge_from} over the snapshot's
     own packet index ({!Logsys.Collected.packets}), the one
-    {!Reconstruct.run} reads, so no second copy is made.
+    {!Reconstruct.run} reads and the one its flows' rows point into, so
+    no second copy is made.
 
-    [jobs] caps the domain fan-out of the per-packet log alignment
-    (default {!Par.default_jobs}; small inputs stay serial).  The emission
-    sequence is independent of [jobs].
+    Log alignment reads each logged item's row ({!Flow.row}): the item's
+    (packet, node) queue is matched greedily, in flow order, against the
+    node's rows of the packet, each item taking the first row at or after
+    the previous match that holds the same record as its own row.  An
+    item without a row (a hand-built flow) is never matched.
 
     [emit_prov], when given, is called in lockstep with [emit] with each
     item's merge-refined provenance: the flow's own entry
@@ -59,15 +65,14 @@ val merge :
     Evidence indices stay in their packet's own record-index space. *)
 
 val merge_from :
-  ?jobs:int ->
   ?emit_prov:(Provenance.t -> unit) ->
   log_source ->
   flows:Flow.t array ->
-  emit:(Flow.item -> unit) ->
+  emit:(event -> unit) ->
   stats
-(** {!merge} over an arena index, which must hold the same records the
-    flows were reconstructed from ({!Reconstruct.run_arena} over the same
-    index). *)
+(** {!merge} over an arena index, which must be the one the flows were
+    reconstructed from ({!Reconstruct.run_arena} over the same index), so
+    that their rows are its rows. *)
 
 (** Incremental merge mode for the streaming pipeline: accumulate record
     segments and evicted flows as they arrive, then run the batch merge
@@ -93,13 +98,15 @@ module Incremental : sig
   (** {!add_arena} over records. *)
 
   val add_flow : t -> Flow.t -> unit
-  (** Register one evicted flow (in eviction order). *)
+  (** Register one evicted flow (in eviction order).  Its rows must be
+      the global stream positions {!Stream} gives them, for a stream fed
+      exactly the segments added here from its start (not resumed from a
+      checkpoint); each is mapped to this accumulator's own row. *)
 
   val finish :
-    ?jobs:int ->
     ?emit_prov:(Provenance.t -> unit) ->
     t ->
-    emit:(Flow.item -> unit) ->
+    emit:(event -> unit) ->
     stats
   (** Merge everything accumulated.  The accumulator must not be reused
       afterwards.  [emit_prov] as in {!merge}. *)

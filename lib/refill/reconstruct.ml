@@ -8,32 +8,22 @@ let c_packets =
   Obs.Metrics.Counter.v "refill_packets_reconstructed_total"
     ~help:"Packets run through the reconstruction engines."
 
-(* Growable item buffer for collecting one packet's emissions: presized to
-   the input event count plus a few percent (output is the inputs plus the
-   inferred events), so the common packet pays one array allocation and no
-   cons garbage on the hot path. *)
-type 'a buf = { mutable data : 'a array; mutable len : int; hint : int }
+(* Where a packet's records came from, so each logged item can name its
+   row: the index rows the records were read from (payloads stay in that
+   arena), or each record's stream position (payloads stay in the
+   records; [[||]] when the records have none). *)
+type source = Index of Logsys.Arena.t * int array | Positions of int array
 
-let buf_create hint = { data = [||]; len = 0; hint }
+let map_sources sources len map =
+  let rows = Array.make len (-1) in
+  for k = 0 to len - 1 do
+    let s = Array.unsafe_get sources k in
+    if s >= 0 then rows.(k) <- map.(s)
+  done;
+  rows
 
-let buf_push b it =
-  if b.len = Array.length b.data then begin
-    let cap = max (max 8 b.hint) (2 * b.len) in
-    let grown = Array.make cap it in
-    Array.blit b.data 0 grown 0 b.len;
-    b.data <- grown
-  end;
-  Array.unsafe_set b.data b.len it;
-  b.len <- b.len + 1
-
-let buf_to_list b =
-  let rec go i acc =
-    if i < 0 then acc else go (i - 1) (Array.unsafe_get b.data i :: acc)
-  in
-  go (b.len - 1) []
-
-let of_records ?(use_intra = true) ?(use_inter = true) ?(provenance = false)
-    records ~origin ~seq ~sink =
+let reconstruct ~use_intra ~use_inter ~provenance records ~origin ~seq ~sink
+    ~source =
   let t0 = Obs.Span.now_us () in
   let p = Protocol.pack_events records ~origin ~sink in
   let config = Protocol.make_config ~records ~origin ~seq ~sink in
@@ -47,15 +37,23 @@ let of_records ?(use_intra = true) ?(use_inter = true) ?(provenance = false)
     if use_inter then (p.Protocol.p_pre_nodes, p.Protocol.p_pre_states)
     else ([||], [||])
   in
-  let n = Array.length p.Protocol.p_nodes in
-  let items = buf_create (n + (n / 8) + 8) in
-  let prov = ref [||] in
+  let b = Flow.Builder.get () in
+  let prov = ref [||] and rows = ref [||] and refs = ref [||] in
   let prov_out =
     if provenance then Some (fun buf len -> prov := Array.sub buf 0 len)
     else None
   in
+  let src_out sources len =
+    match source with
+    | Index (_, packet_rows) -> rows := map_sources sources len packet_rows
+    | Positions positions ->
+        refs := Array.sub sources 0 len;
+        rows :=
+          if Array.length positions = 0 then Array.make len (-1)
+          else map_sources sources len positions
+  in
   let stats =
-    Engine.process ~use_intra ?prov_out config
+    Engine.process ~use_intra ?prov_out ~src_out config
       (Engine.Packed
          {
            nodes = p.Protocol.p_nodes;
@@ -66,14 +64,21 @@ let of_records ?(use_intra = true) ?(use_inter = true) ?(provenance = false)
            pre_states;
            srcs = p.Protocol.p_srcs;
          })
-      ~emit:(buf_push items)
+      ~emit:(Flow.Builder.push b)
   in
-  let prov = !prov in
   Par.with_obs_lock (fun () ->
       Obs.Metrics.Counter.inc c_packets;
       Obs.Metrics.Histogram.observe h_latency
         ((Obs.Span.now_us () -. t0) /. 1e6));
-  { Flow.origin; seq; items = buf_to_list items; stats; prov }
+  Flow.Builder.finish b ~origin ~seq ~stats ~prov:!prov ~rows:!rows
+    (match source with
+    | Index (arena, _) -> Flow.Arena arena
+    | Positions _ -> Flow.Records (records, !refs))
+
+let of_records ?(use_intra = true) ?(use_inter = true) ?(provenance = false)
+    ?(positions = [||]) records ~origin ~seq ~sink =
+  reconstruct ~use_intra ~use_inter ~provenance records ~origin ~seq ~sink
+    ~source:(Positions positions)
 
 (* One span per packet when tracing is on; free otherwise. *)
 let traced ~origin ~seq f =
@@ -83,23 +88,35 @@ let traced ~origin ~seq f =
       f
   else f ()
 
-let packet ?use_intra ?use_inter ?provenance collected ~origin ~seq ~sink =
-  traced ~origin ~seq (fun () ->
-      of_records ?use_intra ?use_inter ?provenance
-        (Logsys.Collected.packet_records collected ~origin ~seq)
-        ~origin ~seq ~sink)
+(* One packet of an index; [records] returns its rows' records, in the
+   order the packer wants. *)
+let indexed ~(config : Config.t) packets ~records ~sink ~origin ~seq =
+  let rows = Logsys.Arena.Packets.packet_rows packets ~origin ~seq in
+  reconstruct ~use_intra:config.use_intra ~use_inter:config.use_inter
+    ~provenance:config.provenance (records rows ~origin ~seq) ~origin ~seq
+    ~sink
+    ~source:(Index (Logsys.Arena.Packets.arena packets, rows))
 
-(* The batch skeleton behind [run] and [run_arena]: [keys ()] lists the
-   packets in emission order and [records] returns one packet's records
-   in node-scan order; both must be safe to call from worker domains once
-   [keys] has returned (each source builds its index there). *)
-let run_keys (config : Config.t) ~keys ~records ~sink ~emit =
+(* A snapshot's rows map back to its own records. *)
+let snapshot_records collected _rows ~origin ~seq =
+  Logsys.Collected.packet_records collected ~origin ~seq
+
+let packet ?(use_intra = true) ?(use_inter = true) ?(provenance = false)
+    collected ~origin ~seq ~sink =
+  traced ~origin ~seq (fun () ->
+      indexed
+        ~config:{ Config.default with use_intra; use_inter; provenance }
+        (Logsys.Collected.packets collected)
+        ~records:(snapshot_records collected) ~sink ~origin ~seq)
+
+(* The batch skeleton behind [run] and [run_arena]: every packet of the
+   index, in key order; the index is built before any worker starts and
+   read-only afterwards. *)
+let run_index (config : Config.t) packets ~records ~sink ~emit =
   Obs.Span.with_ ~name:"refill.reconstruct_all" (fun () ->
-      let keys = Array.of_list (keys ()) in
+      let keys = Array.of_list (Logsys.Arena.Packets.keys packets) in
       let packet_of (origin, seq) =
-        of_records ~use_intra:config.use_intra ~use_inter:config.use_inter
-          ~provenance:config.provenance (records ~origin ~seq) ~origin ~seq
-          ~sink
+        indexed ~config packets ~records ~sink ~origin ~seq
       in
       let jobs =
         match config.jobs with Some j -> max 1 j | None -> Par.default_jobs ()
@@ -117,19 +134,16 @@ let run_keys (config : Config.t) ~keys ~records ~sink ~emit =
       else Array.iter emit (Par.map_array ~jobs packet_of keys))
 
 let run ?(config = Config.default) collected ~sink ~emit =
-  run_keys config ~sink ~emit
-    ~keys:(fun () -> Logsys.Collected.packet_keys collected)
-    ~records:(Logsys.Collected.packet_records collected)
+  run_index config (Logsys.Collected.packets collected)
+    ~records:(snapshot_records collected) ~sink ~emit
 
 (* Rows materialize once per packet: the packer stores every record as an
    event payload anyway. *)
 let run_arena ?(config = Config.default) packets ~sink ~emit =
   let arena = Logsys.Arena.Packets.arena packets in
-  run_keys config ~sink ~emit
-    ~keys:(fun () -> Logsys.Arena.Packets.keys packets)
-    ~records:(fun ~origin ~seq ->
-      Array.map (Logsys.Arena.get arena)
-        (Logsys.Arena.Packets.packet_rows packets ~origin ~seq))
+  run_index config packets
+    ~records:(fun rows ~origin:_ ~seq:_ -> Array.map (Logsys.Arena.get arena) rows)
+    ~sink ~emit
 
 type summary = {
   packets : int;

@@ -16,7 +16,9 @@ val packet :
   sink:int ->
   Flow.t
 (** Reconstruct one packet's event flow.  A packet with no surviving
-    records yields an empty flow.  [use_intra]/[use_inter] (default [true])
+    records yields an empty flow.  Its payloads live in the snapshot's
+    packet index ({!Logsys.Collected.packets}) and each logged item's
+    row is its record's row there.  [use_intra]/[use_inter] (default [true])
     are the ablation knobs: they disable the intra-node shortcut
     transitions and the inter-node prerequisite connections respectively.
     [provenance] (default [false]) collects the per-item {!Provenance.t}
@@ -27,6 +29,7 @@ val of_records :
   ?use_intra:bool ->
   ?use_inter:bool ->
   ?provenance:bool ->
+  ?positions:int array ->
   Logsys.Record.t array ->
   origin:int ->
   seq:int ->
@@ -38,7 +41,10 @@ val of_records :
     records must be in node-scan order (nodes ascending, each node's
     records in local write order), the order
     {!Logsys.Arena.Packets.packet_rows} lists a packet's rows in; the
-    engine takes ownership of the array. *)
+    flow keeps the array as its payloads.  [positions.(i)], when given,
+    is [records.(i)]'s global stream position, which becomes the row
+    ({!Flow.row}) of the item that logs it; without it logged items have
+    no row. *)
 
 val run :
   ?config:Config.t ->
@@ -51,7 +57,9 @@ val run :
     record snapshot, reading its packet index
     ({!Logsys.Collected.packets}, built on first use) with each row mapped
     back to the snapshot's own record; {!run_arena} is the same run over
-    an arena index read from a dump, whose rows materialize.
+    an arena index read from a dump, whose rows materialize.  Flows point
+    into the index: each logged item's {!Flow.row} is its record's row,
+    and payloads are read back from the index's arena.
 
     Packets are independent, so large workloads are sharded over
     [config.jobs] worker domains (default
@@ -71,8 +79,10 @@ val run_arena :
   unit
 (** {!run} over an arena-indexed packet index: same key order,
     parallelization policy, spans and metrics.  Each packet's rows
-    materialize once ({!Logsys.Arena.get}) and go through {!of_records},
-    so flows are identical to the record path's.  The index (and its
+    materialize once ({!Logsys.Arena.get}) for the packer and go through
+    the same engine run as {!of_records}, so flows are identical to the
+    record path's; each flow keeps only its packed items, its rows and
+    the index's arena.  The index (and its
     arena) must be fully built — it is shared read-only across worker
     domains. *)
 

@@ -51,13 +51,15 @@ type summary = {
 
 (* -- One shard's frontier -------------------------------------------------- *)
 
-(* One open packet.  [records_rev] is arrival order, reversed; [last_seen]
-   is the global stream position of the newest record — the only deadline
-   queue entry for this buffer that is still meaningful. *)
+(* One open packet.  [records_rev] is arrival order, reversed, each record
+   with its global stream position (-1 for a record restored from a
+   checkpoint, which keeps none); [last_seen] is the global stream
+   position of the newest record — the only deadline queue entry for this
+   buffer that is still meaningful. *)
 type buffer = {
   b_origin : int;
   b_seq : int;
-  mutable records_rev : Logsys.Record.t list;
+  mutable records_rev : (int * Logsys.Record.t) list;
   mutable count : int;
   mutable last_seen : int;
   b_late : bool;
@@ -177,18 +179,22 @@ let evict sh ~final buf =
   end;
   sh.frontier_events <- sh.frontier_events - buf.count;
   (* Restore the batch index's node-scan order: stable sort by node over
-     arrival order keeps each node's local write order. *)
-  let records =
-    Array.of_list
-      (List.stable_sort
-         (fun (a : Logsys.Record.t) (b : Logsys.Record.t) ->
-           Int.compare a.node b.node)
-         (List.rev buf.records_rev))
-  in
+     arrival order keeps each node's local write order.  Each record's
+     position becomes its logged item's row. *)
+  let positions = Array.make buf.count (-1)
+  and records = Array.make buf.count (snd (List.hd buf.records_rev)) in
+  List.iteri
+    (fun i (pos, r) ->
+      positions.(i) <- pos;
+      records.(i) <- r)
+    (List.stable_sort
+       (fun ((_, a) : int * Logsys.Record.t) (_, b) ->
+         Int.compare a.node b.node)
+       (List.rev buf.records_rev));
   let flow =
     Reconstruct.of_records ~use_intra:sh.use_intra ~use_inter:sh.use_inter
-      ~provenance:sh.provenance records ~origin:buf.b_origin ~seq:buf.b_seq
-      ~sink:sh.sink
+      ~provenance:sh.provenance ~positions records ~origin:buf.b_origin
+      ~seq:buf.b_seq ~sink:sh.sink
   in
   let cause = (Classify.classify flow).cause in
   let outcome =
@@ -240,7 +246,7 @@ let drain sh =
    in when this record arrives — so that a shard whose clock jumps over
    positions owned by other shards still makes the same join-or-late
    decision for the key. *)
-let push sh ~pos (r : Logsys.Record.t) =
+let push sh ((pos, (r : Logsys.Record.t)) as entry) =
   if pos - 1 > sh.clock then begin
     sh.clock <- pos - 1;
     drain sh
@@ -278,7 +284,7 @@ let push sh ~pos (r : Logsys.Record.t) =
         Hashtbl.replace sh.frontier key b;
         b
   in
-  buf.records_rev <- r :: buf.records_rev;
+  buf.records_rev <- entry :: buf.records_rev;
   buf.count <- buf.count + 1;
   buf.last_seen <- pos;
   Queue.push (pos, buf) sh.deadlines;
@@ -345,7 +351,7 @@ let shard_of ~origin ~seq n =
    position up to the segment's last. *)
 let run_round sh items last =
   let before = counters sh in
-  List.iter (fun (pos, r) -> push sh ~pos r) items;
+  List.iter (push sh) items;
   advance sh last;
   flush_metrics sh before
 
@@ -545,7 +551,7 @@ let feed_arena t (s : Logsys.Arena.slice) =
   for i = lo to hi do
     if Logsys.Arena.node a i >= 0 then begin
       t.st_clock <- t.st_clock + 1;
-      if owner i = 0 then push sh ~pos:t.st_clock (Logsys.Arena.get a i)
+      if owner i = 0 then push sh (t.st_clock, Logsys.Arena.get a i)
     end
   done;
   advance sh t.st_clock;
@@ -644,7 +650,7 @@ let checkpoint t oc =
           line "b"
             [ bf.b_origin; bf.b_seq; bf.last_seen; flag bf.b_late; bf.count ];
           List.iter
-            (fun r ->
+            (fun (_, r) ->
               Logsys.Log_io.add_record_line_exact b r;
               Buffer.add_char b '\n')
             (List.rev bf.records_rev))
@@ -778,7 +784,7 @@ let parse_shard_body rs next_line peek_line =
                            "Stream: buffer (%d, %d) holds a record of packet \
                             (%d, %d)"
                            origin seq r.origin r.pkt_seq);
-                    records_rev := r :: !records_rev
+                    records_rev := (-1, r) :: !records_rev
                   done;
                   rs.rs_buffers <-
                     {

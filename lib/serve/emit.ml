@@ -14,7 +14,7 @@ let outcome_char = function
 
 let line (e : Refill.Stream.emitted) =
   let f = e.flow in
-  let b = Buffer.create (32 + (24 * List.length f.items)) in
+  let b = Buffer.create (32 + (24 * Refill.Flow.length f)) in
   Buffer.add_char b (outcome_char e.outcome);
   Prelude.Decimal.add_field b f.origin;
   Prelude.Decimal.add_field b f.seq;

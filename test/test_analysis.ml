@@ -123,7 +123,7 @@ let path_quality_counts_acked_extension () =
       ~emit:(fun it -> acc := it :: !acc)
   in
   let items = List.rev !acc in
-  let flow = { Refill.Flow.origin = 1; seq = 0; items; stats; prov = [||] } in
+  let flow = Refill.Flow.of_items ~origin:1 ~seq:0 ~stats items in
   let q = Analysis.Metrics.path_quality ~truth ~flows:[ flow ] in
   Alcotest.(check (list int)) "reconstructed path has the extra hop"
     [ 1; 2; 0 ] (Refill.Flow.nodes_visited flow);

@@ -169,8 +169,12 @@ let view_roundtrip_property =
             QCheck.Test.fail_reportf "get %d: %s <> %s" i
               (Logsys.Log_io.record_to_line_exact (Logsys.Arena.get a i))
               (Logsys.Log_io.record_to_line_exact r);
-          if not (Logsys.Arena.equal_record a i r) then
-            QCheck.Test.fail_reportf "equal_record %d disagrees with get" i)
+          Array.iteri
+            (fun j r' ->
+              if Logsys.Arena.equal_rows a i j <> Logsys.Record.equal r r' then
+                QCheck.Test.fail_reportf
+                  "equal_rows %d %d disagrees with Record.equal" i j)
+            records)
         records;
       true)
 
@@ -235,7 +239,7 @@ let decode_log_parity =
           (Array.length via_records);
       Array.iteri
         (fun i r ->
-          if not (Logsys.Arena.equal_record a i r) then
+          if not (Logsys.Record.equal (Logsys.Arena.get a i) r) then
             QCheck.Test.fail_reportf "row %d: %s <> %s" i
               (Logsys.Log_io.record_to_line_exact (Logsys.Arena.get a i))
               (Logsys.Log_io.record_to_line_exact r))
@@ -255,7 +259,7 @@ let decode_segment_parity =
           (Array.length via_records);
       Array.iteri
         (fun i r ->
-          if not (Logsys.Arena.equal_record a i r) then
+          if not (Logsys.Record.equal (Logsys.Arena.get a i) r) then
             QCheck.Test.fail_reportf "row %d differs" i)
         via_records;
       true)
@@ -440,7 +444,7 @@ let exotic_keys () =
   let stats = Refill.Global_flow.merge c ~flows ~emit:ignore in
   Alcotest.(check int) "every event merged"
     (Array.fold_left
-       (fun n (f : Refill.Flow.t) -> n + List.length f.items)
+       (fun n f -> n + Refill.Flow.length f)
        0 flows)
     stats.events;
   let empty = Logsys.Collected.of_node_logs [||] in
@@ -584,7 +588,7 @@ let mseg_equals_reference () =
           (Array.length log) (Array.length rows);
         Array.iteri
           (fun i row ->
-            if not (Logsys.Arena.equal_record a row log.(i)) then
+            if not (Logsys.Record.equal (Logsys.Arena.get a row) log.(i)) then
               Alcotest.failf "node %d record %d differs" node i)
           rows
       done;
@@ -619,7 +623,7 @@ let mseg_skip_parity () =
       Alcotest.(check int) "rest count" (total - k) (Logsys.Arena.length a);
       Array.iteri
         (fun i rec_ ->
-          if not (Logsys.Arena.equal_record a i rec_) then
+          if not (Logsys.Record.equal (Logsys.Arena.get a i) rec_) then
             Alcotest.failf "record %d: %s <> %s" (k + i)
               (Logsys.Log_io.record_to_line_exact (Logsys.Arena.get a i))
               (Logsys.Log_io.record_to_line_exact rec_))
@@ -697,7 +701,7 @@ let mseg_int_extremes () =
   let _, a = mseg_rows ~chunk:10 path in
   Alcotest.(check int) "one row" 1 (Logsys.Arena.length a);
   Alcotest.(check bool) "mseg row equals the reference record" true
-    (Logsys.Arena.equal_record a 0 r)
+    (Logsys.Record.equal (Logsys.Arena.get a 0) r)
 
 (* One record line holding time token [tok], through Mseg: its time, or
    [None] when Mseg rejects the line. *)

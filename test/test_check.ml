@@ -470,14 +470,10 @@ let ctp_frontier_matches_classify () =
   let item ?(inferred = false) label entered : Refill.Flow.item =
     { node = 1; label; payload = None; inferred; entered }
   in
-  let flow items : Refill.Flow.t =
-    {
-      origin = 1;
-      seq = 0;
-      items;
-      stats = { emitted_logged = 0; emitted_inferred = 0; skipped = 0 };
-      prov = [||];
-    }
+  let flow items =
+    Refill.Flow.of_items ~origin:1 ~seq:0
+      ~stats:{ emitted_logged = 0; emitted_inferred = 0; skipped = 0 }
+      items
   in
   let cases =
     [

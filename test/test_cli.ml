@@ -212,6 +212,40 @@ let report_never_overwrites_input () =
       (ckpt, [ "reconstruct"; "--stream"; "--metrics"; ckpt; log ]);
     ]
 
+(* A bare optional-value flag right before the dump takes it as its FILE;
+   the dump is still read as LOGFILE, with the flag bare, exactly as with
+   the flag after it.  A missing LOGFILE stays a usage error. *)
+let flag_before_logfile () =
+  let log = Lazy.force log_file in
+  List.iter
+    (fun (before, after) ->
+      let what = String.concat " " before in
+      let code, out = run_cli before in
+      let code', out' = run_cli after in
+      Alcotest.(check int) (what ^ " exits 0") 0 code;
+      Alcotest.(check int) (what ^ ": reference exits 0") 0 code';
+      (* The metrics dump holds timings; the report lines before it
+         must agree. *)
+      let head o =
+        List.filteri (fun i _ -> i < 2) (String.split_on_char '\n' o)
+      in
+      Alcotest.(check (list string)) (what ^ " reads the dump") (head out')
+        (head out))
+    [
+      ([ "analyze"; "--provenance"; log ], [ "analyze"; log; "--provenance" ]);
+      ([ "analyze"; "--metrics"; log ], [ "analyze"; log; "--metrics" ]);
+      ( [ "reconstruct"; "--metrics"; log ],
+        [ "reconstruct"; log; "--metrics" ] );
+      ( [ "reconstruct"; "--provenance"; log ],
+        [ "reconstruct"; log; "--provenance" ] );
+    ];
+  List.iter
+    (fun args ->
+      let code, _, err = run_cli_err args in
+      Alcotest.(check int) (String.concat " " args ^ " exits 124") 124 code;
+      Alcotest.(check bool) "names LOGFILE" true (contains err "LOGFILE"))
+    [ [ "analyze" ]; [ "analyze"; "--provenance"; "no-such-report.json" ] ]
+
 (* -- serve ------------------------------------------------------------------ *)
 
 let serve_sigterm_flushes_metrics () =
@@ -478,6 +512,8 @@ let () =
             non_decimal_int_is_malformed;
           Alcotest.test_case "a report never overwrites a dump" `Quick
             report_never_overwrites_input;
+          Alcotest.test_case "a flag before LOGFILE leaves it LOGFILE" `Quick
+            flag_before_logfile;
         ] );
       ( "serve",
         [

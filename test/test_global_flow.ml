@@ -10,13 +10,19 @@ let reconstruct_flows collected ~sink =
   Refill.Reconstruct.run collected ~sink ~emit:(fun f -> acc := f :: !acc);
   List.rev !acc
 
-let merge_flows ?jobs collected ~flows =
+(* The merged sequence as (flow, position) handles, and as items. *)
+let merge_events collected ~flows =
   let acc = ref [] in
   let stats =
-    Refill.Global_flow.merge ?jobs collected ~flows:(Array.of_list flows)
-      ~emit:(fun it -> acc := it :: !acc)
+    Refill.Global_flow.merge collected ~flows:(Array.of_list flows)
+      ~emit:(fun ({ flow; pos } : Refill.Global_flow.event) ->
+        acc := (flow, pos) :: !acc)
   in
   (List.rev !acc, stats)
+
+let merge_flows collected ~flows =
+  let events, stats = merge_events collected ~flows in
+  (List.map (fun (f, pos) -> Refill.Flow.item f pos) events, stats)
 
 let build_lossless () =
   let sc = Lazy.force scenario in
@@ -64,7 +70,7 @@ let preserves_per_packet_flow_order () =
             (fun (a : Refill.Flow.item) (b : Refill.Flow.item) ->
               Alcotest.(check bool) "same order" true
                 (a.label = b.label && a.node = b.node && a.inferred = b.inferred))
-            f.items sub)
+            (Refill.Flow.items f) sub)
       flows
 
 let wall_clock_agreement_high () =
@@ -244,8 +250,13 @@ let inferred_anchor_inherits_following () =
 (* -- Reference oracle -------------------------------------------------------
    A direct copy of the pre-CSR list/Hashtbl implementation of the
    network-wide merge.  The production rewrite (flat arrays, interned
-   packet ids, heap-based stall recovery) must be output-identical to this
-   on every input; keeping the old code here pins that equivalence. *)
+   packet ids, heap-based stall recovery, alignment replayed from rows)
+   must be output-identical to this on every input; keeping the old code
+   here pins that equivalence.  Two adjustments follow the row-based
+   alignment: a logged item's queue is keyed by its flow's packet (on a
+   reconstructed flow that is its payload's), and only an item with a row
+   ({!Refill.Flow.row}) can match — an item without one stays at its
+   queue's head, so the rest of the queue goes unmatched too. *)
 
 module Reference = struct
   type stats = Refill.Global_flow.stats = {
@@ -259,14 +270,19 @@ module Reference = struct
      stall recovery released (in release order) — what [Anchor_carry] and
      [Stall_recovery] provenance must mark. *)
   type run = {
-    items : Refill.Flow.item list;
+    items : (Refill.Flow.t * int) list;
     stats : stats;
     matched : int list;
+    matched_rows : (int * int * int) list;
+        (** Per match, in log order: (node, log index of the item's own
+            record, log index it was matched to). *)
     released : int list;
   }
 
   type tagged = {
+    flow : Refill.Flow.t;
     item : Refill.Flow.item;
+    row : int;
     packet : int * int;
     pos : int;
     mutable anchor : float;
@@ -279,9 +295,16 @@ module Reference = struct
         List.iteri
           (fun pos item ->
             all :=
-              { item; packet = (f.origin, f.seq); pos; anchor = Float.nan }
+              {
+                flow = f;
+                item;
+                row = Refill.Flow.row f pos;
+                packet = (f.origin, f.seq);
+                pos;
+                anchor = Float.nan;
+              }
               :: !all)
-          f.items)
+          (Refill.Flow.items f))
       flows;
     let arr = Array.of_list (List.rev !all) in
     let n = Array.length arr in
@@ -315,24 +338,25 @@ module Reference = struct
     Array.iteri
       (fun id k ->
         if not k.item.inferred then begin
-          match k.item.payload with
-          | None -> ()
-          | Some r ->
-              let origin, seq = Logsys.Record.packet_key r in
-              let key = (origin, seq, k.item.node) in
-              let q =
-                match Hashtbl.find_opt queues key with
-                | Some q -> q
-                | None ->
-                    let q = Queue.create () in
-                    Hashtbl.add queues key q;
-                    q
-              in
-              Queue.add id q
+          let origin, seq = k.packet in
+          let key = (origin, seq, k.item.node) in
+          let q =
+            match Hashtbl.find_opt queues key with
+            | Some q -> q
+            | None ->
+                let q = Queue.create () in
+                Hashtbl.add queues key q;
+                q
+          in
+          Queue.add id q
         end)
       arr;
     let soft_edges = ref [] in
-    let matched = ref [] and released = ref [] in
+    let matched = ref [] and released = ref [] and matched_rows = ref [] in
+    let log_index node row =
+      let rows = Logsys.Arena.Packets.node_rows (Logsys.Collected.packets collected) node in
+      Option.value ~default:(-1) (Array.find_index (( = ) row) rows)
+    in
     for node = 0 to Logsys.Collected.n_nodes collected - 1 do
       let log = Logsys.Collected.node_log collected node in
       let len = float_of_int (max 1 (Array.length log)) in
@@ -345,11 +369,15 @@ module Reference = struct
           | Some q -> (
               match Queue.peek_opt q with
               | Some id
-                when (match arr.(id).item.payload with
-                     | Some r' -> compare r r' = 0
-                     | None -> false) ->
+                when arr.(id).row >= 0
+                     && (match arr.(id).item.payload with
+                        | Some r' -> compare r r' = 0
+                        | None -> false) ->
                   ignore (Queue.pop q : int);
                   matched := id :: !matched;
+                  matched_rows :=
+                    (node, log_index node arr.(id).row, log_idx)
+                    :: !matched_rows;
                   arr.(id).anchor <- float_of_int log_idx /. len;
                   (match !last with
                   | Some prev -> soft_edges := (prev, id) :: !soft_edges
@@ -400,7 +428,7 @@ module Reference = struct
     let emit id =
       emitted.(id) <- true;
       incr emitted_count;
-      out := arr.(id).item :: !out;
+      out := (arr.(id).flow, arr.(id).pos) :: !out;
       List.iter
         (fun succ ->
           hard_in.(succ) <- hard_in.(succ) - 1;
@@ -434,12 +462,15 @@ module Reference = struct
     done;
     let items = List.rev !out in
     let logged =
-      List.length (List.filter (fun (i : Refill.Flow.item) -> not i.inferred) items)
+      Array.fold_left
+        (fun n k -> if k.item.inferred then n else n + 1)
+        0 arr
     in
     {
       items;
       stats = { events = n; logged; inferred = n - logged; relaxed = !relaxed };
       matched = List.rev !matched;
+      matched_rows = List.rev !matched_rows;
       released = List.rev !released;
     }
 end
@@ -454,32 +485,37 @@ let check_same_output label
   Alcotest.(check int)
     (label ^ ": item count")
     (List.length ref_items) (List.length items);
-  (* Both implementations emit the very item values the flows hold, so the
-     sequences must agree physically, element by element. *)
+  (* Both implementations emit (flow, position) handles into the very
+     flows they were given, so the sequences must agree element by
+     element: the same flow, physically, at the same position. *)
   Alcotest.(check bool)
     (label ^ ": identical sequence")
     true
-    (List.for_all2 (fun a b -> a == b) ref_items items)
+    (List.for_all2
+       (fun (fa, pa) (fb, pb) -> fa == fb && pa = pb)
+       ref_items items)
 
-(* Items keyed by identity: the merge emits the flows' own item values, so
-   an emitted item names its reference id (its position in the flows). *)
+(* Flows keyed by identity: an emitted (flow, position) names its
+   reference id, the flow's first id plus the position. *)
 module Phys = Hashtbl.Make (struct
-  type t = Refill.Flow.item
+  type t = Refill.Flow.t
 
   let equal = ( == )
-  let hash = Hashtbl.hash
+  let hash (f : t) = Hashtbl.hash (f.origin, f.seq)
 end)
 
 (* [merge ~emit_prov] must mark exactly the reference's released ids as
    [Stall_recovery], and exactly its logged, unmatched, unreleased ids as
    [Anchor_carry]. *)
-let check_merge_provenance label ?jobs collected ~flows
-    (reference : Reference.run) =
-  let id_of = Phys.create 1024 in
-  List.iteri
-    (fun id it -> Phys.replace id_of it id)
-    (List.concat_map (fun (f : Refill.Flow.t) -> f.items) flows);
-  let n = Phys.length id_of in
+let check_merge_provenance label collected ~flows (reference : Reference.run) =
+  let base = Phys.create 1024 in
+  let n =
+    List.fold_left
+      (fun id f ->
+        Phys.replace base f id;
+        id + Refill.Flow.length f)
+      0 flows
+  in
   let mark ids =
     let a = Array.make n false in
     List.iter (fun id -> a.(id) <- true) ids;
@@ -488,21 +524,22 @@ let check_merge_provenance label ?jobs collected ~flows
   let matched = mark reference.matched in
   let released = mark reference.released in
   let emitted = ref [] in
-  let item = ref None in
+  let event = ref None in
   ignore
-    (Refill.Global_flow.merge ?jobs collected ~flows:(Array.of_list flows)
-       ~emit:(fun it -> item := Some it)
+    (Refill.Global_flow.merge collected ~flows:(Array.of_list flows)
+       ~emit:(fun e -> event := Some e)
        ~emit_prov:(fun pv ->
          let mech = Refill.Provenance.mechanism pv in
-         emitted := (Option.get !item, mech) :: !emitted)
+         emitted := (Option.get !event, mech) :: !emitted)
       : Refill.Global_flow.stats);
   Alcotest.(check int) (label ^ ": one provenance per item") n
     (List.length !emitted);
   List.iter
-    (fun ((it : Refill.Flow.item), mech) ->
-      let id = Phys.find id_of it in
+    (fun (({ flow; pos } : Refill.Global_flow.event), mech) ->
+      let id = Phys.find base flow + pos in
       let carry =
-        (not it.inferred) && (not matched.(id)) && not released.(id)
+        (not (Refill.Flow.inferred flow pos))
+        && (not matched.(id)) && not released.(id)
       in
       if (mech = Refill.Provenance.Stall_recovery) <> released.(id)
          || (mech = Refill.Provenance.Anchor_carry) <> carry
@@ -531,13 +568,7 @@ let matches_reference_implementation () =
     (fun (label, collected) ->
       let flows = reconstruct_flows collected ~sink:sc.sink in
       let reference = Reference.build collected ~flows in
-      check_same_output label reference
-        (merge_flows collected ~flows);
-      (* The fan-out of the per-node alignment must not show in the output. *)
-      check_same_output (label ^ " jobs=1") reference
-        (merge_flows ~jobs:1 collected ~flows);
-      check_same_output (label ^ " jobs=8") reference
-        (merge_flows ~jobs:8 collected ~flows);
+      check_same_output label reference (merge_events collected ~flows);
       check_merge_provenance label collected ~flows reference)
     cases
 
@@ -596,9 +627,10 @@ let soft_cycle_stall_recovery () =
   in
   let collected = Logsys.Collected.of_node_logs logs in
   let flows = reconstruct_flows collected ~sink:0 in
-  let items, stats = merge_flows collected ~flows in
+  let events, stats = merge_events collected ~flows in
+  let items = List.map (fun (f, pos) -> Refill.Flow.item f pos) events in
   let reference = Reference.build collected ~flows in
-  check_same_output "soft cycle" reference (items, stats);
+  check_same_output "soft cycle" reference (events, stats);
   check_merge_provenance "soft cycle" collected ~flows reference;
   Alcotest.(check int) "one stall release" 1 (List.length reference.released);
   Alcotest.(check int) "all 22 events" 22 stats.events;
@@ -671,7 +703,7 @@ let order_preservation_property =
                           let ok = p > !last in
                           last := p;
                           ok))
-              f.items)
+              (Refill.Flow.items f))
           flows
       in
       (* (b) replicate the per-node log alignment to find the matched
@@ -697,7 +729,7 @@ let order_preservation_property =
                     in
                     Queue.add r q
                 | None -> ())
-            f.items)
+            (Refill.Flow.items f))
         flows;
       let violations = ref 0 in
       for node = 0 to Logsys.Collected.n_nodes collected - 1 do
@@ -727,18 +759,24 @@ let order_preservation_property =
    flow dropped) and by one absent from the snapshot; an item moved off
    the node range; two logged items of one flow on one node swapped, so
    the greedy alignment skips a row; and a flow split in two under one
-   key, as late fragments reach the incremental merge. *)
+   key, as late fragments reach the incremental merge.  An altered item is
+   built without a row, as a hand-built flow's would be; a moved or
+   split item keeps its own. *)
 let perturb rng collected flows =
   let module Rng = Prelude.Rng in
   let n_nodes = Logsys.Collected.n_nodes collected in
   let flows = Array.of_list flows in
   let items =
-    Array.map (fun (f : Refill.Flow.t) -> Array.of_list f.items) flows
+    Array.map
+      (fun (f : Refill.Flow.t) ->
+        Array.of_list
+          (List.mapi (fun pos it -> (it, Refill.Flow.row f pos)) (Refill.Flow.items f)))
+      flows
   in
   let logged fi =
     List.filter
       (fun k ->
-        let (it : Refill.Flow.item) = items.(fi).(k) in
+        let (it : Refill.Flow.item), _ = items.(fi).(k) in
         (not it.inferred) && it.payload <> None)
       (List.init (Array.length items.(fi)) Fun.id)
   in
@@ -750,7 +788,8 @@ let perturb rng collected flows =
   let update f =
     let fi = pick kept in
     let k = pick (logged fi) in
-    items.(fi).(k) <- f items.(fi).(k) (Option.get items.(fi).(k).payload)
+    let it, _ = items.(fi).(k) in
+    items.(fi).(k) <- (f it (Option.get it.Refill.Engine.payload), -1)
   in
   update (fun it r ->
       match
@@ -761,7 +800,9 @@ let perturb rng collected flows =
       with
       | [] -> it
       | others -> { it with payload = Some (pick others) });
-  let orphan = Option.get items.(dropped).(pick (logged dropped)).payload in
+  let orphan =
+    Option.get (fst items.(dropped).(pick (logged dropped))).payload
+  in
   update (fun it _ -> { it with node = orphan.node; payload = Some orphan });
   update (fun it r ->
       let origin = if Rng.bool rng then -7 else n_nodes + 1000 in
@@ -769,6 +810,7 @@ let perturb rng collected flows =
   update (fun it _ ->
       let node = if Rng.bool rng then -1 else n_nodes + Rng.int rng 3 in
       { it with node });
+  let node_of fi k = (fst items.(fi).(k)).Refill.Engine.node in
   (match
      List.concat_map
        (fun fi ->
@@ -776,7 +818,7 @@ let perturb rng collected flows =
            (fun k1 ->
              List.filter_map
                (fun k2 ->
-                 if k1 < k2 && items.(fi).(k1).node = items.(fi).(k2).node then
+                 if k1 < k2 && node_of fi k1 = node_of fi k2 then
                    Some (fi, k1, k2)
                  else None)
                (logged fi))
@@ -789,27 +831,32 @@ let perturb rng collected flows =
       let a = items.(fi).(k1) in
       items.(fi).(k1) <- items.(fi).(k2);
       items.(fi).(k2) <- a);
+  let rebuild (f : Refill.Flow.t) entries =
+    Refill.Flow.of_items ~origin:f.origin ~seq:f.seq ~stats:f.stats
+      ~rows:(Array.of_list (List.map snd entries))
+      (List.map fst entries)
+  in
   let flows =
     List.filter_map
       (fun fi ->
         if fi = dropped then None
-        else Some { flows.(fi) with items = Array.to_list items.(fi) })
+        else Some (flows.(fi), Array.to_list items.(fi)))
       all
   in
-  match
-    List.filter (fun (f : Refill.Flow.t) -> List.length f.items >= 2) flows
-  with
-  | [] -> flows
+  match List.filter (fun (_, entries) -> List.length entries >= 2) flows with
+  | [] -> List.map (fun (f, e) -> rebuild f e) flows
   | long ->
-      let f = pick long in
-      let cut = 1 + Rng.int rng (List.length f.items - 1) in
-      let head = List.filteri (fun i _ -> i < cut) f.items
-      and tail = List.filteri (fun i _ -> i >= cut) f.items in
-      List.map (fun g -> if g == f then { f with items = head } else g) flows
-      @ [ { f with items = tail } ]
+      let ((f, entries) as chosen) = pick long in
+      let cut = 1 + Rng.int rng (List.length entries - 1) in
+      let head = List.filteri (fun i _ -> i < cut) entries
+      and tail = List.filteri (fun i _ -> i >= cut) entries in
+      List.map
+        (fun ((g, e) as x) -> if x == chosen then rebuild g head else rebuild g e)
+        flows
+      @ [ rebuild f tail ]
 
 let perturbed_inputs_match_reference =
-  QCheck.Test.make ~name:"perturbed inputs match the reference at jobs 1 and 4"
+  QCheck.Test.make ~name:"perturbed inputs match the reference"
     ~count:20
     QCheck.(pair (int_range 0 6) small_nat)
     (fun (rate10, seed) ->
@@ -827,15 +874,9 @@ let perturbed_inputs_match_reference =
           (reconstruct_flows collected ~sink:sc.sink)
       in
       let reference = Reference.build collected ~flows in
-      List.iter
-        (fun jobs ->
-          let label =
-            Printf.sprintf "loss %d/10 seed %d jobs=%d" rate10 seed jobs
-          in
-          check_same_output label reference
-            (merge_flows ~jobs collected ~flows);
-          check_merge_provenance label ~jobs collected ~flows reference)
-        [ 1; 4 ];
+      let label = Printf.sprintf "loss %d/10 seed %d" rate10 seed in
+      check_same_output label reference (merge_events collected ~flows);
+      check_merge_provenance label collected ~flows reference;
       true)
 
 let stage_spans () =
@@ -862,10 +903,75 @@ let stage_spans () =
   let stages =
     List.map
       (fun s -> dur ("refill.global_flow." ^ s))
-      [ "candidates"; "align"; "order"; "emit" ]
+      [ "fill"; "align"; "order"; "emit" ]
   in
   Alcotest.(check bool) "stages fit in the merge span" true
     (List.fold_left ( +. ) 0. stages <= dur "refill.global_flow")
+
+(* The merge's alignment against the oracle's on a hand-built packet: the
+   same sequence and stats, the same [Anchor_carry] and [Stall_recovery]
+   marks; [rows] checks which log row the oracle matched each logged
+   item to, as (node, log index of the item's own record, log index
+   matched). *)
+let check_hand_built label ?(config = Refill.Config.default) logs ~sink ~rows
+    =
+  let collected = Logsys.Collected.of_node_logs logs in
+  let acc = ref [] in
+  Refill.Reconstruct.run ~config collected ~sink ~emit:(fun f ->
+      acc := f :: !acc);
+  let flows = List.rev !acc in
+  let reference = Reference.build collected ~flows in
+  check_same_output label reference (merge_events collected ~flows);
+  check_merge_provenance label collected ~flows reference;
+  Alcotest.(check (list (triple int int int)))
+    (label ^ ": rows the oracle matched")
+    rows reference.matched_rows
+
+(* A prerequisite drive can emit a node's later record first.  Origin 2
+   logged nothing; the sink's recv drives relay 1, whose ack drives the
+   sink to [holding] by consuming its deliver — so the sink's deliver is
+   emitted before its recv.  The greedy walk matches deliver, then finds
+   no row left for recv: recv stays unmatched (an anchor carry).
+   Matching each item to its own row would match recv too, and count the
+   sink's log order against the flow as a relaxed constraint. *)
+let later_record_emitted_first () =
+  let r ~node ~kind ~gseq : Logsys.Record.t =
+    { node; kind; origin = 2; pkt_seq = 9; true_time = float_of_int gseq; gseq }
+  in
+  let logs =
+    [|
+      [| r ~node:0 ~kind:(Recv { from = 1 }) ~gseq:1; r ~node:0 ~kind:Deliver ~gseq:2 |];
+      [| r ~node:1 ~kind:(Ack_recvd { to_ = 0 }) ~gseq:3 |];
+      [||];
+    |]
+  in
+  check_hand_built "later record first" logs ~sink:0
+    ~rows:[ (0, 1, 1); (1, 0, 0) ]
+
+(* Two [Record.equal] records on one relay, the engine skipping the
+   first: without intra-node inference the relay's first dup finds no
+   transition at [init], its trans none either, and only the sink's recv
+   drives it to [sent], where the second dup fires.  The greedy walk
+   matches that item to the first equal row, so its anchor is the first
+   dup's log position, before the relay's own packet's gen — not its own
+   row's, after it. *)
+let equal_records_first_skipped () =
+  let r ~node ~origin ~kind ~gseq : Logsys.Record.t =
+    { node; kind; origin; pkt_seq = 0; true_time = float_of_int gseq; gseq }
+  in
+  let dup = r ~node:2 ~origin:1 ~kind:(Dup { from = 1 }) ~gseq:3 in
+  let logs =
+    [|
+      [||];
+      [| r ~node:1 ~origin:1 ~kind:Gen ~gseq:0; r ~node:1 ~origin:1 ~kind:(Trans { to_ = 2 }) ~gseq:1 |];
+      [| dup; r ~node:2 ~origin:2 ~kind:Gen ~gseq:4; r ~node:2 ~origin:1 ~kind:(Trans { to_ = 3 }) ~gseq:5; dup |];
+      [| r ~node:3 ~origin:1 ~kind:(Recv { from = 2 }) ~gseq:6; r ~node:3 ~origin:1 ~kind:Deliver ~gseq:7 |];
+    |]
+  in
+  check_hand_built "first of two equal records skipped"
+    ~config:{ Refill.Config.default with use_intra = false }
+    logs ~sink:3
+    ~rows:[ (1, 0, 0); (1, 1, 1); (2, 3, 0); (2, 1, 1); (3, 0, 0); (3, 1, 1) ]
 
 let empty_inputs () =
   let empty = Logsys.Collected.of_node_logs [| [||]; [||] |] in
@@ -897,6 +1003,10 @@ let () =
             matches_reference_implementation;
           Alcotest.test_case "soft cycle stall recovery" `Quick
             soft_cycle_stall_recovery;
+          Alcotest.test_case "a later record emitted first" `Quick
+            later_record_emitted_first;
+          Alcotest.test_case "first of two equal records skipped" `Quick
+            equal_records_first_skipped;
           QCheck_alcotest.to_alcotest order_preservation_property;
           QCheck_alcotest.to_alcotest perturbed_inputs_match_reference;
         ] );

@@ -132,7 +132,7 @@ let classify_records records =
       ~emit:(fun it -> acc := it :: !acc)
   in
   let items = List.rev !acc in
-  let flow = { Flow.origin = 1; seq = 0; items; stats; prov = [||] } in
+  let flow = Flow.of_items ~origin:1 ~seq:0 ~stats items in
   (flow, Classify.classify flow)
 
 let journey_arbitrary =

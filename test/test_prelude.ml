@@ -243,6 +243,41 @@ let decimal_matches_string_of_int =
       Decimal.add_field b n;
       Buffer.contents b = string_of_int n ^ " " ^ string_of_int n)
 
+(* The dump writer's times spell as [%.6f] does: simulated times (up to
+   thirty days in seconds, microsecond grid and off it), exact binary
+   ties, values a hair off a tie, negatives and -0., magnitudes past the
+   fast path's limit, and non-finite values. *)
+let fixed6_matches_printf =
+  let open QCheck.Gen in
+  let tie =
+    (* k / 2^e with e >= 7: exact binary values, many of them halfway
+       between two six-decimal numbers. *)
+    map2 (fun k e -> Float.ldexp (float_of_int k) (-e)) (int_range 0 100_000)
+      (int_range 7 20)
+  in
+  let gen =
+    oneof
+      [
+        float_range 0. 2.6e6;
+        map (fun k -> float_of_int k /. 1e6) (int_range 0 2_600_000_000);
+        tie;
+        map Float.succ tie;
+        map Float.pred tie;
+        map Float.neg (float_range 0. 1e4);
+        float_range (-1e-6) 1e-6;
+        float_range 4e6 1e12;
+        float;
+        oneofl [ 0.; -0.; Float.nan; Float.infinity; Float.neg_infinity;
+                 0.0078125; 2.5e-7; 4398046.5111; Float.min_float ];
+      ]
+  in
+  QCheck.Test.make ~name:"Decimal.add_fixed6 == Printf %.6f" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun x ->
+      let b = Buffer.create 16 in
+      Decimal.add_fixed6 b x;
+      Buffer.contents b = Printf.sprintf "%.6f" x)
+
 let () =
   Alcotest.run "prelude"
     [
@@ -288,5 +323,6 @@ let () =
           Alcotest.test_case "charts" `Quick chart_smoke;
           Alcotest.test_case "sparkline" `Quick sparkline_bounds;
           QCheck_alcotest.to_alcotest decimal_matches_string_of_int;
+          QCheck_alcotest.to_alcotest fixed6_matches_printf;
         ] );
     ]

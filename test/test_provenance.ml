@@ -44,7 +44,7 @@ let lossless_all_logged () =
       Alcotest.(check int)
         (Printf.sprintf "packet (%d,%d): one provenance entry per item"
            f.origin f.seq)
-        (List.length f.items)
+        (Refill.Flow.length f)
         (Array.length f.prov);
       if delivered f then begin
         incr scored;
@@ -93,7 +93,7 @@ let check_evidence collected (f : Refill.Flow.t) =
       else
         Alcotest.(check bool) "inferred event cites evidence" true
           (Array.length ev >= 1))
-    f.items
+    (Refill.Flow.items f)
 
 let lossy_evidence_in_bounds () =
   let collected = lossy_collected 0.25 11 in

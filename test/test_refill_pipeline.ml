@@ -79,7 +79,7 @@ let flows_preserve_local_log_order () =
                     (fun (r : Logsys.Record.t) -> r.gseq)
                     i.payload
                 else None)
-              f.items
+              (Refill.Flow.items f)
           in
           let expected =
             List.map (fun (r : Logsys.Record.t) -> r.gseq) records
@@ -246,6 +246,104 @@ let par_map_array_exception () =
   Alcotest.(check int) "later runs unaffected" 2048 (Array.length out);
   Alcotest.(check int) "order preserved" 2001 out.(2000)
 
+(* -- Packed flows ------------------------------------------------------------ *)
+
+let lossy p seed =
+  if p = 0. then collected ()
+  else
+    Logsys.Collected.lossify (Logsys.Loss_model.uniform p)
+      (Prelude.Rng.create ~seed) (collected ())
+
+(* The items [Engine.process] emits for one packet, reconstructed the way
+   [Reconstruct] runs the engine. *)
+let engine_items records ~origin ~seq ~sink =
+  let p = Refill.Protocol.pack_events records ~origin ~sink in
+  let config = Refill.Protocol.make_config ~records ~origin ~seq ~sink in
+  let acc = ref [] in
+  ignore
+    (Refill.Engine.process config
+       (Refill.Engine.Packed
+          {
+            nodes = p.p_nodes;
+            labels = p.p_labels;
+            ids = p.p_ids;
+            payloads = p.p_payloads;
+            pre_nodes = p.p_pre_nodes;
+            pre_states = p.p_pre_states;
+            srcs = p.p_srcs;
+          })
+       ~emit:(fun it -> acc := it :: !acc)
+      : Refill.Engine.stats);
+  List.rev !acc
+
+let same_item (a : Refill.Flow.item) (b : Refill.Flow.item) =
+  a.node = b.node && a.label = b.label && a.inferred = b.inferred
+  && a.entered = b.entered
+  &&
+  match (a.payload, b.payload) with
+  | None, None -> true
+  | Some r, Some r' -> Logsys.Record.equal r r'
+  | Some _, None | None, Some _ -> false
+
+(* [Flow.items] rebuilds exactly what the engine emitted, payloads
+   included, for batch flows (payloads in the index's arena) and stream
+   flows (payloads in the evicted records) alike. *)
+let items_view_is_exact () =
+  List.iter
+    (fun (p, seed) ->
+      let c = lossy p seed in
+      let sink = sink () in
+      let stream_flows = Hashtbl.create 1024 in
+      let st =
+        Refill.Stream.create
+          ~config:
+            { Refill.Config.default with watermark = max_int / 2; shards = 2 }
+          ~sink
+          ~emit:(fun e -> Hashtbl.replace stream_flows (Refill.Flow.packet_key e.flow) e.flow)
+          ()
+      in
+      Refill.Stream.feed st (Logsys.Collected.merged_by_time c);
+      ignore (Refill.Stream.finish st : Refill.Stream.summary);
+      let flows = reconstruct_flows c ~sink in
+      Alcotest.(check int) "every packet streamed" (List.length flows)
+        (Hashtbl.length stream_flows);
+      List.iter
+        (fun (f : Refill.Flow.t) ->
+          let expected =
+            engine_items
+              (Logsys.Collected.packet_records c ~origin:f.origin ~seq:f.seq)
+              ~origin:f.origin ~seq:f.seq ~sink
+          in
+          List.iter
+            (fun (kind, g) ->
+              let got = Refill.Flow.items g in
+              if
+                not
+                  (List.length got = List.length expected
+                  && List.for_all2 same_item got expected)
+              then
+                Alcotest.failf "loss %.1f: %s flow (%d, %d) differs from the \
+                                engine's items" p kind f.origin f.seq)
+            [ ("batch", f); ("stream", Hashtbl.find stream_flows (f.origin, f.seq)) ])
+        flows)
+    [ (0., 1L); (0.3, 5L); (0.6, 9L) ]
+
+(* A retained batch flow is its packed items and a pointer to the index's
+   arena: at most 8 heap words per item, everything it reaches counted
+   except the shared arena. *)
+let retained_flow_size () =
+  let c = lossy 0.3 5L in
+  let flows = Array.of_list (reconstruct_flows c ~sink:(sink ())) in
+  let items = Array.fold_left (fun n f -> n + Refill.Flow.length f) 0 flows in
+  let arena = Logsys.Arena.Packets.arena (Logsys.Collected.packets c) in
+  let words =
+    Obj.reachable_words (Obj.repr flows) - Obj.reachable_words (Obj.repr arena)
+  in
+  let per_item = float_of_int words /. float_of_int items in
+  if per_item > 8. then
+    Alcotest.failf "%.1f heap words per retained item (%d words, %d items)"
+      per_item words items
+
 let () =
   Alcotest.run "refill-pipeline"
     [
@@ -277,6 +375,9 @@ let () =
           Alcotest.test_case "summary totals" `Quick summary_totals;
           Alcotest.test_case "missing packet" `Quick
             empty_packet_reconstruction;
+          Alcotest.test_case "item view equals the engine's items" `Quick
+            items_view_is_exact;
+          Alcotest.test_case "retained flow size" `Quick retained_flow_size;
         ] );
       ( "par",
         [

@@ -18,7 +18,7 @@ let reconstruct ?(origin = 1) ?(sink = 99) records =
       ~emit:(fun it -> acc := it :: !acc)
   in
   let items = List.rev !acc in
-  { Flow.origin; seq = 0; items; stats; prov = [||] }
+  Flow.of_items ~origin ~seq:0 ~stats items
 
 let flow_string flow = Flow.to_string flow
 
@@ -141,7 +141,7 @@ let case4 () =
     List.filter
       (fun (i : Flow.item) ->
         i.node = 2 && i.label = Protocol.L_recv && i.inferred)
-      flow.items
+      (Flow.items flow)
   in
   Alcotest.(check int) "[1-2 recv] inferred" 1
     (List.length second_recv_inferred);
@@ -304,7 +304,7 @@ let synthesis_unknown_peer () =
         | Some { kind = Logsys.Record.Recv { from }; _ } ->
             from = Protocol.unknown_node
         | _ -> false)
-      flow.items
+      (Flow.items flow)
   in
   Alcotest.(check bool) "unknown peer present" true has_unknown
 
@@ -322,7 +322,7 @@ let flow_item_accessors () =
   | Some i -> Alcotest.(check bool) "last is recv" true (i.label = Protocol.L_recv)
   | None -> Alcotest.fail "nonempty");
   Alcotest.(check bool) "empty last" true
-    (Flow.last_item { flow with items = [] } = None)
+    (Flow.last_item (Flow.of_items ~origin:1 ~seq:0 ~stats:flow.stats []) = None)
 
 let ablation_flags_change_behaviour () =
   (* Case 2 through the ablation knobs: without intra transitions the ack
@@ -365,7 +365,8 @@ let sequence_diagram_renders () =
   Alcotest.(check bool) "has arrows" true (contains "->");
   Alcotest.(check bool) "marks inferred" true (contains "[recv]");
   Alcotest.(check string) "empty flow" "(empty flow)\n"
-    (Flow.to_sequence_diagram { flow with items = [] })
+    (Flow.to_sequence_diagram
+       (Flow.of_items ~origin:1 ~seq:0 ~stats:flow.stats []))
 
 let () =
   Alcotest.run "refill-protocol"

@@ -656,7 +656,7 @@ module Oracle = struct
     if i.inferred then "[" ^ base ^ "]" else base
 
   let to_string (t : Refill.Flow.t) =
-    String.concat ", " (List.map item_to_string t.items)
+    String.concat ", " (List.map item_to_string (Refill.Flow.items t))
 
   let outcome_char = function
     | Refill.Stream.Complete -> 'C'
@@ -741,7 +741,11 @@ let gen_emitted =
     { Refill.Engine.emitted_logged = 0; emitted_inferred = 0; skipped = 0 }
   in
   return
-    ({ flow = { origin; seq; items; stats; prov }; outcome; cause }
+    ({
+       flow = Refill.Flow.of_items ~origin ~seq ~stats ~prov items;
+       outcome;
+       cause;
+     }
       : Refill.Stream.emitted)
 
 let renderer_matches_oracle =
@@ -752,7 +756,7 @@ let renderer_matches_oracle =
       && Refill.Flow.to_string e.flow = Oracle.to_string e.flow
       && List.for_all
            (fun i -> Refill.Flow.item_to_string i = Oracle.item_to_string i)
-           e.flow.items
+           (Refill.Flow.items e.flow)
       && Serve.Emit.prov_line e.flow = Oracle.prov_line e.flow)
 
 (* [emit_to Emit.null] renders nothing, so a pass without a sink (say

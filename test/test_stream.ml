@@ -765,13 +765,20 @@ let codec_segment_roundtrip () =
 
 (* -- Incremental global flow ---------------------------------------------- *)
 
+(* Stream flows name their records by global stream position, so the
+   incremental merge is fed the stream's own flows: on an unbounded
+   watermark every packet is flushed whole at the end, so they are the
+   batch flows, and the merge must come out the same. *)
 let incremental_merge_equals_batch () =
   let collected = lossy_collected 0.2 7 in
   let flows = Array.of_list (batch_flows collected) in
   let batch_items = ref [] in
+  let item_string ({ flow; pos } : Refill.Global_flow.event) =
+    Refill.Flow.item_to_string (Refill.Flow.item flow pos)
+  in
   let batch_stats =
-    Refill.Global_flow.merge collected ~flows ~emit:(fun it ->
-        batch_items := Refill.Flow.item_to_string it :: !batch_items)
+    Refill.Global_flow.merge collected ~flows ~emit:(fun e ->
+        batch_items := item_string e :: !batch_items)
   in
   let inc =
     Refill.Global_flow.Incremental.create
@@ -788,7 +795,10 @@ let incremental_merge_equals_batch () =
     Refill.Global_flow.Incremental.add_records inc (Array.sub ordered !i len);
     i := !i + len
   done;
-  let shuffled = Array.copy flows in
+  let streamed, _ = stream_all ~shards:2 ~chunk:333 collected in
+  let shuffled =
+    Array.of_list (List.map (fun (e : Refill.Stream.emitted) -> e.flow) streamed)
+  in
   let rng = Prelude.Rng.create ~seed:99L in
   for i = Array.length shuffled - 1 downto 1 do
     let j = Prelude.Rng.int rng (i + 1) in
@@ -799,8 +809,8 @@ let incremental_merge_equals_batch () =
   Array.iter (Refill.Global_flow.Incremental.add_flow inc) shuffled;
   let inc_items = ref [] in
   let inc_stats =
-    Refill.Global_flow.Incremental.finish inc ~emit:(fun it ->
-        inc_items := Refill.Flow.item_to_string it :: !inc_items)
+    Refill.Global_flow.Incremental.finish inc ~emit:(fun e ->
+        inc_items := item_string e :: !inc_items)
   in
   Alcotest.(check bool) "stats" true (batch_stats = inc_stats);
   Alcotest.(check (list string)) "items"
