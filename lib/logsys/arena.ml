@@ -111,6 +111,24 @@ let push_row t ~node ~tag ~peer ~origin ~pkt_seq ~true_time ~gseq =
   Bigarray.Array1.unsafe_set t.times i true_time;
   t.len <- i + 1
 
+let copy_row src i dst j =
+  if i < 0 || i >= src.len || j < 0 || j > dst.len then
+    invalid_arg "Arena.copy_row: row out of bounds";
+  if j = dst.len then begin
+    reserve dst 1;
+    dst.len <- j + 1
+  end;
+  (* Written out column by column: a local helper would be a closure, and
+     the float column stays unboxed only within one function. *)
+  let open Bigarray.Array1 in
+  unsafe_set dst.nodes j (unsafe_get src.nodes i);
+  unsafe_set dst.tags j (unsafe_get src.tags i);
+  unsafe_set dst.peers j (unsafe_get src.peers i);
+  unsafe_set dst.origins j (unsafe_get src.origins i);
+  unsafe_set dst.seqs j (unsafe_get src.seqs i);
+  unsafe_set dst.gseqs j (unsafe_get src.gseqs i);
+  unsafe_set dst.times j (unsafe_get src.times i)
+
 let push t (r : Record.t) =
   let tag = Codec.tag_of_kind r.kind in
   let peer =

@@ -72,6 +72,13 @@ val push_row :
 (** Raw column append; [tag] must be a valid kind tag (0–7) and [peer]
     is ignored semantically for tags 0 and 7. *)
 
+val copy_row : t -> int -> t -> int -> unit
+(** [copy_row src i dst j] copies row [i] of [src] over row [j] of [dst],
+    column by column, without materializing it.  [j = length dst]
+    appends (the columns grow as {!push_row}'s do); a smaller [j]
+    overwrites.  @raise Invalid_argument when [i] is not a row of [src]
+    or [j] is above [length dst]. *)
+
 val of_records : Record.t array -> t
 
 val to_records : t -> Record.t array

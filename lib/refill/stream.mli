@@ -48,12 +48,16 @@
     frontier holding every key would.  Shard 0 runs in the caller's domain
     and every other shard on a worker domain, so [n] shards start [n - 1]
     workers.  Each {!feed_arena} call is one round at any shard count:
-    the caller hands each worker its shard's rows and the segment's last
-    position, pushes shard 0's rows itself, waits for every worker, and
-    emits the round's evictions ascending by their last record's position
-    — the one-shard order.  Output is byte-identical at any shard count
-    and any chunking.  A stream buffers at most one segment's evictions,
-    so the caller's segment size bounds that buffer.
+    the caller hands every worker the segment and the position before
+    it, runs shard 0 itself, waits for every worker, and emits the
+    round's evictions ascending by their last record's position — the
+    one-shard order.  Every shard scans the whole segment, numbers its
+    rows, and copies the rows of its own keys into its row store (arena
+    columns off the OCaml heap, reused as packets evict), so nothing is
+    bucketed or materialized at feed time.  Output is byte-identical at
+    any shard count and any chunking.  A stream buffers at most one
+    segment's evictions, so the caller's segment size bounds that
+    buffer.
 
     {2 Checkpoints}
 
@@ -109,7 +113,9 @@ val shards : t -> int
 
 val feed_arena : t -> Logsys.Arena.slice -> unit
 (** Process one segment (one slice), in arrival order.  Rows with a
-    negative node id are ignored; every other row materializes once.
+    negative node id are ignored; every other row is copied into its
+    shard's row store, and materializes once, when its packet is
+    evicted.  The slice is read until this returns.
     Every flow the segment evicts is emitted before this returns;
     emission depends only on the concatenation of segments, not on how
     they are chunked.  A failure — raised by [emit], or by a worker — is
