@@ -117,6 +117,9 @@ val label : t -> int -> Protocol.label
 
 val inferred : t -> int -> bool
 
+val inferred_bit : int
+(** [codes.(k) land inferred_bit <> 0] iff item [k] is inferred. *)
+
 val entered : t -> int -> Fsm_state.t
 
 val row : t -> int -> int

@@ -1,12 +1,13 @@
 (* The network-wide merge is the pipeline stage that sees every event at
    once (~1.4M items on the 30-day CitySee rung), so its data layout is
    flat and index-based throughout, with no hashing per item or per log
-   row and no allocation per event beyond the handle it emits:
+   row and no allocation per event beyond the handle it emits.  An item
+   costs three words (its flow, anchor and soft successor) and a byte:
 
-   - items are ids into flat arrays filled by one pass over the flows'
-     packed items; packet identities ([pid]s) are interned once per flow;
-   - hard edges (per-packet flow order) are consecutive chains, stored as
-     a single-successor array;
+   - items are ids given out in flow order, so an item's position is its
+     id minus its flow's first id, and its hard (same-packet) successor
+     is the next id of its flow, else the first of the next non-empty
+     flow of the same packet key, linked once per flow;
    - the log alignment reads rows: every logged item of a reconstructed
      flow carries its record's row ({!Flow.row}), so each (packet, node)
      queue replays the greedy head-of-queue walk against that node's run
@@ -15,11 +16,13 @@
    - soft edges (cross-packet node-log order) chain each node's matched
      items, one walk over the node logs; every item sits on one node, so
      soft edges are a single-successor array too;
-   - Kahn's algorithm runs on two unboxed int heaps: the main one keyed
-     (anchor, push sequence), the stall one (anchor, id) holding only
-     events that became hard-ready with soft in-edges pending — O(log n)
-     per stall release where the original implementation rescanned all n
-     items per soft cycle.
+   - no in-degree exceeds one, so an item's pending in-edges are bits of
+     its flag byte, beside emitted and aligned;
+   - Kahn's algorithm runs on two unboxed heaps that keep each entry's
+     anchor beside it: the main one keyed (anchor, push sequence), the
+     stall one (anchor, id) holding only events that became hard-ready
+     with soft in-edges pending — O(log n) per stall release where the
+     original implementation rescanned all n items per soft cycle.
 
    The emission order is bit-identical to the straightforward
    list-and-hashtable implementation this replaced (the test suite keeps a
@@ -66,65 +69,100 @@ let c_prov_carry =
     ~help:"Events emitted per provenance mechanism (provenance-enabled runs)."
     ~labels:[ ("mechanism", Provenance.mechanism_name Provenance.Anchor_carry) ]
 
-(* Packet interning, per flow (not per item): flows sharing a key share a
-   pid, which is what chains their items into one hard sequence. *)
-let intern tbl ~origin ~seq =
-  match Hashtbl.find_opt tbl (origin, seq) with
-  | Some pid -> pid
-  | None ->
-      let pid = Hashtbl.length tbl in
-      Hashtbl.add tbl (origin, seq) pid;
-      pid
-
-(* A binary min-heap of non-negative ints ordered by
-   [(key.(e land id_mask), e)]: the element is an item id, optionally with
-   a push sequence in the bits above [id_bits], so the lexicographic key
-   needs no tuple and the heap no boxes.  Every id is pushed at most once,
-   so capacity [n] never grows.  [pop] returns [-1] when empty. *)
+(* A binary min-heap of non-negative ints ordered by [(key, element)],
+   each kept beside its float key, so a sift reads only the heap's own
+   arrays.  The element is an item id, optionally with a push sequence in
+   the bits above [id_bits], so the heap needs no tuple and no box.  It
+   starts small and doubles.  [pop] returns [-1] when empty.  [park]
+   keeps an entry past the heap's end, unordered; [pop_kept] pushes the
+   parked entries [keep] accepts, drops the rest, then pops until an
+   entry [keep] accepts.  A heap that parks is popped only by [pop_kept]
+   and pushed only by [park]. *)
 let id_bits = 31
 
 let id_mask = (1 lsl id_bits) - 1
 
-module Int_heap = struct
-  type t = { data : int array; mutable size : int; key : float array }
+module Keyed_heap = struct
+  type t = {
+    mutable keys : float array;
+    mutable elts : int array;
+    mutable size : int;
+    mutable parked : int;
+  }
 
-  let create key n = { data = Array.make n 0; size = 0; key }
+  let create () =
+    { keys = Array.make 512 0.; elts = Array.make 512 0; size = 0; parked = 0 }
 
-  let before h a b =
-    let ka = h.key.(a land id_mask) and kb = h.key.(b land id_mask) in
+  let[@inline] before (ka : float) (a : int) kb b =
     ka < kb || (ka = kb && a < b)
 
-  let push h e =
-    let i = ref h.size in
+  let[@inline] reserve h =
+    if h.size + h.parked = Array.length h.elts then begin
+      h.keys <- Array.append h.keys h.keys;
+      h.elts <- Array.append h.elts h.elts
+    end
+
+  let[@inline] push h key e =
+    reserve h;
+    let keys = h.keys and elts = h.elts and i = ref h.size in
     h.size <- h.size + 1;
-    while !i > 0 && before h e h.data.((!i - 1) / 2) do
-      h.data.(!i) <- h.data.((!i - 1) / 2);
+    while !i > 0 && before key e keys.((!i - 1) / 2) elts.((!i - 1) / 2) do
+      keys.(!i) <- keys.((!i - 1) / 2);
+      elts.(!i) <- elts.((!i - 1) / 2);
       i := (!i - 1) / 2
     done;
-    h.data.(!i) <- e
+    keys.(!i) <- key;
+    elts.(!i) <- e
 
   let pop h =
     if h.size = 0 then -1
     else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      let last = h.data.(h.size) and i = ref 0 and sifting = ref true in
+      let keys = h.keys and elts = h.elts and size = h.size - 1 in
+      let top = elts.(0) and key = keys.(size) and e = elts.(size) in
+      h.size <- size;
+      let i = ref 0 and sifting = ref true in
       while !sifting do
         let l = (2 * !i) + 1 in
         let c =
-          if l + 1 < h.size && before h h.data.(l + 1) h.data.(l) then l + 1
+          if l + 1 < size && before keys.(l + 1) elts.(l + 1) keys.(l) elts.(l)
+          then l + 1
           else l
         in
-        if c < h.size && before h h.data.(c) last then begin
-          h.data.(!i) <- h.data.(c);
+        if c < size && before keys.(c) elts.(c) key e then begin
+          keys.(!i) <- keys.(c);
+          elts.(!i) <- elts.(c);
           i := c
         end
         else sifting := false
       done;
-      h.data.(!i) <- last;
+      keys.(!i) <- key;
+      elts.(!i) <- e;
       top
     end
+
+  let park h key e =
+    reserve h;
+    h.keys.(h.size + h.parked) <- key;
+    h.elts.(h.size + h.parked) <- e;
+    h.parked <- h.parked + 1
+
+  let rec pop_kept h keep =
+    let stop = h.size + h.parked in
+    h.parked <- 0;
+    for j = h.size to stop - 1 do
+      if keep h.elts.(j) then push h h.keys.(j) h.elts.(j)
+    done;
+    let e = pop h in
+    if e < 0 || keep e then e else pop_kept h keep
 end
+
+(* The flag byte's bits: the item waits on its hard predecessor, waits on
+   its soft predecessor, was emitted, was aligned with its node's log. *)
+let hard_wait = 1 and soft_wait = 2 and emitted = 4 and aligned = 8
+
+let[@inline] flag flags id = Char.code (Bytes.get flags id)
+
+let[@inline] set_flag flags id v = Bytes.set flags id (Char.unsafe_chr v)
 
 (* Where the merge reads per-node logs from: an arena-indexed packet
    index (columns; the alignment never materializes a record). *)
@@ -132,13 +170,16 @@ type log_source = Arena_index of Logsys.Arena.Packets.t
 
 type event = { flow : Flow.t; pos : int }
 
-let no_row = -1
-
-let inferred_row = -2
-
 let merge_untimed ?emit_prov (Arena_index packets) ~(flows : Flow.t array)
     ~emit:emit_event =
-  let n = Array.fold_left (fun n f -> n + Flow.length f) 0 flows in
+  let n_flows = Array.length flows in
+  (* Ids are given out in flow order: flow [fi]'s items are the ids from
+     [start.(fi)] to [start.(fi + 1) - 1]. *)
+  let start = Array.make (n_flows + 1) 0 in
+  Array.iteri
+    (fun fi f -> start.(fi + 1) <- start.(fi) + Flow.length f)
+    flows;
+  let n = start.(n_flows) in
   if n = 0 then { events = 0; logged = 0; inferred = 0; relaxed = 0 }
   else begin
     let module Packets = Logsys.Arena.Packets in
@@ -146,81 +187,46 @@ let merge_untimed ?emit_prov (Arena_index packets) ~(flows : Flow.t array)
     let n_nodes = Packets.n_nodes packets in
     let arena = Packets.arena packets in
     let n_rows = Arena.length arena in
+    let inferred_bit = Flow.inferred_bit in
     let flow_of = Array.make n 0 in
-    let packet_of = Array.make n 0 in
-    let pos_of = Array.make n 0 in
-    (* Per item: its row; [no_row] for a logged item without a valid one,
-       [inferred_row] for an inferred item. *)
-    let row_of = Array.make n inferred_row in
-    let hard_succ = Array.make n (-1) in
-    let hard_in = Array.make n 0 in
+    let flags = Bytes.make n '\000' in
     let logged = ref 0 in
-    (* Provenance side-cars, allocated only when the caller listens.  Each
-       item's base provenance comes from its flow's side-car when the flows
-       were reconstructed with provenance on; otherwise it is synthesized
-       from the item alone (no evidence, lowest confidence for inferred). *)
-    let want_prov = emit_prov <> None in
-    let synth_prov f pos =
-      let entered = Flow.entered f pos in
-      if Flow.inferred f pos then
-        Provenance.with_confidence Provenance.Low
-          (Provenance.make2 Provenance.Intra_inference ~src:entered
-             ~dst:entered ~e1:(-1) ~e2:(-1))
+    (* An item's base provenance: its flow's side-car entry, else one
+       synthesized from the item alone (no evidence; lowest confidence
+       when inferred). *)
+    let base_prov (f : Flow.t) pos =
+      if pos < Array.length f.prov then f.prov.(pos)
       else
-        Provenance.make2 Provenance.Logged ~src:entered ~dst:entered ~e1:(-1)
-          ~e2:(-1)
+        let src = Flow.entered f pos in
+        if f.codes.(pos) land inferred_bit <> 0 then
+          Provenance.with_confidence Low
+            (Provenance.make2 Intra_inference ~src ~dst:src ~e1:(-1) ~e2:(-1))
+        else Provenance.make2 Logged ~src ~dst:src ~e1:(-1) ~e2:(-1)
     in
-    let prov_of =
-      if want_prov then
-        Array.make n
-          (Provenance.make2 Provenance.Logged ~src:(-1) ~dst:(-1) ~e1:(-1)
-             ~e2:(-1))
-      else [||]
-    in
-    let aligned = if want_prov then Array.make n false else [||] in
-    (* ---- Fill.  Ids are assigned in flow order, so each packet's hard
-       chain is a run of consecutive ids, extended across flows that share
-       a packet key; following [hard_succ] from a packet's first id walks
-       its items in flow order. ---- *)
-    let pids = Hashtbl.create (max 64 (Array.length flows)) in
-    let flow_pid =
-      Array.map (fun (f : Flow.t) -> intern pids ~origin:f.origin ~seq:f.seq) flows
-    in
-    let n_pids = Hashtbl.length pids in
-    let first_of_pid = Array.make n_pids (-1) in
-    let flow_of_pid = Array.make n_pids 0 in
-    let last_of_pid = Array.make n_pids (-1) in
+    (* ---- Fill.  Each packet's items form one hard chain: its flows' ids
+       in flow order, each non-empty flow linked to the first id of the
+       next one of the same packet key ([next_id], else [-1]) and named by
+       the chain's first flow ([chain], [-1] for an empty flow).  Every
+       item but a chain's first waits on its hard predecessor. ---- *)
+    let next_id = Array.make n_flows (-1) in
+    let chain = Array.make n_flows (-1) in
     Obs.Profile.with_stage ~name:"refill.global_flow.fill" (fun () ->
-        let id = ref 0 in
+        let last_flow = Hashtbl.create (max 64 n_flows) in
         Array.iteri
           (fun fi (f : Flow.t) ->
-            let pid = flow_pid.(fi) in
-            for pos = 0 to Flow.length f - 1 do
-              let id' = !id in
-              incr id;
-              flow_of.(id') <- fi;
-              packet_of.(id') <- pid;
-              pos_of.(id') <- pos;
-              if want_prov then
-                prov_of.(id') <-
-                  (if pos < Array.length f.prov then f.prov.(pos)
-                   else synth_prov f pos);
-              if not (Flow.inferred f pos) then begin
-                incr logged;
-                let row = f.rows.(pos) in
-                row_of.(id') <- (if row >= 0 && row < n_rows then row else no_row)
-              end;
-              let prev = last_of_pid.(pid) in
-              if prev >= 0 then begin
-                hard_succ.(prev) <- id';
-                hard_in.(id') <- 1
-              end
-              else begin
-                first_of_pid.(pid) <- id';
-                flow_of_pid.(pid) <- fi
-              end;
-              last_of_pid.(pid) <- id'
-            done)
+            let first = start.(fi) and len = Array.length f.codes in
+            if len > 0 then begin
+              Array.fill flow_of first len fi;
+              Bytes.fill flags first len (Char.chr hard_wait);
+              (match Hashtbl.find_opt last_flow (f.origin, f.seq) with
+              | Some prev ->
+                  next_id.(prev) <- first;
+                  chain.(fi) <- chain.(prev)
+              | None ->
+                  chain.(fi) <- fi;
+                  set_flag flags first 0);
+              Hashtbl.replace last_flow (f.origin, f.seq) fi
+            end)
           flows);
     (* ---- Alignment: the greedy head-of-queue match of every
        (packet, node) queue against that node's rows of the packet, in
@@ -242,54 +248,63 @@ let merge_untimed ?emit_prov (Arena_index packets) ~(flows : Flow.t array)
     Obs.Profile.with_stage ~name:"refill.global_flow.align" (fun () ->
         let cursor = Array.make n_nodes 0 in
         let run_end = Array.make n_nodes 0 in
-        let run_pid = Array.make n_nodes (-1) in
-        for pid = 0 to n_pids - 1 do
-          let f = flows.(flow_of_pid.(pid)) in
-          let rows = Packets.packet_rows packets ~origin:f.origin ~seq:f.seq in
-          let len = Array.length rows in
-          let i = ref 0 in
-          while !i < len do
-            let nd = Arena.node arena rows.(!i) in
-            let j = ref (!i + 1) in
-            while !j < len && Arena.node arena rows.(!j) = nd do
-              incr j
+        (* The chain whose packet a node's run holds. *)
+        let run_head = Array.make n_nodes (-1) in
+        for head = 0 to n_flows - 1 do
+          if chain.(head) = head then begin
+            let ({ origin; seq; _ } : Flow.t) = flows.(head) in
+            let rows = Packets.packet_rows packets ~origin ~seq in
+            let len = Array.length rows in
+            let i = ref 0 in
+            while !i < len do
+              let nd = Arena.node arena rows.(!i) in
+              let j = ref (!i + 1) in
+              while !j < len && Arena.node arena rows.(!j) = nd do
+                incr j
+              done;
+              run_head.(nd) <- head;
+              cursor.(nd) <- !i;
+              run_end.(nd) <- !j;
+              i := !j
             done;
-            run_pid.(nd) <- pid;
-            cursor.(nd) <- !i;
-            run_end.(nd) <- !j;
-            i := !j
-          done;
-          let id = ref first_of_pid.(pid) in
-          while !id >= 0 do
-            let row = row_of.(!id) in
-            if row = no_row then begin
-              let nd = Flow.node flows.(flow_of.(!id)) pos_of.(!id) in
-              if nd >= 0 && nd < n_nodes && run_pid.(nd) = pid then
-                cursor.(nd) <- run_end.(nd)
-            end
-            else if row >= 0 then begin
-              let nd = Arena.node arena row in
-              if run_pid.(nd) = pid then begin
-                (* The own row is the usual first hit; only a skipped
-                   row costs a column comparison. *)
-                let k = ref cursor.(nd) and stop = run_end.(nd) in
-                while
-                  !k < stop
-                  &&
-                  let r = rows.(!k) in
-                  r <> row && not (Arena.equal_rows arena r row)
-                do
-                  incr k
-                done;
-                if !k < stop then begin
-                  matched_of_row.(rows.(!k)) <- !id;
-                  cursor.(nd) <- !k + 1
+            let fi = ref head in
+            while !fi >= 0 do
+              let ({ codes; rows = own; nodes; _ } : Flow.t) = flows.(!fi) in
+              for pos = 0 to Array.length codes - 1 do
+                if codes.(pos) land inferred_bit = 0 then begin
+                  incr logged;
+                  let row = own.(pos) in
+                  if row >= 0 && row < n_rows then begin
+                    let nd = Arena.node arena row in
+                    if run_head.(nd) = head then begin
+                      (* The own row is the usual first hit; only a
+                         skipped row costs a column comparison. *)
+                      let k = ref cursor.(nd) and stop = run_end.(nd) in
+                      while
+                        !k < stop
+                        &&
+                        let r = rows.(!k) in
+                        r <> row && not (Arena.equal_rows arena r row)
+                      do
+                        incr k
+                      done;
+                      if !k < stop then begin
+                        matched_of_row.(rows.(!k)) <- start.(!fi) + pos;
+                        cursor.(nd) <- !k + 1
+                      end
+                      else cursor.(nd) <- stop
+                    end
+                  end
+                  else begin
+                    let nd = nodes.(pos) in
+                    if nd >= 0 && nd < n_nodes && run_head.(nd) = head then
+                      cursor.(nd) <- run_end.(nd)
+                  end
                 end
-                else cursor.(nd) <- stop
-              end
-            end;
-            id := hard_succ.(!id)
-          done
+              done;
+              fi := if next_id.(!fi) < 0 then -1 else flow_of.(next_id.(!fi))
+            done
+          end
         done);
     (* ---- Order: one walk over every node's log, in log order, fixes
        each matched item's anchor (its log-position fraction) and chains
@@ -302,89 +317,89 @@ let merge_untimed ?emit_prov (Arena_index packets) ~(flows : Flow.t array)
        pass), then preceding (forward pass), else 0. ---- *)
     let anchors = Array.make n Float.nan in
     let soft_succ = Array.make n (-1) in
-    let soft_in = Array.make n 0 in
     let relaxed = ref 0 in
     Obs.Profile.with_stage ~name:"refill.global_flow.order" (fun () ->
         for node = 0 to n_nodes - 1 do
           let rows = Packets.node_rows packets node in
           let len = float_of_int (max 1 (Array.length rows)) in
           let last = ref (-1) in
-          Array.iteri
-            (fun log_idx row ->
-              let b = matched_of_row.(row) in
-              if b >= 0 then begin
-                anchors.(b) <- float_of_int log_idx /. len;
-                if want_prov then aligned.(b) <- true;
-                let a = !last in
-                if a >= 0 then
-                  if packet_of.(a) = packet_of.(b) && pos_of.(b) <= pos_of.(a)
-                  then incr relaxed
-                  else begin
-                    soft_succ.(a) <- b;
-                    soft_in.(b) <- 1
-                  end;
-                last := b
-              end)
-            rows
+          for log_idx = 0 to Array.length rows - 1 do
+            let b = matched_of_row.(rows.(log_idx)) in
+            if b >= 0 then begin
+              anchors.(b) <- float_of_int log_idx /. len;
+              set_flag flags b (flag flags b lor aligned);
+              let a = !last in
+              if a >= 0 then begin
+                let fa = flow_of.(a) and fb = flow_of.(b) in
+                if chain.(fa) = chain.(fb) && b - start.(fb) <= a - start.(fa)
+                then incr relaxed
+                else begin
+                  soft_succ.(a) <- b;
+                  set_flag flags b (flag flags b lor soft_wait)
+                end
+              end;
+              last := b
+            end
+          done
         done;
-        let carry = Array.make n_pids Float.nan in
+        let carry = Array.make n_flows Float.nan in
         for id = n - 1 downto 0 do
-          let pid = packet_of.(id) in
-          if Float.is_nan anchors.(id) then begin
-            if not (Float.is_nan carry.(pid)) then anchors.(id) <- carry.(pid)
-          end
-          else carry.(pid) <- anchors.(id)
+          let c = chain.(flow_of.(id)) in
+          if Float.is_nan anchors.(id) then anchors.(id) <- carry.(c)
+          else carry.(c) <- anchors.(id)
         done;
-        Array.fill carry 0 n_pids Float.nan;
+        Array.fill carry 0 n_flows 0.;
         for id = 0 to n - 1 do
-          let pid = packet_of.(id) in
-          if Float.is_nan anchors.(id) then
-            anchors.(id) <-
-              (if Float.is_nan carry.(pid) then 0. else carry.(pid))
-          else carry.(pid) <- anchors.(id)
+          let c = chain.(flow_of.(id)) in
+          if Float.is_nan anchors.(id) then anchors.(id) <- carry.(c)
+          else carry.(c) <- anchors.(id)
         done);
     (* ---- Deterministic Kahn's algorithm.  The main heap orders ready
        events by (anchor, push sequence): FIFO among equal anchors.  An
-       event that becomes hard-ready while soft in-edges are pending goes
-       to the stall heap, keyed (anchor, id); when the main heap runs dry
-       (a soft cycle) the smallest live stall entry is released by
-       dropping its soft in-edges.  Every hard-ready, not yet emitted
-       event is in the stall heap by then — any soft-ready one went
-       through the main heap, which is always drained first — so the
-       release is the (anchor, id)-smallest hard-ready event, exactly as
-       a full rescan would pick.  Stall entries go stale when their event
-       is emitted through the main heap; pops skip them lazily. ---- *)
-    let n_stall_prov = ref 0 in
-    let n_carry_prov = ref 0 in
-    let stalls = ref 0 in
+       event that becomes hard-ready while soft in-edges are pending is
+       parked in the stall heap, keyed (anchor, id); when the main heap
+       runs dry (a soft cycle) the parked events not yet emitted are
+       ordered, and the smallest live stall entry is released by dropping
+       its soft in-edges.  Every hard-ready, not yet emitted event is in
+       the stall heap by then — any soft-ready one went through the main
+       heap, which is always drained first — so the release is the
+       (anchor, id)-smallest hard-ready event, exactly as a full rescan
+       would pick.  Most parked events are emitted through the main heap
+       before the next stall and never ordered; an entry that goes stale
+       once ordered is skipped lazily. ---- *)
+    let n_stall_prov = ref 0 and n_carry_prov = ref 0 and stalls = ref 0 in
     Obs.Profile.with_stage ~name:"refill.global_flow.emit" (fun () ->
-        let main = Int_heap.create anchors n in
-        let stall = Int_heap.create anchors n in
+        let main = Keyed_heap.create () and stall = Keyed_heap.create () in
         let pushes = ref 0 in
         let push_main id =
-          Int_heap.push main ((!pushes lsl id_bits) lor id);
+          Keyed_heap.push main anchors.(id) ((!pushes lsl id_bits) lor id);
           incr pushes
         in
-        let emitted = Array.make n false in
+        let push_stall id = Keyed_heap.park stall anchors.(id) id in
+        let live id = flag flags id land emitted = 0 in
         let emitted_count = ref 0 in
         for id = 0 to n - 1 do
-          if hard_in.(id) = 0 then
-            if soft_in.(id) = 0 then push_main id else Int_heap.push stall id
+          let fl = flag flags id in
+          if fl land hard_wait = 0 then
+            if fl land soft_wait = 0 then push_main id else push_stall id
         done;
         let emit ~stalled id =
-          emitted.(id) <- true;
-          let flow = flows.(flow_of.(id)) and pos = pos_of.(id) in
+          set_flag flags id (flag flags id lor emitted);
+          let fi = flow_of.(id) in
+          let flow = flows.(fi) and pos = id - start.(fi) in
           emit_event { flow; pos };
           (match emit_prov with
           | None -> ()
           | Some f ->
-              let base = prov_of.(id) in
+              let base = base_prov flow pos in
               let pv =
                 if stalled then begin
                   incr n_stall_prov;
                   Provenance.with_mechanism Provenance.Stall_recovery base
                 end
-                else if (not (Flow.inferred flow pos)) && not aligned.(id)
+                else if
+                  flow.codes.(pos) land inferred_bit = 0
+                  && flag flags id land aligned = 0
                 then begin
                   (* A logged event whose record never aligned with its
                      node's log: its global position was carried from a
@@ -396,47 +411,33 @@ let merge_untimed ?emit_prov (Arena_index packets) ~(flows : Flow.t array)
               in
               f pv);
           incr emitted_count;
-          let succ = hard_succ.(id) in
+          let succ = if id + 1 < start.(fi + 1) then id + 1 else next_id.(fi) in
           if succ >= 0 then begin
-            hard_in.(succ) <- 0;
-            if soft_in.(succ) = 0 then push_main succ
-            else Int_heap.push stall succ
+            let fl = flag flags succ land lnot hard_wait in
+            set_flag flags succ fl;
+            if fl land soft_wait = 0 then push_main succ else push_stall succ
           end;
           let succ = soft_succ.(id) in
           if succ >= 0 then begin
-            soft_in.(succ) <- soft_in.(succ) - 1;
-            if hard_in.(succ) = 0 && soft_in.(succ) = 0 && not emitted.(succ)
-            then push_main succ
+            let fl = flag flags succ land lnot soft_wait in
+            set_flag flags succ fl;
+            if fl land (hard_wait lor emitted) = 0 then push_main succ
           end
         in
         while !emitted_count < n do
-          match Int_heap.pop main with
+          match Keyed_heap.pop main with
           | -1 ->
               (* Hard edges are per-packet chains (acyclic), so the stall
-                 heap always holds a live entry. *)
-              let rec release () =
-                match Int_heap.pop stall with
-                | -1 -> assert false
-                | id when emitted.(id) -> release ()
-                | id ->
-                    relaxed := !relaxed + soft_in.(id);
-                    soft_in.(id) <- 0;
-                    incr stalls;
-                    emit ~stalled:true id
-              in
-              release ()
+                 heap always holds a live entry, and it still waits on its
+                 soft predecessor (else it went through the main heap):
+                 that edge is dropped. *)
+              incr relaxed;
+              incr stalls;
+              emit ~stalled:true (Keyed_heap.pop_kept stall live)
           | e ->
               let id = e land id_mask in
-              if not emitted.(id) then emit ~stalled:false id
+              if flag flags id land emitted = 0 then emit ~stalled:false id
         done);
-    let stats =
-      {
-        events = n;
-        logged = !logged;
-        inferred = n - !logged;
-        relaxed = !relaxed;
-      }
-    in
     Par.with_obs_lock (fun () ->
         Obs.Metrics.Counter.inc ~by:n c_events;
         Obs.Metrics.Counter.inc ~by:!relaxed c_relaxed;
@@ -445,7 +446,7 @@ let merge_untimed ?emit_prov (Arena_index packets) ~(flows : Flow.t array)
           Obs.Metrics.Counter.inc ~by:!n_stall_prov c_prov_stall;
         if !n_carry_prov > 0 then
           Obs.Metrics.Counter.inc ~by:!n_carry_prov c_prov_carry);
-    stats
+    { events = n; logged = !logged; inferred = n - !logged; relaxed = !relaxed }
   end
 
 let merge_from ?emit_prov source ~flows ~emit =
@@ -490,17 +491,12 @@ module Incremental = struct
   let create ?(n_nodes = 1) () =
     { arena = Logsys.Arena.create (); n_nodes = max 1 n_nodes; flows_rev = [] }
 
-  let add_arena t (s : Logsys.Arena.slice) =
-    let a = s.Logsys.Arena.sl_base in
-    for i = s.Logsys.Arena.sl_off to s.Logsys.Arena.sl_off + s.Logsys.Arena.sl_len - 1
-    do
+  let add_arena t ({ sl_base = a; sl_off; sl_len } : Logsys.Arena.slice) =
+    for i = sl_off to sl_off + sl_len - 1 do
       let node = Logsys.Arena.node a i in
       if node >= 0 then begin
         if node >= t.n_nodes then t.n_nodes <- node + 1;
-        Logsys.Arena.push_row t.arena ~node ~tag:(Logsys.Arena.tag a i)
-          ~peer:(Logsys.Arena.peer a i) ~origin:(Logsys.Arena.origin a i)
-          ~pkt_seq:(Logsys.Arena.pkt_seq a i)
-          ~true_time:(Logsys.Arena.true_time a i) ~gseq:(Logsys.Arena.gseq a i)
+        Logsys.Arena.copy_row a i t.arena (Logsys.Arena.length t.arena)
       end
     done
 

@@ -973,6 +973,65 @@ let equal_records_first_skipped () =
     logs ~sink:3
     ~rows:[ (1, 0, 0); (1, 1, 1); (2, 3, 0); (2, 1, 1); (3, 0, 0); (3, 1, 1) ]
 
+(* Empty flows inside a hard chain.  A packet's hard chain runs through
+   its flows in order, each linked to the next non-empty flow of its key,
+   so an empty flow of the packet between (or after) its two parts must
+   not break the chain, and a packet whose only flow is empty, placed
+   between them, must neither start a chain nor release the second part:
+   both merge exactly as the oracle's per-key last item has it. *)
+let empty_flows_in_hard_chains () =
+  let sc = Lazy.force scenario in
+  let collected = Scenario.Citysee.collected sc in
+  let flows = reconstruct_flows collected ~sink:sc.sink in
+  let rebuild (f : Refill.Flow.t) entries =
+    Refill.Flow.of_items ~origin:f.origin ~seq:f.seq ~stats:f.stats
+      ~rows:(Array.of_list (List.map snd entries))
+      (List.map fst entries)
+  in
+  let only = List.hd flows in
+  let split = List.find (fun f -> f != only && Refill.Flow.length f >= 4) flows in
+  let entries =
+    List.mapi (fun pos it -> (it, Refill.Flow.row split pos)) (Refill.Flow.items split)
+  in
+  let cut = List.length entries / 2 in
+  let head = List.filteri (fun i _ -> i < cut) entries
+  and tail = List.filteri (fun i _ -> i >= cut) entries in
+  let around middle =
+    List.concat_map
+      (fun f ->
+        if f == split then [ rebuild f head; middle; rebuild f tail ]
+        else if f == only then []
+        else [ f ])
+      flows
+  in
+  List.iter
+    (fun (label, flows) ->
+      let reference = Reference.build collected ~flows in
+      check_same_output label reference (merge_events collected ~flows);
+      check_merge_provenance label collected ~flows reference)
+    [
+      ( "non-empty, empty, non-empty, empty",
+        around (rebuild split []) @ [ only; rebuild split [] ] );
+      ("a packet's only flow empty", around (rebuild only []));
+    ]
+
+(* The merge's major-heap allocation per merged item: three words and a
+   flag byte per item, a word per log row, and per-flow links.  Counted
+   with [Gc.counters]: on OCaml 5.1, [Gc.quick_stat]'s [major_words]
+   reads 0 across this call. *)
+let merge_allocation_per_item () =
+  let sc = Lazy.force scenario in
+  let collected = Scenario.Citysee.collected sc in
+  let flows = Array.of_list (reconstruct_flows collected ~sink:sc.sink) in
+  let _, _, before = Gc.counters () in
+  let stats = Refill.Global_flow.merge collected ~flows ~emit:ignore in
+  let _, _, after = Gc.counters () in
+  let per_item = (after -. before) /. float_of_int stats.events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f major words per item (%d items), at most 8" per_item
+       stats.events)
+    true (per_item <= 8.)
+
 let empty_inputs () =
   let empty = Logsys.Collected.of_node_logs [| [||]; [||] |] in
   let items, stats = merge_flows empty ~flows:[] in
@@ -996,6 +1055,8 @@ let () =
             inferred_anchor_inherits_following;
           Alcotest.test_case "empty" `Quick empty_inputs;
           Alcotest.test_case "stage spans" `Quick stage_spans;
+          Alcotest.test_case "allocation per item" `Quick
+            merge_allocation_per_item;
         ] );
       ( "equivalence",
         [
@@ -1007,6 +1068,8 @@ let () =
             later_record_emitted_first;
           Alcotest.test_case "first of two equal records skipped" `Quick
             equal_records_first_skipped;
+          Alcotest.test_case "empty flows in a hard chain" `Quick
+            empty_flows_in_hard_chains;
           QCheck_alcotest.to_alcotest order_preservation_property;
           QCheck_alcotest.to_alcotest perturbed_inputs_match_reference;
         ] );
