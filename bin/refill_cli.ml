@@ -43,8 +43,8 @@ let obs_opts_term =
   in
   let trace_out =
     let doc =
-      "Record pipeline spans to $(docv) as Chrome trace_event JSON \
-       (open in Perfetto or chrome://tracing)."
+      "Record pipeline spans to $(docv) as Chrome trace_event JSON, one row \
+       per domain (open in Perfetto or chrome://tracing)."
     in
     Arg.(
       value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)

@@ -194,11 +194,10 @@ let finish acc =
       links;
     }
   in
-  Refill.Par.with_obs_lock (fun () ->
-      Obs.Metrics.Counter.inc ~by:t.packets c_flows;
-      Obs.Metrics.Counter.inc ~by:t.complete c_complete;
-      Obs.Metrics.Counter.inc ~by:t.incomplete c_incomplete;
-      Obs.Metrics.Gauge.set g_fraction_inferred (fraction_inferred t));
+  Obs.Metrics.Counter.inc ~by:t.packets c_flows;
+  Obs.Metrics.Counter.inc ~by:t.complete c_complete;
+  Obs.Metrics.Counter.inc ~by:t.incomplete c_incomplete;
+  Obs.Metrics.Gauge.set g_fraction_inferred (fraction_inferred t);
   t
 
 let to_json t =

@@ -1,12 +1,14 @@
-type counter = { mutable c_value : int }
+type counter = int Atomic.t
 
-type gauge = { mutable g_value : float }
+type gauge = float Atomic.t
 
+(* Buckets and sum change together under [lock], so a read under it is
+   consistent; the count is the buckets' total. *)
 type histogram = {
   bounds : float array;  (* strictly increasing upper bounds *)
   bucket : int array;  (* length = Array.length bounds + 1; last = +Inf *)
-  mutable h_sum : float;
-  mutable h_count : int;
+  sum : float array;  (* one cell, unboxed: observing allocates nothing *)
+  lock : Mutex.t;
 }
 
 type metric =
@@ -33,12 +35,12 @@ let reset registry =
   Hashtbl.iter
     (fun _ r ->
       match r.metric with
-      | Counter_m c -> c.c_value <- 0
-      | Gauge_m g -> g.g_value <- 0.
+      | Counter_m c -> Atomic.set c 0
+      | Gauge_m g -> Atomic.set g 0.
       | Histogram_m h ->
-          Array.fill h.bucket 0 (Array.length h.bucket) 0;
-          h.h_sum <- 0.;
-          h.h_count <- 0)
+          Mutex.protect h.lock (fun () ->
+              Array.fill h.bucket 0 (Array.length h.bucket) 0;
+              h.sum.(0) <- 0.))
     registry.tbl
 
 let valid_name name =
@@ -83,7 +85,7 @@ module Counter = struct
   let v ?(registry = default_registry) ?(help = "") ?(labels = []) name =
     match
       (register ~registry ~help ~labels name (fun () ->
-           Counter_m { c_value = 0 }))
+           Counter_m (Atomic.make 0)))
         .metric
     with
     | Counter_m c -> c
@@ -94,13 +96,13 @@ module Counter = struct
 
   let inc ?(by = 1) t =
     if by < 0 then invalid_arg "Metrics.Counter.inc: negative increment";
-    t.c_value <- t.c_value + by
+    ignore (Atomic.fetch_and_add t by : int)
 
   let add t by =
     if by < 0 then invalid_arg "Metrics.Counter.add: negative increment";
-    t.c_value <- t.c_value + by
+    ignore (Atomic.fetch_and_add t by : int)
 
-  let value t = t.c_value
+  let value = Atomic.get
 end
 
 module Gauge = struct
@@ -109,7 +111,7 @@ module Gauge = struct
   let v ?(registry = default_registry) ?(help = "") ?(labels = []) name =
     match
       (register ~registry ~help ~labels name (fun () ->
-           Gauge_m { g_value = 0. }))
+           Gauge_m (Atomic.make 0.)))
         .metric
     with
     | Gauge_m g -> g
@@ -118,11 +120,14 @@ module Gauge = struct
           (Printf.sprintf "Metrics: %S is a %s, not a gauge" name
              (kind_name m))
 
-  let set t x = t.g_value <- x
+  let set = Atomic.set
 
-  let add t x = t.g_value <- t.g_value +. x
+  (* [old] is the cell's own box, so the swap fails only on a race. *)
+  let rec add t x =
+    let old = Atomic.get t in
+    if not (Atomic.compare_and_set t old (old +. x)) then add t x
 
-  let value t = t.g_value
+  let value = Atomic.get
 end
 
 module Histogram = struct
@@ -155,8 +160,8 @@ module Histogram = struct
              {
                bounds = Array.copy buckets;
                bucket = Array.make (Array.length buckets + 1) 0;
-               h_sum = 0.;
-               h_count = 0;
+               sum = [| 0. |];
+               lock = Mutex.create ();
              }))
         .metric
     with
@@ -177,30 +182,40 @@ module Histogram = struct
           if x <= t.bounds.(mid) then bs lo mid else bs (mid + 1) hi
       in
       let i = bs 0 n in
+      (* Nothing here can raise or allocate, so no [protect] is needed. *)
+      Mutex.lock t.lock;
       t.bucket.(i) <- t.bucket.(i) + times;
-      t.h_sum <- t.h_sum +. (x *. float_of_int times);
-      t.h_count <- t.h_count + times
+      t.sum.(0) <- t.sum.(0) +. (x *. float_of_int times);
+      Mutex.unlock t.lock
     end
 
   let observe t x = observe_n t x 1
 
   let observe_int_n t x times = observe_n t (float_of_int x) times
 
-  let count t = t.h_count
+  (* One read under the lock: the cumulative counts per upper bound, the
+     last (+Inf) of which is the count, and the sum. *)
+  let snapshot t =
+    let bucket, sum =
+      Mutex.protect t.lock (fun () -> (Array.copy t.bucket, t.sum.(0)))
+    in
+    let n = Array.length t.bounds in
+    for i = 1 to n do
+      bucket.(i) <- bucket.(i - 1) + bucket.(i)
+    done;
+    ( List.init (n + 1) (fun i ->
+          ((if i < n then t.bounds.(i) else infinity), bucket.(i))),
+      sum,
+      bucket.(n) )
 
-  let sum t = t.h_sum
+  let count t =
+    Mutex.protect t.lock (fun () -> Array.fold_left ( + ) 0 t.bucket)
+
+  let sum t = Mutex.protect t.lock (fun () -> t.sum.(0))
 
   let bucket_counts t =
-    let acc = ref 0 in
-    let cumulative =
-      Array.to_list
-        (Array.mapi
-           (fun i bound ->
-             acc := !acc + t.bucket.(i);
-             (bound, !acc))
-           t.bounds)
-    in
-    cumulative @ [ (infinity, t.h_count) ]
+    let cumulative, _, _ = snapshot t in
+    cumulative
 end
 
 (* -- Dumps ------------------------------------------------------------------ *)
@@ -259,25 +274,26 @@ let dump_prometheus ?(registry = default_registry) () =
       | Counter_m c ->
           Buffer.add_string buf
             (Printf.sprintf "%s%s %d\n" r.name (render_labels r.labels)
-               c.c_value)
+               (Atomic.get c))
       | Gauge_m g ->
           Buffer.add_string buf
             (Printf.sprintf "%s%s %s\n" r.name (render_labels r.labels)
-               (float_str g.g_value))
+               (float_str (Atomic.get g)))
       | Histogram_m h ->
+          let buckets, sum, count = Histogram.snapshot h in
           List.iter
             (fun (bound, cum) ->
               Buffer.add_string buf
                 (Printf.sprintf "%s_bucket%s %d\n" r.name
                    (render_labels (r.labels @ [ ("le", bound_str bound) ]))
                    cum))
-            (Histogram.bucket_counts h);
+            buckets;
           Buffer.add_string buf
             (Printf.sprintf "%s_sum%s %s\n" r.name (render_labels r.labels)
-               (float_str h.h_sum));
+               (float_str sum));
           Buffer.add_string buf
             (Printf.sprintf "%s_count%s %d\n" r.name (render_labels r.labels)
-               h.h_count))
+               count))
     (sorted_entries registry);
   Buffer.contents buf
 
@@ -292,12 +308,13 @@ let to_json ?(registry = default_registry) () =
     in
     let values =
       match r.metric with
-      | Counter_m c -> [ ("value", Json.Num (float_of_int c.c_value)) ]
-      | Gauge_m g -> [ ("value", Json.Num g.g_value) ]
+      | Counter_m c -> [ ("value", Json.Num (float_of_int (Atomic.get c))) ]
+      | Gauge_m g -> [ ("value", Json.Num (Atomic.get g)) ]
       | Histogram_m h ->
+          let buckets, sum, count = Histogram.snapshot h in
           [
-            ("count", Json.Num (float_of_int h.h_count));
-            ("sum", Json.Num h.h_sum);
+            ("count", Json.Num (float_of_int count));
+            ("sum", Json.Num sum);
             ( "buckets",
               Json.Arr
                 (List.map
@@ -307,7 +324,7 @@ let to_json ?(registry = default_registry) () =
                          ("le", Json.Str (bound_str bound));
                          ("count", Json.Num (float_of_int cum));
                        ])
-                   (Histogram.bucket_counts h)) );
+                   buckets) );
           ]
     in
     Json.Obj (base @ values)

@@ -2,10 +2,11 @@
     log-scale-bucket histograms, dumpable as Prometheus-style text or JSON.
 
     Metrics are interned by [(name, labels)]: calling [v] twice with the same
-    identity returns the same instrument, so libraries can declare their
-    instruments at module initialization and hot paths pay one mutable-field
-    update per event.  The registry is single-threaded, like the rest of the
-    pipeline. *)
+    identity returns the same instrument.  Instruments are registered at
+    module initialization, from one domain; after that any domain or thread
+    may update and dump them.  Counters and gauges are atomics, and each
+    histogram keeps its buckets and sum under its own mutex, so a dump reads
+    every histogram in one step and its [_count] is its [+Inf] bucket. *)
 
 type registry
 

@@ -65,7 +65,7 @@ let with_stage ?(cat = "refill") ~name f =
             ph = 'X';
             ts_us = t0;
             dur_us = t1 -. t0;
-            tid = 1;
+            tid = Span.tid ();
             args = attrs (delta ~before ~after);
           })
       f

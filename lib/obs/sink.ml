@@ -8,15 +8,23 @@ type event = {
   args : (string * string) list;
 }
 
-type file_state = { oc : out_channel; mutable first : bool; mutable closed : bool }
-
-type t = Null | Memory of event list ref | File of file_state
+(* Spans come from any domain, so each live sink takes one event at a
+   time under its own lock. *)
+type t =
+  | Null
+  | Memory of { lock : Mutex.t; mutable events : event list }
+  | File of {
+      lock : Mutex.t;
+      oc : out_channel;
+      mutable first : bool;
+      mutable closed : bool;
+    }
 
 let null = Null
 
 let is_null = function Null -> true | Memory _ | File _ -> false
 
-let memory () = Memory (ref [])
+let memory () = Memory { lock = Mutex.create (); events = [] }
 
 let event_to_json e =
   let base =
@@ -48,27 +56,30 @@ let trace_json events =
 let file path =
   let oc = open_out path in
   output_string oc "{\"traceEvents\":[";
-  File { oc; first = true; closed = false }
+  File { lock = Mutex.create (); oc; first = true; closed = false }
 
 let emit t e =
   match t with
   | Null -> ()
-  | Memory buf -> buf := e :: !buf
+  | Memory m -> Mutex.protect m.lock (fun () -> m.events <- e :: m.events)
   | File f ->
-      if not f.closed then begin
-        if f.first then f.first <- false else output_char f.oc ',';
-        output_string f.oc (Json.to_string (event_to_json e))
-      end
+      let json = Json.to_string (event_to_json e) in
+      Mutex.protect f.lock (fun () ->
+          if not f.closed then begin
+            if f.first then f.first <- false else output_char f.oc ',';
+            output_string f.oc json
+          end)
 
 let events = function
-  | Memory buf -> List.rev !buf
+  | Memory m -> Mutex.protect m.lock (fun () -> List.rev m.events)
   | Null | File _ -> []
 
 let close = function
   | Null | Memory _ -> ()
   | File f ->
-      if not f.closed then begin
-        f.closed <- true;
-        output_string f.oc "],\"displayTimeUnit\":\"ms\"}\n";
-        close_out f.oc
-      end
+      Mutex.protect f.lock (fun () ->
+          if not f.closed then begin
+            f.closed <- true;
+            output_string f.oc "],\"displayTimeUnit\":\"ms\"}\n";
+            close_out f.oc
+          end)

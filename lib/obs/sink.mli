@@ -1,7 +1,8 @@
 (** Trace-event sinks.  A sink receives the timed span events produced by
     {!Span} and either discards them (null), buffers them (memory), or
     streams them to a Chrome [trace_event]-format JSON file viewable in
-    [chrome://tracing] / Perfetto. *)
+    [chrome://tracing] / Perfetto.  Any domain may emit to a sink: a memory
+    or file sink takes one event at a time under its own lock. *)
 
 type event = {
   name : string;
@@ -9,7 +10,7 @@ type event = {
   ph : char;  (** ['X'] complete span, ['i'] instant event. *)
   ts_us : float;  (** Start timestamp, microseconds. *)
   dur_us : float;  (** Duration, microseconds; 0 for instants. *)
-  tid : int;
+  tid : int;  (** The trace row: the emitting domain's id plus one. *)
   args : (string * string) list;
 }
 

@@ -1,19 +1,15 @@
-let current = ref Sink.null
+(* Read by every domain that records a span. *)
+let current = Atomic.make Sink.null
 
-let set_sink s = current := s
+let set_sink s = Atomic.set current s
 
-let swap_sink s =
-  let old = !current in
-  current := s;
-  old
+let swap_sink s = Atomic.exchange current s
 
-let sink () = !current
+let sink () = Atomic.get current
 
-let enabled () = not (Sink.is_null !current)
+let enabled () = not (Sink.is_null (Atomic.get current))
 
-let nesting = ref 0
-
-let depth () = !nesting
+let tid () = (Domain.self () :> int) + 1
 
 (* Timestamps are microseconds since process start: small enough to keep
    full precision through JSON rendering, and Perfetto only cares about
@@ -23,14 +19,12 @@ let epoch = Unix.gettimeofday ()
 let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
 
 let with_ ?(cat = "refill") ?(attrs = []) ~name f =
-  let s = !current in
+  let s = Atomic.get current in
   if Sink.is_null s then f ()
   else begin
     let t0 = now_us () in
-    incr nesting;
     Fun.protect
       ~finally:(fun () ->
-        decr nesting;
         let t1 = now_us () in
         Sink.emit s
           {
@@ -39,14 +33,14 @@ let with_ ?(cat = "refill") ?(attrs = []) ~name f =
             ph = 'X';
             ts_us = t0;
             dur_us = t1 -. t0;
-            tid = 1;
+            tid = tid ();
             args = attrs;
           })
       f
   end
 
 let instant ?(cat = "refill") ?(attrs = []) name =
-  let s = !current in
+  let s = Atomic.get current in
   if not (Sink.is_null s) then
     Sink.emit s
       {
@@ -55,6 +49,6 @@ let instant ?(cat = "refill") ?(attrs = []) name =
         ph = 'i';
         ts_us = now_us ();
         dur_us = 0.;
-        tid = 1;
+        tid = tid ();
         args = attrs;
       }

@@ -4,7 +4,7 @@
     closure call — instrumented hot paths cost nothing when tracing is off.
     With a memory or file sink, each span is emitted as a Chrome
     [trace_event] complete ('X') event at exit, so nesting is recovered by
-    timestamp containment. *)
+    timestamp containment within each domain's row ({!tid}). *)
 
 val set_sink : Sink.t -> unit
 (** Install the sink spans report to (replacing the previous one, which is
@@ -20,8 +20,9 @@ val sink : unit -> Sink.t
 val enabled : unit -> bool
 (** [false] iff the null sink is installed. *)
 
-val depth : unit -> int
-(** Current span nesting depth (0 outside any span). *)
+val tid : unit -> int
+(** The calling domain's trace row: its id plus one, so the main domain's
+    spans are on tid 1 and each worker domain's on a row of its own. *)
 
 val with_ :
   ?cat:string -> ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 'a

@@ -3,8 +3,7 @@ module Obs = Refill_obs
 (* The engine's own event stream: run-local [stats] are counted locally
    and flushed into these process-wide counters in one batch when the run
    completes, so the same numbers flow to `--metrics` dumps and to callers
-   — and runs on worker domains stay exact (the flush holds
-   [Par.with_obs_lock]). *)
+   — and runs on worker domains stay exact (the counters are atomic). *)
 let c_logged =
   Obs.Metrics.Counter.v "refill_logged_events_total"
     ~help:"Input log events fired by the inference engines."
@@ -35,7 +34,7 @@ let h_drive_depth =
     ~buckets:(Obs.Metrics.Histogram.log_buckets ~lo:1. ~hi:1024. ~factor:2.)
 
 (* Engine-side provenance mechanisms, flushed (only on provenance-enabled
-   runs) in the same locked batch as the tallies above.  The engine knows
+   runs) in the same batch as the tallies above.  The engine knows
    each emission's mechanism statically, so these cost nothing per event —
    no decoding pass over the side-car.  Merge-time mechanisms
    (stall-recovery, anchor-carry) are counted by Global_flow, which
@@ -148,8 +147,8 @@ type ('label, 'payload) ctx = {
   (* Source index of the input event currently firing (prerequisite
      cascades it starts cite it as evidence); -1 outside any fire. *)
   mutable cur_ev : int;
-  (* Run-local tallies; flushed to the process-wide metrics in one locked
-     batch at the end so parallel runs neither race nor interleave. *)
+  (* Run-local tallies; flushed to the process-wide metrics in one batch
+     at the end, so a run costs a few atomic adds whatever its size. *)
   mutable n_logged : int;
   mutable n_inferred : int;
   mutable n_skipped : int;
@@ -497,21 +496,19 @@ let sweep ctx nodes =
       then ctx.n_skipped <- ctx.n_skipped + 1
     end
   done;
-  Par.with_obs_lock (fun () ->
-      Obs.Metrics.Counter.add c_logged ctx.n_logged;
-      Obs.Metrics.Counter.add c_inferred ctx.n_inferred;
-      Obs.Metrics.Counter.add c_skipped ctx.n_skipped;
-      Obs.Metrics.Counter.add c_cascades ctx.n_cascades;
-      Obs.Metrics.Counter.add c_intra ctx.n_intra;
-      if ctx.prov_on then begin
-        Obs.Metrics.Counter.add c_prov_logged ctx.n_logged;
-        Obs.Metrics.Counter.add c_prov_intra ctx.n_intra_ev;
-        Obs.Metrics.Counter.add c_prov_inter
-          (ctx.n_inferred - ctx.n_intra_ev)
-      end;
-      Array.iteri
-        (fun d times -> Obs.Metrics.Histogram.observe_int_n h_drive_depth d times)
-        ctx.depth_counts);
+  Obs.Metrics.Counter.add c_logged ctx.n_logged;
+  Obs.Metrics.Counter.add c_inferred ctx.n_inferred;
+  Obs.Metrics.Counter.add c_skipped ctx.n_skipped;
+  Obs.Metrics.Counter.add c_cascades ctx.n_cascades;
+  Obs.Metrics.Counter.add c_intra ctx.n_intra;
+  if ctx.prov_on then begin
+    Obs.Metrics.Counter.add c_prov_logged ctx.n_logged;
+    Obs.Metrics.Counter.add c_prov_intra ctx.n_intra_ev;
+    Obs.Metrics.Counter.add c_prov_inter (ctx.n_inferred - ctx.n_intra_ev)
+  end;
+  Array.iteri
+    (fun d times -> Obs.Metrics.Histogram.observe_int_n h_drive_depth d times)
+    ctx.depth_counts;
   {
     emitted_logged = ctx.n_logged;
     emitted_inferred = ctx.n_inferred;

@@ -438,14 +438,13 @@ let merge_untimed ?emit_prov (Arena_index packets) ~(flows : Flow.t array)
               let id = e land id_mask in
               if flag flags id land emitted = 0 then emit ~stalled:false id
         done);
-    Par.with_obs_lock (fun () ->
-        Obs.Metrics.Counter.inc ~by:n c_events;
-        Obs.Metrics.Counter.inc ~by:!relaxed c_relaxed;
-        Obs.Metrics.Counter.inc ~by:!stalls c_stalls;
-        if !n_stall_prov > 0 then
-          Obs.Metrics.Counter.inc ~by:!n_stall_prov c_prov_stall;
-        if !n_carry_prov > 0 then
-          Obs.Metrics.Counter.inc ~by:!n_carry_prov c_prov_carry);
+    Obs.Metrics.Counter.inc ~by:n c_events;
+    Obs.Metrics.Counter.inc ~by:!relaxed c_relaxed;
+    Obs.Metrics.Counter.inc ~by:!stalls c_stalls;
+    if !n_stall_prov > 0 then
+      Obs.Metrics.Counter.inc ~by:!n_stall_prov c_prov_stall;
+    if !n_carry_prov > 0 then
+      Obs.Metrics.Counter.inc ~by:!n_carry_prov c_prov_carry;
     { events = n; logged = !logged; inferred = n - !logged; relaxed = !relaxed }
   end
 
@@ -453,9 +452,8 @@ let merge_from ?emit_prov source ~flows ~emit =
   let run () =
     let t0 = Obs.Span.now_us () in
     let stats = merge_untimed ?emit_prov source ~flows ~emit in
-    Par.with_obs_lock (fun () ->
-        Obs.Metrics.Histogram.observe h_seconds
-          ((Obs.Span.now_us () -. t0) /. 1e6));
+    Obs.Metrics.Histogram.observe h_seconds
+      ((Obs.Span.now_us () -. t0) /. 1e6);
     stats
   in
   if Obs.Span.enabled () then

@@ -5,15 +5,8 @@
    read the packet index ([Arena.Packets], and for a snapshot its flat
    record array) only after the calling domain has built it, so it is
    read-only by then.  The only shared mutable state in a worker's path is
-   the observability registry; workers batch their metric updates and
-   flush under [with_obs_lock], so process-wide totals stay exact
-   regardless of the fan-out. *)
-
-let obs_mutex = Mutex.create ()
-
-let with_obs_lock f =
-  Mutex.lock obs_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock obs_mutex) f
+   [Refill_obs]'s metrics and trace sink, which any domain may write, so
+   process-wide totals stay exact regardless of the fan-out. *)
 
 let default_jobs () = Domain.recommended_domain_count ()
 

@@ -2,10 +2,11 @@
 
     [map_array ~jobs f arr] preserves order: slot [i] of the result is
     [f arr.(i)] whichever domain computed it.  [f] must not touch shared
-    mutable state except under {!with_obs_lock} (and must only query
-    {!Fsm.precompute}d FSMs).  If [f] raises, the first exception (in
-    completion order) is re-raised with its backtrace after every helper
-    domain has been joined; the remaining items are not mapped. *)
+    mutable state other than [Refill_obs]'s metrics and spans, which any
+    domain may write, and must only query {!Fsm.precompute}d FSMs.  If [f]
+    raises, the first exception (in completion order) is re-raised with its
+    backtrace after every helper domain has been joined; the remaining items
+    are not mapped. *)
 
 val map_array : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
@@ -15,8 +16,3 @@ val default_jobs : unit -> int
 val min_parallel_items : int
 (** Workloads smaller than this are not worth a domain spawn; callers fall
     back to the serial path below it. *)
-
-val with_obs_lock : (unit -> 'a) -> 'a
-(** Serialize updates to the process-wide metrics registry across
-    domains.  Cheap when uncontended; every metrics flush from code that
-    can run inside {!map_array} must go through it. *)

@@ -66,10 +66,8 @@ let reconstruct ~use_intra ~use_inter ~provenance records ~origin ~seq ~sink
          })
       ~emit:(Flow.Builder.push b)
   in
-  Par.with_obs_lock (fun () ->
-      Obs.Metrics.Counter.inc c_packets;
-      Obs.Metrics.Histogram.observe h_latency
-        ((Obs.Span.now_us () -. t0) /. 1e6));
+  Obs.Metrics.Counter.inc c_packets;
+  Obs.Metrics.Histogram.observe h_latency ((Obs.Span.now_us () -. t0) /. 1e6);
   Flow.Builder.finish b ~origin ~seq ~stats ~prov:!prov ~rows:!rows
     (match source with
     | Index (arena, _) -> Flow.Arena arena
@@ -116,21 +114,15 @@ let run_index (config : Config.t) packets ~records ~sink ~emit =
   Obs.Span.with_ ~name:"refill.reconstruct_all" (fun () ->
       let keys = Array.of_list (Logsys.Arena.Packets.keys packets) in
       let packet_of (origin, seq) =
-        indexed ~config packets ~records ~sink ~origin ~seq
+        traced ~origin ~seq (fun () ->
+            indexed ~config packets ~records ~sink ~origin ~seq)
       in
       let jobs =
         match config.jobs with Some j -> max 1 j | None -> Par.default_jobs ()
       in
-      (* Tracing writes span events through a shared sink; keep those runs
-         serial.  Small workloads aren't worth a domain spawn. *)
-      if
-        jobs <= 1 || Obs.Span.enabled ()
-        || Array.length keys < Par.min_parallel_items
-      then
-        Array.iter
-          (fun ((origin, seq) as key) ->
-            emit (traced ~origin ~seq (fun () -> packet_of key)))
-          keys
+      (* Small workloads aren't worth a domain spawn. *)
+      if jobs <= 1 || Array.length keys < Par.min_parallel_items then
+        Array.iter (fun key -> emit (packet_of key)) keys
       else Array.iter emit (Par.map_array ~jobs packet_of keys))
 
 let run ?(config = Config.default) collected ~sink ~emit =

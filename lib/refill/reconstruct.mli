@@ -65,11 +65,12 @@ val run :
     [config.jobs] worker domains (default
     [Domain.recommended_domain_count ()]); the emission sequence is
     identical to the serial run — order preserved, per-flow stats exact,
-    and process-wide metric totals exact (flushes are batched per run under
-    a lock).  Runs stay serial when [jobs <= 1], when tracing spans are
-    enabled, or when the workload is too small to amortize a domain spawn;
-    on the parallel path flows are buffered and [emit] is called after the
-    join, still in key order. *)
+    and process-wide metric totals exact (flushes are batched per run into
+    atomic counters).  Runs stay serial when [jobs <= 1] or when the
+    workload is too small to amortize a domain spawn; tracing does not
+    change that, and each [refill.packet] span is recorded on the domain
+    that ran the packet.  On the parallel path flows are buffered and
+    [emit] is called after the join, still in key order. *)
 
 val run_arena :
   ?config:Config.t ->

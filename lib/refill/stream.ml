@@ -342,14 +342,13 @@ let counters sh =
    deltas sum correctly across shards. *)
 let flush_metrics sh (before : summary) =
   let after = counters sh in
-  Par.with_obs_lock (fun () ->
-      let d get = get after - get before in
-      let inc c by = if by > 0 then Obs.Metrics.Counter.inc ~by c in
-      inc c_events (d (fun s -> s.events));
-      inc c_flows (d (fun s -> s.flows));
-      inc c_evictions (d (fun s -> s.evictions));
-      inc c_incomplete (d (fun s -> s.incomplete));
-      inc c_forgotten (d (fun s -> s.forgotten_keys)))
+  let d get = get after - get before in
+  let inc c by = if by > 0 then Obs.Metrics.Counter.inc ~by c in
+  inc c_events (d (fun s -> s.events));
+  inc c_flows (d (fun s -> s.flows));
+  inc c_evictions (d (fun s -> s.evictions));
+  inc c_incomplete (d (fun s -> s.incomplete));
+  inc c_forgotten (d (fun s -> s.forgotten_keys))
 
 (* -- The row store and the last-seen list ---------------------------------- *)
 
@@ -794,9 +793,8 @@ let aggregate t =
     t.shards
 
 let publish_gauges (s : summary) =
-  Par.with_obs_lock (fun () ->
-      Obs.Metrics.Gauge.set g_frontier (float_of_int s.frontier_events);
-      Obs.Metrics.Gauge.set g_peak (float_of_int s.peak_frontier_events))
+  Obs.Metrics.Gauge.set g_frontier (float_of_int s.frontier_events);
+  Obs.Metrics.Gauge.set g_peak (float_of_int s.peak_frontier_events)
 
 (* One round.  The caller posts each worker the segment and the global
    position before it, runs shard 0's part itself, waits for every
@@ -808,7 +806,7 @@ let feed_arena t (s : Logsys.Arena.slice) =
   check_live t;
   guarded t @@ fun () ->
   t.segments <- t.segments + 1;
-  Par.with_obs_lock (fun () -> Obs.Metrics.Counter.inc c_segments);
+  Obs.Metrics.Counter.inc c_segments;
   let start = t.st_clock in
   Array.iter (fun w -> post w (Round (s, start))) t.workers;
   t.st_clock <- run_round t.shards.(0) s start;

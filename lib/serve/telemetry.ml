@@ -5,10 +5,9 @@ module Obs = Refill_obs
    plain top-level values; the /metrics endpoint serves the same
    registry the reconstruction pipeline already populates.
 
-   Threading note: with [threads.posix] every OCaml thread shares the
-   domain's runtime lock and a counter bump is a single non-allocating
-   mutable update, so connection threads can hit these without extra
-   locking. *)
+   Connection threads and shard domains update these without a lock of
+   their own: counters and gauges are atomics, and each histogram takes
+   its own mutex. *)
 
 let conn_gauge state =
   Obs.Metrics.Gauge.v

@@ -423,6 +423,66 @@ let sharded_cold_start_matches_one_shard () =
       reference (summary "4")
   done
 
+(* Tracing does not change how a run executes: a traced `--jobs 2` run
+   records its packets' spans on both domains' rows and prints what the
+   one-domain and untraced runs print, and the two fan-outs publish the
+   same series and counter values.  Two days at 100 nodes give thousands
+   of packets, so both domains get work. *)
+let traced_run_stays_parallel () =
+  let log = tmp ".log" and trace = tmp ".json" in
+  let m1 = tmp ".prom" and m2 = tmp ".prom" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ log; trace; m1; m2 ])
+  @@ fun () ->
+  let code, _ = run_cli [ "simulate"; "--days"; "2"; "-q"; "-o"; log ] in
+  Alcotest.(check int) "simulate exits 0" 0 code;
+  let reconstruct args =
+    let code, out =
+      run_cli ([ "reconstruct"; log; "--global-flow"; "-q" ] @ args)
+    in
+    Alcotest.(check int) (String.concat " " args ^ ": exit 0") 0 code;
+    out
+  in
+  let traced =
+    reconstruct [ "--jobs"; "2"; "--trace-out"; trace; "--metrics=" ^ m2 ]
+  in
+  Alcotest.(check string) "untraced stdout" (reconstruct [ "--jobs"; "2" ])
+    traced;
+  Alcotest.(check string) "one-domain stdout"
+    (reconstruct [ "--jobs"; "1"; "--metrics=" ^ m1 ])
+    traced;
+  let tids =
+    match J.parse (read_file trace) with
+    | Error e -> Alcotest.failf "trace is not JSON: %s" e
+    | Ok doc -> (
+        match J.member "traceEvents" doc with
+        | Some (J.Arr events) ->
+            List.sort_uniq compare
+              (List.filter_map
+                 (fun e ->
+                   match (J.member "name" e, J.member "tid" e) with
+                   | Some (J.Str "refill.packet"), Some (J.Num tid) -> Some tid
+                   | _ -> None)
+                 events)
+        | _ -> Alcotest.fail "no traceEvents array")
+  in
+  if List.length tids < 2 then
+    Alcotest.failf "refill.packet spans on %d tid(s)" (List.length tids);
+  (* A sample line is its series, a space and its value. *)
+  let samples path =
+    String.split_on_char '\n' (read_file path)
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let series l = String.sub l 0 (String.rindex l ' ') in
+  let counters =
+    List.filter (fun l ->
+        String.ends_with ~suffix:"_total"
+          (List.hd (String.split_on_char '{' (series l))))
+  in
+  let s1 = samples m1 and s2 = samples m2 in
+  Alcotest.(check (list string)) "same series" (List.map series s1)
+    (List.map series s2);
+  Alcotest.(check (list string)) "equal counters" (counters s1) (counters s2)
+
 (* -- check ------------------------------------------------------------------ *)
 
 let baseline_path =
@@ -532,6 +592,8 @@ let () =
         [
           Alcotest.test_case "4 shards cold-start like 1 shard" `Quick
             sharded_cold_start_matches_one_shard;
+          Alcotest.test_case "tracing leaves the run parallel" `Quick
+            traced_run_stays_parallel;
         ] );
       ( "check",
         [

@@ -699,6 +699,65 @@ let feed_emits_its_evictions () =
       ignore (Refill.Stream.finish t))
     [ 1; 2; 4 ]
 
+(* -- Live scrapes ------------------------------------------------------------ *)
+
+(* One scrape of the default registry: each histogram's cumulative
+   buckets never decrease and its [_count] is its [+Inf] bucket, and no
+   [_total] series is below its value in [prev], the last scrape. *)
+let check_scrape prev text =
+  let bucket = ref 0. and inf = ref nan in
+  List.iter
+    (fun line ->
+      if line <> "" && line.[0] <> '#' then begin
+        let i = String.rindex line ' ' in
+        let series = String.sub line 0 i in
+        let v =
+          float_of_string (String.sub line (i + 1) (String.length line - i - 1))
+        in
+        let name = List.hd (String.split_on_char '{' series) in
+        if String.ends_with ~suffix:"_bucket" name then begin
+          if v < !bucket then Alcotest.failf "%s fell below %g" line !bucket;
+          bucket := v;
+          if String.ends_with ~suffix:{|le="+Inf"}|} series then inf := v
+        end
+        else begin
+          bucket := 0.;
+          if String.ends_with ~suffix:"_count" name && v <> !inf then
+            Alcotest.failf "%s, but its +Inf bucket is %g" line !inf;
+          if String.ends_with ~suffix:"_total" name then begin
+            (match Hashtbl.find_opt prev series with
+            | Some p when v < p -> Alcotest.failf "%s fell from %g" line p
+            | _ -> ());
+            Hashtbl.replace prev series v
+          end
+        end
+      end)
+    (String.split_on_char '\n' text)
+
+(* A second domain scrapes the registry while 3-shard streams, whose
+   workers reconstruct and count on their own domains, take the tiny
+   scenario's arrival-order records 64 at a time, 20 times over: every
+   scrape must be consistent. *)
+let scrapes_are_consistent () =
+  let stop = Atomic.make false in
+  let scraper =
+    Domain.spawn (fun () ->
+        let prev = Hashtbl.create 64 and scrapes = ref 0 in
+        while not (Atomic.get stop) do
+          check_scrape prev (Refill_obs.Metrics.dump_prometheus ());
+          incr scrapes
+        done;
+        !scrapes)
+  in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set stop true)
+    (fun () ->
+      let collected = Lazy.force lossless in
+      for _ = 1 to 20 do
+        ignore (stream_all ~watermark:50 ~shards:3 ~chunk:64 collected)
+      done);
+  Alcotest.(check bool) "scraped" true (Domain.join scraper > 0)
+
 (* -- The frontier's row store --------------------------------------------- *)
 
 (* A packet row for [push_row]: tag 0 (gen) ignores its peer. *)
@@ -1010,6 +1069,11 @@ let () =
             push_path_allocates_nothing;
           Alcotest.test_case "negative-node rows ignored at any shard count"
             `Quick negative_nodes_ignored;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "scrapes are consistent during a sharded feed"
+            `Quick scrapes_are_consistent;
         ] );
       ( "segments",
         [
