@@ -1047,8 +1047,9 @@ let perf () =
     let origin, seq = List.nth keys (List.length keys / 2) in
     Test.make ~name:"reconstruct-one-packet" (Staged.stage (fun () ->
         ignore
-          (Refill.Reconstruct.packet collected ~origin ~seq
-             ~sink:scenario.sink)))
+          (Refill.Reconstruct.packet
+             (Logsys.Collected.packets collected)
+             ~origin ~seq ~sink:scenario.sink)))
   in
   let test_naive =
     Test.make ~name:"baseline-naive/lossless" (Staged.stage (fun () ->

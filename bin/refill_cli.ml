@@ -448,12 +448,6 @@ let load_dump ?(truth = false) input =
             Logsys.Log_io.Mseg.sink reader,
             if truth then Logsys.Log_io.Mseg.truth reader else None )))
 
-(* One packet's records from the index, in the order the packer wants. *)
-let packet_records packets ~origin ~seq =
-  Array.map
-    (Logsys.Arena.get (Logsys.Arena.Packets.arena packets))
-    (Logsys.Arena.Packets.packet_rows packets ~origin ~seq)
-
 (* The batch run behind `analyze` and `reconstruct`: every packet's flow
    over [packets], in key order, goes to [on_flow], the summary line and
    the quality scorecard, and with --global-flow into the network-wide
@@ -829,14 +823,7 @@ let trace (obs, input) origin seq =
   match load_dump ~truth:true input with
   | Error e -> err_exit e
   | Ok (packets, sink, truth) ->
-      let flow =
-        Obs.Span.with_ ~name:"refill.packet"
-          ~attrs:[ ("origin", string_of_int origin); ("seq", string_of_int seq) ]
-          (fun () ->
-            Refill.Reconstruct.of_records
-              (packet_records packets ~origin ~seq)
-              ~origin ~seq ~sink)
-      in
+      let flow = Refill.Reconstruct.packet packets ~origin ~seq ~sink in
       if Refill.Flow.length flow = 0 then begin
         Printf.printf "no surviving records for packet (%d, %d)\n" origin seq;
         1
@@ -894,7 +881,14 @@ let trace_cmd =
 
 (* -- explain ------------------------------------------------------------------- *)
 
-let explain_json ~origin ~seq ~records (flow : Refill.Flow.t) =
+(* Evidence index [idx] of a packet's rows, as the record it cites, if
+   any: the one place explain builds a record. *)
+let evidence_record packets rows idx =
+  if idx >= 0 && idx < Array.length rows then
+    Some (Logsys.Arena.get (Logsys.Arena.Packets.arena packets) rows.(idx))
+  else None
+
+let explain_json ~origin ~seq ~record (flow : Refill.Flow.t) =
   let module J = Obs.Json in
   let num i = J.Num (float_of_int i) in
   let evidence_json (pv : Refill.Provenance.t) =
@@ -905,20 +899,21 @@ let explain_json ~origin ~seq ~records (flow : Refill.Flow.t) =
                [
                  ("index", num idx);
                  ( "record",
-                   if idx >= 0 && idx < Array.length records then
-                     J.Str (Logsys.Record.to_string records.(idx))
-                   else J.Null );
+                   match record idx with
+                   | Some r -> J.Str (Logsys.Record.to_string r)
+                   | None -> J.Null );
                ]))
   in
-  let event_json k (it : Refill.Flow.item) =
+  let event_json k =
     let pv = flow.prov.(k) in
     J.Obj
       [
         ("index", num k);
-        ("node", num it.node);
-        ("label", J.Str (Refill.Protocol.label_name it.label));
-        ("inferred", J.Bool it.inferred);
-        ("entered", J.Str (Refill.Protocol.state_name it.entered));
+        ("node", num (Refill.Flow.node flow k));
+        ("label", J.Str (Refill.Protocol.label_name (Refill.Flow.label flow k)));
+        ("inferred", J.Bool (Refill.Flow.inferred flow k));
+        ( "entered",
+          J.Str (Refill.Protocol.state_name (Refill.Flow.entered flow k)) );
         ( "provenance",
           J.Obj
             [
@@ -947,26 +942,26 @@ let explain_json ~origin ~seq ~records (flow : Refill.Flow.t) =
       ("origin", num origin);
       ("seq", num seq);
       ("cause", J.Str (Logsys.Cause.name v.cause));
-      ("events", J.Arr (List.mapi event_json (Refill.Flow.items flow)));
+      ("events", J.Arr (List.init (Refill.Flow.length flow) event_json));
     ]
 
-let explain_text ~origin ~seq ~records (flow : Refill.Flow.t) =
+let explain_text ~origin ~seq ~record (flow : Refill.Flow.t) =
   Printf.printf "packet (origin %d, seq %d): %d events, %d inferred\n" origin
-    seq (Refill.Flow.length flow)
-    (List.length (Refill.Flow.inferred_items flow));
-  List.iteri
-    (fun k (it : Refill.Flow.item) ->
-      let pv = flow.prov.(k) in
-      Printf.printf "  #%-3d %-18s %s\n" k
-        (Refill.Flow.item_to_string it)
-        (Refill.Provenance.to_string ~state_name:Refill.Protocol.state_name pv);
-      Array.iter
-        (fun idx ->
-          if idx >= 0 && idx < Array.length records then
+    seq (Refill.Flow.length flow) flow.stats.emitted_inferred;
+  for k = 0 to Refill.Flow.length flow - 1 do
+    let pv = flow.prov.(k) in
+    Printf.printf "  #%-3d %-18s %s\n" k
+      (Refill.Flow.item_to_string flow k)
+      (Refill.Provenance.to_string ~state_name:Refill.Protocol.state_name pv);
+    Array.iter
+      (fun idx ->
+        match record idx with
+        | Some r ->
             Printf.printf "         evidence[%d] = %s\n" idx
-              (Logsys.Record.to_string records.(idx)))
-        (Refill.Provenance.evidence pv))
-    (Refill.Flow.items flow);
+              (Logsys.Record.to_string r)
+        | None -> ())
+      (Refill.Provenance.evidence pv)
+  done;
   let v = Refill.Classify.classify flow in
   Printf.printf "cause: %s%s\n"
     (Logsys.Cause.name v.cause)
@@ -995,10 +990,13 @@ let explain (obs, input) json origin seq =
           Obs.Log.error "%s" msg;
           1
       | Ok (origin, seq) ->
-          let records = packet_records packets ~origin ~seq in
+          let record =
+            evidence_record packets
+              (Logsys.Arena.Packets.packet_rows packets ~origin ~seq)
+          in
           let flow =
-            Refill.Reconstruct.of_records ~provenance:true records ~origin
-              ~seq ~sink
+            Refill.Reconstruct.packet ~provenance:true packets ~origin ~seq
+              ~sink
           in
           if Refill.Flow.length flow = 0 then begin
             Obs.Log.error "no surviving records for packet (%d, %d)" origin
@@ -1008,9 +1006,9 @@ let explain (obs, input) json origin seq =
           else begin
             if json then
               print_string
-                (Obs.Json.to_string (explain_json ~origin ~seq ~records flow)
+                (Obs.Json.to_string (explain_json ~origin ~seq ~record flow)
                 ^ "\n")
-            else explain_text ~origin ~seq ~records flow;
+            else explain_text ~origin ~seq ~record flow;
             0
           end)
 

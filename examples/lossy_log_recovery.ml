@@ -36,7 +36,9 @@ let () =
         collected
     in
     let flow =
-      Refill.Reconstruct.packet lossy ~origin ~seq ~sink:scenario.sink
+      Refill.Reconstruct.packet
+        (Logsys.Collected.packets lossy)
+        ~origin ~seq ~sink:scenario.sink
     in
     let verdict = Refill.Classify.classify flow in
     let naive =
@@ -70,22 +72,13 @@ let () =
   match last_ack with
   | None -> ()
   | Some ack ->
-      let config =
-        Refill.Protocol.make_config ~records:[| ack |] ~origin ~seq
+      let flow =
+        Refill.Reconstruct.of_records [| ack |] ~origin ~seq
           ~sink:scenario.sink
       in
-      let acc = ref [] in
-      let stats =
-        Refill.Engine.process config
-          (Refill.Engine.Events
-             (Array.of_list (Refill.Protocol.events_of_records [ ack ])))
-          ~emit:(fun it -> acc := it :: !acc)
-      in
-      let items = List.rev !acc in
-      let flow = Refill.Flow.of_items ~origin ~seq ~stats items in
       Printf.printf
         "-- everything destroyed except one ack record (%s) --\n"
         (Logsys.Record.to_string ack);
       Printf.printf "flow  : %s\n" (Refill.Flow.to_string flow);
       Printf.printf "%d events inferred from a single surviving record\n"
-        stats.emitted_inferred
+        flow.stats.emitted_inferred

@@ -10,7 +10,10 @@
 *)
 
 let print_trace collected truth ~sink (origin, seq) =
-  let flow = Refill.Reconstruct.packet collected ~origin ~seq ~sink in
+  let flow =
+    Refill.Reconstruct.packet (Logsys.Collected.packets collected) ~origin
+      ~seq ~sink
+  in
   let verdict = Refill.Classify.classify flow in
   Printf.printf "packet (origin %d, seq %d)\n" origin seq;
   Printf.printf "  flow   : %s\n" (Refill.Flow.to_string flow);

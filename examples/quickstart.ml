@@ -22,31 +22,21 @@ let () =
     ]
   in
 
-  (* Build the connected inference engines for this packet (origin = node 1;
-     node 99 stands in for a sink that never saw the packet). *)
-  let config =
-    Refill.Protocol.make_config
-      ~records:(Array.of_list surviving_records)
+  (* Run the connected inference engines over this packet (origin = node
+     1; node 99 stands in for a sink that never saw the packet): logged
+     events fire transitions; gaps are bridged by inferring the lost
+     events (shown in [brackets]). *)
+  let flow =
+    Refill.Reconstruct.of_records
+      (Array.of_list surviving_records)
       ~origin:1 ~seq:0 ~sink:99
   in
-  let events = Refill.Protocol.events_of_records surviving_records in
-
-  (* Run the transition algorithm: logged events fire transitions; gaps are
-     bridged by inferring the lost events (shown in [brackets]). *)
-  let acc = ref [] in
-  let stats =
-    Refill.Engine.process config
-      (Refill.Engine.Events (Array.of_list events))
-      ~emit:(fun it -> acc := it :: !acc)
-  in
-  let items = List.rev !acc in
-  let flow = Refill.Flow.of_items ~origin:1 ~seq:0 ~stats items in
 
   Printf.printf "surviving records : %s\n"
     (String.concat ", " (List.map Logsys.Record.to_string surviving_records));
   Printf.printf "reconstructed flow: %s\n" (Refill.Flow.to_string flow);
   Printf.printf "inferred events   : %d of %d\n"
-    stats.emitted_inferred
+    flow.stats.emitted_inferred
     (Refill.Flow.length flow);
   Printf.printf "packet path       : %s\n"
     (String.concat " -> "

@@ -40,18 +40,8 @@ let table2_cases : (string * Logsys.Record.t list) list =
   ]
 
 let run_table2_case records =
-  let config =
-    Refill.Protocol.make_config ~records:(Array.of_list records) ~origin:1
-      ~seq:0 ~sink:99
-  in
-  let events = Refill.Protocol.events_of_records records in
-  let acc = ref [] in
-  let stats =
-    Refill.Engine.process config
-      (Refill.Engine.Events (Array.of_list events))
-      ~emit:(fun it -> acc := it :: !acc)
-  in
-  Refill.Flow.of_items ~origin:1 ~seq:0 ~stats (List.rev !acc)
+  Refill.Reconstruct.of_records (Array.of_list records) ~origin:1 ~seq:0
+    ~sink:99
 
 let table2 () =
   let buf = Buffer.create 2048 in

@@ -272,22 +272,11 @@ module Packets = struct
   (* One table interns every distinct (origin, seq) into a dense packet
      id, and buckets are indexed by id, so memory follows rows and
      distinct keys whatever the key values (a corrupt field in a lossy
-     log must not size the index).  The hash mixes both fields and keeps
-     the product's high bits; [lsr] binds tighter than [*], hence the
-     outer parentheses. *)
-  module Key_tbl = Hashtbl.Make (struct
-    type t = int * int
-
-    let equal ((o, s) : t) (o', s') = o = o' && s = s'
-
-    let hash ((o, s) : t) =
-      (((o * 0x1F3D5B79) + s) * 0x1E3779B97F4A7C15) lsr 33
-  end)
-
+     log must not size the index). *)
   type t = {
     p_arena : arena;
     p_keys : (int * int) list;
-    p_ids : int Key_tbl.t;
+    p_ids : int Keys.t;
     p_buckets : int array array;
     p_node_rows : int array array;
   }
@@ -322,7 +311,7 @@ module Packets = struct
     done;
     (* Each row's packet id.  A node logs a packet's records back to
        back, so the previous row's key is tried before the table. *)
-    let ids = Key_tbl.create 64 in
+    let ids = Keys.create (-1) in
     let row_id = Array.make n 0 in
     let prev_origin = ref 0 and prev_seq = ref 0 and prev_id = ref (-1) in
     Array.iter
@@ -334,19 +323,19 @@ module Packets = struct
              prev_origin := origin;
              prev_seq := seq;
              prev_id :=
-               match Key_tbl.find ids (origin, seq) with
-               | id -> id
-               | exception Not_found ->
-                   let id = Key_tbl.length ids in
-                   Key_tbl.add ids (origin, seq) id;
+               match Keys.find ids origin seq with
+               | -1 ->
+                   let id = Keys.length ids in
+                   Keys.add ids origin seq id;
                    id
+               | slot -> Keys.value ids slot
            end;
            row_id.(i) <- !prev_id))
       node_rows;
     (* Packet buckets, filled in node-scan order (nodes ascending, each
        node's rows in order) — the order the reconstruction depends on.
        The counts double as fill cursors. *)
-    let counts = Array.make (Key_tbl.length ids) 0 in
+    let counts = Array.make (Keys.length ids) 0 in
     Array.iter (fun id -> counts.(id) <- counts.(id) + 1) row_id;
     let buckets = Array.map (fun c -> Array.make c 0) counts in
     Array.fill counts 0 (Array.length counts) 0;
@@ -359,7 +348,7 @@ module Packets = struct
     {
       p_arena = a;
       p_keys =
-        List.sort compare_key (Key_tbl.fold (fun k _ acc -> k :: acc) ids []);
+        List.sort compare_key (Keys.fold (fun o s _ acc -> (o, s) :: acc) ids []);
       p_ids = ids;
       p_buckets = buckets;
       p_node_rows = node_rows;
@@ -377,7 +366,7 @@ module Packets = struct
     else [||]
 
   let packet_rows p ~origin ~seq =
-    match Key_tbl.find p.p_ids (origin, seq) with
-    | id -> p.p_buckets.(id)
-    | exception Not_found -> [||]
+    match Keys.find p.p_ids origin seq with
+    | -1 -> [||]
+    | slot -> p.p_buckets.(Keys.value p.p_ids slot)
 end

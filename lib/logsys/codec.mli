@@ -14,7 +14,7 @@
 
 val tag_of_kind : Record.kind -> int
 (** The stable on-disk tag (0–7) of a kind.  Tag order matches
-    [Refill.Protocol.label_rank], which is what lets column-oriented
+    [Refill.Protocol.tag_of_label], which is what lets column-oriented
     consumers ({!Arena}) map tags to labels with a plain array read. *)
 
 val peer_of_kind : Record.kind -> int option

@@ -23,25 +23,29 @@ type registered = {
   metric : metric;
 }
 
+(* Registration and the walks over [tbl] take [mu], so a domain may
+   register while another dumps. *)
 type registry = {
   tbl : (string * (string * string) list, registered) Hashtbl.t;
+  mu : Mutex.t;
 }
 
-let create_registry () = { tbl = Hashtbl.create 64 }
+let create_registry () = { tbl = Hashtbl.create 64; mu = Mutex.create () }
 
 let default_registry = create_registry ()
 
 let reset registry =
-  Hashtbl.iter
-    (fun _ r ->
-      match r.metric with
-      | Counter_m c -> Atomic.set c 0
-      | Gauge_m g -> Atomic.set g 0.
-      | Histogram_m h ->
-          Mutex.protect h.lock (fun () ->
-              Array.fill h.bucket 0 (Array.length h.bucket) 0;
-              h.sum.(0) <- 0.))
-    registry.tbl
+  Mutex.protect registry.mu (fun () ->
+      Hashtbl.iter
+        (fun _ r ->
+          match r.metric with
+          | Counter_m c -> Atomic.set c 0
+          | Gauge_m g -> Atomic.set g 0.
+          | Histogram_m h ->
+              Mutex.protect h.lock (fun () ->
+                  Array.fill h.bucket 0 (Array.length h.bucket) 0;
+                  h.sum.(0) <- 0.))
+        registry.tbl)
 
 let valid_name name =
   String.length name > 0
@@ -63,6 +67,7 @@ let register ~registry ~help ~labels name make =
     invalid_arg (Printf.sprintf "Metrics: invalid metric name %S" name);
   let labels = List.sort compare labels in
   let key = (name, labels) in
+  Mutex.protect registry.mu @@ fun () ->
   match Hashtbl.find_opt registry.tbl key with
   | Some r -> r
   | None ->
@@ -221,7 +226,8 @@ end
 (* -- Dumps ------------------------------------------------------------------ *)
 
 let sorted_entries registry =
-  Hashtbl.fold (fun _ r acc -> r :: acc) registry.tbl []
+  Mutex.protect registry.mu (fun () ->
+      Hashtbl.fold (fun _ r acc -> r :: acc) registry.tbl [])
   |> List.sort (fun a b ->
          match String.compare a.name b.name with
          | 0 -> compare a.labels b.labels

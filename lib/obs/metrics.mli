@@ -2,9 +2,10 @@
     log-scale-bucket histograms, dumpable as Prometheus-style text or JSON.
 
     Metrics are interned by [(name, labels)]: calling [v] twice with the same
-    identity returns the same instrument.  Instruments are registered at
-    module initialization, from one domain; after that any domain or thread
-    may update and dump them.  Counters and gauges are atomics, and each
+    identity returns the same instrument.  Instruments are registered
+    (usually at module initialization) from any domain, and any domain or
+    thread may update and dump them: registration and dumps take the
+    registry's mutex.  Counters and gauges are atomics, and each
     histogram keeps its buckets and sum under its own mutex, so a dump reads
     every histogram in one step and its [_count] is its [+Inf] bucket. *)
 

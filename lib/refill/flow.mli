@@ -15,7 +15,8 @@
     - [codes.(k)]: its label, whether it was inferred, whether it has a
       payload, and the state it entered, packed in one int;
     - [peers.(k)]: the peer its payload names (for recv/dup/overflow the
-      sender, for trans/ack/timeout the target; [0] otherwise);
+      sender, for trans/ack/timeout the target; [0] otherwise) — the
+      engine's payload ({!Protocol.config});
     - [rows.(k)]: the logged item's row — its record's row in the
       {!Logsys.Arena.Packets} index the flow was reconstructed from, or,
       for a stream flow, its record's global stream position; [-1] for
@@ -23,29 +24,21 @@
       ({!Global_flow}) reads these instead of searching the logs for the
       record.
 
-    Payloads live in one place per flow ({!payloads}): the arena a batch
-    flow was reconstructed from, or the records a stream (or
-    {!Reconstruct.of_records}) flow was reconstructed from.  An inferred
-    payload is synthesized on demand from the item's label, node and peer
-    and the flow's packet key, exactly as {!Protocol.make_config}
-    synthesizes it.
+    A flow has at most one arena ({!t.arena}): the index's for a batch
+    flow, the merge accumulator's for a stream flow the incremental merge
+    took in ({!with_rows}), none for a stream flow as emitted.  A logged
+    item with a row of that arena reads its record there; every other
+    payload is rebuilt from the item's label, node and peer and the
+    flow's packet key, with [true_time = nan] and [gseq = -1].
 
     {2 The item view}
 
-    {!items} and {!item} rebuild {!item} records: their payloads are
-    [Record.equal] to the records the engine emitted, true time and
-    [gseq] included.  The renderer, {!Classify.classify} and
-    {!length} read the arrays and never build the view. *)
+    {!items} and {!item} rebuild {!item} records from the arrays (and the
+    arena): a batch flow's logged payloads are [Record.equal] to their
+    index rows.  The renderer, {!Classify.classify} and {!length} read
+    the arrays and never build the view. *)
 
 type item = (Protocol.label, Logsys.Record.t) Engine.item
-
-(** Where a flow's payloads live. *)
-type payloads =
-  | Arena of Logsys.Arena.t
-      (** A logged item's payload is row [rows.(k)] of this arena. *)
-  | Records of Logsys.Record.t array * int array
-      (** [(records, refs)]: item [k]'s payload is [records.(refs.(k))]
-          when [refs.(k) >= 0]; otherwise it is synthesized. *)
 
 type t = private {
   origin : int;
@@ -59,10 +52,12 @@ type t = private {
   codes : int array;
   peers : int array;
   rows : int array;
-  payloads : payloads;
+  arena : Logsys.Arena.t option;
+      (** Where logged items' records are read from, by their rows. *)
 }
 
 val of_items :
+  ?arena:Logsys.Arena.t ->
   ?rows:int array ->
   origin:int ->
   seq:int ->
@@ -70,11 +65,14 @@ val of_items :
   ?prov:Provenance.t array ->
   item list ->
   t
-(** The one constructor for hand-built flows (tests, figures, examples):
-    every payload is kept as given, so {!items} returns items equal to
-    [items].  [rows] (default: none, [-1] each) gives each item a row for
-    the global merge; an item without one is never matched against a
-    node's log.
+(** The one constructor for hand-built flows (tests, figures, examples).
+    Each item keeps its node, label, flags, state and the peer its
+    payload names; the payload itself is not kept, so an item's payload
+    must be on the item's node and of its label's kind to read back
+    unchanged.  [rows] (default: none, [-1] each) gives each item a row
+    for the global merge; an item without one is never matched against a
+    node's log.  With [arena], an item that has a row reads its record
+    there.
     @raise Invalid_argument unless [rows] has one entry per item. *)
 
 (** How {!Reconstruct} packs the engine's emissions: a per-domain buffer
@@ -85,8 +83,8 @@ module Builder : sig
   val get : unit -> b
   (** The calling domain's buffer, emptied. *)
 
-  val push : b -> item -> unit
-  (** Pack one emitted item. *)
+  val push : b -> (Protocol.label, int) Engine.item -> unit
+  (** Pack one emitted item; its payload is its peer. *)
 
   val finish :
     b ->
@@ -95,15 +93,15 @@ module Builder : sig
     stats:Engine.stats ->
     prov:Provenance.t array ->
     rows:int array ->
-    payloads ->
+    Logsys.Arena.t option ->
     t
   (** The flow of the items pushed since {!get}; [rows] has one entry
       per item. *)
 end
 
-val with_rows : t -> int array -> t
-(** The same flow with other merge rows (how the incremental merge maps
-    stream positions to its own rows). *)
+val with_rows : t -> arena:Logsys.Arena.t -> int array -> t
+(** The same flow with other merge rows, of [arena] (how the incremental
+    merge points a stream flow at its own rows). *)
 
 val packet_key : t -> int * int
 
@@ -157,8 +155,8 @@ val add_to_buffer : Buffer.t -> t -> unit
     ["gen@1"] without a link), inferred ones bracketed (["[1-2 recv]"]),
     {!Protocol.unknown_node} as [?]. *)
 
-val item_to_string : item -> string
-(** One item, as {!add_to_buffer} renders it. *)
+val item_to_string : t -> int -> string
+(** Item [k], as {!add_to_buffer} renders it. *)
 
 val to_string : t -> string
 (** {!add_to_buffer} into a fresh string. *)

@@ -211,21 +211,23 @@ let merge_untimed ?emit_prov (Arena_index packets) ~(flows : Flow.t array)
     let next_id = Array.make n_flows (-1) in
     let chain = Array.make n_flows (-1) in
     Obs.Profile.with_stage ~name:"refill.global_flow.fill" (fun () ->
-        let last_flow = Hashtbl.create (max 64 n_flows) in
+        let last_flow = Logsys.Keys.create ~size:n_flows (-1) in
         Array.iteri
           (fun fi (f : Flow.t) ->
             let first = start.(fi) and len = Array.length f.codes in
             if len > 0 then begin
               Array.fill flow_of first len fi;
               Bytes.fill flags first len (Char.chr hard_wait);
-              (match Hashtbl.find_opt last_flow (f.origin, f.seq) with
-              | Some prev ->
-                  next_id.(prev) <- first;
-                  chain.(fi) <- chain.(prev)
-              | None ->
+              (match Logsys.Keys.find last_flow f.origin f.seq with
+              | -1 ->
                   chain.(fi) <- fi;
-                  set_flag flags first 0);
-              Hashtbl.replace last_flow (f.origin, f.seq) fi
+                  set_flag flags first 0;
+                  Logsys.Keys.add last_flow f.origin f.seq fi
+              | slot ->
+                  let prev = Logsys.Keys.value last_flow slot in
+                  next_id.(prev) <- first;
+                  chain.(fi) <- chain.(prev);
+                  Logsys.Keys.replace last_flow f.origin f.seq fi)
             end)
           flows);
     (* ---- Alignment: the greedy head-of-queue match of every
@@ -503,7 +505,7 @@ module Incremental = struct
 
   let add_flow t (flow : Flow.t) =
     let rows = Array.map (fun p -> if p < 1 then -1 else p - 1) flow.rows in
-    t.flows_rev <- Flow.with_rows flow rows :: t.flows_rev
+    t.flows_rev <- Flow.with_rows flow ~arena:t.arena rows :: t.flows_rev
 
   let finish ?emit_prov t ~emit =
     let packets = Logsys.Arena.Packets.build t.arena ~n_nodes:t.n_nodes in

@@ -101,7 +101,9 @@ module Incremental : sig
   (** Register one evicted flow (in eviction order).  Its rows must be
       the global stream positions {!Stream} gives them, for a stream fed
       exactly the segments added here from its start (not resumed from a
-      checkpoint); each is mapped to this accumulator's own row. *)
+      checkpoint); each is mapped to this accumulator's own row, and the
+      flow reads its logged payloads from the accumulator's arena
+      ({!Flow.with_rows}). *)
 
   val finish :
     ?emit_prov:(Provenance.t -> unit) ->

@@ -15,11 +15,14 @@
     Table II's case 3/4 retransmission-after-ack patterns reconstruct
     correctly.
 
-    Payloads are {!Logsys.Record.t}; inferred events carry synthesized
-    records ([true_time = nan], [gseq = -1]) whose peer field is recovered
-    by searching the packet's surviving records (e.g. an inferred [recv] on
-    [n] takes its sender from any logged [trans]/[ack]/[timeout] pointing at
-    [n]); an unrecoverable peer is {!unknown_node}. *)
+    A packet is its rows of a {!Logsys.Arena.t}, and the engine reads
+    three things of each: its node, its label (the row's kind tag) and
+    the peer it names.  The engine payload is that peer: the sender for
+    recv/dup/overflow, the target for trans/ack/timeout, [0] for gen and
+    deliver.  An inferred event's peer is recovered by searching the
+    packet's surviving rows (e.g. an inferred [recv] on [n] takes its
+    sender from any logged [trans]/[ack]/[timeout] pointing at [n]); an
+    unrecoverable peer is {!unknown_node}. *)
 
 type label =
   | L_gen
@@ -33,7 +36,10 @@ type label =
 
 val label_name : label -> string
 
-val label_of_kind : Logsys.Record.kind -> label
+val tag_of_label : label -> int
+(** The record kind tag ({!Logsys.Codec.tag_of_kind}) a label logs as. *)
+
+val label_of_tag : int -> label
 
 (** {2 States} *)
 
@@ -75,52 +81,34 @@ val precompute_fsms : unit -> unit
     up explicitly. *)
 
 val unknown_node : int
-(** [-1]: placeholder peer when synthesis cannot recover the other
+(** [-1]: placeholder peer when peer recovery cannot find the other
     endpoint. *)
 
-val make_config :
-  records:Logsys.Record.t array ->
+val config :
+  Logsys.Arena.t ->
+  int array ->
   origin:int ->
-  seq:int ->
   sink:int ->
-  (label, Logsys.Record.t) Engine.config
-(** Engine configuration for reconstructing one packet.  [records] are the
-    packet's surviving records network-wide: the synthesis search pool,
-    scanned once, lazily, by the first inferred event that needs a peer.
-    Where several records name a peer, the first in array order wins. *)
+  (label, int) Engine.config
+(** Engine configuration for reconstructing the packet whose rows (of
+    the arena) are given: its FSMs by role, its prerequisites, and each
+    inferred event's peer.  The rows are the peer search pool, scanned
+    once, lazily, by the first inferred event that needs a peer; where
+    several rows name a peer, the first in node-scan order wins. *)
 
-val events_of_records :
-  Logsys.Record.t list -> (int * label * Logsys.Record.t option) list
-(** Map records to engine input events (node, label, payload). *)
-
-(** Packed engine input: one packet's merged events as parallel arrays —
-    node, label, dense FSM label id, payload, and inter-node prerequisite
-    per event, all resolved in one pass.  The representation
-    {!Engine.process}'s [Packed] input consumes; built by
-    {!pack_events}. *)
-type packed = {
-  p_nodes : int array;
-  p_labels : label array;
-  p_ids : int array;
-  p_payloads : Logsys.Record.t option array;
-  p_pre_nodes : int array;  (** prerequisite peer node, [-1] = none *)
-  p_pre_states : Fsm_state.t array;
-  p_srcs : int array;
-      (** Output slot -> index in the caller's node-scan-order record array
-          (the causal merge permutes records; provenance evidence cites the
-          original indices). *)
-}
-
-val pack_events : Logsys.Record.t array -> origin:int -> sink:int -> packed
-(** Build the packed engine input from one packet's flat record array (in
-    node-scan order: nodes ascending, each node's records in local write
-    order, as {!Logsys.Arena.Packets.packet_rows} lists its rows) —
-    the one packer every reconstruction goes through.  Per-node record
-    runs are merged along the forwarding chain the records reveal — origin
-    first, then each next hop — with stragglers after in node order.  Each
-    node's local record order is preserved, so the reconstruction is
-    unchanged (the engine is insensitive to the cross-node interleaving);
-    the causal order just means prerequisites are almost always already
-    satisfied, so drives rarely cascade.  Each event's label, dense id
-    ({!Fsm.label_id} via a per-role table) and prerequisite
-    ({!Engine.config.prerequisites} semantics) are resolved inline. *)
+val pack_events :
+  Logsys.Arena.t -> int array -> origin:int -> sink:int -> (label, int) Engine.input
+(** The engine's packed input ({!Engine.Packed}) for one packet's rows,
+    in node-scan order (nodes ascending, each node's rows in local write
+    order, as {!Logsys.Arena.Packets.packet_rows} lists them) — the one
+    packer every reconstruction goes through.  It reads the node, tag and
+    peer columns only.  Per-node runs are merged along the forwarding
+    chain the rows reveal — origin first, then each next hop — with
+    stragglers after in node order.  Each node's local order is
+    preserved, so the reconstruction is unchanged (the engine is
+    insensitive to the cross-node interleaving); the causal order just
+    means prerequisites are almost always already satisfied, so drives
+    rarely cascade.  Each event's label, dense id ({!Fsm.label_id} via a
+    per-role table), peer payload and prerequisite
+    ({!Engine.config.prerequisites} semantics) are resolved inline, and
+    [srcs.(i)] is the index in [rows] of the row event [i] logs. *)

@@ -9,10 +9,10 @@
     nothing about {!Logsys.Record.t} or the item shape changes, and with
     the flag off the pipeline pays nothing.
 
-    Evidence indices index the packet's own record array in *node-scan
-    order* — nodes ascending, each node's records in local write order,
-    the order {!Logsys.Arena.Packets.packet_rows} lists a packet's rows in
-    and {!Reconstruct.of_records} consumes them in.  The streaming frontier
+    Evidence indices index the packet's own rows in *node-scan order* —
+    nodes ascending, each node's rows in local write order, the order
+    {!Logsys.Arena.Packets.packet_rows} lists a packet's rows in and
+    {!Reconstruct.of_rows} consumes them in.  The streaming frontier
     restores the same order before reconstructing, so batch and streaming
     runs produce identical provenance for the same input. *)
 

@@ -51,110 +51,7 @@ type summary = {
 
 (* -- One shard's frontier -------------------------------------------------- *)
 
-(* An open-addressing table from an (origin, seq) key to ['a]: linear
-   probing over a power-of-two capacity kept at most half full, with
-   backward-shift deletion, so there are no tombstones.  Lookups return
-   an int slot (-1 when absent), so they allocate nothing. *)
-module Keys = struct
-  type 'a t = {
-    mutable origins : int array;
-    mutable seqs : int array;
-    mutable vals : 'a array;  (* [absent] in every empty slot *)
-    mutable used : Bytes.t;
-    mutable size : int;
-    absent : 'a;
-  }
-
-  let make cap absent =
-    {
-      origins = Array.make cap 0;
-      seqs = Array.make cap 0;
-      vals = Array.make cap absent;
-      used = Bytes.make cap '\000';
-      size = 0;
-      absent;
-    }
-
-  let create absent = make 64 absent
-
-  (* Mixes both fields and keeps the product's high bits, as
-     [Arena.Packets] does. *)
-  let home t o s =
-    ((((o * 0x1F3D5B79) + s) * 0x1E3779B97F4A7C15) lsr 33)
-    land (Array.length t.origins - 1)
-
-  let occupied t i = Bytes.unsafe_get t.used i <> '\000'
-
-  let find t o s =
-    let mask = Array.length t.origins - 1 in
-    let i = ref (home t o s) in
-    while occupied t !i && not (t.origins.(!i) = o && t.seqs.(!i) = s) do
-      i := (!i + 1) land mask
-    done;
-    if occupied t !i then !i else -1
-
-  let value t i = t.vals.(i)
-
-  (* Place a key known to be absent, without growing. *)
-  let place t o s v =
-    let mask = Array.length t.origins - 1 in
-    let i = ref (home t o s) in
-    while occupied t !i do
-      i := (!i + 1) land mask
-    done;
-    Bytes.unsafe_set t.used !i '\001';
-    t.origins.(!i) <- o;
-    t.seqs.(!i) <- s;
-    t.vals.(!i) <- v;
-    t.size <- t.size + 1
-
-  (* Add a key known to be absent. *)
-  let add t o s v =
-    if 2 * (t.size + 1) > Array.length t.origins then begin
-      let g = make (2 * Array.length t.origins) t.absent in
-      for i = 0 to Array.length t.origins - 1 do
-        if occupied t i then place g t.origins.(i) t.seqs.(i) t.vals.(i)
-      done;
-      t.origins <- g.origins;
-      t.seqs <- g.seqs;
-      t.vals <- g.vals;
-      t.used <- g.used
-    end;
-    place t o s v
-
-  let replace t o s v =
-    let i = find t o s in
-    if i >= 0 then t.vals.(i) <- v else add t o s v
-
-  (* Empty slot [i], shifting back each later entry of its probe run
-     whose home is not in the cyclic range (hole, j]. *)
-  let remove t i =
-    let mask = Array.length t.origins - 1 in
-    let hole = ref i and j = ref ((i + 1) land mask) in
-    while occupied t !j do
-      let h = home t t.origins.(!j) t.seqs.(!j) in
-      let stays =
-        if !hole < !j then !hole < h && h <= !j else !hole < h || h <= !j
-      in
-      if not stays then begin
-        t.origins.(!hole) <- t.origins.(!j);
-        t.seqs.(!hole) <- t.seqs.(!j);
-        t.vals.(!hole) <- t.vals.(!j);
-        hole := !j
-      end;
-      j := (!j + 1) land mask
-    done;
-    Bytes.unsafe_set t.used !hole '\000';
-    t.vals.(!hole) <- t.absent;
-    t.size <- t.size - 1
-
-  let fold f t acc =
-    let acc = ref acc in
-    for i = 0 to Array.length t.origins - 1 do
-      if occupied t i then acc := f t.origins.(i) t.seqs.(i) t.vals.(i) !acc
-    done;
-    !acc
-end
+module Keys = Logsys.Keys
 
 (* One open packet.  Its records are rows of its shard's store, chained
    in arrival order from [head] to [tail]; [last_seen] is the global
@@ -263,6 +160,7 @@ type shard = {
      exist; those of evicted packets are chained from [free] for later
      arrivals. *)
   mutable chunks : chunk array;
+  scratch : Logsys.Arena.t;  (* an evicted packet's rows, node-scan order *)
   mutable made : int;
   mutable free : int;
   mutable pending : pending list;  (* this round's evictions, newest first *)
@@ -309,6 +207,7 @@ let make_shard ~index ~n_shards ~flags:(use_intra, use_inter, provenance)
     (* The first chunk comes with the shard, made on the caller's domain:
        made later on a worker's, it cost serve more peak memory. *)
     chunks = [| new_chunk () |];
+    scratch = Logsys.Arena.create ();
     made = 0;
     free = -1;
     pending = [];
@@ -441,8 +340,9 @@ let evict sh ~final buf =
   sh.frontier_events <- sh.frontier_events - buf.count;
   (* Restore the batch index's node-scan order: a stable sort by node
      over the chain's arrival order keeps each node's local write order.
-     Each row materializes once, and its position becomes its logged
-     item's row.  Then the chain joins the free rows. *)
+     The rows are copied in that order into the scratch arena, and each
+     row's position becomes its logged item's row.  Then the chain joins
+     the free rows. *)
   let rows = Array.make buf.count buf.head in
   for k = 1 to buf.count - 1 do
     rows.(k) <- link sh rows.(k - 1)
@@ -450,14 +350,20 @@ let evict sh ~final buf =
   Array.stable_sort
     (fun a b -> Int.compare (row_node sh a) (row_node sh b))
     rows;
-  let records = Array.map (row_record sh) rows
-  and positions = Array.map (row_position sh) rows in
+  let positions = Array.map (row_position sh) rows in
+  Logsys.Arena.clear sh.scratch;
+  for k = 0 to buf.count - 1 do
+    let row = rows.(k) in
+    Logsys.Arena.copy_row (chunk_of sh row).c_rows (row land chunk_mask)
+      sh.scratch k;
+    rows.(k) <- k
+  done;
   set_link sh buf.tail sh.free;
   sh.free <- buf.head;
   let flow =
-    Reconstruct.of_records ~use_intra:sh.use_intra ~use_inter:sh.use_inter
-      ~provenance:sh.provenance ~positions records ~origin:buf.b_origin
-      ~seq:buf.b_seq ~sink:sh.sink
+    Reconstruct.of_rows ~use_intra:sh.use_intra ~use_inter:sh.use_inter
+      ~provenance:sh.provenance sh.scratch rows ~ids:positions
+      ~keep_arena:false ~origin:buf.b_origin ~seq:buf.b_seq ~sink:sh.sink
   in
   let cause = (Classify.classify flow).cause in
   let outcome =

@@ -11,9 +11,13 @@
     Records are buffered per packet key [(origin, seq)].  A packet is
     considered finished when no record for it has appeared in the last
     [watermark] records processed (a count-based low-watermark, so the
-    stream needs no clock).  At that point its buffered records — restored
-    to the node-scan order the batch index would produce — are run through
-    the ordinary per-packet engines and the flow is emitted.
+    stream needs no clock).  At that point its buffered rows — copied, in
+    the node-scan order the batch index would produce, into a per-shard
+    scratch arena — are run through the ordinary per-packet engines
+    ({!Reconstruct.of_rows}) and the flow is emitted.  An emitted flow
+    keeps no arena: its logged items' rows are their global stream
+    positions, and its payloads carry no ground-truth time or [gseq]
+    ({!Flow.t.arena}).
 
     On a feed ordered like the real collection stream (arrival order), the
     frontier stays small: the acceptance bench holds its peak under 10% of
@@ -114,8 +118,8 @@ val shards : t -> int
 val feed_arena : t -> Logsys.Arena.slice -> unit
 (** Process one segment (one slice), in arrival order.  Rows with a
     negative node id are ignored; every other row is copied into its
-    shard's row store, and materializes once, when its packet is
-    evicted.  The slice is read until this returns.
+    shard's row store, and copied once more, into the shard's scratch
+    arena, when its packet is evicted; no record is built for it.  The slice is read until this returns.
     Every flow the segment evicts is emitted before this returns;
     emission depends only on the concatenation of segments, not on how
     they are chunked.  A failure — raised by [emit], or by a worker — is

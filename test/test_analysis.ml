@@ -111,19 +111,10 @@ let path_quality_counts_acked_extension () =
       record 2 (Ack_recvd { to_ = 0 });
     ]
   in
-  let config =
-    Refill.Protocol.make_config ~records:(Array.of_list records) ~origin:1
-      ~seq:0 ~sink:0
+  let flow =
+    Refill.Reconstruct.of_records (Array.of_list records) ~origin:1 ~seq:0
+      ~sink:0
   in
-  let acc = ref [] in
-  let stats =
-    Refill.Engine.process config
-      (Refill.Engine.Events
-         (Array.of_list (Refill.Protocol.events_of_records records)))
-      ~emit:(fun it -> acc := it :: !acc)
-  in
-  let items = List.rev !acc in
-  let flow = Refill.Flow.of_items ~origin:1 ~seq:0 ~stats items in
   let q = Analysis.Metrics.path_quality ~truth ~flows:[ flow ] in
   Alcotest.(check (list int)) "reconstructed path has the extra hop"
     [ 1; 2; 0 ] (Refill.Flow.nodes_visited flow);

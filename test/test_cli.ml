@@ -483,6 +483,39 @@ let traced_run_stays_parallel () =
     (List.map series s2);
   Alcotest.(check (list string)) "equal counters" (counters s1) (counters s2)
 
+(* `trace` reconstructs its packet through [Reconstruct.packet], whose one
+   [refill.packet] span is the trace's only one. *)
+let trace_records_one_packet_span () =
+  let log = Lazy.force log_file and trace = tmp ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  let origin, seq =
+    let line =
+      List.find
+        (String.starts_with ~prefix:"r ")
+        (String.split_on_char '\n' (read_file log))
+    in
+    match String.split_on_char ' ' line with
+    | _ :: _ :: _ :: _ :: origin :: seq :: _ -> (origin, seq)
+    | _ -> Alcotest.failf "unexpected record line %S" line
+  in
+  let code, _ =
+    run_cli
+      [ "trace"; log; "--origin"; origin; "--seq"; seq; "--trace-out"; trace;
+        "-q" ]
+  in
+  Alcotest.(check int) "trace exits 0" 0 code;
+  match J.parse (read_file trace) with
+  | Error e -> Alcotest.failf "trace is not JSON: %s" e
+  | Ok doc -> (
+      match J.member "traceEvents" doc with
+      | Some (J.Arr events) ->
+          Alcotest.(check int) "refill.packet spans" 1
+            (List.length
+               (List.filter
+                  (fun e -> J.member "name" e = Some (J.Str "refill.packet"))
+                  events))
+      | _ -> Alcotest.fail "no traceEvents array")
+
 (* -- check ------------------------------------------------------------------ *)
 
 let baseline_path =
@@ -594,6 +627,8 @@ let () =
             sharded_cold_start_matches_one_shard;
           Alcotest.test_case "tracing leaves the run parallel" `Quick
             traced_run_stays_parallel;
+          Alcotest.test_case "trace records one packet span" `Quick
+            trace_records_one_packet_span;
         ] );
       ( "check",
         [

@@ -831,8 +831,9 @@ let perturb rng collected flows =
       let a = items.(fi).(k1) in
       items.(fi).(k1) <- items.(fi).(k2);
       items.(fi).(k2) <- a);
+  let arena = Logsys.Arena.Packets.arena (Logsys.Collected.packets collected) in
   let rebuild (f : Refill.Flow.t) entries =
-    Refill.Flow.of_items ~origin:f.origin ~seq:f.seq ~stats:f.stats
+    Refill.Flow.of_items ~arena ~origin:f.origin ~seq:f.seq ~stats:f.stats
       ~rows:(Array.of_list (List.map snd entries))
       (List.map fst entries)
   in
@@ -983,8 +984,9 @@ let empty_flows_in_hard_chains () =
   let sc = Lazy.force scenario in
   let collected = Scenario.Citysee.collected sc in
   let flows = reconstruct_flows collected ~sink:sc.sink in
+  let arena = Logsys.Arena.Packets.arena (Logsys.Collected.packets collected) in
   let rebuild (f : Refill.Flow.t) entries =
-    Refill.Flow.of_items ~origin:f.origin ~seq:f.seq ~stats:f.stats
+    Refill.Flow.of_items ~arena ~origin:f.origin ~seq:f.seq ~stats:f.stats
       ~rows:(Array.of_list (List.map snd entries))
       (List.map fst entries)
   in

@@ -120,19 +120,9 @@ let records_of_journey j =
 let valid j = match j.terminal with T_dup -> j.hops >= 2 | _ -> true
 
 let classify_records records =
-  let config =
-    Protocol.make_config ~records:(Array.of_list records) ~origin:1 ~seq:0
-      ~sink:0
+  let flow =
+    Reconstruct.of_records (Array.of_list records) ~origin:1 ~seq:0 ~sink:0
   in
-  let events = Protocol.events_of_records records in
-  let acc = ref [] in
-  let stats =
-    Engine.process config
-      (Engine.Events (Array.of_list events))
-      ~emit:(fun it -> acc := it :: !acc)
-  in
-  let items = List.rev !acc in
-  let flow = Flow.of_items ~origin:1 ~seq:0 ~stats items in
   (flow, Classify.classify flow)
 
 let journey_arbitrary =

@@ -138,6 +138,59 @@ let exact_across_domains () =
   Alcotest.(check (float 0.)) "histogram sum" (float_of_int (2 * 190 * n / 20))
     (M.Histogram.sum h)
 
+(* One domain registers fresh instruments while another dumps the
+   registry: every dump parses and lists each instrument once, and the
+   last lists them all.  A race is rare in one round, so there are
+   twenty, each on a fresh registry. *)
+let registration_round () =
+  let reg = M.create_registry () in
+  let n = 500 and started = Atomic.make 0 and registered = Atomic.make false in
+  let await_both () =
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done
+  in
+  let other =
+    Domain.spawn (fun () ->
+        await_both ();
+        for i = 1 to n do
+          M.Counter.inc (M.Counter.v ~registry:reg (Printf.sprintf "c%d_total" i))
+        done;
+        Atomic.set registered true)
+  in
+  let names () =
+    match J.parse (M.dump_json ~registry:reg ()) with
+    | Error e -> Alcotest.failf "a dump during registration did not parse: %s" e
+    | Ok doc -> (
+        match J.member "metrics" doc with
+        | Some (J.Arr entries) ->
+            let names =
+              List.map
+                (fun e ->
+                  match J.member "name" e with
+                  | Some (J.Str name) -> name
+                  | _ -> Alcotest.fail "entry without a name")
+                entries
+            in
+            if List.length (List.sort_uniq compare names) <> List.length names
+            then Alcotest.fail "a dump lists an instrument twice";
+            names
+        | _ -> Alcotest.fail "no metrics array")
+  in
+  await_both ();
+  while not (Atomic.get registered) do
+    ignore (names () : string list)
+  done;
+  Domain.join other;
+  Alcotest.(check int) "the last dump lists every counter" n
+    (List.length (names ()))
+
+let registration_from_any_domain () =
+  for _ = 1 to 20 do
+    registration_round ()
+  done
+
 (* -- Dumps ------------------------------------------------------------------ *)
 
 let populated_registry () =
@@ -411,6 +464,8 @@ let () =
           Alcotest.test_case "counter add" `Quick counter_add;
           Alcotest.test_case "exact across domains" `Quick
             exact_across_domains;
+          Alcotest.test_case "registration from any domain" `Quick
+            registration_from_any_domain;
           Alcotest.test_case "log buckets" `Quick histogram_log_buckets;
           Alcotest.test_case "prometheus dump" `Quick prometheus_dump;
           Alcotest.test_case "label escaping" `Quick

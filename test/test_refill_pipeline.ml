@@ -227,7 +227,9 @@ let summary_totals () =
 
 let empty_packet_reconstruction () =
   let flow =
-    Refill.Reconstruct.packet (collected ()) ~origin:9999 ~seq:0 ~sink:(sink ())
+    Refill.Reconstruct.packet
+      (Logsys.Collected.packets (collected ()))
+      ~origin:9999 ~seq:0 ~sink:(sink ())
   in
   Alcotest.(check int) "empty" 0 (Refill.Flow.length flow)
 
@@ -254,52 +256,39 @@ let lossy p seed =
     Logsys.Collected.lossify (Logsys.Loss_model.uniform p)
       (Prelude.Rng.create ~seed) (collected ())
 
-(* The items [Engine.process] emits for one packet, reconstructed the way
-   [Reconstruct] runs the engine. *)
-let engine_items records ~origin ~seq ~sink =
-  let p = Refill.Protocol.pack_events records ~origin ~sink in
-  let config = Refill.Protocol.make_config ~records ~origin ~seq ~sink in
+(* The items [Engine.process] emits for one packet's rows, run the way
+   [Reconstruct] runs the engine: their payloads are peers. *)
+let engine_items arena rows ~origin ~sink =
   let acc = ref [] in
   ignore
-    (Refill.Engine.process config
-       (Refill.Engine.Packed
-          {
-            nodes = p.p_nodes;
-            labels = p.p_labels;
-            ids = p.p_ids;
-            payloads = p.p_payloads;
-            pre_nodes = p.p_pre_nodes;
-            pre_states = p.p_pre_states;
-            srcs = p.p_srcs;
-          })
+    (Refill.Engine.process
+       (Refill.Protocol.config arena rows ~origin ~sink)
+       (Refill.Protocol.pack_events arena rows ~origin ~sink)
        ~emit:(fun it -> acc := it :: !acc)
       : Refill.Engine.stats);
-  List.rev !acc
+  Array.of_list (List.rev !acc)
 
-let same_item (a : Refill.Flow.item) (b : Refill.Flow.item) =
-  a.node = b.node && a.label = b.label && a.inferred = b.inferred
-  && a.entered = b.entered
-  &&
-  match (a.payload, b.payload) with
-  | None, None -> true
-  | Some r, Some r' -> Logsys.Record.equal r r'
-  | Some _, None | None, Some _ -> false
-
-(* [Flow.items] rebuilds exactly what the engine emitted, payloads
-   included, for batch flows (payloads in the index's arena) and stream
-   flows (payloads in the evicted records) alike. *)
+(* A batch flow's arrays are exactly the engine's items, and each logged
+   item's payload is [Record.equal] to the snapshot record its row holds,
+   on the item's node, of its label's kind, naming its peer.  A stream
+   flow (unbounded watermark, two shards) equals the batch flow on node,
+   label, inferred flag, entered state and peer: only its payloads'
+   ground-truth times differ, since it keeps no arena. *)
 let items_view_is_exact () =
   List.iter
     (fun (p, seed) ->
       let c = lossy p seed in
       let sink = sink () in
+      let packets = Logsys.Collected.packets c in
+      let arena = Logsys.Arena.Packets.arena packets in
       let stream_flows = Hashtbl.create 1024 in
       let st =
         Refill.Stream.create
           ~config:
             { Refill.Config.default with watermark = max_int / 2; shards = 2 }
           ~sink
-          ~emit:(fun e -> Hashtbl.replace stream_flows (Refill.Flow.packet_key e.flow) e.flow)
+          ~emit:(fun e ->
+            Hashtbl.replace stream_flows (Refill.Flow.packet_key e.flow) e.flow)
           ()
       in
       Refill.Stream.feed st (Logsys.Collected.merged_by_time c);
@@ -309,24 +298,124 @@ let items_view_is_exact () =
         (Hashtbl.length stream_flows);
       List.iter
         (fun (f : Refill.Flow.t) ->
-          let expected =
-            engine_items
-              (Logsys.Collected.packet_records c ~origin:f.origin ~seq:f.seq)
-              ~origin:f.origin ~seq:f.seq ~sink
+          let fail what k =
+            Alcotest.failf "loss %.1f: flow (%d, %d) item %d: %s" p f.origin
+              f.seq k what
           in
-          List.iter
-            (fun (kind, g) ->
-              let got = Refill.Flow.items g in
+          let rows =
+            Logsys.Arena.Packets.packet_rows packets ~origin:f.origin
+              ~seq:f.seq
+          and records =
+            Logsys.Collected.packet_records c ~origin:f.origin ~seq:f.seq
+          in
+          let expected = engine_items arena rows ~origin:f.origin ~sink in
+          if Array.length expected <> Refill.Flow.length f then
+            fail "length differs from the engine's" 0;
+          Array.iteri
+            (fun k (it : (Refill.Protocol.label, int) Refill.Engine.item) ->
               if
                 not
-                  (List.length got = List.length expected
-                  && List.for_all2 same_item got expected)
-              then
-                Alcotest.failf "loss %.1f: %s flow (%d, %d) differs from the \
-                                engine's items" p kind f.origin f.seq)
-            [ ("batch", f); ("stream", Hashtbl.find stream_flows (f.origin, f.seq)) ])
+                  (it.node = Refill.Flow.node f k
+                  && it.label = Refill.Flow.label f k
+                  && it.inferred = Refill.Flow.inferred f k
+                  && it.entered = Refill.Flow.entered f k
+                  && Option.value it.payload ~default:0 = f.peers.(k))
+              then fail "differs from the engine's item" k)
+            expected;
+          List.iteri
+            (fun k (it : Refill.Flow.item) ->
+              if not it.inferred then
+                match
+                  ( it.payload,
+                    Array.find_index (Int.equal (Refill.Flow.row f k)) rows )
+                with
+                | Some r, Some i ->
+                    let record = records.(i) in
+                    if
+                      not
+                        (Logsys.Record.equal r record
+                        && record.node = it.node
+                        && Logsys.Codec.tag_of_kind record.kind
+                           = Refill.Protocol.tag_of_label it.label
+                        && Logsys.Record.peer record = Refill.Flow.peer f k)
+                    then fail "payload is not its row's record" k
+                | _ -> fail "logged item without a row of its packet" k)
+            (Refill.Flow.items f);
+          let g = Hashtbl.find stream_flows (f.origin, f.seq) in
+          if Refill.Flow.length g <> Refill.Flow.length f then
+            fail "stream length differs" 0;
+          for k = 0 to Refill.Flow.length f - 1 do
+            if
+              not
+                (Refill.Flow.node g k = Refill.Flow.node f k
+                && Refill.Flow.label g k = Refill.Flow.label f k
+                && Refill.Flow.inferred g k = Refill.Flow.inferred f k
+                && Refill.Flow.entered g k = Refill.Flow.entered f k
+                && Refill.Flow.peer g k = Refill.Flow.peer f k)
+            then fail "stream item differs from batch" k
+          done)
         flows)
     [ (0., 1L); (0.3, 5L); (0.6, 9L) ]
+
+(* Every packet goes through one function: [packet] on an index gives the
+   flow [run_arena] emits for it, columns, rows, provenance and arena
+   alike, and [of_records] over the packet's records gives the same
+   columns over an index of its own. *)
+let one_path_per_packet () =
+  List.iter
+    (fun (p, seed) ->
+      let c = lossy p seed in
+      let sink = sink () in
+      let packets = Logsys.Collected.packets c in
+      let config =
+        { Refill.Config.default with jobs = Some 1; provenance = true }
+      in
+      let same_columns what (a : Refill.Flow.t) (b : Refill.Flow.t) =
+        if
+          not
+            (a.nodes = b.nodes && a.codes = b.codes && a.peers = b.peers
+            && a.prov = b.prov && a.stats = b.stats)
+        then
+          Alcotest.failf "loss %.1f: %s of (%d, %d) differs" p what a.origin
+            a.seq
+      in
+      Refill.Reconstruct.run_arena ~config packets ~sink ~emit:(fun f ->
+          let g =
+            Refill.Reconstruct.packet ~provenance:true packets
+              ~origin:f.origin ~seq:f.seq ~sink
+          in
+          same_columns "packet" f g;
+          let same_arena =
+            match (f.arena, g.arena) with
+            | Some a, Some b -> a == b
+            | _ -> false
+          in
+          if not (f.rows = g.rows && same_arena) then
+            Alcotest.failf "packet (%d, %d): rows or arena differ" f.origin
+              f.seq;
+          same_columns "of_records" f
+            (Refill.Reconstruct.of_records ~provenance:true
+               (Logsys.Collected.packet_records c ~origin:f.origin ~seq:f.seq)
+               ~origin:f.origin ~seq:f.seq ~sink)))
+    [ (0., 1L); (0.3, 5L) ]
+
+(* Batch reconstruction reads rows, never records: a serial [run_arena]
+   over the tiny scenario allocates at most 95 minor words per row (about
+   85 now; 104 when every row became a record for the packer). *)
+let run_arena_allocation_per_row () =
+  let packets = Logsys.Collected.packets (collected ()) in
+  let rows = Logsys.Arena.length (Logsys.Arena.Packets.arena packets) in
+  let run () =
+    Refill.Reconstruct.run_arena
+      ~config:{ Refill.Config.default with jobs = Some 1 }
+      packets ~sink:(sink ()) ~emit:ignore
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let per_row = (Gc.minor_words () -. before) /. float_of_int rows in
+  if per_row > 95. then
+    Alcotest.failf "%.1f minor words per row (%d rows)" per_row rows
 
 (* A retained batch flow is its packed items and a pointer to the index's
    arena: at most 8 heap words per item, everything it reaches counted
@@ -378,6 +467,9 @@ let () =
           Alcotest.test_case "item view equals the engine's items" `Quick
             items_view_is_exact;
           Alcotest.test_case "retained flow size" `Quick retained_flow_size;
+          Alcotest.test_case "one path per packet" `Quick one_path_per_packet;
+          Alcotest.test_case "run_arena allocation per row" `Quick
+            run_arena_allocation_per_row;
         ] );
       ( "par",
         [

@@ -7,18 +7,7 @@ let record node kind : Logsys.Record.t =
   { node; kind; origin = 1; pkt_seq = 0; true_time = 0.; gseq = 0 }
 
 let reconstruct ?(origin = 1) ?(sink = 99) records =
-  let config =
-    Protocol.make_config ~records:(Array.of_list records) ~origin ~seq:0 ~sink
-  in
-  let events = Protocol.events_of_records records in
-  let acc = ref [] in
-  let stats =
-    Engine.process config
-      (Engine.Events (Array.of_list events))
-      ~emit:(fun it -> acc := it :: !acc)
-  in
-  let items = List.rev !acc in
-  Flow.of_items ~origin ~seq:0 ~stats items
+  Reconstruct.of_records (Array.of_list records) ~origin ~seq:0 ~sink
 
 let flow_string flow = Flow.to_string flow
 
@@ -63,9 +52,11 @@ let sink_fsm_shape () =
 
 let label_mapping () =
   Alcotest.(check string) "trans" "trans"
-    (Protocol.label_name (Protocol.label_of_kind (Trans { to_ = 2 })));
+    (Protocol.label_name
+       (Protocol.label_of_tag (Logsys.Codec.tag_of_kind (Trans { to_ = 2 }))));
   Alcotest.(check string) "deliver" "deliver"
-    (Protocol.label_name (Protocol.label_of_kind Deliver));
+    (Protocol.label_name
+       (Protocol.label_of_tag (Logsys.Codec.tag_of_kind Deliver)));
   List.iter
     (fun s ->
       Alcotest.(check bool) ("state name " ^ s) true (String.length s > 0))
@@ -338,8 +329,9 @@ let ablation_flags_change_behaviour () =
     records;
   let collected = Logsys.Collected.of_logger logger in
   let flow ~use_intra ~use_inter =
-    Refill.Reconstruct.packet ~use_intra ~use_inter collected ~origin:1
-      ~seq:0 ~sink:99
+    Refill.Reconstruct.packet ~use_intra ~use_inter
+      (Logsys.Collected.packets collected)
+      ~origin:1 ~seq:0 ~sink:99
   in
   let full = flow ~use_intra:true ~use_inter:true in
   Alcotest.(check string) "full inference"

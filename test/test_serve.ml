@@ -755,8 +755,10 @@ let renderer_matches_oracle =
       Serve.Emit.line e = Oracle.line e
       && Refill.Flow.to_string e.flow = Oracle.to_string e.flow
       && List.for_all
-           (fun i -> Refill.Flow.item_to_string i = Oracle.item_to_string i)
-           (Refill.Flow.items e.flow)
+           (fun k ->
+             Refill.Flow.item_to_string e.flow k
+             = Oracle.item_to_string (Refill.Flow.item e.flow k))
+           (List.init (Refill.Flow.length e.flow) Fun.id)
       && Serve.Emit.prov_line e.flow = Oracle.prov_line e.flow)
 
 (* [emit_to Emit.null] renders nothing, so a pass without a sink (say
