@@ -117,7 +117,8 @@ let reconstruct ~broadcaster ~receiver ~events =
     Engine.process
       (make_config ~broadcaster ~receiver)
       (Engine.Events engine_events)
-      ~emit:(fun it -> acc := it :: !acc)
+      ~emit:(fun ~node ~label ~payload ~inferred ~entered ->
+        acc := { Engine.node; label; payload; inferred; entered } :: !acc)
   in
   (List.rev !acc, stats)
 

@@ -77,6 +77,7 @@ type stats = {
 type ('label, 'payload) input =
   | Events of (int * 'label * 'payload option) array
   | Packed of {
+      n : int;
       nodes : int array;
       labels : 'label array;
       ids : int array;
@@ -86,30 +87,71 @@ type ('label, 'payload) input =
       srcs : int array;
     }
 
-(* [visited] is a plain bool array indexed by state, and [pending] a list
-   of ascending indices into the event array: per-packet instances are
-   created and torn down a million times per CitySee run, so the per-event
-   bookkeeping must not hash or allocate. *)
-type ('label, 'payload) instance = {
-  fsm : 'label Fsm.t;
+(* One node's engine, from the calling domain's pool.  [visited] and
+   [driving] are at least [n_states] long, reset over the first
+   [n_states] when the slot is taken, so range checks read [n_states].
+   [pending] heads the node's queue of unconsumed input events, linked
+   through the pool's [next]. *)
+type instance = {
   mutable state : Fsm_state.t;
-  visited : bool array;
-  driving : bool array;
+  mutable n_states : int;
+  mutable visited : bool array;
+  mutable driving : bool array;
       (* cycle guard: target states this instance is currently being
          driven toward (the recursion can only cycle through in-range
          states, so a per-instance flag array suffices) *)
-  mutable pending : int list;  (* indices into the event array, local order *)
+  mutable pending : int;  (* first unconsumed input event, -1 = none *)
   mutable last_rec : int;
       (* provenance: source index of the last input event fired on this
          instance (-1 = none yet) — the local record bracketing any gap
          bridged on this node *)
 }
 
-(* One mutable context per run, threaded explicitly through top-level
-   functions: the engine runs once per packet — a million times per
-   CitySee reconstruction — and a closure group capturing a dozen refs
-   costs hundreds of words per packet where this record costs one
-   allocation. *)
+(* Everything a run keeps that no label or payload types, reused by every
+   run on the domain: the engine runs once per packet, a million times per
+   CitySee reconstruction, so a run allocates only its context, its FSM
+   slots and its stats.  [start] resets all of it, so a run that raised
+   leaves nothing the next one reads. *)
+type pool = {
+  mutable insts : instance array;
+  mutable inst_nodes : int array;
+      (* per-packet node sets are tiny (a handful of hops), so a linear
+         scan beats any hash table *)
+  mutable inst_n : int;
+  mutable next : int array;
+      (* per input event: the next event of its node's queue, -1 = last *)
+  mutable consumed : bool array;
+  (* Provenance side-car, one entry per emission in emission order.
+     [Provenance.t] is a private int, so recording one is bit packing and
+     an int store. *)
+  mutable provs : Provenance.t array;
+  mutable n_provs : int;
+  (* Source side-car: per emission, the source index of the input event
+     that fired ([-1] for an inferred one). *)
+  mutable sources : int array;
+  mutable n_sources : int;
+  (* Source index of the input event currently firing (prerequisite
+     cascades it starts cite it as evidence); -1 outside any fire. *)
+  mutable cur_ev : int;
+  (* Run-local tallies, flushed to the process-wide metrics in one batch
+     at the end, so a run costs a few atomic adds whatever its size.
+     [n_intra_ev] counts the inferred emissions of intra-node bridges; the
+     rest of [n_inferred] came from inter-node drives. *)
+  mutable n_logged : int;
+  mutable n_inferred : int;
+  mutable n_skipped : int;
+  mutable n_cascades : int;
+  mutable n_intra : int;
+  mutable n_intra_ev : int;
+  (* depth_counts.(d) = cascades observed at depth d, for d <= max_depth *)
+  mutable depth_counts : int array;
+  mutable max_depth : int;
+  mutable drive_depth : int;
+}
+
+(* One run: what the caller passed, the domain's pool, and each pool
+   slot's FSM ([fsms.(i)] drives [pool.insts.(i)]), which is typed by
+   label and so cannot live in the pool. *)
 type ('label, 'payload) ctx = {
   cfg : ('label, 'payload) config;
   use_intra : bool;
@@ -121,119 +163,161 @@ type ('label, 'payload) ctx = {
      Empty arrays = not resolved; fall back to [cfg.prerequisites]. *)
   pre_nodes : int array;
   pre_states : Fsm_state.t array;
-  consumed : bool array;
-  (* Output sink: the engine emits each item in flow order the moment it
-     fires, so batch callers collect (Reconstruct keeps a presized
-     growable buffer) and streaming callers forward downstream without
-     materializing the flow. *)
-  emit_item : ('label, 'payload) item -> unit;
-  (* Provenance side-car, recorded in lockstep with [emit_item] (one
-     entry per emission, same order) into an engine-owned flat buffer.
-     [Provenance.t] is a private int, so with [prov_on] the per-emission
-     cost is bit packing plus one int-array store (no write barrier, no
-     allocation); off, it is one branch. *)
-  prov_on : bool;
-  mutable provs : Provenance.t array;
-  mutable n_provs : int;
-  (* Source side-car, in the same lockstep: per emission, the source
-     index of the input event that fired ([-1] for an inferred one). *)
-  src_on : bool;
-  mutable sources : int array;
-  mutable n_sources : int;
   (* Per event: the index consumers know it by — for packed input, the
      packet's node-scan-order record index the packer permuted it from
      ([||] = identity, the event array position itself). *)
   srcs : int array;
-  (* Source index of the input event currently firing (prerequisite
-     cascades it starts cite it as evidence); -1 outside any fire. *)
-  mutable cur_ev : int;
-  (* Run-local tallies; flushed to the process-wide metrics in one batch
-     at the end, so a run costs a few atomic adds whatever its size. *)
-  mutable n_logged : int;
-  mutable n_inferred : int;
-  mutable n_skipped : int;
-  mutable n_cascades : int;
-  mutable n_intra : int;
-  (* Inferred emissions produced by intra-node bridges; the remainder of
-     [n_inferred] came from inter-node drives.  Together with [n_logged]
-     this is the full engine-side mechanism split, tallied at the emit
-     sites (where the mechanism is static) so provenance-enabled runs
-     never decode the side-car to count. *)
-  mutable n_intra_ev : int;
-  (* Drive-depth tally: depth_counts.(d) = cascades observed at depth d.
-     Depths are tiny (bounded by prerequisite chain length), so a small
-     growable array replaces a per-cascade list and the flush becomes one
-     bulk histogram update per distinct depth. *)
-  mutable depth_counts : int array;
-  mutable drive_depth : int;
-  (* Per-packet node sets are tiny (a handful of hops), so a linear scan
-     over parallel arrays beats any hash table. *)
-  mutable inst_nodes : int array;
-  mutable inst_vals : ('label, 'payload) instance array;
-  mutable inst_n : int;
+  (* Output sink: the engine emits each item in flow order the moment it
+     fires, so batch callers pack it and streaming callers forward it
+     without materializing the flow. *)
+  emit_item :
+    node:int ->
+    label:'label ->
+    payload:'payload option ->
+    inferred:bool ->
+    entered:Fsm_state.t ->
+    unit;
+  prov_on : bool;
+  src_on : bool;
+  pool : pool;
+  mutable fsms : 'label Fsm.t array;
 }
 
-let note_depth ctx d =
-  let counts = ctx.depth_counts in
-  let counts =
-    if d < Array.length counts then counts
-    else begin
-      let counts' = Array.make (max (d + 1) (2 * Array.length counts)) 0 in
-      Array.blit counts 0 counts' 0 (Array.length counts);
-      ctx.depth_counts <- counts';
-      counts'
-    end
-  in
-  counts.(d) <- counts.(d) + 1
+let pool_key : pool Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        insts = [||];
+        inst_nodes = [||];
+        inst_n = 0;
+        next = [||];
+        consumed = [||];
+        provs = [||];
+        n_provs = 0;
+        sources = [||];
+        n_sources = 0;
+        cur_ev = -1;
+        n_logged = 0;
+        n_inferred = 0;
+        n_skipped = 0;
+        n_cascades = 0;
+        n_intra = 0;
+        n_intra_ev = 0;
+        depth_counts = Array.make 16 0;
+        max_depth = 0;
+        drive_depth = 0;
+      })
 
+let prov_dummy =
+  Provenance.make2 Provenance.Logged ~src:(-1) ~dst:(-1) ~e1:(-1) ~e2:(-1)
+
+(* The calling domain's pool, reset for a run over [n] input events.  The
+   side-car buffers are presized to the input count plus a few percent
+   (the output is the inputs plus the inferred events) and grow in [emit]
+   beyond that. *)
+let start ~prov_on ~src_on n =
+  let p = Domain.DLS.get pool_key in
+  if Array.length p.next < n then begin
+    let cap = max n (2 * Array.length p.next) in
+    p.next <- Array.make cap (-1);
+    p.consumed <- Array.make cap false
+  end
+  else Array.fill p.consumed 0 n false;
+  let need = max 8 (n + (n / 8) + 8) in
+  if prov_on && Array.length p.provs < need then
+    p.provs <- Array.make need prov_dummy;
+  if src_on && Array.length p.sources < need then
+    p.sources <- Array.make need (-1);
+  Array.fill p.depth_counts 0 (p.max_depth + 1) 0;
+  p.inst_n <- 0;
+  p.n_provs <- 0;
+  p.n_sources <- 0;
+  p.cur_ev <- -1;
+  p.n_logged <- 0;
+  p.n_inferred <- 0;
+  p.n_skipped <- 0;
+  p.n_cascades <- 0;
+  p.n_intra <- 0;
+  p.n_intra_ev <- 0;
+  p.max_depth <- 0;
+  p.drive_depth <- 0;
+  p
+
+let note_depth p d =
+  if d >= Array.length p.depth_counts then begin
+    let counts = Array.make (max (d + 1) (2 * Array.length p.depth_counts)) 0 in
+    Array.blit p.depth_counts 0 counts 0 (Array.length p.depth_counts);
+    p.depth_counts <- counts
+  end;
+  p.depth_counts.(d) <- p.depth_counts.(d) + 1;
+  if d > p.max_depth then p.max_depth <- d
+
+(* Take the pool's next slot for [node]'s engine, in its FSM's initial
+   state. *)
 let new_instance ctx node =
   let fsm = ctx.cfg.fsm_of node in
   let n_states = Fsm.n_states fsm in
-  let visited = Array.make n_states false in
-  let inst =
-    {
-      fsm;
-      state = Fsm.initial fsm;
-      visited;
-      driving = Array.make n_states false;
-      pending = [];
-      last_rec = -1;
-    }
-  in
-  visited.(inst.state) <- true;
-  if ctx.inst_n = Array.length ctx.inst_nodes then begin
-    let cap = max 8 (2 * ctx.inst_n) in
-    let nodes' = Array.make cap (-1) in
-    Array.blit ctx.inst_nodes 0 nodes' 0 ctx.inst_n;
-    ctx.inst_nodes <- nodes';
-    let vals' = Array.make cap inst in
-    Array.blit ctx.inst_vals 0 vals' 0 ctx.inst_n;
-    ctx.inst_vals <- vals'
+  let p = ctx.pool in
+  let i = p.inst_n in
+  if i = Array.length p.insts then begin
+    let cap = max 8 (2 * i) in
+    let fresh _ =
+      {
+        state = 0;
+        n_states = 0;
+        visited = [||];
+        driving = [||];
+        pending = -1;
+        last_rec = -1;
+      }
+    in
+    p.insts <- Array.init cap (fun k -> if k < i then p.insts.(k) else fresh k);
+    let nodes = Array.make cap (-1) in
+    Array.blit p.inst_nodes 0 nodes 0 i;
+    p.inst_nodes <- nodes
   end;
-  ctx.inst_nodes.(ctx.inst_n) <- node;
-  ctx.inst_vals.(ctx.inst_n) <- inst;
-  ctx.inst_n <- ctx.inst_n + 1;
-  inst
+  if i >= Array.length ctx.fsms then begin
+    let fsms = Array.make (max 8 (2 * i)) fsm in
+    Array.blit ctx.fsms 0 fsms 0 i;
+    ctx.fsms <- fsms
+  end;
+  let inst = p.insts.(i) in
+  if Array.length inst.visited < n_states then begin
+    inst.visited <- Array.make n_states false;
+    inst.driving <- Array.make n_states false
+  end
+  else begin
+    Array.fill inst.visited 0 n_states false;
+    Array.fill inst.driving 0 n_states false
+  end;
+  inst.n_states <- n_states;
+  inst.state <- Fsm.initial fsm;
+  inst.visited.(inst.state) <- true;
+  inst.pending <- -1;
+  inst.last_rec <- -1;
+  p.inst_nodes.(i) <- node;
+  ctx.fsms.(i) <- fsm;
+  p.inst_n <- i + 1;
+  i
 
-let instance ctx node =
-  let nodes = ctx.inst_nodes in
-  let rec find i =
-    if i >= ctx.inst_n then new_instance ctx node
-    else if Array.unsafe_get nodes i = node then Array.unsafe_get ctx.inst_vals i
-    else find (i + 1)
-  in
-  find 0
+(* [node]'s pool slot, taken at its first use in the run.  The scans
+   here and in [Reconstruct] are top-level functions: a local recursive
+   function that captures variables is a closure allocated per call. *)
+let rec find_slot ctx node i =
+  if i >= ctx.pool.inst_n then new_instance ctx node
+  else if Array.unsafe_get ctx.pool.inst_nodes i = node then i
+  else find_slot ctx node (i + 1)
 
-let rec next_pending ctx inst =
-  (* Drop already-consumed heads, then peek; -1 = exhausted. *)
-  match inst.pending with
-  | [] -> -1
-  | idx :: rest ->
-      if ctx.consumed.(idx) then begin
-        inst.pending <- rest;
-        next_pending ctx inst
-      end
-      else idx
+let slot ctx node = find_slot ctx node 0
+
+(* Drop already-consumed heads of the node's queue, then peek; -1 =
+   exhausted. *)
+let rec skip_consumed p idx =
+  if idx >= 0 && p.consumed.(idx) then skip_consumed p p.next.(idx) else idx
+
+let next_pending p inst =
+  let idx = skip_consumed p inst.pending in
+  inst.pending <- idx;
+  idx
 
 (* The source index consumers know event [idx] by (packed inputs permute
    the packet's records; [srcs] maps back). *)
@@ -241,74 +325,67 @@ let orig ctx idx =
   if Array.length ctx.srcs = 0 then idx else Array.unsafe_get ctx.srcs idx
 
 let emit ctx node label payload ~inferred ~src ~entered ~mech ~ev1 ~ev2 =
-  ctx.emit_item { node; label; payload; inferred; entered };
+  ctx.emit_item ~node ~label ~payload ~inferred ~entered;
+  let p = ctx.pool in
   if ctx.prov_on then begin
     let pv = Provenance.make2 mech ~src ~dst:entered ~e1:ev1 ~e2:ev2 in
-    let k = ctx.n_provs in
-    if k = Array.length ctx.provs then begin
+    let k = p.n_provs in
+    if k = Array.length p.provs then begin
       let grown = Array.make (max 64 (2 * k)) pv in
-      Array.blit ctx.provs 0 grown 0 k;
-      ctx.provs <- grown
+      Array.blit p.provs 0 grown 0 k;
+      p.provs <- grown
     end;
-    Array.unsafe_set ctx.provs k pv;
-    ctx.n_provs <- k + 1
+    Array.unsafe_set p.provs k pv;
+    p.n_provs <- k + 1
   end;
   if ctx.src_on then begin
-    let k = ctx.n_sources in
-    if k = Array.length ctx.sources then begin
+    let k = p.n_sources in
+    if k = Array.length p.sources then begin
       let grown = Array.make (max 64 (2 * k)) (-1) in
-      Array.blit ctx.sources 0 grown 0 k;
-      ctx.sources <- grown
+      Array.blit p.sources 0 grown 0 k;
+      p.sources <- grown
     end;
-    Array.unsafe_set ctx.sources k (if inferred then -1 else ev1);
-    ctx.n_sources <- k + 1
+    Array.unsafe_set p.sources k (if inferred then -1 else ev1);
+    p.n_sources <- k + 1
   end;
-  if inferred then ctx.n_inferred <- ctx.n_inferred + 1
-  else ctx.n_logged <- ctx.n_logged + 1
+  if inferred then p.n_inferred <- p.n_inferred + 1
+  else p.n_logged <- p.n_logged + 1
 
 let enter inst dst =
   inst.state <- dst;
   inst.visited.(dst) <- true
 
 let visited inst target =
-  target >= 0 && target < Array.length inst.visited && inst.visited.(target)
+  target >= 0 && target < inst.n_states && inst.visited.(target)
 
 let rec fire ctx idx node id label payload ~inferred =
   (* Scope [cur_ev] to this event: cascades it starts (directly or through
      the intra bridge below) cite it as their evidence; the caller's event
      is restored on the way out. *)
-  let saved = ctx.cur_ev in
-  ctx.cur_ev <- orig ctx idx;
+  let p = ctx.pool in
+  let saved = p.cur_ev in
+  p.cur_ev <- orig ctx idx;
   let fired = fire_event ctx idx node id label payload ~inferred in
-  ctx.cur_ev <- saved;
+  p.cur_ev <- saved;
   fired
 
 and fire_event ctx idx node id label payload ~inferred =
-  let inst = instance ctx node in
+  let i = slot ctx node in
+  let inst = ctx.pool.insts.(i) and fsm = ctx.fsms.(i) in
   let ev = orig ctx idx in
-  match Fsm.step_id inst.fsm ~from:inst.state id with
+  match Fsm.step_id fsm ~from:inst.state id with
   | -1 ->
       if not ctx.use_intra then false
       else begin
-        match Fsm.infer_intra_id inst.fsm ~from:inst.state id with
+        match Fsm.infer_intra_id fsm ~from:inst.state id with
         | None -> false
         | Some (lost_path, _jc) ->
-            ctx.n_intra <- ctx.n_intra + 1;
+            ctx.pool.n_intra <- ctx.pool.n_intra + 1;
             (* Evidence for the bridge: the node's last fired record (the
                gap's left bracket) and the record about to fire (right
                bracket). *)
-            let bracket = inst.last_rec in
-            List.iter
-              (fun (_, d, l) ->
-                let p = ctx.cfg.infer_payload ~node ~label:l in
-                satisfy_prerequisites ctx node l p;
-                let src = inst.state in
-                enter inst d;
-                ctx.n_intra_ev <- ctx.n_intra_ev + 1;
-                emit ctx node l p ~inferred:true ~src ~entered:d
-                  ~mech:Provenance.Intra_inference ~ev1:bracket ~ev2:ev)
-              lost_path;
-            (match Fsm.step_id inst.fsm ~from:inst.state id with
+            bridge ctx inst node ~bracket:inst.last_rec ~ev lost_path;
+            (match Fsm.step_id fsm ~from:inst.state id with
             | -1 ->
                 (* infer_intra's path ends at a source of a normal
                    [label]-edge, so this branch is unreachable. *)
@@ -331,6 +408,19 @@ and fire_event ctx idx node id label payload ~inferred =
       inst.last_rec <- ev;
       true
 
+(* The intra bridge's lost events, in path order. *)
+and bridge ctx inst node ~bracket ~ev = function
+  | [] -> ()
+  | (_, d, l) :: rest ->
+      let p = ctx.cfg.infer_payload ~node ~label:l in
+      satisfy_prerequisites ctx node l p;
+      let src = inst.state in
+      enter inst d;
+      ctx.pool.n_intra_ev <- ctx.pool.n_intra_ev + 1;
+      emit ctx node l p ~inferred:true ~src ~entered:d
+        ~mech:Provenance.Intra_inference ~ev1:bracket ~ev2:ev;
+      bridge ctx inst node ~bracket ~ev rest
+
 (* Prerequisite of an *input* event: packed callers resolved it into the
    per-event arrays; otherwise ask the config.  Inferred emissions always
    go through [satisfy_prerequisites] — they have no input slot. *)
@@ -342,114 +432,133 @@ and satisfy_event_prereqs ctx idx node label payload =
   else satisfy_prerequisites ctx node label payload
 
 and satisfy_prerequisites ctx node label payload =
-  match ctx.cfg.prerequisites ~node ~label ~payload with
+  drive_all ctx (ctx.cfg.prerequisites ~node ~label ~payload)
+
+and drive_all ctx = function
   | [] -> ()
-  | prereqs ->
-      List.iter (fun (rnode, rstate) -> drive ctx rnode rstate) prereqs
+  | (rnode, rstate) :: rest ->
+      drive ctx rnode rstate;
+      drive_all ctx rest
 
 and drive ctx rnode target =
-  let inst = instance ctx rnode in
+  let i = slot ctx rnode in
+  let inst = ctx.pool.insts.(i) in
   (* A cycle re-enters drive for the same (instance, target), and only
      in-range targets can recurse (an out-of-range target fires nothing,
      so its drive terminates immediately); out-of-range targets skip the
      guard. *)
-  let guarded = target >= 0 && target < Array.length inst.driving in
+  let guarded = target >= 0 && target < inst.n_states in
   if visited inst target then ()
   else if guarded && inst.driving.(target) then ()
   else begin
+    let p = ctx.pool in
     if guarded then inst.driving.(target) <- true;
-    ctx.drive_depth <- ctx.drive_depth + 1;
-    ctx.n_cascades <- ctx.n_cascades + 1;
-    note_depth ctx ctx.drive_depth;
-    (try drive_loop ctx inst rnode target
-     with e ->
-       ctx.drive_depth <- ctx.drive_depth - 1;
-       if guarded then inst.driving.(target) <- false;
-       raise e);
-    ctx.drive_depth <- ctx.drive_depth - 1;
+    p.drive_depth <- p.drive_depth + 1;
+    p.n_cascades <- p.n_cascades + 1;
+    note_depth p p.drive_depth;
+    drive_loop ctx ctx.fsms.(i) inst rnode target;
+    p.drive_depth <- p.drive_depth - 1;
     if guarded then inst.driving.(target) <- false
   end
 
-and drive_loop ctx inst rnode target =
+and drive_loop ctx fsm inst rnode target =
   if not (visited inst target) then begin
+    let p = ctx.pool in
     let consumed_one =
-      match next_pending ctx inst with
+      match next_pending p inst with
       | -1 -> false
       | idx ->
-          if consume_helps ctx inst ctx.ids.(idx) target then begin
-            ctx.consumed.(idx) <- true;
+          if consume_helps ctx fsm inst ctx.ids.(idx) target then begin
+            p.consumed.(idx) <- true;
             if
               not
                 (fire ctx idx rnode ctx.ids.(idx) ctx.labels.(idx)
                    ctx.payloads.(idx) ~inferred:false)
-            then ctx.n_skipped <- ctx.n_skipped + 1;
+            then p.n_skipped <- p.n_skipped + 1;
             true
           end
           else false
     in
-    if consumed_one then drive_loop ctx inst rnode target
-    else infer_path_to ctx inst rnode target
+    if consumed_one then drive_loop ctx fsm inst rnode target
+    else infer_path_to ctx fsm inst rnode target
   end
 
 (* Would firing the node's next logged event visit [target] or keep it
    reachable? If not, consuming it here would overshoot; leave it for the
    main loop and bridge the gap by inference instead. *)
-and consume_helps ctx inst id target =
-  match Fsm.step_id inst.fsm ~from:inst.state id with
+and consume_helps ctx fsm inst id target =
+  match Fsm.step_id fsm ~from:inst.state id with
   | -1 ->
       ctx.use_intra
-      && (match Fsm.infer_intra_id inst.fsm ~from:inst.state id with
+      && (match Fsm.infer_intra_id fsm ~from:inst.state id with
          | None -> false
          | Some (lost_path, jc) ->
              jc = target
-             || Fsm.reachable inst.fsm ~from:jc target
-             || List.exists (fun (_, d, _) -> d = target) lost_path)
-  | dst -> dst = target || Fsm.reachable inst.fsm ~from:dst target
+             || Fsm.reachable fsm ~from:jc target
+             || on_path target lost_path)
+  | dst -> dst = target || Fsm.reachable fsm ~from:dst target
 
-and infer_path_to ctx inst rnode target =
-  match Fsm.shortest_path inst.fsm ~from:inst.state ~to_:target with
+and on_path target = function
+  | [] -> false
+  | (_, d, _) :: rest -> d = target || on_path target rest
+
+and infer_path_to ctx fsm inst rnode target =
+  match Fsm.shortest_path fsm ~from:inst.state ~to_:target with
   | None -> ()  (* unsatisfiable prerequisite: give up silently *)
   | Some path ->
       (* Evidence for the drive: the remote record that demanded this node's
          progress ([cur_ev]) and this node's own last fired record. *)
-      let driver = ctx.cur_ev and local = inst.last_rec in
-      List.iter
-        (fun (_, d, l) ->
-          let p = ctx.cfg.infer_payload ~node:rnode ~label:l in
-          satisfy_prerequisites ctx rnode l p;
-          let src = inst.state in
-          enter inst d;
-          emit ctx rnode l p ~inferred:true ~src ~entered:d
-            ~mech:Provenance.Inter_inference ~ev1:driver ~ev2:local)
+      infer_path ctx inst rnode ~driver:ctx.pool.cur_ev ~local:inst.last_rec
         path
 
-let prov_dummy =
-  Provenance.make2 Provenance.Logged ~src:(-1) ~dst:(-1) ~e1:(-1) ~e2:(-1)
+and infer_path ctx inst rnode ~driver ~local = function
+  | [] -> ()
+  | (_, d, l) :: rest ->
+      let p = ctx.cfg.infer_payload ~node:rnode ~label:l in
+      satisfy_prerequisites ctx rnode l p;
+      let src = inst.state in
+      enter inst d;
+      emit ctx rnode l p ~inferred:true ~src ~entered:d
+        ~mech:Provenance.Inter_inference ~ev1:driver ~ev2:local;
+      infer_path ctx inst rnode ~driver ~local rest
 
-(* Per-domain reusable side-car scratch: the engine runs once per packet,
-   and allocating (then copying out of) a fresh buffer every run is the
-   largest fixed cost of provenance-enabled runs on small packets.  The
-   scratch lives for the domain's lifetime and grows to the largest packet
-   seen; [prov_out] and [src_out] callees copy out the prefix they
-   need. *)
-let prov_scratch_key : Provenance.t array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> [||])
+(* Step 4: fire every input event no drive consumed, in input order, then
+   flush the run's tallies and side-cars. *)
+let finish ?prov_out ?src_out ctx nodes n =
+  let p = ctx.pool in
+  for idx = 0 to n - 1 do
+    if not p.consumed.(idx) then begin
+      p.consumed.(idx) <- true;
+      if
+        not
+          (fire ctx idx nodes.(idx) ctx.ids.(idx) ctx.labels.(idx)
+             ctx.payloads.(idx) ~inferred:false)
+      then p.n_skipped <- p.n_skipped + 1
+    end
+  done;
+  Obs.Metrics.Counter.add c_logged p.n_logged;
+  Obs.Metrics.Counter.add c_inferred p.n_inferred;
+  Obs.Metrics.Counter.add c_skipped p.n_skipped;
+  Obs.Metrics.Counter.add c_cascades p.n_cascades;
+  Obs.Metrics.Counter.add c_intra p.n_intra;
+  if ctx.prov_on then begin
+    Obs.Metrics.Counter.add c_prov_logged p.n_logged;
+    Obs.Metrics.Counter.add c_prov_intra p.n_intra_ev;
+    Obs.Metrics.Counter.add c_prov_inter (p.n_inferred - p.n_intra_ev)
+  end;
+  for d = 1 to p.max_depth do
+    Obs.Metrics.Histogram.observe_int_n h_drive_depth d p.depth_counts.(d)
+  done;
+  (match prov_out with Some f -> f p.provs p.n_provs | None -> ());
+  (match src_out with Some f -> f p.sources p.n_sources | None -> ());
+  {
+    emitted_logged = p.n_logged;
+    emitted_inferred = p.n_inferred;
+    skipped = p.n_skipped;
+  }
 
-let src_scratch_key : int array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> [||])
-
-let scratch key dummy n =
-  let scratch = Domain.DLS.get key in
-  let need = max 8 (n + (n / 8) + 8) in
-  if Array.length scratch >= need then scratch
-  else begin
-    let scratch = Array.make need dummy in
-    Domain.DLS.set key scratch;
-    scratch
-  end
-
-let make_ctx config ~use_intra ~labels ~payloads ~ids ~pre_nodes ~pre_states
-    ~emit_item ~prov_on ~src_on ~srcs ~n =
+let make_ctx config ~use_intra ~emit_item ~prov_on ~src_on pool ~labels
+    ~payloads ~ids ~pre_nodes ~pre_states ~srcs =
   {
     cfg = config;
     use_intra;
@@ -458,125 +567,51 @@ let make_ctx config ~use_intra ~labels ~payloads ~ids ~pre_nodes ~pre_states
     ids;
     pre_nodes;
     pre_states;
-    consumed = Array.make n false;
+    srcs;
     emit_item;
     prov_on;
-    (* Presized to the input event count plus a few percent: the output is
-       the inputs plus the inferred events. *)
-    provs =
-      (if prov_on then scratch prov_scratch_key prov_dummy n else [||]);
-    n_provs = 0;
     src_on;
-    sources = (if src_on then scratch src_scratch_key (-1) n else [||]);
-    n_sources = 0;
-    srcs;
-    cur_ev = -1;
-    n_logged = 0;
-    n_inferred = 0;
-    n_skipped = 0;
-    n_cascades = 0;
-    n_intra = 0;
-    n_intra_ev = 0;
-    depth_counts = Array.make 16 0;
-    drive_depth = 0;
-    inst_nodes = [||];
-    inst_vals = [||];
-    inst_n = 0;
+    pool;
+    fsms = [||];
   }
-
-let sweep ctx nodes =
-  let n = Array.length nodes in
-  for idx = 0 to n - 1 do
-    if not ctx.consumed.(idx) then begin
-      ctx.consumed.(idx) <- true;
-      if
-        not
-          (fire ctx idx nodes.(idx) ctx.ids.(idx) ctx.labels.(idx)
-             ctx.payloads.(idx) ~inferred:false)
-      then ctx.n_skipped <- ctx.n_skipped + 1
-    end
-  done;
-  Obs.Metrics.Counter.add c_logged ctx.n_logged;
-  Obs.Metrics.Counter.add c_inferred ctx.n_inferred;
-  Obs.Metrics.Counter.add c_skipped ctx.n_skipped;
-  Obs.Metrics.Counter.add c_cascades ctx.n_cascades;
-  Obs.Metrics.Counter.add c_intra ctx.n_intra;
-  if ctx.prov_on then begin
-    Obs.Metrics.Counter.add c_prov_logged ctx.n_logged;
-    Obs.Metrics.Counter.add c_prov_intra ctx.n_intra_ev;
-    Obs.Metrics.Counter.add c_prov_inter (ctx.n_inferred - ctx.n_intra_ev)
-  end;
-  Array.iteri
-    (fun d times -> Obs.Metrics.Histogram.observe_int_n h_drive_depth d times)
-    ctx.depth_counts;
-  {
-    emitted_logged = ctx.n_logged;
-    emitted_inferred = ctx.n_inferred;
-    skipped = ctx.n_skipped;
-  }
-
-let finish ?prov_out ?src_out ctx nodes =
-  let stats = sweep ctx nodes in
-  (* Persist any growth [emit] did, so the next run on this domain starts
-     with the larger scratch. *)
-  (match prov_out with
-  | None -> ()
-  | Some f ->
-      f ctx.provs ctx.n_provs;
-      Domain.DLS.set prov_scratch_key ctx.provs);
-  (match src_out with
-  | None -> ()
-  | Some f ->
-      f ctx.sources ctx.n_sources;
-      Domain.DLS.set src_scratch_key ctx.sources);
-  stats
 
 let process ?(use_intra = true) ?prov_out ?src_out config input
     ~emit:emit_item =
   let prov_on = prov_out <> None and src_on = src_out <> None in
   match input with
-  | Packed { nodes; labels; ids; payloads; pre_nodes; pre_states; srcs } ->
-      let n = Array.length nodes in
+  | Packed { n; nodes; labels; ids; payloads; pre_nodes; pre_states; srcs } ->
+      let pool = start ~prov_on ~src_on n in
       let ctx =
-        make_ctx config ~use_intra ~labels ~payloads ~ids ~pre_nodes
-          ~pre_states ~emit_item ~prov_on ~src_on ~srcs ~n
+        make_ctx config ~use_intra ~emit_item ~prov_on ~src_on pool ~labels
+          ~payloads ~ids ~pre_nodes ~pre_states ~srcs
       in
+      (* Per-node pending queues in input (= local) order: linking from
+         the last event back puts each queue's first event at its head. *)
       for idx = n - 1 downto 0 do
-        let inst = instance ctx nodes.(idx) in
-        inst.pending <- idx :: inst.pending
+        let inst = pool.insts.(slot ctx nodes.(idx)) in
+        pool.next.(idx) <- inst.pending;
+        inst.pending <- idx
       done;
-      finish ?prov_out ?src_out ctx nodes
+      finish ?prov_out ?src_out ctx nodes n
   | Events arr ->
       let n = Array.length arr in
-      if n = 0 then
-        finish ?prov_out ?src_out
-          (make_ctx config ~use_intra ~labels:[||] ~payloads:[||] ~ids:[||]
-             ~pre_nodes:[||] ~pre_states:[||] ~emit_item ~prov_on ~src_on
-             ~srcs:[||] ~n:0)
-          [||]
-      else begin
-        let _, l0, p0 = arr.(0) in
-        let nodes = Array.make n 0 in
-        let labels = Array.make n l0 in
-        let payloads = Array.make n p0 in
-        let ids = Array.make n (-1) in
-        let ctx =
-          make_ctx config ~use_intra ~labels ~payloads ~ids ~pre_nodes:[||]
-            ~pre_states:[||] ~emit_item ~prov_on ~src_on ~srcs:[||] ~n
-        in
-        (* Per-node pending queues in merged (= local) order, and each
-           event's label resolved to its instance FSM's dense id exactly
-           once.  Reverse iteration builds the ascending pending lists
-           directly. *)
-        for idx = n - 1 downto 0 do
-          let node, label, payload = arr.(idx) in
-          nodes.(idx) <- node;
-          labels.(idx) <- label;
-          payloads.(idx) <- payload;
-          let inst = instance ctx node in
-          inst.pending <- idx :: inst.pending;
-          ids.(idx) <- Fsm.label_id inst.fsm label
-        done;
-        finish ?prov_out ?src_out ctx nodes
-      end
-
+      let pool = start ~prov_on ~src_on n in
+      let nodes = Array.make n 0 and ids = Array.make n (-1) in
+      let ctx =
+        make_ctx config ~use_intra ~emit_item ~prov_on ~src_on pool
+          ~labels:(Array.map (fun (_, l, _) -> l) arr)
+          ~payloads:(Array.map (fun (_, _, p) -> p) arr)
+          ~ids ~pre_nodes:[||] ~pre_states:[||] ~srcs:[||]
+      in
+      (* The same queues, and each event's label resolved to its
+         instance FSM's dense id exactly once. *)
+      for idx = n - 1 downto 0 do
+        let node, label, _ = arr.(idx) in
+        let i = slot ctx node in
+        let inst = pool.insts.(i) in
+        nodes.(idx) <- node;
+        pool.next.(idx) <- inst.pending;
+        inst.pending <- idx;
+        ids.(idx) <- Fsm.label_id ctx.fsms.(i) label
+      done;
+      finish ?prov_out ?src_out ctx nodes n

@@ -17,7 +17,13 @@
     2. otherwise fire the intra-node transition, emitting its lost
        prerequisite events as inferred;
     3. events with no available transition are skipped;
-    4. processing ends when all events are consumed. *)
+    4. processing ends when all events are consumed.
+
+    A run keeps its node instances, pending queues and tallies in a pool
+    owned by the calling domain and reset when the run starts, and hands
+    each emitted event's fields to its [emit] callback, so on {!Packed}
+    input the engine itself allocates a few words per run and nothing per
+    event (see {!process}). *)
 
 type ('label, 'payload) item = {
   node : int;
@@ -59,6 +65,7 @@ type ('label, 'payload) input =
   | Events of (int * 'label * 'payload option) array
       (** [(node, label, payload)] per event. *)
   | Packed of {
+      n : int;
       nodes : int array;
       labels : 'label array;
       ids : int array;
@@ -67,9 +74,10 @@ type ('label, 'payload) input =
       pre_states : Fsm_state.t array;
       srcs : int array;
     }
-      (** Pre-resolved parallel arrays — the zero-overhead shape the
-          reconstruction hot path builds ({!Protocol.pack_events}).  All
-          arrays have one slot per event: [ids.(i)] must equal
+      (** Pre-resolved parallel arrays — the shape the reconstruction
+          kernel packs into its per-domain scratch ({!Reconstruct}).  The
+          events are slots [0, n) of each array; the arrays may be
+          longer.  [ids.(i)] must equal
           [Fsm.label_id (config.fsm_of nodes.(i)) labels.(i)], and
           [pre_nodes]/[pre_states] carry each event's single inter-node
           prerequisite ([-1] = none) with exactly the semantics
@@ -88,24 +96,39 @@ val process :
   ?src_out:(int array -> int -> unit) ->
   ('label, 'payload) config ->
   ('label, 'payload) input ->
-  emit:(('label, 'payload) item -> unit) ->
+  emit:
+    (node:int ->
+    label:'label ->
+    payload:'payload option ->
+    inferred:bool ->
+    entered:Fsm_state.t ->
+    unit) ->
   stats
 (** [process config input ~emit] runs the transition algorithm over the
     merged events and calls [emit] once per reconstructed event, in flow
-    order.  Logged events appear exactly once each (fired or skipped);
-    inferred events are interleaved where the engine proved they must have
-    occurred.  The engine takes ownership of the input arrays (read, never
-    written).
+    order, with the event's {!item} fields: a caller that wants records
+    builds them in the callback, and one that packs items (the
+    reconstruction kernel, into {!Flow.Builder}) builds none.  Logged
+    events appear exactly once each (fired or skipped); inferred events
+    are interleaved where the engine proved they must have occurred.  The
+    engine reads the input arrays and never writes them.
+
+    {b Per-domain state.}  Every run takes its node instances, pending
+    queues, consumed flags, drive-depth tally and side-car buffers from a
+    pool owned by the calling domain, and resets all of it when it
+    starts, so a run that raised leaves nothing the next run reads.  A
+    run allocates its context, its instances' FSM slots and its
+    {!stats}.  So a domain runs one [process] at a time: [config]'s
+    closures and [emit] must not call [process] on the same domain, and
+    systhreads of one domain must not run it concurrently.
 
     [prov_out buf len], when given, is called once, before [process]
     returns, with the provenance side-car: [buf.(k)] for [k < len]
-    explains the [k]-th [emit]ted item.  [buf] is an engine-owned,
-    per-domain reused scratch buffer — it is only valid during the
-    callback (copy the prefix out to keep it), and entries at and beyond
-    [len] are meaningless.  Recording costs bit packing and one int store
-    per emission; evidence indices are source indices ([srcs]-mapped for
-    packed input).  When omitted the engine allocates nothing for
-    provenance.
+    explains the [k]-th [emit]ted item.  [buf] is the pool's buffer — it
+    is only valid during the callback (copy the prefix out to keep it),
+    and entries at and beyond [len] are meaningless.  Recording costs bit
+    packing and one int store per emission; evidence indices are source
+    indices ([srcs]-mapped for packed input).
 
     [src_out buf len], when given, is the same kind of side-car for
     sources: [buf.(k)] is the source index of the input event the [k]-th
@@ -113,9 +136,9 @@ val process :
     evidence), and [-1] for an inferred item.  This is how a caller
     points each logged item back at its record without searching.
 
-    This is the single entry point: batch callers collect the emissions
-    (see {!Reconstruct}), streaming callers forward them downstream without
-    materializing the flow.
+    This is the single entry point: batch and stream reconstruction pack
+    the emissions into flows (see {!Reconstruct}), other protocol models
+    ({!Dissem}) collect items.
 
     [use_intra] (default [true]) enables the intra-node shortcut
     transitions; disabling it (events fire on normal transitions only, and

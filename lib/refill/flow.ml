@@ -123,7 +123,7 @@ module Builder = struct
     b.len <- 0;
     b
 
-  let push b (it : (Protocol.label, int) Engine.item) =
+  let push b ~node ~label ~payload ~inferred ~entered =
     let k = b.len in
     if k = Array.length b.nodes then begin
       let grow a =
@@ -135,11 +135,10 @@ module Builder = struct
       b.codes <- grow b.codes;
       b.peers <- grow b.peers
     end;
-    Array.unsafe_set b.nodes k it.node;
+    Array.unsafe_set b.nodes k node;
     Array.unsafe_set b.codes k
-      (code ~label:it.label ~inferred:it.inferred
-         ~payload:(it.payload <> None) ~entered:it.entered);
-    Array.unsafe_set b.peers k (Option.value it.payload ~default:0);
+      (code ~label ~inferred ~payload:(payload <> None) ~entered);
+    Array.unsafe_set b.peers k (match payload with Some p -> p | None -> 0);
     b.len <- k + 1
 
   let finish b ~origin ~seq ~stats ~prov ~rows arena =

@@ -16,7 +16,7 @@
       payload, and the state it entered, packed in one int;
     - [peers.(k)]: the peer its payload names (for recv/dup/overflow the
       sender, for trans/ack/timeout the target; [0] otherwise) — the
-      engine's payload ({!Protocol.config});
+      engine's payload ({!Protocol});
     - [rows.(k)]: the logged item's row — its record's row in the
       {!Logsys.Arena.Packets} index the flow was reconstructed from, or,
       for a stream flow, its record's global stream position; [-1] for
@@ -76,15 +76,26 @@ val of_items :
     @raise Invalid_argument unless [rows] has one entry per item. *)
 
 (** How {!Reconstruct} packs the engine's emissions: a per-domain buffer
-    the engine's [emit] callback fills, copied out into one flow. *)
+    the engine's [emit] callback fills field by field, with no item
+    record, copied out into one flow whose arrays are its own.  Like the
+    kernel's other scratch, it serves one reconstruction per domain at a
+    time. *)
 module Builder : sig
   type b
 
   val get : unit -> b
   (** The calling domain's buffer, emptied. *)
 
-  val push : b -> (Protocol.label, int) Engine.item -> unit
-  (** Pack one emitted item; its payload is its peer. *)
+  val push :
+    b ->
+    node:int ->
+    label:Protocol.label ->
+    payload:int option ->
+    inferred:bool ->
+    entered:Fsm_state.t ->
+    unit
+  (** Pack one emitted item's fields ({!Engine.process}'s [emit]); its
+      payload is its peer. *)
 
   val finish :
     b ->

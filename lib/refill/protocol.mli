@@ -15,13 +15,15 @@
     Table II's case 3/4 retransmission-after-ack patterns reconstruct
     correctly.
 
-    A packet is its rows of a {!Logsys.Arena.t}, and the engine reads
-    three things of each: its node, its label (the row's kind tag) and
-    the peer it names.  The engine payload is that peer: the sender for
+    This module is the model only.  The reconstruction kernel
+    ({!Reconstruct}) reads three things of each logged event — its node,
+    its label (the row's kind tag) and the peer it names — and packs
+    them for the engine with this module's label ids and prerequisite
+    rules.  The engine payload is that peer: the sender for
     recv/dup/overflow, the target for trans/ack/timeout, [0] for gen and
-    deliver.  An inferred event's peer is recovered by searching the
-    packet's surviving rows (e.g. an inferred [recv] on [n] takes its
-    sender from any logged [trans]/[ack]/[timeout] pointing at [n]); an
+    deliver.  An inferred event's peer is recovered from the packet's
+    surviving rows by the kernel (e.g. an inferred [recv] on [n] takes
+    its sender from a logged [trans]/[ack]/[timeout] pointing at [n]); an
     unrecoverable peer is {!unknown_node}. *)
 
 type label =
@@ -84,31 +86,26 @@ val unknown_node : int
 (** [-1]: placeholder peer when peer recovery cannot find the other
     endpoint. *)
 
-val config :
-  Logsys.Arena.t ->
-  int array ->
-  origin:int ->
-  sink:int ->
-  (label, int) Engine.config
-(** Engine configuration for reconstructing the packet whose rows (of
-    the arena) are given: its FSMs by role, its prerequisites, and each
-    inferred event's peer.  The rows are the peer search pool, scanned
-    once, lazily, by the first inferred event that needs a peer; where
-    several rows name a peer, the first in node-scan order wins. *)
+val label_id_of_tag : role -> int -> int
+(** The dense id ({!Fsm.label_id}) in the role's FSM of the label a
+    record kind tag logs as, or [-1] when the role's FSM never uses it:
+    an array read, from tables built when this module initializes. *)
 
-val pack_events :
-  Logsys.Arena.t -> int array -> origin:int -> sink:int -> (label, int) Engine.input
-(** The engine's packed input ({!Engine.Packed}) for one packet's rows,
-    in node-scan order (nodes ascending, each node's rows in local write
-    order, as {!Logsys.Arena.Packets.packet_rows} lists them) — the one
-    packer every reconstruction goes through.  It reads the node, tag and
-    peer columns only.  Per-node runs are merged along the forwarding
-    chain the rows reveal — origin first, then each next hop — with
-    stragglers after in node order.  Each node's local order is
-    preserved, so the reconstruction is unchanged (the engine is
-    insensitive to the cross-node interleaving); the causal order just
-    means prerequisites are almost always already satisfied, so drives
-    rarely cascade.  Each event's label, dense id ({!Fsm.label_id} via a
-    per-role table), peer payload and prerequisite
-    ({!Engine.config.prerequisites} semantics) are resolved inline, and
-    [srcs.(i)] is the index in [rows] of the row event [i] logs. *)
+(** {2 Inter-node prerequisites} *)
+
+val prerequisite_node : node:int -> int -> int -> int
+(** [prerequisite_node ~node tag peer]: the node an event of kind [tag]
+    on [node], naming [peer], waits for — a reception's sender must have
+    sent, an ACK's receiver must hold the packet — or [-1] when it waits
+    for none (other kinds, a peer that is the node itself, or
+    {!unknown_node}). *)
+
+val prerequisite_state : int -> Fsm_state.t
+(** The state {!prerequisite_node} must have visited: {!holding} for an
+    ACK, {!sent} for a reception. *)
+
+val prerequisites :
+  node:int -> label:label -> payload:int option -> (int * Fsm_state.t) list
+(** {!Engine.config.prerequisites} for this model, whose payload is the
+    peer an event names: {!prerequisite_node} and {!prerequisite_state}
+    as a list of at most one pair. *)

@@ -12,8 +12,8 @@
     Evidence indices index the packet's own rows in *node-scan order* —
     nodes ascending, each node's rows in local write order, the order
     {!Logsys.Arena.Packets.packet_rows} lists a packet's rows in and
-    {!Reconstruct.of_rows} consumes them in.  The streaming frontier
-    restores the same order before reconstructing, so batch and streaming
+    the reconstruction kernel ({!Reconstruct}) consumes them in.  A stream
+    eviction restores the same order before reconstructing, so batch and streaming
     runs produce identical provenance for the same input. *)
 
 (** How the event came to be in the reconstruction. *)

@@ -1,40 +1,26 @@
 (** The REFILL pipeline: collected logs → per-packet event flows.
 
-    A packet is its rows of an arena, in node-scan order (nodes
-    ascending, each node's rows in local write order).  Every packet,
-    batch or stream, goes through {!of_rows}: one packer
-    ({!Protocol.pack_events}) reads the rows' node, tag and peer columns,
-    merges the per-node runs along the forwarding chain (origin first;
-    the connected engines are insensitive to the cross-node merge order),
-    and the connected inference engines run over it.  No record is built
-    per row. *)
+    A packet is its rows, in node-scan order (nodes ascending, each
+    node's rows in local write order).  Every packet, batch or stream,
+    goes through one kernel.  A gatherer reads the node, kind tag and
+    peer of each row, and the id its logged item will carry, into the
+    calling domain's scratch: {!packet} from an index's rows (ids are the
+    rows), {!of_columns} from a stream eviction's columns (ids are stream
+    positions), ordered by node with a stable sort.  The kernel then
+    packs those columns for the engine, merging the per-node runs along
+    the forwarding chain (origin first; under loss the engines' output
+    depends on this cross-node order, so every path uses it), recovers
+    inferred events' peers by scanning them, runs the connected inference
+    engines ({!Engine.process}), and packs each emitted item straight
+    into the domain's {!Flow.Builder}.  It allocates only the arrays its
+    flow keeps: no record per row, no payload box per row or item (peers
+    are interned per domain), no closure per packet.
 
-val of_rows :
-  ?use_intra:bool ->
-  ?use_inter:bool ->
-  ?provenance:bool ->
-  Logsys.Arena.t ->
-  int array ->
-  ids:int array ->
-  keep_arena:bool ->
-  origin:int ->
-  seq:int ->
-  sink:int ->
-  Flow.t
-(** [of_rows arena rows ~ids ~keep_arena ~origin ~seq ~sink] reconstructs
-    the packet whose rows of [arena] are [rows], in node-scan order.
-    The item that logs [rows.(i)] gets [ids.(i)] as its {!Flow.row}.
-    With [keep_arena] the flow reads its logged payloads from [arena]
-    ({!Flow.t.arena}), so [ids] must then be [rows]; without it the flow
-    keeps no arena and [arena] may be reused once this returns.  A batch
-    run passes index rows and keeps the index's arena; a stream eviction
-    passes a scratch copy of the packet's rows and their global stream
-    positions as ids.  [use_intra]/[use_inter] (default [true]) are the
-    ablation knobs: they disable the intra-node shortcut transitions and
-    the inter-node prerequisite connections respectively.  [provenance]
-    (default [false]) collects the per-item {!Provenance.t} side-car into
-    {!Flow.t.prov} and bumps the [refill_provenance_events_total]
-    counters. *)
+    {b One reconstruction per domain at a time.}  The scratch, the
+    engine's pool and the builder belong to the calling domain, and its
+    systhreads share them: two systhreads of one domain must not
+    reconstruct at once.  serve feeds its stream under one lock and the
+    CLI runs one thread, so both keep this true. *)
 
 val packet :
   ?use_intra:bool ->
@@ -45,11 +31,41 @@ val packet :
   seq:int ->
   sink:int ->
   Flow.t
-(** Reconstruct one packet of an index ({!of_rows} over its
-    {!Logsys.Arena.Packets.packet_rows}, keeping the index's arena), in
-    one [refill.packet] span when tracing is on.  A packet with no
-    surviving records yields an empty flow.  A snapshot's index is
-    {!Logsys.Collected.packets}. *)
+(** Reconstruct one packet of an index from its
+    {!Logsys.Arena.Packets.packet_rows}, in one [refill.packet] span when
+    tracing is on.  The item that logs a row gets the row as its
+    {!Flow.row}, and the flow reads its logged payloads from the index's
+    arena ({!Flow.t.arena}).  A packet with no surviving records yields
+    an empty flow.  A snapshot's index is {!Logsys.Collected.packets}.
+    [use_intra]/[use_inter] (default [true]) are the ablation knobs: they
+    disable the intra-node shortcut transitions and the inter-node
+    prerequisite connections respectively.  [provenance] (default
+    [false]) collects the per-item {!Provenance.t} side-car into
+    {!Flow.t.prov} and bumps the [refill_provenance_events_total]
+    counters. *)
+
+val of_columns :
+  use_intra:bool ->
+  use_inter:bool ->
+  provenance:bool ->
+  nodes:int array ->
+  tags:int array ->
+  peers:int array ->
+  ids:int array ->
+  int ->
+  origin:int ->
+  seq:int ->
+  sink:int ->
+  Flow.t
+(** [of_columns ~nodes ~tags ~peers ~ids n ~origin ~seq ~sink]
+    reconstructs the packet whose [n] rows are entries [0, n) of the
+    columns: each row's node, kind tag ({!Logsys.Codec.tag_of_kind}) and
+    peer column.  Each node's rows must be in its local write order; the
+    nodes may interleave in any way (a stream eviction passes arrival
+    order), and a stable sort by node restores node-scan order.  The item
+    that logs row [i] gets [ids.(i)] as its {!Flow.row}; the flow keeps
+    no arena.  The columns are read before this returns and never kept.
+    In one [refill.packet] span when tracing is on, as {!packet}. *)
 
 val of_records :
   ?use_intra:bool ->

@@ -160,7 +160,12 @@ type shard = {
      exist; those of evicted packets are chained from [free] for later
      arrivals. *)
   mutable chunks : chunk array;
-  scratch : Logsys.Arena.t;  (* an evicted packet's rows, node-scan order *)
+  (* An evicted packet's rows in arrival order, as {!Reconstruct.of_columns}
+     reads them: node, kind tag, peer, and global stream position. *)
+  mutable ev_nodes : int array;
+  mutable ev_tags : int array;
+  mutable ev_peers : int array;
+  mutable ev_positions : int array;
   mutable made : int;
   mutable free : int;
   mutable pending : pending list;  (* this round's evictions, newest first *)
@@ -207,7 +212,10 @@ let make_shard ~index ~n_shards ~flags:(use_intra, use_inter, provenance)
     (* The first chunk comes with the shard, made on the caller's domain:
        made later on a worker's, it cost serve more peak memory. *)
     chunks = [| new_chunk () |];
-    scratch = Logsys.Arena.create ();
+    ev_nodes = [||];
+    ev_tags = [||];
+    ev_peers = [||];
+    ev_positions = [||];
     made = 0;
     free = -1;
     pending = [];
@@ -259,14 +267,8 @@ let link sh row =
 let set_link sh row next =
   Bigarray.Array1.set (chunk_of sh row).c_links (row land chunk_mask) next
 
-let row_node sh row =
-  Logsys.Arena.node (chunk_of sh row).c_rows (row land chunk_mask)
-
 let row_record sh row =
   Logsys.Arena.get (chunk_of sh row).c_rows (row land chunk_mask)
-
-let row_position sh row =
-  Bigarray.Array1.get (chunk_of sh row).c_positions (row land chunk_mask)
 
 let unlink b =
   b.older.newer <- b.newer;
@@ -338,32 +340,34 @@ let evict sh ~final buf =
     sh.evictions <- sh.evictions + 1
   end;
   sh.frontier_events <- sh.frontier_events - buf.count;
-  (* Restore the batch index's node-scan order: a stable sort by node
-     over the chain's arrival order keeps each node's local write order.
-     The rows are copied in that order into the scratch arena, and each
-     row's position becomes its logged item's row.  Then the chain joins
-     the free rows. *)
-  let rows = Array.make buf.count buf.head in
-  for k = 1 to buf.count - 1 do
-    rows.(k) <- link sh rows.(k - 1)
-  done;
-  Array.stable_sort
-    (fun a b -> Int.compare (row_node sh a) (row_node sh b))
-    rows;
-  let positions = Array.map (row_position sh) rows in
-  Logsys.Arena.clear sh.scratch;
-  for k = 0 to buf.count - 1 do
-    let row = rows.(k) in
-    Logsys.Arena.copy_row (chunk_of sh row).c_rows (row land chunk_mask)
-      sh.scratch k;
-    rows.(k) <- k
+  (* Walk the chain once, reading each row's node, tag, peer and position
+     in arrival order (the kernel restores node-scan order, and each
+     position becomes its logged item's row).  Then the chain joins the
+     free rows. *)
+  let n = buf.count in
+  if Array.length sh.ev_nodes < n then begin
+    let cap = max n (2 * Array.length sh.ev_nodes) in
+    sh.ev_nodes <- Array.make cap 0;
+    sh.ev_tags <- Array.make cap 0;
+    sh.ev_peers <- Array.make cap 0;
+    sh.ev_positions <- Array.make cap 0
+  end;
+  let row = ref buf.head in
+  for k = 0 to n - 1 do
+    let c = chunk_of sh !row and j = !row land chunk_mask in
+    sh.ev_nodes.(k) <- Logsys.Arena.node c.c_rows j;
+    sh.ev_tags.(k) <- Logsys.Arena.tag c.c_rows j;
+    sh.ev_peers.(k) <- Logsys.Arena.peer c.c_rows j;
+    sh.ev_positions.(k) <- Bigarray.Array1.get c.c_positions j;
+    row := Bigarray.Array1.get c.c_links j
   done;
   set_link sh buf.tail sh.free;
   sh.free <- buf.head;
   let flow =
-    Reconstruct.of_rows ~use_intra:sh.use_intra ~use_inter:sh.use_inter
-      ~provenance:sh.provenance sh.scratch rows ~ids:positions
-      ~keep_arena:false ~origin:buf.b_origin ~seq:buf.b_seq ~sink:sh.sink
+    Reconstruct.of_columns ~use_intra:sh.use_intra ~use_inter:sh.use_inter
+      ~provenance:sh.provenance ~nodes:sh.ev_nodes ~tags:sh.ev_tags
+      ~peers:sh.ev_peers ~ids:sh.ev_positions n ~origin:buf.b_origin
+      ~seq:buf.b_seq ~sink:sh.sink
   in
   let cause = (Classify.classify flow).cause in
   let outcome =
@@ -542,6 +546,14 @@ let run_round sh (s : Logsys.Arena.slice) start =
   flush_metrics sh before;
   !pos
 
+(* [run_round], in one [refill.stream.shard] span on the shard's domain
+   row when tracing is on; free otherwise. *)
+let shard_round sh s start =
+  if Obs.Span.enabled () then
+    Obs.Profile.with_stage ~name:"refill.stream.shard" (fun () ->
+        run_round sh s start)
+  else run_round sh s start
+
 let worker_loop w =
   let rec next () =
     let slot =
@@ -554,7 +566,7 @@ let worker_loop w =
     match slot with
     | Round (s, start) ->
         let result =
-          match run_round w.w_shard s start with
+          match shard_round w.w_shard s start with
           | _ -> Idle
           | exception e -> Raised e
         in
@@ -707,7 +719,10 @@ let publish_gauges (s : summary) =
    worker, and emits the round's evictions ascending by last_seen: the
    one-shard order, since positions are unique and an eviction's trigger
    is [last_seen + watermark].  Every shard scans the whole segment for
-   its own rows, so nothing is bucketed or materialized here. *)
+   its own rows, so nothing is bucketed or materialized here.  When
+   tracing is on, each shard's part is a [refill.stream.shard] span on
+   its domain's row, the emission a [refill.stream.release] span, and
+   each eviction a [refill.packet] span. *)
 let feed_arena t (s : Logsys.Arena.slice) =
   check_live t;
   guarded t @@ fun () ->
@@ -715,7 +730,7 @@ let feed_arena t (s : Logsys.Arena.slice) =
   Obs.Metrics.Counter.inc c_segments;
   let start = t.st_clock in
   Array.iter (fun w -> post w (Round (s, start))) t.workers;
-  t.st_clock <- run_round t.shards.(0) s start;
+  t.st_clock <- shard_round t.shards.(0) s start;
   let failure =
     Array.fold_left
       (fun acc w ->
@@ -724,7 +739,11 @@ let feed_arena t (s : Logsys.Arena.slice) =
       None t.workers
   in
   Option.iter raise failure;
-  release t ~by:(fun a b -> Int.compare a.p_last_seen b.p_last_seen);
+  let by a b = Int.compare a.p_last_seen b.p_last_seen in
+  if Obs.Span.enabled () then
+    Obs.Profile.with_stage ~name:"refill.stream.release" (fun () ->
+        release t ~by)
+  else release t ~by;
   publish_gauges (aggregate t)
 
 let feed t records =

@@ -11,10 +11,12 @@
     Records are buffered per packet key [(origin, seq)].  A packet is
     considered finished when no record for it has appeared in the last
     [watermark] records processed (a count-based low-watermark, so the
-    stream needs no clock).  At that point its buffered rows — copied, in
-    the node-scan order the batch index would produce, into a per-shard
-    scratch arena — are run through the ordinary per-packet engines
-    ({!Reconstruct.of_rows}) and the flow is emitted.  An emitted flow
+    stream needs no clock).  At that point the eviction walks its
+    buffered rows once, reading each one's node, kind tag, peer and global
+    stream position into per-shard arrays, and the reconstruction kernel
+    that batch runs ({!Reconstruct.of_columns}) orders them by node (the
+    node-scan order the batch index would produce) and reconstructs them;
+    then the flow is emitted.  An emitted flow
     keeps no arena: its logged items' rows are their global stream
     positions, and its payloads carry no ground-truth time or [gseq]
     ({!Flow.t.arena}).

@@ -44,8 +44,8 @@ let reconstruct fsm labels =
     Engine.process config
       (Engine.Events
          (Array.of_list (List.map (fun l -> (0, l, None)) labels)))
-      ~emit:(fun (it : _ Engine.item) ->
-        items := (it.label, it.entered, it.inferred) :: !items)
+      ~emit:(fun ~node:_ ~label ~payload:_ ~inferred ~entered ->
+        items := (label, entered, inferred) :: !items)
   in
   (List.rev !items, stats)
 

@@ -39,7 +39,8 @@ let engine_run ?use_intra cfg ~events =
   let stats =
     Engine.process ?use_intra cfg
       (Engine.Events (Array.of_list events))
-      ~emit:(fun it -> acc := it :: !acc)
+      ~emit:(fun ~node ~label ~payload ~inferred ~entered ->
+        acc := { Engine.node; label; payload; inferred; entered } :: !acc)
   in
   (List.rev !acc, stats)
 
