@@ -1274,9 +1274,9 @@ let serve obs mk_config port http_port checkpoint checkpoint_interval
               emit.close ();
               err_exit e
           | Ok srv ->
-              (* The handlers only flip an atomic; the server's timer thread
-                 does the teardown, `wait` returns normally, and the exit
-                 goes through with_metrics_flush like any other. *)
+              (* The handlers only flip an atomic; the server's loop does
+                 the teardown, `wait` returns normally, and the exit goes
+                 through with_metrics_flush like any other. *)
               let on_signal _ = Refill_serve.Server.request_stop srv in
               Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
               Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);

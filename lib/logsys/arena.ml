@@ -228,9 +228,11 @@ let decode_log_into t ~node b =
   Refill_obs.Metrics.Counter.inc ~by:decoded c_decoded_rows;
   decoded
 
-let decode_segment_into t b =
-  let blen = Bytes.length b in
-  let pos = ref 0 in
+let decode_segment_into ?(off = 0) ?len t b =
+  let blen = match len with Some l -> off + l | None -> Bytes.length b in
+  if off < 0 || blen < off || blen > Bytes.length b then
+    invalid_arg "Arena.decode_segment_into";
+  let pos = ref off in
   let read_varint () =
     let shift = ref 0 and acc = ref 0 and cont = ref true in
     while !cont do
@@ -244,7 +246,7 @@ let decode_segment_into t b =
     !acc
   in
   let count = read_varint () in
-  if count < 0 || count > blen then
+  if count < 0 || count > blen - off then
     failwith "Arena: implausible segment count";
   reserve t count;
   for _ = 1 to count do

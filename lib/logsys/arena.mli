@@ -105,9 +105,10 @@ val decode_log_into : t -> node:int -> Bytes.t -> int
 (** Append one node's encoded log ({!Codec.encode_log}); returns the
     number of rows appended. *)
 
-val decode_segment_into : t -> Bytes.t -> int
-(** Append a cross-node segment ({!Codec.encode_segment}); returns the
-    number of rows appended. *)
+val decode_segment_into : ?off:int -> ?len:int -> t -> Bytes.t -> int
+(** Append a cross-node segment ({!Codec.encode_segment}) held in the
+    [len] bytes at [off] (default: the whole buffer); returns the number
+    of rows appended. *)
 
 (** {2 Per-packet index}
 

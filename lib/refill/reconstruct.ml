@@ -15,7 +15,7 @@ let c_packets =
    domain reconstructs one packet at a time: its systhreads share this
    scratch, as they share {!Flow.Builder}'s buffer and the engine's pool,
    so they must never reconstruct concurrently (serve feeds the stream
-   under one lock, and the CLI runs one thread). *)
+   from one loop thread, and the CLI runs one thread). *)
 type scratch = {
   (* The packet's rows in node-scan order: node, kind tag, the peer
      column as logged, and the id the row's logged item gets as its

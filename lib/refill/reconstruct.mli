@@ -19,8 +19,8 @@
     {b One reconstruction per domain at a time.}  The scratch, the
     engine's pool and the builder belong to the calling domain, and its
     systhreads share them: two systhreads of one domain must not
-    reconstruct at once.  serve feeds its stream under one lock and the
-    CLI runs one thread, so both keep this true. *)
+    reconstruct at once.  serve feeds its stream from one loop thread and
+    the CLI runs one thread, so both keep this true. *)
 
 val packet :
   ?use_intra:bool ->

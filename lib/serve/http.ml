@@ -1,10 +1,13 @@
 module Obs = Refill_obs
 
 (* A deliberately tiny HTTP/1.0 responder for the server's /metrics
-   endpoint: one accept thread, one short-lived thread per request,
-   close after the response.  This is a scrape target for curl and
-   Prometheus, not a web server — no keep-alive, no chunking, request
-   bodies ignored. *)
+   endpoint: the serve loop reads a request into its buffer, and this
+   module finds the request line and renders the one response, after
+   which the loop closes the connection.  This is a scrape target for
+   curl and Prometheus, not a web server — no keep-alive, no chunking,
+   headers and request bodies ignored. *)
+
+let max_request_line = 1024
 
 let http_response ~status ~content_type body =
   Printf.sprintf
@@ -16,65 +19,31 @@ let http_response ~status ~content_type body =
      %s"
     status content_type (String.length body) body
 
-(* Read up to the end of the request line; the rest of the request (headers)
-   is irrelevant and left unread — we respond and close. *)
-let read_request_line fd =
-  let buf = Buffer.create 64 in
-  let one = Bytes.create 1 in
-  let rec go () =
-    if Buffer.length buf > 1024 then Buffer.contents buf
-    else
-      match Unix.read fd one 0 1 with
-      | 0 -> Buffer.contents buf
-      | _ -> (
-          match Bytes.get one 0 with
-          | '\n' -> Buffer.contents buf
-          | '\r' -> go ()
-          | c ->
-              Buffer.add_char buf c;
-              go ())
+(* The request line in [b.[0, len)] once it is complete: up to the first
+   newline, or whatever came when the peer stopped sending or went past
+   [max_request_line]; carriage returns are dropped. *)
+let request_line b len ~eof =
+  let s = Bytes.sub_string b 0 len in
+  let line =
+    match String.index_opt s '\n' with
+    | Some i -> Some (String.sub s 0 i)
+    | None -> if eof || len > max_request_line then Some s else None
   in
-  go ()
+  Option.map (fun l -> String.concat "" (String.split_on_char '\r' l)) line
 
-let handle_request ~routes fd =
-  Fun.protect ~finally:(fun () ->
-      try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  (* Bound how long a dawdling scraper can hold the request thread. *)
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0;
-  match String.split_on_char ' ' (read_request_line fd) with
-  | [ "GET"; path; _ ] | [ "GET"; path ] ->
-      let response =
-        match List.assoc_opt path routes with
-        | Some body_fn ->
-            let content_type, body = body_fn () in
-            http_response ~status:"200 OK" ~content_type body
-        | None -> http_response ~status:"404 Not Found" ~content_type:"text/plain" "not found\n"
-      in
-      Wire.write_string fd response
+let respond ~routes line =
+  match String.split_on_char ' ' line with
+  | [ "GET"; path; _ ] | [ "GET"; path ] -> (
+      match List.assoc_opt path routes with
+      | Some body_fn ->
+          let content_type, body = body_fn () in
+          http_response ~status:"200 OK" ~content_type body
+      | None ->
+          http_response ~status:"404 Not Found" ~content_type:"text/plain"
+            "not found\n")
   | _ ->
-      Wire.write_string fd
-        (http_response ~status:"405 Method Not Allowed"
-           ~content_type:"text/plain" "GET only\n")
-
-type t = Wire.listener
-
-let start ~port ~routes =
-  let l = Wire.listen_on port in
-  Wire.accept_in_thread l (fun fd ->
-      let (_ : Thread.t) =
-        Thread.create
-          (fun () ->
-            try handle_request ~routes fd
-            with Unix.Unix_error _ | Sys_error _ -> ())
-          ()
-      in
-      ());
-  l
-
-let port = Wire.listener_port
-let stop = Wire.close_listener
+      http_response ~status:"405 Method Not Allowed" ~content_type:"text/plain"
+        "GET only\n"
 
 let metrics_routes ?registry () =
   [

@@ -1,20 +1,16 @@
 (** A minimal HTTP/1.0 responder for the server's [/metrics] endpoint —
-    a scrape target for curl and Prometheus, not a web server.  Each
-    request gets a short-lived thread and the connection is closed after
-    one response; unknown paths get 404, non-GET methods 405. *)
+    a scrape target for curl and Prometheus, not a web server.  The serve
+    loop reads each request and closes the connection after one
+    response; unknown paths get 404, non-GET methods 405. *)
 
-type t
+val request_line : Bytes.t -> int -> eof:bool -> string option
+(** The request line in the first [len] bytes, once complete: a newline,
+    end-of-file, or more than 1 KiB (answered as it stands). *)
 
-val start : port:int -> routes:(string * (unit -> string * string)) list -> t
-(** Listen on loopback [port] ([0] picks an ephemeral port — read it
-    back with {!port}).  Each route maps an exact path to a thunk
-    returning [(content_type, body)], evaluated per request. *)
-
-val port : t -> int
-
-val stop : t -> unit
-(** Stop the accept thread and close the listener, so the port can be
-    bound again; in-flight request threads finish on their own. *)
+val respond : routes:(string * (unit -> string * string)) list -> string -> string
+(** The whole response to a request line.  Each route maps an exact path
+    to a thunk returning [(content_type, body)], evaluated per
+    request. *)
 
 val metrics_routes :
   ?registry:Refill_obs.Metrics.registry -> unit -> (string * (unit -> string * string)) list

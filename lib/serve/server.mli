@@ -2,13 +2,14 @@
     connections and feeding one {!Refill.Stream} (sharded per
     [stream.shards]).
 
-    Each connection thread feeds its decoded segments to the stream under
-    one stream lock (lock order = global record order) and acks a segment
-    only after the feed returns, so an ack means the records are in the
-    stream and every flow they evicted has been emitted.  Shutdown — {!stop}, {!request_stop} from a signal handler,
-    or a stream failure — is checkpoint-and-exit: once every connection
-    thread has exited the final checkpoint holds every acked record, so
-    resume is byte-identical. *)
+    One loop thread over [Unix.select] owns the listeners and every
+    connection.  It feeds each decoded frame to the stream itself, in the
+    order it reads them, and acks a frame right after its feed returns,
+    so an ack means the records are in the stream and every flow they
+    evicted has been emitted.  Shutdown — {!stop}, {!request_stop} from a
+    signal handler, or a stream failure — is checkpoint-and-exit: once
+    the loop has returned, the final checkpoint holds every acked record,
+    so resume is byte-identical. *)
 
 type config = {
   port : int;  (** 0 picks an ephemeral port (tests). *)
@@ -20,21 +21,19 @@ type config = {
           means shutdown flushes the frontier like an offline run. *)
   checkpoint_interval : float;  (** Seconds between periodic checkpoints. *)
   read_timeout : float;
-      (** Per-connection receive timeout in seconds; ≤ 0 disables. *)
+      (** Seconds a connection may go without a byte read or written
+          before it is closed; ≤ 0 disables. *)
   max_frame : int;
-      (** Negotiated maximum frame payload bytes; with one frame read at
-          a time per connection, it bounds each connection's in-flight
-          wire bytes. *)
+      (** Negotiated maximum frame payload bytes; it bounds each
+          connection's input buffer. *)
   stream : Refill.Config.t;
   sink : int;  (** The topology's backbone sink node. *)
   emit : Emit.sink;
-      (** Flow outcomes, written under the stream lock by whichever
-          thread holds it (a connection's feed, a checkpoint, the final
-          [finish]). *)
+      (** Flow outcomes, written by the loop thread during a feed, and by
+          the thread calling {!wait} for the final [finish]. *)
   on_segment : (unit -> unit) option;
-      (** Test hook: runs under the stream lock, in the feeding
-          connection's thread, just before each segment is fed
-          (throttling it exercises backpressure). *)
+      (** Test hook: runs in the loop thread just before each segment is
+          fed (throttling it exercises backpressure). *)
 }
 
 val default_config : config
@@ -44,10 +43,12 @@ val default_config : config
 type t
 
 val start : config -> (t, Refill.Error.t) result
-(** Bind, resume from [checkpoint] if the file exists, and spin up the
-    accept and timer threads (each connection then gets its own).  [Error] on a bind failure of either
-    listener ([Io]), an unusable checkpoint ([Bad_checkpoint]) or a
-    [max_frame] that is not positive ([Invalid_config]).
+(** Bind, resume from [checkpoint] if the file exists, and start the
+    loop thread.  [Error] on a bind failure of either listener, or a
+    listener descriptor [select] cannot watch ([Io]), an unusable
+    checkpoint ([Bad_checkpoint]) or a [max_frame] that is not positive
+    ([Invalid_config]).  A connection whose descriptor [select] cannot
+    watch is refused with a greeting other than [ok].
 
     Sets the process SIGPIPE disposition to ignore: a peer that vanishes
     mid-write must surface as [EPIPE] on that connection, not kill the
@@ -60,12 +61,13 @@ val http_port : t -> int option
 
 val request_stop : t -> unit
 (** Flag the server to stop; safe to call from a signal handler (only
-    flips an atomic — the timer thread performs the teardown). *)
+    flips an atomic — the loop sees it within a tick, 50 ms, and tears
+    down). *)
 
 val wait : t -> Refill.Stream.summary
-(** Block until the server has fully stopped: join the accept and timer
-    threads, wait until every connection thread has exited, write the
-    final checkpoint (or [finish] the stream when none is configured),
+(** Block until the server has fully stopped: join the loop thread
+    (which closes the listeners and every connection), write the final
+    checkpoint (or [finish] the stream when none is configured),
     close the emit sink, and return the final stream summary.  Re-raises
     the first stream failure — from a feed, a worker or [emit] — which
     also stopped the server. *)

@@ -1,13 +1,9 @@
 module Obs = Refill_obs
 
-(* The server's observability surface, declared once.  Instruments are
-   interned by (name, labels) in the process-wide registry, so these are
-   plain top-level values; the /metrics endpoint serves the same
-   registry the reconstruction pipeline already populates.
-
-   Connection threads and shard domains update these without a lock of
-   their own: counters and gauges are atomics, and each histogram takes
-   its own mutex. *)
+(* The server's observability surface, declared once in the process-wide
+   registry that /metrics serves.  Counters and gauges are atomics and
+   each histogram has its own mutex, so the loop and the shard domains
+   need no lock of their own. *)
 
 let conn_gauge state =
   Obs.Metrics.Gauge.v
@@ -35,9 +31,8 @@ let bytes_total =
 let backpressure_stalls_total =
   Obs.Metrics.Counter.v
     ~help:
-      "Times a connection found the stream held by another connection's \
-       feed or a checkpoint (its socket reads paused until the stream was \
-       free)"
+      "Data frames that waited, already read, while the loop fed another \
+       connection's frame"
     "refill_serve_backpressure_stalls_total"
 
 let checkpoint_seconds =

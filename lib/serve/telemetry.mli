@@ -2,9 +2,6 @@
     the process-wide registry ({!Refill_obs.Metrics.default_registry}) so the
     [/metrics] endpoint and the end-of-run metrics dump both see them. *)
 
-val conns_handshaking : Refill_obs.Metrics.Gauge.t
-val conns_streaming : Refill_obs.Metrics.Gauge.t
-val conns_closed : Refill_obs.Metrics.Gauge.t
 val conns_rejected : Refill_obs.Metrics.Gauge.t
 val frames_total : Refill_obs.Metrics.Counter.t
 val records_total : Refill_obs.Metrics.Counter.t

@@ -13,8 +13,9 @@
     fed to the stream, and the flows they evicted emitted, so clients
     that need a total cross-connection order can serialize on acks.
 
-    All protocol violations raise {!Protocol_error}; receive timeouts and
-    socket failures surface as [Unix.Unix_error]. *)
+    All protocol violations raise {!Protocol_error}; socket failures
+    surface as [Unix.Unix_error].  The blocking helpers are the client's;
+    the server reads and writes through its own buffers. *)
 
 exception Protocol_error of string
 
@@ -41,27 +42,19 @@ val write_string : Unix.file_descr -> string -> unit
 
 (** {2 Listeners}
 
-    The one bind path, accept loop and stop path of the server's three
-    listeners: the wire port, [/metrics] and the emit tap. *)
+    The one bind path of the server's three listeners: the wire port,
+    [/metrics] and the emit tap. *)
 
-type listener
+type listener = { fd : Unix.file_descr; port : int }
 
 val listen_on : int -> listener
-(** Bind and listen on loopback [port] ([0] picks an ephemeral port).
+(** Bind and listen on loopback [port] ([0] picks an ephemeral port); the
+    socket is nonblocking, so [accept] raises [EAGAIN] when nobody waits.
     @raise Unix.Unix_error when the port is busy. *)
 
-val listener_port : listener -> int
-(** The bound port. *)
-
-val accept_in_thread : listener -> (Unix.file_descr -> unit) -> unit
-(** Start the listener's accept thread, which passes every accepted
-    connection to the callback until {!close_listener}. *)
-
 val close_listener : listener -> unit
-(** Stop the accept thread (wake it from [accept(2)], then join it) and
-    close the socket, so that a new listener can bind the port once this
-    returns.  A plain [close] would leave a blocked [accept] holding the
-    socket. *)
+(** Close the socket; a new listener can bind the port once this
+    returns. *)
 
 val client_greeting : string
 
@@ -69,15 +62,18 @@ val server_greeting : max_frame:int -> string
 
 val send_client_greeting : Unix.file_descr -> unit
 
-val expect_client_greeting : Unix.file_descr -> unit
-(** @raise Protocol_error on a bad magic line. *)
-
-val send_server_greeting : Unix.file_descr -> max_frame:int -> unit
+val refusal : string
+(** The line a server answers a connection it cannot take with: not
+    [ok], so {!expect_server_greeting} raises "server refused". *)
 
 val expect_server_greeting : Unix.file_descr -> int
 (** Returns the server's negotiated max frame payload size. *)
 
 val write_frame : Unix.file_descr -> typ:char -> Bytes.t -> unit
+
+val frame_length : Bytes.t -> int -> max_payload:int -> int
+(** The payload length in the frame header at the offset.
+    @raise Protocol_error when it lies outside [[0, max_payload]]. *)
 
 val read_frame : Unix.file_descr -> max_payload:int -> char * Bytes.t
 (** The length is validated against [max_payload] {e before} any payload
@@ -89,7 +85,8 @@ type ack = {
   records : int;  (** Records accepted on this connection so far. *)
 }
 
-val write_ack : Unix.file_descr -> ack -> unit
+val ack_frame : ack -> Bytes.t
+(** The whole ['A'] frame, header included. *)
 
 val read_ack : Unix.file_descr -> ack
 (** @raise Protocol_error when the next frame is not an ack. *)

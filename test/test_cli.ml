@@ -392,6 +392,152 @@ let serve_busy_emit_socket_is_io_error () =
   Alcotest.(check bool) "says the address is in use" true
     (contains err "Address already in use")
 
+(* A `refill serve` started through sh, so [prefix] (a ulimit) applies to
+   it alone; stdout and stderr are dropped. *)
+let spawn_serve ~prefix args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let cmd =
+    Printf.sprintf "%s && exec %s serve %s" prefix (Filename.quote cli)
+      (String.concat " " (List.map Filename.quote args))
+  in
+  let pid =
+    Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; cmd |] Unix.stdin null
+      null
+  in
+  Unix.close null;
+  pid
+
+let rec connect_to ?(tries = 50) port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+  | () -> fd
+  | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.1;
+      connect_to ~tries:(tries - 1) port
+
+(* Send the client greeting and read the server's line; [None] when none
+   comes within 2 s. *)
+let answer fd =
+  Refill_serve.Wire.send_client_greeting fd;
+  let b = Buffer.create 64 and one = Bytes.create 1 in
+  let rec go () =
+    match Unix.select [ fd ] [] [] 2.0 with
+    | [], _, _ -> None
+    | _ -> (
+        match Unix.read fd one 0 1 with
+        | 1 when Bytes.get one 0 <> '\n' ->
+            Buffer.add_char b (Bytes.get one 0);
+            go ()
+        | _ | (exception Unix.Unix_error _) -> Some (Buffer.contents b))
+  in
+  go ()
+
+let answered_ok = function
+  | Some l -> String.starts_with ~prefix:"refill-wire v1 ok" l
+  | None -> false
+
+(* Connections until one is not answered [ok]; returns that answer and
+   every socket, the last one first. *)
+let connect_until_not_ok ~limit port =
+  let rec go fds =
+    if List.length fds >= limit then
+      Alcotest.failf "%d connections all answered ok" limit
+    else
+      let fd = connect_to port in
+      match answer fd with
+      | a when answered_ok a -> go (fd :: fds)
+      | a -> (a, fd :: fds)
+  in
+  go []
+
+(* Run [f] against a server spawned by [spawn_serve]; it must exit 0 on
+   SIGTERM, and a failing check kills it. *)
+let with_serve ~prefix args f =
+  let pid = spawn_serve ~prefix args in
+  let status =
+    Fun.protect
+      ~finally:(fun () -> try Unix.kill pid Sys.sigkill with _ -> ())
+      (fun () ->
+        f ();
+        Unix.kill pid Sys.sigterm;
+        snd (Unix.waitpid [] pid))
+  in
+  Alcotest.(check bool) "serve exits 0 on SIGTERM" true
+    (status = Unix.WEXITED 0)
+
+(* Under `ulimit -n 24` accept runs out of descriptors after a few
+   connections.  The server must stop accepting without spinning or
+   dying, and accept again once they close: a later `feed` is served
+   and its flows equal offline output. *)
+let serve_survives_descriptor_exhaustion () =
+  let log = Lazy.force log_file in
+  let emit = tmp ".txt" and offline = tmp ".txt" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ emit; offline ])
+  @@ fun () ->
+  let port = 39_641 in
+  with_serve ~prefix:"ulimit -n 24"
+    [ "--port"; string_of_int port; "--watermark"; "2000"; "--emit-file";
+      emit; "-q" ]
+    (fun () ->
+      let last, fds = connect_until_not_ok ~limit:40 port in
+      Alcotest.(check bool) "the last connection got no answer" true
+        (last = None);
+      Alcotest.(check bool) "some were served first" true
+        (List.length fds > 1);
+      List.iter Unix.close fds;
+      (* Builds that stop accepting at the first EMFILE never answer. *)
+      let fd = connect_to port in
+      let fresh = answer fd in
+      Unix.close fd;
+      Alcotest.(check bool) "a new connection is answered" true
+        (answered_ok fresh);
+      let code, out = run_cli [ "feed"; "--port"; string_of_int port; log ] in
+      Alcotest.(check int) "feed exits 0" 0 code;
+      Alcotest.(check bool) "feed acked" true (contains out "server acked"));
+  let code, _ =
+    run_cli
+      [ "reconstruct"; "--stream"; "--watermark"; "2000"; "--emit-file";
+        offline; log; "-q" ]
+  in
+  Alcotest.(check int) "reconstruct exits 0" 0 code;
+  Alcotest.(check string) "serve equals offline" (read_file offline)
+    (read_file emit)
+
+(* Inherited descriptors fill the table to just below FD_SETSIZE (1,024),
+   which select cannot watch past.  Connections below it are served; the
+   first at it is refused with a greeting other than ok. *)
+let serve_refuses_past_fd_setsize () =
+  let port = 39_647 in
+  let nulls = ref [] in
+  (try
+     while true do
+       let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+       nulls := fd :: !nulls;
+       ignore (Unix.select [ fd ] [] [] 0.0)
+     done
+   with Unix.Unix_error ((Unix.EINVAL | Unix.EMFILE), _, _) -> ());
+  (* Free the top 21, so the server's listener and a few connections fit
+     below 1,024. *)
+  List.iteri (fun i fd -> if i < 21 then Unix.close fd) !nulls;
+  with_serve ~prefix:"ulimit -n 2048" [ "--port"; string_of_int port; "-q" ]
+  @@ fun () ->
+  (* The server holds its copies now. *)
+  List.iteri (fun i fd -> if i >= 21 then Unix.close fd) !nulls;
+  let last, fds = connect_until_not_ok ~limit:80 port in
+  Alcotest.(check (option string)) "refused" (Some "refill-wire v1 busy") last;
+  let served = List.nth fds (List.length fds - 1) in
+  let record : Logsys.Record.t =
+    { node = 1; kind = Logsys.Codec.kind_of_tag 0 None; origin = 1;
+      pkt_seq = 0; true_time = 0.0; gseq = 0 }
+  in
+  Refill_serve.Wire.write_frame served ~typ:Refill_serve.Wire.frame_data
+    (Logsys.Codec.encode_segment [| record |]);
+  let ack = Refill_serve.Wire.read_ack served in
+  Alcotest.(check (pair int int)) "an earlier connection is served" (1, 1)
+    (ack.frames, ack.records);
+  List.iter Unix.close fds
+
 (* -- reconstruct --------------------------------------------------------------- *)
 
 (* Cold-start race regression: Protocol's per-role tables and FSM caches
@@ -689,6 +835,10 @@ let () =
             `Quick feed_reports_a_bad_dump_first;
           Alcotest.test_case "busy --emit-socket is an I/O error" `Quick
             serve_busy_emit_socket_is_io_error;
+          Alcotest.test_case "out of descriptors, then served again" `Quick
+            serve_survives_descriptor_exhaustion;
+          Alcotest.test_case "a descriptor past FD_SETSIZE is refused" `Quick
+            serve_refuses_past_fd_setsize;
         ] );
       ( "reconstruct",
         [
